@@ -11,15 +11,10 @@ from .distill import (
 from .errors import ConfigError, UnknownLabelError
 from .generators import (
     IdentityLatent,
-    SceneGrads,
-    Splat2D,
     SplatGenerator,
-    SplatScene,
     View,
     ViewJitterSpec,
     canonical_view,
-    render,
-    render_backward,
     sample_view,
 )
 from .objectives import (
@@ -45,13 +40,12 @@ from .trajectory import (
 __all__ = [
     "AdamOptimizer", "ConfigError", "DistillConfig", "GradientReport",
     "GuidanceSpec", "IdentityLatent", "LatentTrajectory", "MixtureOracle",
-    "NoiseSchedule", "OptimConfig", "RunLog", "SIGMA_MIN", "SceneGrads",
-    "Splat2D", "SplatGenerator", "SplatScene", "UnknownLabelError", "View",
-    "ViewJitterSpec", "add_noise", "canonical_view", "ddim_denoise",
-    "ddim_invert", "decomposition_check", "denoise_hop", "invert_hop",
-    "ism_gradient", "make_schedule", "multistep_bias", "naive_gradient",
-    "nearest_mode_distance", "pseudo_gt_single", "render", "render_backward",
-    "run_distillation", "sample_view", "sds_gradient",
+    "NoiseSchedule", "OptimConfig", "RunLog", "SIGMA_MIN", "SplatGenerator",
+    "UnknownLabelError", "View", "ViewJitterSpec", "add_noise",
+    "canonical_view", "ddim_denoise", "ddim_invert", "decomposition_check",
+    "denoise_hop", "invert_hop", "ism_gradient", "make_schedule",
+    "multistep_bias", "naive_gradient", "nearest_mode_distance",
+    "pseudo_gt_single", "run_distillation", "sample_view", "sds_gradient",
 ]
 
 __version__ = "0.1.0"

@@ -13,13 +13,7 @@ import numpy as np
 
 from .distill import DistillConfig, OptimConfig
 from .errors import ConfigError
-from .generators import (
-    IdentityLatent,
-    SplatGenerator,
-    SplatScene,
-    ViewJitterSpec,
-    random_scene,
-)
+from .generators import IdentityLatent, SplatGenerator, ViewJitterSpec, random_scene
 from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule, make_schedule
 
@@ -120,28 +114,54 @@ def build_jitter(cfg: dict) -> ViewJitterSpec:
     )
 
 
+GENERATOR_KEYS = ("kind", "theta", "n_splats", "channels", "init_seed", "splats", "background")
+
+
+def reject_unknown_keys(section: dict, known, path: str) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown config key {path}.{key}")
+
+
+def _explicit_splats(splats, background: np.ndarray) -> SplatGenerator:
+    """Generator from a generator.splats list; each entry becomes one row."""
+    lengths = {"center": 2, "log_scale": 2, "rotation": 1,
+               "color": background.shape[0], "logit_opacity": 1}
+    rows = []
+    for i, entry in enumerate(splats):
+        path = f"generator.splats[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path} must be an object")
+        reject_unknown_keys(entry, (*lengths, "depth"), path)
+        rows.append([])
+        for key, length in lengths.items():
+            if key not in entry:
+                raise ConfigError(f"missing config key {path}.{key}")
+            value = np.asarray(entry[key], dtype=float).ravel()
+            if value.shape[0] != length:
+                raise ConfigError(f"{path}.{key} has length {value.shape[0]}, expected {length}"
+                                  + (", the background's length" if key == "color" else ""))
+            rows[-1].extend(value)
+    return SplatGenerator(rows, background, [float(e.get("depth", 0.0)) for e in splats])
+
+
 def build_generator(cfg: dict):
+    reject_unknown_keys(get_key(cfg, "generator", {}), GENERATOR_KEYS, "generator")
     kind = get_key(cfg, "generator.kind", "identity")
     if kind == "identity":
         theta = get_key(cfg, "generator.theta", required=True)
         return IdentityLatent(theta)
     if kind == "splats":
-        truncate = get_key(cfg, "generator.truncate_sigma")
-        truncate = float(truncate) if truncate is not None else None
         explicit = get_key(cfg, "generator.splats")
         if explicit is not None:
-            scene = SplatScene.from_dict({
-                "splats": explicit,
-                "background": get_key(cfg, "generator.background", [0.0]),
-            })
-            return SplatGenerator(scene, truncate_sigma=truncate)
-        scene = random_scene(
+            background = np.asarray(get_key(cfg, "generator.background", [0.0]), dtype=float).ravel()
+            return _explicit_splats(explicit, background)
+        return random_scene(
             n_splats=int(get_key(cfg, "generator.n_splats", 32)),
             channels=int(get_key(cfg, "generator.channels", 1)),
             seed=int(get_key(cfg, "generator.init_seed", 0)),
             background=get_key(cfg, "generator.background"),
         )
-        return SplatGenerator(scene, truncate_sigma=truncate)
     raise ConfigError(f"generator.kind must be 'identity' or 'splats', got {kind!r}")
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import config as cfgmod
 from .distill import DistillConfig, nearest_mode_distance, run_distillation
 from .errors import ConfigError
-from .generators import SplatGenerator, canonical_view, random_scene
+from .generators import canonical_view, random_scene
 from .objectives import (
     REPORT_CSV_HEADER,
     decomposition_check,
@@ -493,9 +493,8 @@ def renderer_fd_check(n_scenes: int = 20, size: int = 16, channels: int = 1,
         rng = np.random.default_rng((seed, k))
         # backgrounds strictly inside [0, 1]: finite differences must not
         # straddle the generator's clamp boundary
-        scene = random_scene(3, channels, seed=int(rng.integers(2 ** 31)),
-                             background=rng.uniform(0.2, 0.8, size=channels))
-        gen = SplatGenerator(scene)
+        gen = random_scene(3, channels, seed=int(rng.integers(2 ** 31)),
+                           background=rng.uniform(0.2, 0.8, size=channels))
         view = canonical_view(size, size)
         grad_img = rng.standard_normal(size * size * channels)
         analytic = gen.backward(view, grad_img)

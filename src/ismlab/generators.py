@@ -6,7 +6,8 @@ Two generators are provided:
     experiments that optimise a latent point directly.
   * SplatGenerator -- a scene of anisotropic 2D Gaussian splats rasterised
     with front-to-back alpha compositing and hand-derived analytic gradients
-    for every parameter except the depth sort key.
+    for every parameter. The whole scene is one flat parameter vector; depth
+    only orders the splats and is not a parameter.
 
 A View is an affine map from scene coordinates to image coordinates. Splat
 footprints are evaluated at pixel centers pulled back into scene space, so
@@ -26,67 +27,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass
-class Splat2D:
-    """One anisotropic Gaussian primitive in scene units."""
-
-    center: np.ndarray        # (2,)
-    log_scale: np.ndarray     # (2,); per-axis std-dev is exp(log_scale)
-    rotation: float           # radians
-    color: np.ndarray         # (C,), values in [0, 1]
-    logit_opacity: float      # opacity is sigmoid(logit_opacity)
-    depth: float = 0.0        # sort key only; not differentiated
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(2)
-        self.log_scale = np.asarray(self.log_scale, dtype=float).reshape(2)
-        self.color = np.asarray(self.color, dtype=float).ravel()
-
-
-@dataclass
-class SplatScene:
-    splats: list[Splat2D]
-    background: np.ndarray    # (C,), values in [0, 1]
-
-    def __post_init__(self):
-        self.background = np.asarray(self.background, dtype=float).ravel()
-
-    @property
-    def channels(self) -> int:
-        return self.background.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "background": self.background.tolist(),
-            "splats": [
-                {
-                    "center": s.center.tolist(),
-                    "log_scale": s.log_scale.tolist(),
-                    "rotation": float(s.rotation),
-                    "color": s.color.tolist(),
-                    "logit_opacity": float(s.logit_opacity),
-                    "depth": float(s.depth),
-                }
-                for s in self.splats
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplatScene":
-        splats = [
-            Splat2D(
-                center=s["center"],
-                log_scale=s["log_scale"],
-                rotation=float(s["rotation"]),
-                color=s["color"],
-                logit_opacity=float(s["logit_opacity"]),
-                depth=float(s.get("depth", 0.0)),
-            )
-            for s in d["splats"]
-        ]
-        return cls(splats=splats, background=np.asarray(d["background"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -156,13 +96,6 @@ def sample_view(seed: int, jitter: ViewJitterSpec) -> View:
     return View(affine=affine, width=jitter.width, height=jitter.height)
 
 
-def view_rotation_angle(view: View, jitter: ViewJitterSpec) -> float:
-    """Recover the scene-side rotation of a jittered view (diagnostics)."""
-    base = canonical_view(jitter.width, jitter.height)
-    m = np.linalg.solve(base.linear, view.linear)
-    return math.atan2(m[1, 0], m[0, 0])
-
-
 def _pixel_centers_scene(view: View) -> np.ndarray:
     """Pixel centers pulled back to scene coordinates, shape (H * W, 2),
     row-major over (y, x)."""
@@ -176,123 +109,32 @@ def _pixel_centers_scene(view: View) -> np.ndarray:
     return np.linalg.solve(view.linear, (pix - view.offset).T).T
 
 
-def _sorted_indices(scene: SplatScene) -> list[int]:
-    """Front-to-back traversal order: ascending depth, original index breaks ties."""
-    return sorted(range(len(scene.splats)), key=lambda i: (scene.splats[i].depth, i))
+# Columns of one splat row in SplatGenerator.theta.
+CENTER, LOG_SCALE, ROTATION, COLOR, LOGIT_OPACITY = slice(0, 2), slice(2, 4), 4, slice(5, -1), -1
 
 
-def _splat_alphas(scene: SplatScene, z: np.ndarray, order: Sequence[int],
-                  truncate_sigma: Optional[float]):
-    """Footprint alphas (n_splats, n_pixels) in traversal order, plus the
-    per-splat frame quantities needed by the backward pass."""
-    n, p = len(order), z.shape[0]
-    alphas = np.zeros((n, p))
-    frames = []
-    for row, idx in enumerate(order):
-        s = scene.splats[idx]
-        u = z - s.center                            # (P, 2)
-        r = rotation_matrix(s.rotation)
-        w = u @ r                                   # rows are R^T u
-        inv_var = np.exp(-2.0 * s.log_scale)        # 1 / std^2 per axis
-        q = (w * w) @ inv_var
-        g = np.exp(-0.5 * q)
-        if truncate_sigma is not None:
-            g = np.where(q <= truncate_sigma ** 2, g, 0.0)
-        opacity = 1.0 / (1.0 + math.exp(-s.logit_opacity))
-        alphas[row] = opacity * g
-        frames.append((w, inv_var, r, opacity))
-    return alphas, frames
+def _composite(rows: np.ndarray, background: np.ndarray, view: View):
+    """Front-to-back alpha compositing of splat rows over the background.
 
-
-def render(scene: SplatScene, view: View,
-           truncate_sigma: Optional[float] = None) -> np.ndarray:
-    """Rasterise the scene: front-to-back alpha compositing of Gaussian
-    footprints over the background.
-
-    Returns a flat array of length height * width * channels, row-major with
-    channels innermost, values in [0, 1] whenever colors and background are.
-    truncate_sigma optionally zeroes footprints beyond that many standard
-    deviations (speed knob; perturbs values near the cut).
+    Returns the (P, C) image and the intermediates the backward pass needs:
+    per-splat frame coordinates w = R^T (z - center) of shape (N, P, 2), the
+    rotations (N, 2, 2), inverse variances (N, 2), opacities (N,), footprint
+    alphas (N, P), the transmittance in front of each splat (N, P) and the
+    final transmittance (P,).
     """
-    if not scene.splats:
-        raise ConfigError("cannot render an empty scene")
     z = _pixel_centers_scene(view)
-    order = _sorted_indices(scene)
-    alphas, _ = _splat_alphas(scene, z, order, truncate_sigma)
-    colors = np.stack([scene.splats[i].color for i in order])      # (N, C)
+    cos, sin = np.cos(rows[:, ROTATION]), np.sin(rows[:, ROTATION])
+    rot = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)
+    w = (z[None, :, :] - rows[:, None, CENTER]) @ rot
+    inv_var = np.exp(-2.0 * rows[:, LOG_SCALE])          # 1 / std^2 per axis
+    q = np.einsum("npk,nk->np", w * w, inv_var)
+    opacity = 1.0 / (1.0 + np.exp(-rows[:, LOGIT_OPACITY]))
+    alphas = opacity[:, None] * np.exp(-0.5 * q)
 
     trans = np.cumprod(1.0 - alphas, axis=0)
-    t_excl = np.vstack([np.ones((1, alphas.shape[1])), trans[:-1]])  # before each splat
-    weights = alphas * t_excl                                        # (N, P)
-    img = weights.T @ colors + trans[-1][:, None] * scene.background[None, :]
-    return img.ravel()
-
-
-@dataclass
-class SceneGrads:
-    """Gradients of <grad_image, render(scene, view)> in original splat order."""
-
-    center: np.ndarray         # (N, 2)
-    log_scale: np.ndarray      # (N, 2)
-    rotation: np.ndarray       # (N,)
-    color: np.ndarray          # (N, C)
-    logit_opacity: np.ndarray  # (N,)
-    background: np.ndarray     # (C,)
-
-
-def render_backward(scene: SplatScene, view: View, grad_image,
-                    truncate_sigma: Optional[float] = None) -> SceneGrads:
-    """Exact analytic gradients of the scalar <grad_image, render(scene, view)>
-    with respect to every splat field except depth, plus the background."""
-    n = len(scene.splats)
-    c_ch = scene.channels
-    p = view.width * view.height
-    grad_image = np.asarray(grad_image, dtype=float).reshape(p, c_ch)
-
-    z = _pixel_centers_scene(view)
-    order = _sorted_indices(scene)
-    alphas, frames = _splat_alphas(scene, z, order, truncate_sigma)
-    colors = np.stack([scene.splats[i].color for i in order])
-
-    trans = np.cumprod(1.0 - alphas, axis=0)
-    t_excl = np.vstack([np.ones((1, p)), trans[:-1]])
-
-    # behind[i]: composite of everything behind splat i, over the background.
-    behind = np.empty((n, p, c_ch))
-    behind[n - 1] = scene.background[None, :]
-    for i in range(n - 1, 0, -1):
-        a = alphas[i][:, None]
-        behind[i - 1] = colors[i][None, :] * a + (1.0 - a) * behind[i]
-
-    grads = SceneGrads(
-        center=np.zeros((n, 2)),
-        log_scale=np.zeros((n, 2)),
-        rotation=np.zeros(n),
-        color=np.zeros((n, c_ch)),
-        logit_opacity=np.zeros(n),
-        background=grad_image.T @ trans[-1],
-    )
-
-    for row, idx in enumerate(order):
-        w, inv_var, r, opacity = frames[row]
-        a = alphas[row]
-        g_color = grad_image.T @ (a * t_excl[row])                    # (C,)
-        g_alpha = t_excl[row] * np.einsum(
-            "pc,pc->p", grad_image, colors[row][None, :] - behind[row])
-        g_q = -0.5 * a * g_alpha
-
-        grads.color[idx] = g_color
-        grads.logit_opacity[idx] = float((g_alpha * a).sum() * (1.0 - opacity))
-        # q = w^T diag(inv_var) w with w = R^T (z - center):
-        #   dq/dcenter   = -2 R diag(inv_var) w
-        #   dq/dlogscale = -2 w_a^2 inv_var_a
-        #   dq/drotation =  2 w_x w_y (inv_var_x - inv_var_y)
-        dq_dcenter = -2.0 * (w * inv_var[None, :]) @ r.T              # (P, 2)
-        grads.center[idx] = g_q @ dq_dcenter
-        grads.log_scale[idx] = g_q @ (-2.0 * (w * w) * inv_var[None, :])
-        grads.rotation[idx] = float(
-            g_q @ (2.0 * w[:, 0] * w[:, 1] * (inv_var[0] - inv_var[1])))
-    return grads
+    t_excl = np.vstack([np.ones((1, alphas.shape[1])), trans[:-1]])
+    img = (alphas * t_excl).T @ rows[:, COLOR] + trans[-1][:, None] * background[None, :]
+    return img, (w, rot, inv_var, opacity, alphas, t_excl, trans[-1])
 
 
 class IdentityLatent:
@@ -326,91 +168,105 @@ class IdentityLatent:
 
 
 class SplatGenerator:
-    """Adapter exposing a SplatScene as a flat, optimisable parameter vector.
+    """A scene of anisotropic 2D Gaussian splats held as one flat vector.
 
-    Per splat the packing is [center(2), log_scale(2), rotation, color(C),
-    logit_opacity]; the background follows. Depth keys are fixed. Colors and
-    background are clamped to [0, 1] whenever parameters are set.
+    theta[:-C] reshaped to (N, 6 + C) holds one row per splat, front to back:
+    [center(2), log_scale(2), rotation, color(C), logit_opacity]; theta[-C:]
+    is the background. The constructor orders the rows by ascending depth
+    (stable, so ties keep their given order); depth is a sort key only and is
+    not stored. Colors and background are clamped to [0, 1] whenever
+    parameters are set.
     """
 
-    def __init__(self, scene: SplatScene, truncate_sigma: Optional[float] = None):
-        if not scene.splats:
-            raise ConfigError("splat generator needs a non-empty scene")
-        self.scene = scene
-        self.truncate_sigma = truncate_sigma
-
-    @property
-    def channels(self) -> int:
-        return self.scene.channels
-
-    @property
-    def per_splat(self) -> int:
-        return 6 + self.channels
+    def __init__(self, splats, background, depth: Optional[Sequence[float]] = None):
+        background = np.asarray(background, dtype=float).ravel()
+        rows = np.asarray(splats, dtype=float)
+        c = background.shape[0]
+        if c == 0 or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != 6 + c:
+            raise ConfigError(
+                f"splat generator needs a non-empty background of C channels and "
+                f"(N >= 1, 6 + C) splat rows, got {c} channels and rows of shape {rows.shape}")
+        if depth is not None:
+            depth = np.asarray(depth, dtype=float).ravel()
+            if depth.shape[0] != rows.shape[0]:
+                raise ConfigError(f"got {depth.shape[0]} depths for {rows.shape[0]} splats")
+            rows = rows[np.argsort(depth, kind="stable")]
+        self.channels = c
+        self.theta = np.concatenate([rows.ravel(), background])
 
     @property
     def n_params(self) -> int:
-        return len(self.scene.splats) * self.per_splat + self.channels
+        return self.theta.shape[0]
+
+    def _rows(self) -> np.ndarray:
+        return self.theta[:-self.channels].reshape(-1, 6 + self.channels)
 
     def get_params(self) -> np.ndarray:
-        parts = []
-        for s in self.scene.splats:
-            parts.append(s.center)
-            parts.append(s.log_scale)
-            parts.append([s.rotation])
-            parts.append(s.color)
-            parts.append([s.logit_opacity])
-        parts.append(self.scene.background)
-        return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+        return self.theta.copy()
 
     def set_params(self, params) -> None:
-        params = np.asarray(params, dtype=float).ravel()
-        if params.shape[0] != self.n_params:
-            raise ValueError(f"expected {self.n_params} parameters, got {params.shape[0]}")
+        theta = np.array(params, dtype=float).ravel()
+        if theta.shape != self.theta.shape:
+            raise ValueError(f"expected {self.n_params} parameters, got {theta.shape[0]}")
         c = self.channels
-        k = 0
-        for s in self.scene.splats:
-            s.center = params[k:k + 2].copy(); k += 2
-            s.log_scale = params[k:k + 2].copy(); k += 2
-            s.rotation = float(params[k]); k += 1
-            s.color = np.clip(params[k:k + c], 0.0, 1.0); k += c
-            s.logit_opacity = float(params[k]); k += 1
-        self.scene.background = np.clip(params[k:k + c], 0.0, 1.0)
+        rows = theta[:-c].reshape(-1, 6 + c)
+        rows[:, COLOR] = np.clip(rows[:, COLOR], 0.0, 1.0)
+        theta[-c:] = np.clip(theta[-c:], 0.0, 1.0)
+        self.theta = theta
 
     def render(self, view: View) -> np.ndarray:
-        return render(self.scene, view, self.truncate_sigma)
+        """Flat image of length height * width * channels, row-major with
+        channels innermost, values in [0, 1] whenever colors and background
+        are."""
+        img, _ = _composite(self._rows(), self.theta[-self.channels:], view)
+        return img.ravel()
 
     def image_shape(self, jitter: ViewJitterSpec) -> tuple[int, int, int]:
         return (jitter.height, jitter.width, self.channels)
 
     def backward(self, view: View, grad_output) -> np.ndarray:
-        g = render_backward(self.scene, view, grad_output, self.truncate_sigma)
+        """Exact analytic gradient of <grad_output, render(view)> in theta
+        layout."""
         c = self.channels
-        out = np.zeros(self.n_params)
-        k = 0
-        for i in range(len(self.scene.splats)):
-            out[k:k + 2] = g.center[i]; k += 2
-            out[k:k + 2] = g.log_scale[i]; k += 2
-            out[k] = g.rotation[i]; k += 1
-            out[k:k + c] = g.color[i]; k += c
-            out[k] = g.logit_opacity[i]; k += 1
-        out[k:k + c] = g.background
-        return out
+        grad_image = np.asarray(grad_output, dtype=float).reshape(view.width * view.height, c)
+        rows, background = self._rows(), self.theta[-c:]
+        _, (w, rot, inv_var, opacity, alphas, t_excl, t_last) = _composite(rows, background, view)
+        colors = rows[:, COLOR]
+
+        # behind[i]: composite of everything behind splat i, over the background.
+        # Kept as a recurrence: dividing by the transmittance fails where it is 0.
+        n = rows.shape[0]
+        behind = np.empty((n,) + grad_image.shape)
+        behind[n - 1] = background[None, :]
+        for i in range(n - 1, 0, -1):
+            a = alphas[i][:, None]
+            behind[i - 1] = colors[i][None, :] * a + (1.0 - a) * behind[i]
+
+        g_alpha = t_excl * np.einsum("pc,npc->np", grad_image, colors[:, None, :] - behind)
+        g_q = -0.5 * alphas * g_alpha
+        grad = np.empty_like(self.theta)
+        g_rows = grad[:-c].reshape(rows.shape)
+        # q = w^T diag(inv_var) w with w = R^T (z - center):
+        #   dq/dcenter   = -2 R diag(inv_var) w
+        #   dq/dlogscale = -2 w_a^2 inv_var_a
+        #   dq/drotation =  2 w_x w_y (inv_var_x - inv_var_y)
+        dq_dcenter = -2.0 * (w * inv_var[:, None, :]) @ rot.transpose(0, 2, 1)
+        g_rows[:, CENTER] = np.einsum("np,npk->nk", g_q, dq_dcenter)
+        g_rows[:, LOG_SCALE] = -2.0 * np.einsum("np,npk->nk", g_q, w * w) * inv_var
+        g_rows[:, ROTATION] = 2.0 * np.einsum("np,np->n", g_q, w[..., 0] * w[..., 1]) \
+            * (inv_var[:, 0] - inv_var[:, 1])
+        g_rows[:, COLOR] = (alphas * t_excl) @ grad_image
+        g_rows[:, LOGIT_OPACITY] = (g_alpha * alphas).sum(axis=1) * (1.0 - opacity)
+        grad[-c:] = grad_image.T @ t_last
+        return grad
 
 
 def random_scene(n_splats: int, channels: int, seed: int,
-                 background: Optional[Sequence[float]] = None) -> SplatScene:
+                 background: Optional[Sequence[float]] = None) -> SplatGenerator:
     """Seeded scene initialisation: splats spread over the canonical square
-    with moderate scales and mid opacities."""
+    with moderate scales and mid opacities, front to back in draw order."""
     rng = np.random.default_rng(seed)
-    splats = []
-    for i in range(n_splats):
-        splats.append(Splat2D(
-            center=rng.uniform(-0.8, 0.8, size=2),
-            log_scale=rng.uniform(math.log(0.08), math.log(0.25), size=2),
-            rotation=rng.uniform(-math.pi, math.pi),
-            color=rng.uniform(0.2, 0.8, size=channels),
-            logit_opacity=rng.uniform(-1.5, 0.5),
-            depth=float(i),
-        ))
-    bg = np.zeros(channels) if background is None else np.asarray(background, dtype=float)
-    return SplatScene(splats=splats, background=bg)
+    low = [-0.8, -0.8, math.log(0.08), math.log(0.08), -math.pi] + [0.2] * channels + [-1.5]
+    high = [0.8, 0.8, math.log(0.25), math.log(0.25), math.pi] + [0.8] * channels + [0.5]
+    rows = rng.uniform(low, high, size=(n_splats, 6 + channels))
+    return SplatGenerator(rows, np.zeros(channels) if background is None else background)

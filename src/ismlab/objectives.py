@@ -145,7 +145,9 @@ def _interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     grid = descent_grid(t, delta_t)
     inv = invert_along(oracle, schedule, x0, grid)
     deno = denoise_path(oracle, schedule, inv.latents[-1], t, delta_t, g)
-    assert deno.timesteps == tuple(reversed(grid))
+    if deno.timesteps != tuple(reversed(grid)):
+        raise RuntimeError(f"denoising nodes {deno.timesteps} do not retrace the "
+                           f"inversion grid {grid}")
 
     n = len(grid) - 1
     x0_tilde = deno.latents[-1]

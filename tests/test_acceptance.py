@@ -16,7 +16,6 @@ from ismlab import (
     GuidanceSpec,
     IdentityLatent,
     MixtureOracle,
-    SplatGenerator,
     ViewJitterSpec,
     canonical_view,
     ddim_denoise,
@@ -250,7 +249,7 @@ def test_criterion_10_splat_distillation(default_schedule):
         delta_t_start=100, delta_t_end=50, delta_s=50,
         guidance=GuidanceSpec(positive="left", scale=3.0), seed=0,
         jitter=ViewJitterSpec(width=16, height=16))
-    gen = SplatGenerator(random_scene(32, 1, seed=0))
+    gen = random_scene(32, 1, seed=0)
     run_distillation(gen, oracle, default_schedule, cfg)
     img = gen.render(canonical_view(16, 16))
     mae_left = float(np.abs(img - left).mean())

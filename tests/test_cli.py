@@ -1,7 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ismlab.cli import main
 from ismlab.config import build_oracle, gaussian_blob_template, load_json
@@ -92,19 +96,22 @@ def test_race_kind(tmp_path):
     assert (out / "race_summary.csv").exists()
 
 
-def test_ppm_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    for c in (1, 3):
-        img = rng.uniform(0, 1, size=(5, 7, c))
-        path = tmp_path / f"img{c}.ppm"
-        write_ppm(path, img)
-        back = read_ppm(path)
-        assert back.shape == (5, 7, c)
-        assert np.abs(back - img).max() <= 0.5 / 255 + 1e-9
-    with open(tmp_path / "img1.ppm", "rb") as fh:
-        assert fh.read(2) == b"P5"
-    with open(tmp_path / "img3.ppm", "rb") as fh:
-        assert fh.read(2) == b"P6"
+@given(st.integers(1, 300), st.integers(1, 300), st.sampled_from([1, 3]))
+@example(255, 2, 1)
+@example(3, 255, 3)
+@example(5, 7, 1)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_ppm_round_trip(tmp_path, height, width, channels):
+    # sizes containing the maxval digits used to shift the pixel body
+    img = np.random.default_rng(height * 1000 + width).uniform(0, 1, size=(height, width, channels))
+    path = tmp_path / "img.ppm"
+    write_ppm(path, img)
+    back = read_ppm(path)
+    assert back.shape == (height, width, channels)
+    assert np.abs(back - img).max() <= 0.5 / 255 + 1e-9
+    with open(path, "rb") as fh:
+        assert fh.read(2) == (b"P5" if channels == 1 else b"P6")
 
 
 def test_blob_template_oracle_from_config():
@@ -118,3 +125,45 @@ def test_blob_template_oracle_from_config():
 def test_unknown_generator_kind_raises(tmp_path):
     cfg = tweak_config(tmp_path, "eta_sweep.json", **{"generator.kind": "mesh"})
     assert main(["eta-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+SPLAT = {"center": [0.0, 0.0], "log_scale": [-1.0, -1.0], "rotation": 0.0,
+         "color": [0.5], "logit_opacity": 0.0}
+
+
+@pytest.mark.parametrize("generator, key", [
+    ({"truncate_sigma": 3.0}, "generator.truncate_sigma"),
+    ({"splats": [SPLAT, dict(SPLAT, opacity=1.0)]}, "generator.splats[1].opacity"),
+    ({"splats": [dict(SPLAT, center=[0.0, 0.0, 0.0])]}, "generator.splats[0].center"),
+    ({"splats": [dict(SPLAT, log_scale=[-1.0])]}, "generator.splats[0].log_scale"),
+    ({"splats": [SPLAT] * 3 + [dict(SPLAT, color=[0.5, 0.5, 0.5])]},
+     "generator.splats[3].color"),
+])
+def test_bad_generator_section_exits_one(tmp_path, capsys, generator, key):
+    cfg = tweak_config(tmp_path, "distill_splats.json",
+                       **{f"generator.{k}": v for k, v in generator.items()})
+    assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_splat_distill_matches_recorded_reference(tmp_path):
+    """A 300-iteration splat distillation reproduces the outputs recorded from
+    the per-splat renderer at commit f58c6ec: integer columns and oracle calls
+    exactly, floats to 1e-8 relative, since the vectorised compositor sums in
+    a different order."""
+    ref = json.loads((Path(__file__).parent / "data" / "splat_distill_300.json").read_text())
+    cfg = tweak_config(tmp_path, "distill_splats.json",
+                       **{"distill.iterations": ref["iterations"]})
+    out = tmp_path / "out"
+    assert main(["distill", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for key, values in ref["int_columns"].items():
+        assert [int(r[key]) for r in rows] == values
+    for key, values in ref["float_columns"].items():
+        np.testing.assert_allclose([float(r[key]) for r in rows], values, rtol=1e-8, atol=0)
+    report = json.loads((out / "report.json").read_text())
+    for key, value in ref["report"].items():
+        assert report[key] == (pytest.approx(value, rel=1e-8, abs=0)
+                               if isinstance(value, float) else value)

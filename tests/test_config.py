@@ -69,14 +69,14 @@ def test_generator_builders():
     splats = build_generator({"generator": {
         "kind": "splats", "n_splats": 4, "channels": 1, "init_seed": 3}})
     assert isinstance(splats, SplatGenerator)
-    assert len(splats.scene.splats) == 4
+    assert splats.n_params == 4 * 7 + 1
 
     explicit = build_generator({"generator": {
         "kind": "splats",
         "splats": [{"center": [0, 0], "log_scale": [-1, -1], "rotation": 0.0,
                     "color": [0.5], "logit_opacity": 0.0}],
         "background": [0.25]}})
-    assert explicit.scene.background.tolist() == [0.25]
+    assert explicit.get_params().tolist() == [0, 0, -1, -1, 0.0, 0.5, 0.0, 0.25]
 
     # identical seeds give identical scenes
     a = build_generator({"generator": {"kind": "splats", "n_splats": 3, "init_seed": 9}})

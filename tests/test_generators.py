@@ -8,153 +8,150 @@ from hypothesis import strategies as st
 from ismlab import (
     ConfigError,
     IdentityLatent,
-    Splat2D,
     SplatGenerator,
-    SplatScene,
     ViewJitterSpec,
     canonical_view,
-    render,
-    render_backward,
     sample_view,
 )
 from ismlab.experiments import fd_gradient
-from ismlab.generators import random_scene, view_rotation_angle
+from ismlab.generators import random_scene
 
 
-def brute_force_render(scene, view):
+def splat(center, log_scale, rotation, color, logit_opacity, depth=0.0):
+    return dict(center=center, log_scale=log_scale, rotation=rotation,
+                color=color, logit_opacity=logit_opacity, depth=depth)
+
+
+def build(splats, background):
+    """SplatGenerator from a plain list of splat dicts."""
+    rows = [[*s["center"], *s["log_scale"], s["rotation"], *s["color"], s["logit_opacity"]]
+            for s in splats]
+    return SplatGenerator(rows, background, [s["depth"] for s in splats])
+
+
+def brute_force_render(splats, background, view):
     """Independent scalar rasteriser: per-pixel back-to-front 'over' compositing
     in extended precision, covariance projected through the camera."""
     ld = np.longdouble
-    h, w, c = view.height, view.width, scene.channels
+    h, w, c = view.height, view.width, len(background)
     a = np.asarray(view.linear, dtype=ld)
     b = np.asarray(view.offset, dtype=ld)
-    order = sorted(range(len(scene.splats)),
-                   key=lambda i: (scene.splats[i].depth, i))
+    order = sorted(range(len(splats)), key=lambda i: (splats[i]["depth"], i))
     out = np.zeros((h, w, c), dtype=ld)
     for yy in range(h):
         for xx in range(w):
             p = np.array([xx + 0.5, yy + 0.5], dtype=ld)
-            color = np.asarray(scene.background, dtype=ld).copy()
+            color = np.asarray(background, dtype=ld).copy()
             for idx in reversed(order):  # back to front
-                s = scene.splats[idx]
-                ang = ld(s.rotation)
+                s = splats[idx]
+                ang = ld(s["rotation"])
                 rot = np.array([[np.cos(ang), -np.sin(ang)],
                                 [np.sin(ang), np.cos(ang)]], dtype=ld)
-                scales = np.exp(np.asarray(s.log_scale, dtype=ld))
+                scales = np.exp(np.asarray(s["log_scale"], dtype=ld))
                 cov_scene = rot @ np.diag(scales ** 2) @ rot.T
                 cov_img = a @ cov_scene @ a.T
-                center_img = a @ np.asarray(s.center, dtype=ld) + b
+                center_img = a @ np.asarray(s["center"], dtype=ld) + b
                 d = p - center_img
                 q = d @ np.linalg.inv(np.asarray(cov_img, dtype=float)) @ d
-                opacity = ld(1.0) / (ld(1.0) + np.exp(-ld(s.logit_opacity)))
+                opacity = ld(1.0) / (ld(1.0) + np.exp(-ld(s["logit_opacity"])))
                 alpha = opacity * np.exp(-q / 2)
-                color = alpha * np.asarray(s.color, dtype=ld) + (1 - alpha) * color
+                color = alpha * np.asarray(s["color"], dtype=ld) + (1 - alpha) * color
             out[yy, xx] = color
     return out.astype(float).ravel()
 
 
+def three_splats():
+    return [
+        splat([-0.3, 0.2], [math.log(0.3), math.log(0.18)], 0.4, [0.9], 0.5, depth=0.0),
+        splat([0.4, -0.1], [math.log(0.22), math.log(0.4)], -1.1, [0.3], 1.2, depth=1.0),
+        splat([0.0, -0.5], [math.log(0.5), math.log(0.12)], 2.0, [0.6], -0.4, depth=2.0),
+    ]
+
+
 def three_splat_scene():
-    return SplatScene(
-        splats=[
-            Splat2D(center=[-0.3, 0.2], log_scale=[math.log(0.3), math.log(0.18)],
-                    rotation=0.4, color=[0.9], logit_opacity=0.5, depth=0.0),
-            Splat2D(center=[0.4, -0.1], log_scale=[math.log(0.22), math.log(0.4)],
-                    rotation=-1.1, color=[0.3], logit_opacity=1.2, depth=1.0),
-            Splat2D(center=[0.0, -0.5], log_scale=[math.log(0.5), math.log(0.12)],
-                    rotation=2.0, color=[0.6], logit_opacity=-0.4, depth=2.0),
-        ],
-        background=np.array([0.1]),
-    )
+    return build(three_splats(), [0.1])
+
+
+def view_rotation_angle(view, jitter):
+    """Recover the scene-side rotation of a jittered view."""
+    base = canonical_view(jitter.width, jitter.height)
+    m = np.linalg.solve(base.linear, view.linear)
+    return math.atan2(m[1, 0], m[0, 0])
 
 
 def test_transparent_scene_is_background():
-    scene = three_splat_scene()
-    for s in scene.splats:
-        s.logit_opacity = -20.0
-    img = render(scene, canonical_view(8, 8))
+    splats = three_splats()
+    for s in splats:
+        s["logit_opacity"] = -20.0
+    img = build(splats, [0.1]).render(canonical_view(8, 8))
     assert np.abs(img - 0.1).max() < 1e-7
 
 
 def test_saturated_splat_covers_center():
-    scene = SplatScene(
-        splats=[Splat2D(center=[0.0, 0.0], log_scale=[3.0, 3.0], rotation=0.0,
-                        color=[1.0], logit_opacity=20.0, depth=0.0)],
-        background=np.array([0.0]),
-    )
-    view = canonical_view(9, 9)
-    img = render(scene, view).reshape(9, 9)
+    gen = build([splat([0.0, 0.0], [3.0, 3.0], 0.0, [1.0], 20.0)], [0.0])
+    img = gen.render(canonical_view(9, 9)).reshape(9, 9)
     assert img[4, 4] >= 0.99
 
 
 def test_render_matches_brute_force_compositor():
-    scene = three_splat_scene()
+    splats = three_splats()[::-1]     # both sides must sort by depth
     view = canonical_view(16, 16)
-    fast = render(scene, view)
-    slow = brute_force_render(scene, view)
+    fast = build(splats, [0.1]).render(view)
+    slow = brute_force_render(splats, [0.1], view)
     assert np.abs(fast - slow).max() < 1e-6
 
 
 def test_render_rgb_channels():
-    scene = SplatScene(
-        splats=[Splat2D(center=[0.0, 0.0], log_scale=[-0.5, -0.5], rotation=0.0,
-                        color=[1.0, 0.2, 0.0], logit_opacity=2.0, depth=0.0)],
-        background=np.array([0.0, 0.0, 1.0]),
-    )
+    splats = [splat([0.0, 0.0], [-0.5, -0.5], 0.0, [1.0, 0.2, 0.0], 2.0)]
+    background = [0.0, 0.0, 1.0]
     view = canonical_view(4, 4)
-    fast = render(scene, view)
-    slow = brute_force_render(scene, view)
+    fast = build(splats, background).render(view)
+    slow = brute_force_render(splats, background, view)
     assert fast.shape == (4 * 4 * 3,)
     assert np.abs(fast - slow).max() < 1e-6
 
 
 def test_permutation_invariance_bitwise():
-    scene = three_splat_scene()
+    base = three_splat_scene()
     view = canonical_view(12, 12)
-    base = render(scene, view)
-    permuted = SplatScene(splats=[scene.splats[2], scene.splats[0], scene.splats[1]],
-                          background=scene.background)
-    assert np.array_equal(render(permuted, view), base)
+    s = three_splats()
+    permuted = build([s[2], s[0], s[1]], [0.1])
+    assert np.array_equal(permuted.get_params(), base.get_params())
+    assert np.array_equal(permuted.render(view), base.render(view))
 
 
 def test_render_deterministic_bitwise():
-    scene = three_splat_scene()
+    gen = three_splat_scene()
     view = canonical_view(12, 12)
-    assert np.array_equal(render(scene, view), render(scene, view))
+    assert np.array_equal(gen.render(view), gen.render(view))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_compositing_stays_in_unit_interval(seed):
     rng = np.random.default_rng(seed)
-    scene = random_scene(4, 1, seed=seed,
-                         background=rng.uniform(0.0, 1.0, size=1))
-    img = render(scene, canonical_view(8, 8))
+    gen = random_scene(4, 1, seed=seed, background=rng.uniform(0.0, 1.0, size=1))
+    img = gen.render(canonical_view(8, 8))
     assert np.all(img >= 0.0) and np.all(img <= 1.0)
 
 
 def test_backward_zero_gradient():
-    scene = three_splat_scene()
-    grads = render_backward(scene, canonical_view(8, 8), np.zeros(64))
-    assert np.all(grads.center == 0) and np.all(grads.color == 0)
-    assert np.all(grads.background == 0)
+    grads = three_splat_scene().backward(canonical_view(8, 8), np.zeros(64))
+    assert grads.shape == (3 * 7 + 1,)
+    assert np.all(grads == 0)
 
 
 def test_backward_transparent_splat_structure():
-    scene = SplatScene(
-        splats=[Splat2D(center=[0.0, 0.0], log_scale=[1.0, 1.0], rotation=0.0,
-                        color=[0.7], logit_opacity=-30.0, depth=0.0)],
-        background=np.array([0.2]),
-    )
-    grads = render_backward(scene, canonical_view(8, 8), np.ones(64))
-    assert np.abs(grads.color).max() < 1e-10
-    assert grads.logit_opacity[0] != 0.0
+    gen = build([splat([0.0, 0.0], [1.0, 1.0], 0.0, [0.7], -30.0)], [0.2])
+    grads = gen.backward(canonical_view(8, 8), np.ones(64))
+    assert abs(grads[5]) < 1e-10      # color
+    assert grads[6] != 0.0            # logit_opacity
 
 
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(0)
     for k in range(20):
-        scene = random_scene(3, 1, seed=k, background=rng.uniform(0.2, 0.8, 1))
-        gen = SplatGenerator(scene)
+        gen = random_scene(3, 1, seed=k, background=rng.uniform(0.2, 0.8, 1))
         view = canonical_view(16, 16)
         grad_img = rng.standard_normal(16 * 16)
         analytic = gen.backward(view, grad_img)
@@ -175,17 +172,7 @@ def test_backward_matches_finite_differences():
 
 def test_backward_dimension_mismatch():
     with pytest.raises(ValueError):
-        render_backward(three_splat_scene(), canonical_view(8, 8), np.zeros(10))
-
-
-def test_truncation_knob_perturbs_little():
-    scene = three_splat_scene()
-    view = canonical_view(16, 16)
-    full = render(scene, view)
-    truncated = render(scene, view, truncate_sigma=6.0)
-    assert np.abs(full - truncated).max() < 1e-6
-    harsh = render(scene, view, truncate_sigma=1.0)
-    assert np.abs(full - harsh).max() > 1e-3
+        three_splat_scene().backward(canonical_view(8, 8), np.zeros(10))
 
 
 def test_zero_jitter_gives_canonical_view():
@@ -225,7 +212,7 @@ def test_degenerate_view_rejected():
     bad = view.__class__(affine=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                          width=8, height=8)
     with pytest.raises(ConfigError):
-        render(three_splat_scene(), bad)
+        three_splat_scene().render(bad)
 
 
 def test_identity_latent_generator():
@@ -239,8 +226,7 @@ def test_identity_latent_generator():
 
 
 def test_splat_generator_param_round_trip():
-    scene = three_splat_scene()
-    gen = SplatGenerator(scene)
+    gen = three_splat_scene()
     params = gen.get_params()
     assert params.shape == (3 * 7 + 1,)
     gen.set_params(params)
@@ -253,10 +239,3 @@ def test_splat_generator_param_round_trip():
     clamped = gen.get_params()
     assert clamped[5] == 1.0 and clamped[-1] == 0.0
     assert gen.image_shape(ViewJitterSpec(width=16, height=16)) == (16, 16, 1)
-
-
-def test_scene_dict_round_trip():
-    scene = three_splat_scene()
-    clone = SplatScene.from_dict(scene.to_dict())
-    view = canonical_view(8, 8)
-    assert np.array_equal(render(clone, view), render(scene, view))

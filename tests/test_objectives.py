@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ismlab import objectives
 from ismlab import (
     ConfigError,
     GuidanceSpec,
@@ -199,3 +201,15 @@ def test_precondition_errors(mixture3, schedule, guide_a):
         naive_gradient(mixture3, schedule, x0, 100, 101, guide_a)
     with pytest.raises(IndexError):
         sds_gradient(mixture3, schedule, x0, 0, np.zeros(2), guide_a)
+
+
+def test_interval_pieces_rejects_mismatched_grids(monkeypatch, mixture3, schedule, guide_a):
+    real = objectives.denoise_path
+
+    def skewed(*args):
+        path = real(*args)
+        return dataclasses.replace(path, timesteps=path.timesteps[:-2] + (1, 0))
+
+    monkeypatch.setattr(objectives, "denoise_path", skewed)
+    with pytest.raises(RuntimeError, match="inversion grid"):
+        decomposition_check(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a)
