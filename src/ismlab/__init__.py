@@ -8,7 +8,7 @@ from .distill import (
     nearest_mode_distance,
     run_distillation,
 )
-from .errors import ConfigError, UnknownLabelError
+from .errors import ConfigError, NumericalError, UnknownLabelError
 from .generators import (
     IdentityLatent,
     SplatGenerator,
@@ -40,7 +40,7 @@ from .trajectory import (
 __all__ = [
     "AdamOptimizer", "ConfigError", "DistillConfig", "GradientReport",
     "GuidanceSpec", "IdentityLatent", "LatentTrajectory", "MixtureOracle",
-    "NoiseSchedule", "OptimConfig", "RunLog", "SIGMA_MIN", "SplatGenerator",
+    "NoiseSchedule", "NumericalError", "OptimConfig", "RunLog", "SIGMA_MIN", "SplatGenerator",
     "UnknownLabelError", "View", "ViewJitterSpec", "add_noise",
     "canonical_view", "ddim_denoise", "ddim_invert", "decomposition_check",
     "denoise_hop", "invert_hop", "ism_gradient", "make_schedule",

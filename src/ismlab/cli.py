@@ -4,7 +4,9 @@
 
 kind is one of consistency, quality, eta-sweep, interval-sweep, race,
 gradcheck, distill. Exit codes: 0 success, 1 configuration error, 2 check
-failure. All outputs land under --out: report.json, *.csv and frames/*.ppm.
+failure, 3 numerical failure (a non-finite gradient or point; distill still
+writes the metrics rows logged before it). All outputs land under --out:
+report.json, *.csv and frames/*.ppm.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .distill import run_distillation
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .experiments import RUNNERS, GradcheckReport, build_experiment, write_report
 from .generators import canonical_view
 from .ppm import write_ppm
@@ -31,7 +33,15 @@ def _run_distill(cfg: dict, out: Path) -> int:
     oracle = cfgmod.build_oracle(cfg)
     generator = cfgmod.build_generator(cfg)
     dcfg = cfgmod.build_distill(cfg)
-    log = run_distillation(generator, oracle, schedule, dcfg)
+    try:
+        # A non-finite value ends the run as a NumericalError, which main
+        # reports in one line; numpy's own warnings would only precede it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            log = run_distillation(generator, oracle, schedule, dcfg)
+    except NumericalError as exc:
+        out.mkdir(parents=True, exist_ok=True)
+        exc.log.write_metrics_csv(out / "metrics.csv")
+        raise
     out.mkdir(parents=True, exist_ok=True)
     log.write_metrics_csv(out / "metrics.csv")
     shape = generator.image_shape(dcfg.jitter)
@@ -74,6 +84,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     if isinstance(report, GradcheckReport) and not report.ok:
         failing = [r.check for r in report.rows if not r.passed]
         print(f"gradcheck failed: {', '.join(failing)}", file=sys.stderr)

@@ -37,7 +37,41 @@ def get_key(cfg: dict, key: str, default=None, required: bool = False):
     return node
 
 
+SCHEDULE_KEYS = ("T", "beta_start", "beta_end", "omega")
+ORACLE_KEYS = ("dim", "components", "labels")
+COMPONENT_KEYS = ("weight", "mean", "sigma")
+GUIDANCE_KEYS = ("positive", "negative", "scale")
+VIEW_KEYS = ("width", "height")
+JITTER_KEYS = ("rotation_max", "zoom_min", "zoom_max", "shift_max")
+DISTILL_KEYS = ("objective", "iterations", "t_min", "t_max", "delta_T_start",
+                "delta_T_end", "delta_S", "view_batch", "seed", "snapshot_every",
+                "optimizer")
+OPTIMIZER_KEYS = ("step_size", "beta1", "beta2", "eps_hat")
+GENERATOR_KEYS = ("kind", "theta", "n_splats", "channels", "init_seed", "splats", "background")
+EXPERIMENT_KEYS = ("t_values", "delta_T_values", "delta_S_values", "noise_draws", "seeds",
+                   "threshold", "start_points", "checks", "corrupt_renderer_scale")
+
+
+def reject_unknown_keys(section, known, path: str) -> None:
+    """Raise ConfigError naming the dotted path of the first key of the
+    section that is not in known, or the section if it is not an object."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be an object")
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown config key {path}.{key}")
+
+
+def check_section(cfg: dict, path: str, known) -> None:
+    """reject_unknown_keys for the section at a dotted path of cfg; a missing
+    or null section takes all defaults and passes."""
+    section = get_key(cfg, path)
+    if section is not None:
+        reject_unknown_keys(section, known, path)
+
+
 def build_schedule(cfg: dict) -> NoiseSchedule:
+    check_section(cfg, "schedule", SCHEDULE_KEYS)
     return make_schedule(
         num_steps=int(get_key(cfg, "schedule.T", 1000)),
         beta_start=float(get_key(cfg, "schedule.beta_start", 0.00085)),
@@ -78,13 +112,15 @@ def _component_mean(spec, dim: Optional[int]) -> np.ndarray:
 
 
 def build_oracle(cfg: dict) -> MixtureOracle:
+    check_section(cfg, "oracle", ORACLE_KEYS)
     comps = get_key(cfg, "oracle.components", required=True)
     if not comps:
         raise ConfigError("oracle.components must be non-empty")
     dim = get_key(cfg, "oracle.dim")
     dim = int(dim) if dim is not None else None
     means, sigmas, weights = [], [], []
-    for comp in comps:
+    for i, comp in enumerate(comps):
+        reject_unknown_keys(comp, COMPONENT_KEYS, f"oracle.components[{i}]")
         means.append(_component_mean(comp.get("mean"), dim))
         sigmas.append(float(comp.get("sigma", 0.1)))
         weights.append(float(comp.get("weight", 1.0)))
@@ -96,6 +132,7 @@ def build_oracle(cfg: dict) -> MixtureOracle:
 
 
 def build_guidance(cfg: dict) -> GuidanceSpec:
+    check_section(cfg, "guidance", GUIDANCE_KEYS)
     return GuidanceSpec(
         positive=get_key(cfg, "guidance.positive"),
         negative=get_key(cfg, "guidance.negative"),
@@ -104,6 +141,8 @@ def build_guidance(cfg: dict) -> GuidanceSpec:
 
 
 def build_jitter(cfg: dict) -> ViewJitterSpec:
+    check_section(cfg, "view", VIEW_KEYS)
+    check_section(cfg, "jitter", JITTER_KEYS)
     return ViewJitterSpec(
         rotation_max=float(get_key(cfg, "jitter.rotation_max", 0.0)),
         zoom_min=float(get_key(cfg, "jitter.zoom_min", 1.0)),
@@ -114,15 +153,6 @@ def build_jitter(cfg: dict) -> ViewJitterSpec:
     )
 
 
-GENERATOR_KEYS = ("kind", "theta", "n_splats", "channels", "init_seed", "splats", "background")
-
-
-def reject_unknown_keys(section: dict, known, path: str) -> None:
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown config key {path}.{key}")
-
-
 def _explicit_splats(splats, background: np.ndarray) -> SplatGenerator:
     """Generator from a generator.splats list; each entry becomes one row."""
     lengths = {"center": 2, "log_scale": 2, "rotation": 1,
@@ -130,8 +160,6 @@ def _explicit_splats(splats, background: np.ndarray) -> SplatGenerator:
     rows = []
     for i, entry in enumerate(splats):
         path = f"generator.splats[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path} must be an object")
         reject_unknown_keys(entry, (*lengths, "depth"), path)
         rows.append([])
         for key, length in lengths.items():
@@ -146,7 +174,7 @@ def _explicit_splats(splats, background: np.ndarray) -> SplatGenerator:
 
 
 def build_generator(cfg: dict):
-    reject_unknown_keys(get_key(cfg, "generator", {}), GENERATOR_KEYS, "generator")
+    check_section(cfg, "generator", GENERATOR_KEYS)
     kind = get_key(cfg, "generator.kind", "identity")
     if kind == "identity":
         theta = get_key(cfg, "generator.theta", required=True)
@@ -166,6 +194,8 @@ def build_generator(cfg: dict):
 
 
 def build_distill(cfg: dict) -> DistillConfig:
+    check_section(cfg, "distill", DISTILL_KEYS)
+    check_section(cfg, "distill.optimizer", OPTIMIZER_KEYS)
     opt = OptimConfig(
         step_size=float(get_key(cfg, "distill.optimizer.step_size", 0.01)),
         beta1=float(get_key(cfg, "distill.optimizer.beta1", 0.9)),

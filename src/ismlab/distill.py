@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .generators import ViewJitterSpec, canonical_view, sample_view
+from .errors import ConfigError, NumericalError
+from .generators import View, ViewJitterSpec, canonical_view, sample_view
 from .objectives import ism_gradient, naive_gradient, sds_gradient
 from .oracle import GuidanceSpec, Label, MixtureOracle
 from .schedule import NoiseSchedule
@@ -170,6 +170,7 @@ class DistillState:
     rng_noise: np.random.Generator
     log: RunLog
     started: float
+    cview: View
 
 
 def init_state(generator, oracle: MixtureOracle, cfg: DistillConfig) -> DistillState:
@@ -186,6 +187,7 @@ def init_state(generator, oracle: MixtureOracle, cfg: DistillConfig) -> DistillS
         rng_noise=np.random.default_rng(ss[2]),
         log=log,
         started=time.perf_counter(),
+        cview=cview,
     )
 
 
@@ -195,23 +197,26 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
     """One optimisation step; appends and returns its log row.
 
     The logged mode distance is that of the canonical render *entering* the
-    step, so row 0 reflects the initial parameters. A non-finite accumulated
-    gradient appends a diagnostic row and aborts the run.
+    step, so row 0 reflects the initial parameters. With zero jitter every
+    view is the canonical one and that render is also each view's x0. A
+    non-finite accumulated gradient appends a diagnostic row and aborts the
+    run.
     """
     gen = state.generator
     t = int(state.rng_t.integers(cfg.t_min, cfg.t_max + 1))
     delta_t = current_interval(cfg, iter_index)
-    cview = canonical_view(cfg.jitter.width, cfg.jitter.height)
-    entering_distance = nearest_mode_distance(
-        oracle, cfg.guidance.positive, gen.render(cview))
+    entering = gen.render(state.cview)
+    entering_distance = nearest_mode_distance(oracle, cfg.guidance.positive, entering)
+    canonical = cfg.jitter.is_canonical
 
     grad_theta = np.zeros(gen.n_params)
     calls = 0
     loss_proxy = 0.0
     for _ in range(cfg.view_batch):
+        # drawn even for the canonical view, so matched runs share the stream
         view_seed = int(state.rng_view.integers(0, 2 ** 63 - 1))
-        view = sample_view(view_seed, cfg.jitter)
-        x0 = gen.render(view)
+        view = state.cview if canonical else sample_view(view_seed, cfg.jitter)
+        x0 = entering if canonical else gen.render(view)
         if cfg.objective == "sds":
             eps = state.rng_noise.standard_normal(x0.shape[0])
             report = sds_gradient(oracle, schedule, x0, t, eps, cfg.guidance)
@@ -239,25 +244,31 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
     )
     state.log.rows.append(row)
     if not np.isfinite(grad_theta).all():
-        raise RuntimeError(f"non-finite gradient at iteration {iter_index}")
+        raise NumericalError(f"non-finite gradient at iteration {iter_index}")
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))
 
     if cfg.snapshot_every > 0 and gen.image_shape(cfg.jitter) is not None \
             and (iter_index + 1) % cfg.snapshot_every == 0:
-        state.log.frames.append((iter_index + 1, gen.render(cview)))
+        state.log.frames.append((iter_index + 1, gen.render(state.cview)))
     return row
 
 
 def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
                      cfg: DistillConfig) -> RunLog:
-    """Execute a full run; metrics are a pure function of (config, seed)."""
+    """Execute a full run; metrics are a pure function of (config, seed).
+
+    A NumericalError carries the rows logged up to the failure as ``log``.
+    """
     cfg.validate(schedule)
     state = init_state(generator, oracle, cfg)
-    for i in range(cfg.iterations):
-        distill_step(state, oracle, schedule, cfg, i)
-    cview = canonical_view(cfg.jitter.width, cfg.jitter.height)
+    try:
+        for i in range(cfg.iterations):
+            distill_step(state, oracle, schedule, cfg, i)
+    except NumericalError as exc:
+        exc.log = state.log
+        raise
     state.log.final_theta = generator.get_params()
     state.log.final_mode_distance = nearest_mode_distance(
-        oracle, cfg.guidance.positive, generator.render(cview))
+        oracle, cfg.guidance.positive, generator.render(state.cview))
     return state.log

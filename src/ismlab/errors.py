@@ -7,3 +7,14 @@ class ConfigError(ValueError):
 
 class UnknownLabelError(KeyError):
     """Raised when a conditioning label is not registered with the oracle."""
+
+
+class NumericalError(ValueError, RuntimeError):
+    """Raised when a computation meets or produces a non-finite value.
+
+    It is a ValueError (a bad input point) and a RuntimeError (a failed run),
+    so handlers written for either catch it. ``log`` holds the RunLog of a
+    distillation up to the failure, when one was running.
+    """
+
+    log = None

@@ -87,6 +87,7 @@ class ExperimentSpec:
 
 
 def build_experiment(cfg: dict, kind: str, out_dir=None) -> ExperimentSpec:
+    cfgmod.check_section(cfg, "experiment", cfgmod.EXPERIMENT_KEYS)
     checks = cfgmod.get_key(cfg, "experiment.checks")
     return ExperimentSpec(
         kind=kind,

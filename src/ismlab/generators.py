@@ -68,6 +68,12 @@ class ViewJitterSpec:
         if not 0 < self.zoom_min <= self.zoom_max:
             raise ConfigError("need 0 < zoom_min <= zoom_max")
 
+    @property
+    def is_canonical(self) -> bool:
+        """True for the zero spec, whose every sampled view is the canonical one."""
+        return (self.rotation_max == 0.0 and self.shift_max == 0.0
+                and self.zoom_min == self.zoom_max == 1.0)
+
 
 def canonical_view(width: int, height: int) -> View:
     """Map the scene square [-1, 1]^2 onto the full image."""

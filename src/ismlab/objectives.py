@@ -28,6 +28,8 @@ from .errors import ConfigError
 from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule
 from .trajectory import (
+    DenoisePath,
+    LatentTrajectory,
     add_noise,
     denoise_path,
     descent_grid,
@@ -109,7 +111,7 @@ def ism_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     eps_s = traj.eps_cache[-1]  # unconditional prediction at (x_s, s)
     eps_t = oracle.eps_guided(schedule, traj.latents[-1], t, g)
     interval = eps_t - eps_s
-    gam = schedule.noise_to_signal(t)
+    gam = schedule.nsr[t]
     return GradientReport(
         grad_x0=schedule.loss_weight(t) * interval,
         pseudo_gt=x0 - gam * interval,
@@ -124,11 +126,32 @@ class _IntervalPieces:
     """Shared intermediates of the multi-step objective on the common grid."""
 
     grid: tuple[int, ...]          # ascending, grid[0] = 0, grid[-1] = t
-    x0_tilde: np.ndarray           # multi-step clean estimate
-    interval: np.ndarray           # guided eps at (x_t, t) - uncond eps at (x_s, s)
-    residual: np.ndarray           # (x0 - x0_tilde) - gamma(t) * interval
-    series: np.ndarray             # telescoping evaluation of the same bias
+    inv: LatentTrajectory          # unconditional inversion along grid
+    deno: DenoisePath              # guided denoising back down grid
     oracle_calls: int
+
+    @property
+    def x0_tilde(self) -> np.ndarray:
+        """The multi-step clean estimate."""
+        return self.deno.latents[-1]
+
+    @property
+    def interval(self) -> np.ndarray:
+        """Guided eps at (x_t, t) minus unconditional eps at (x_s, s)."""
+        return self.deno.eps_cache[0] - self.inv.eps_cache[-1]
+
+    def series(self, schedule: NoiseSchedule) -> np.ndarray:
+        """Telescoping evaluation of the bias (x0 - x0_tilde) - gamma(t) * interval."""
+        inv, deno, n = self.inv, self.deno, len(self.grid) - 1
+        # eps at ascending node m: inversion cache index m (m < n), denoising
+        # cache index n - m (m >= 1).
+        gammas = [schedule.noise_to_signal(tau) for tau in self.grid]
+        series = np.zeros_like(self.x0_tilde)
+        for i in range(1, n):
+            series += gammas[i] * (inv.eps_cache[i] - inv.eps_cache[i - 1])
+        for j in range(2, n + 1):
+            series -= gammas[j - 1] * (deno.eps_cache[n - j] - deno.eps_cache[n - j + 1])
+        return series
 
 
 def _interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
@@ -136,7 +159,6 @@ def _interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     t = schedule._check_t(t, 1)
     if not 1 <= delta_t <= t:
         raise ConfigError(f"need 1 <= delta_t <= t, got delta_t={delta_t}, t={t}")
-    x0 = np.asarray(x0, dtype=float)
     before = oracle.eps_evals
 
     # Inversion and denoising must share nodes for the bias series to
@@ -148,32 +170,8 @@ def _interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     if deno.timesteps != tuple(reversed(grid)):
         raise RuntimeError(f"denoising nodes {deno.timesteps} do not retrace the "
                            f"inversion grid {grid}")
-
-    n = len(grid) - 1
-    x0_tilde = deno.latents[-1]
-    eps_t = deno.eps_cache[0]          # guided prediction at (x_t, t)
-    eps_s = inv.eps_cache[-1]          # unconditional prediction at (x_s, s)
-    interval = eps_t - eps_s
-    gam = schedule.noise_to_signal(t)
-    residual = (x0 - x0_tilde) - gam * interval
-
-    # eps at ascending node m: inversion cache index m (m < n), denoising
-    # cache index n - m (m >= 1).
-    gammas = [schedule.noise_to_signal(tau) for tau in grid]
-    series = np.zeros_like(x0)
-    for i in range(1, n):
-        series += gammas[i] * (inv.eps_cache[i] - inv.eps_cache[i - 1])
-    for j in range(2, n + 1):
-        series -= gammas[j - 1] * (deno.eps_cache[n - j] - deno.eps_cache[n - j + 1])
-
-    return _IntervalPieces(
-        grid=tuple(grid),
-        x0_tilde=x0_tilde,
-        interval=interval,
-        residual=residual,
-        series=series,
-        oracle_calls=oracle.eps_evals - before,
-    )
+    return _IntervalPieces(grid=tuple(grid), inv=inv, deno=deno,
+                           oracle_calls=oracle.eps_evals - before)
 
 
 def naive_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
@@ -209,12 +207,13 @@ def multistep_bias(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     """
     x0 = np.asarray(x0, dtype=float)
     pieces = _interval_pieces(oracle, schedule, x0, t, delta_t, g)
-    gap = float(np.linalg.norm(pieces.residual - pieces.series))
+    residual = (x0 - pieces.x0_tilde) - schedule.noise_to_signal(t) * pieces.interval
+    gap = float(np.linalg.norm(residual - pieces.series(schedule)))
     if gap > 1e-9:
         raise ArithmeticError(
             f"bias residual and series evaluation disagree by {gap:.3e}"
         )
-    return pieces.residual
+    return residual
 
 
 def decomposition_check(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
@@ -229,5 +228,5 @@ def decomposition_check(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
     pieces = _interval_pieces(oracle, schedule, x0, t, delta_t, g)
     gam = schedule.noise_to_signal(t)
     lhs = x0 - pieces.x0_tilde
-    rhs = gam * pieces.interval + pieces.series
+    rhs = gam * pieces.interval + pieces.series(schedule)
     return float(np.linalg.norm(lhs - rhs))

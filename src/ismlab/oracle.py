@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UnknownLabelError
+from .errors import ConfigError, NumericalError, UnknownLabelError
 from .schedule import NoiseSchedule
 
 SIGMA_MIN = 1e-4
@@ -60,12 +60,24 @@ class GuidanceSpec:
             raise ConfigError(f"guidance scale must be finite, got {self.scale}")
 
 
+@dataclass(frozen=True)
+class _LabelTerms:
+    """Constants of one label's restricted mixture, fixed at construction."""
+
+    idx: np.ndarray        # component indices
+    logw: np.ndarray       # log renormalised weights
+    means: np.ndarray      # (K, D) read-only copy of the selected means
+    sig2: np.ndarray       # (K,) component variances sigma_k^2
+    single: bool           # one component: its responsibility is exactly 1
+
+
 class MixtureOracle:
     """Gaussian mixture with analytic noised scores and label conditioning.
 
-    Treat instances as immutable after construction; the only mutated state is
+    Treat instances as immutable after construction. The mutated state is
     ``eps_evals``, a diagnostic counter of epsilon-prediction evaluations
-    (guided predictions count each internal branch they evaluate).
+    (guided predictions count each internal branch they evaluate), and a memo
+    of per-(schedule, timestep, label) constants that never changes a result.
     """
 
     def __init__(
@@ -102,16 +114,26 @@ class MixtureOracle:
                 raise ConfigError(f"label {name!r} has out-of-range component index")
             self.labels[name] = idx
 
-        # Per-label caches: component indices, log renormalised weights.
-        self._cache: dict[Label, tuple[np.ndarray, np.ndarray]] = {}
-        all_idx = np.arange(n)
-        self._cache[None] = (all_idx, np.log(self.weights))
+        # The null label keeps the normalised weights as they are.
+        self._terms: dict[Label, _LabelTerms] = {
+            None: self._label_terms(np.arange(n), np.log(self.weights))}
         for name, idx in self.labels.items():
             ia = np.asarray(idx)
             w = self.weights[ia]
-            self._cache[name] = (ia, np.log(w / w.sum()))
+            self._terms[name] = self._label_terms(ia, np.log(w / w.sum()))
+        # (id(schedule), label) -> (schedule, per-timestep constants); holding
+        # the schedule keeps its id from being reused by another schedule.
+        self._memo: dict[tuple[int, Label], tuple[NoiseSchedule, list]] = {}
 
         self.eps_evals = 0
+
+    def _label_terms(self, idx: np.ndarray, logw: np.ndarray) -> _LabelTerms:
+        means = self.means[idx]
+        sig2 = self.sigmas[idx] ** 2
+        for a in (idx, logw, means, sig2):
+            a.flags.writeable = False
+        return _LabelTerms(idx=idx, logw=logw, means=means, sig2=sig2,
+                           single=idx.shape[0] == 1)
 
     @property
     def dim(self) -> int:
@@ -122,12 +144,12 @@ class MixtureOracle:
         return self.means.shape[0]
 
     def label_means(self, label: Label) -> np.ndarray:
-        idx, _ = self._select(label)
-        return self.means[idx]
+        """Read-only (K, D) means of the components the label selects."""
+        return self._select(label).means
 
-    def _select(self, label: Label) -> tuple[np.ndarray, np.ndarray]:
+    def _select(self, label: Label) -> _LabelTerms:
         try:
-            return self._cache[label]
+            return self._terms[label]
         except KeyError:
             raise UnknownLabelError(label) from None
 
@@ -136,24 +158,33 @@ class MixtureOracle:
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
         if not np.isfinite(x).all():
-            raise ValueError("non-finite input point")
+            raise NumericalError("non-finite input point")
         return x
 
-    def _log_terms(self, schedule: NoiseSchedule, x, t, label):
-        """Per-component log densities of the noised, label-restricted mixture."""
-        idx, logw = self._select(label)
-        ab = schedule.alpha_bar[schedule._check_t(t, 0)]
-        mu = math.sqrt(ab) * self.means[idx]
-        var = ab * self.sigmas[idx] ** 2 + (1.0 - ab)
-        diff = x[None, :] - mu
-        sq = np.einsum("kd,kd->k", diff, diff)
-        logs = logw - 0.5 * self.dim * np.log(2.0 * math.pi * var) - sq / (2.0 * var)
-        return logs, diff, var
+    def _consts(self, schedule: NoiseSchedule, t: int, label: Label, terms: _LabelTerms):
+        """Memoised K-vectors at a checked timestep: the noised variances
+        var, 2 * var, -1 / var and the log-normalisers
+        logw - D/2 * log(2 pi var)."""
+        held = self._memo.get((id(schedule), label))
+        if held is None:
+            held = self._memo[(id(schedule), label)] = (
+                schedule, [None] * (schedule.num_steps + 1))
+        consts = held[1][t]
+        if consts is None:
+            ab = schedule.alpha_bar[t]
+            var = ab * terms.sig2 + (1.0 - ab)
+            lognorm = terms.logw - 0.5 * self.dim * np.log(2.0 * math.pi * var)
+            consts = held[1][t] = (var, 2.0 * var, -(1.0 / var), lognorm)
+        return consts
 
     def log_density(self, schedule: NoiseSchedule, x, t: int, label: Label = None) -> float:
         """Log of the noised, label-restricted mixture density at x."""
         x = self._check_x(x)
-        logs, _, _ = self._log_terms(schedule, x, t, label)
+        t = schedule._check_t(t, 0)
+        terms = self._select(label)
+        _, twovar, _, lognorm = self._consts(schedule, t, label, terms)
+        diff = x[None, :] - schedule.sab[t] * terms.means
+        logs = lognorm - np.einsum("kd,kd->k", diff, diff) / twovar
         m = logs.max()
         return float(m + np.log(np.exp(logs - m).sum()))
 
@@ -161,24 +192,31 @@ class MixtureOracle:
         """Epsilon-prediction -sqrt(1 - alpha_bar_t) * score of the noised mixture.
 
         Returns the zero vector at t = 0 (clean-data boundary convention).
+        A single-component label skips the softmax (its responsibility is
+        exactly 1), so its score stays finite even where |x - mu|^2
+        overflows.
         """
         x = self._check_x(x)
         t = schedule._check_t(t, 0)
-        self._select(label)
+        terms = self._select(label)
         self.eps_evals += 1
         if t == 0:
             return np.zeros(self.dim)
-        logs, diff, var = self._log_terms(schedule, x, t, label)
-        m = logs.max()
-        resp = np.exp(logs - m)
-        resp /= resp.sum()
-        score = -(resp / var) @ diff
-        return -schedule.sqrt_one_minus_alpha_bar(t) * score
+        var, twovar, neg_inv_var, lognorm = self._consts(schedule, t, label, terms)
+        diff = x[None, :] - schedule.sab[t] * terms.means
+        if terms.single:
+            score = neg_inv_var @ diff
+        else:
+            logs = lognorm - np.einsum("kd,kd->k", diff, diff) / twovar
+            resp = np.exp(logs - logs.max())
+            resp /= resp.sum()
+            score = -(resp / var) @ diff
+        return -schedule.s1mab[t] * score
 
     def sample(self, rng: np.random.Generator, n: int = 1, label: Label = None) -> np.ndarray:
         """Draw clean samples from the label-restricted mixture, shape (n, dim)."""
-        idx, logw = self._select(label)
-        probs = np.exp(logw)
+        terms = self._select(label)
+        idx, probs = terms.idx, np.exp(terms.logw)
         comps = rng.choice(idx, size=n, p=probs / probs.sum())
         return self.means[comps] + self.sigmas[comps][:, None] * rng.standard_normal((n, self.dim))
 

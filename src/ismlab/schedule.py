@@ -5,14 +5,16 @@ alpha_bar_t = prod_{u<=t} (1 - beta_u), the noise-to-signal ratio
 sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t) that converts between epsilon-space
 and sample-space update directions, and the per-timestep loss weight.
 
+The square roots and the ratio are tabulated once per schedule, so the
+per-call transport and oracle code only indexes them.
+
 Index 0 is the clean-data boundary: beta[0] = 0 and alpha_bar[0] = 1 by
 convention, so trajectories may start at t = 0.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +35,29 @@ class NoiseSchedule:
             alpha_bar[t] = alpha_bar[t - 1] * (1 - beta[t]).
         omega_kind: which per-timestep loss weight to use, one of
             ``unit`` (constant 1) or ``one_minus_alpha_bar``.
+
+    Derived read-only tables, indexed by timestep (index only after
+    ``_check_t``: a negative index would wrap silently):
+        sab: sqrt(alpha_bar[t]).
+        s1mab: sqrt(1 - alpha_bar[t]).
+        nsr: s1mab[t] / sab[t], the noise-to-signal ratio.
     """
 
     num_steps: int
     beta: np.ndarray
     alpha_bar: np.ndarray
     omega_kind: str = "unit"
+    sab: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    s1mab: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    nsr: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Python floats: they index and multiply faster than numpy scalars.
+        sab = np.sqrt(self.alpha_bar)
+        s1mab = np.sqrt(1.0 - self.alpha_bar)
+        object.__setattr__(self, "sab", tuple(sab.tolist()))
+        object.__setattr__(self, "s1mab", tuple(s1mab.tolist()))
+        object.__setattr__(self, "nsr", tuple((s1mab / sab).tolist()))
 
     def _check_t(self, t: int, lo: int) -> int:
         t = int(t)
@@ -47,18 +66,14 @@ class NoiseSchedule:
         return t
 
     def sqrt_alpha_bar(self, t: int) -> float:
-        t = self._check_t(t, 0)
-        return math.sqrt(self.alpha_bar[t])
+        return self.sab[self._check_t(t, 0)]
 
     def sqrt_one_minus_alpha_bar(self, t: int) -> float:
-        t = self._check_t(t, 0)
-        return math.sqrt(1.0 - self.alpha_bar[t])
+        return self.s1mab[self._check_t(t, 0)]
 
     def noise_to_signal(self, t: int) -> float:
         """Ratio sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t); zero at t = 0."""
-        t = self._check_t(t, 0)
-        ab = self.alpha_bar[t]
-        return math.sqrt(1.0 - ab) / math.sqrt(ab)
+        return self.nsr[self._check_t(t, 0)]
 
     def loss_weight(self, t: int) -> float:
         """Per-timestep objective weight for 1 <= t <= T."""

@@ -69,7 +69,7 @@ def add_noise(schedule: NoiseSchedule, x0, t: int, eps) -> np.ndarray:
     t = schedule._check_t(t, 1)
     x0 = np.asarray(x0, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    return schedule.sqrt_alpha_bar(t) * x0 + schedule.sqrt_one_minus_alpha_bar(t) * eps
+    return schedule.sab[t] * x0 + schedule.s1mab[t] * eps
 
 
 def pseudo_gt_single(schedule: NoiseSchedule, xt, t: int, eps) -> np.ndarray:
@@ -77,7 +77,7 @@ def pseudo_gt_single(schedule: NoiseSchedule, xt, t: int, eps) -> np.ndarray:
     t = schedule._check_t(t, 1)
     xt = np.asarray(xt, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    return (xt - schedule.sqrt_one_minus_alpha_bar(t) * eps) / schedule.sqrt_alpha_bar(t)
+    return (xt - schedule.s1mab[t] * eps) / schedule.sab[t]
 
 
 def hop(schedule: NoiseSchedule, x, t_from: int, t_to: int, eps) -> np.ndarray:
@@ -86,8 +86,9 @@ def hop(schedule: NoiseSchedule, x, t_from: int, t_to: int, eps) -> np.ndarray:
     b = schedule._check_t(t_to, 0)
     x = np.asarray(x, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    x0_hat = (x - schedule.sqrt_one_minus_alpha_bar(a) * eps) / schedule.sqrt_alpha_bar(a)
-    return schedule.sqrt_alpha_bar(b) * x0_hat + schedule.sqrt_one_minus_alpha_bar(b) * eps
+    sab, s1mab = schedule.sab, schedule.s1mab
+    x0_hat = (x - s1mab[a] * eps) / sab[a]
+    return sab[b] * x0_hat + s1mab[b] * eps
 
 
 def invert_hop(oracle: MixtureOracle, schedule: NoiseSchedule, x, t_from: int,

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ismlab.cli import main
-from ismlab.config import build_oracle, gaussian_blob_template, load_json
+from ismlab.config import (
+    build_generator,
+    build_jitter,
+    build_oracle,
+    gaussian_blob_template,
+    load_json,
+)
+from ismlab.distill import METRICS_CSV_HEADER
+from ismlab.experiments import build_experiment
 from ismlab.ppm import read_ppm, write_ppm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -167,3 +176,58 @@ def test_splat_distill_matches_recorded_reference(tmp_path):
     for key, value in ref["report"].items():
         assert report[key] == (pytest.approx(value, rel=1e-8, abs=0)
                                if isinstance(value, float) else value)
+
+
+@pytest.mark.parametrize("name, kind, key", [
+    ("distill_identity.json", "distill", "distill.delta_t_start"),
+    ("distill_identity.json", "distill", "schedule.beta_strat"),
+    ("distill_identity.json", "distill", "distill.optimizer.stepsize"),
+    ("race.json", "race", "experiment.seed"),
+    ("gradcheck.json", "gradcheck", "guidance.scael"),
+    ("distill_splats.json", "distill", "jitter.rotation"),
+])
+def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
+    cfg = tweak_config(tmp_path, name, **{key: 3})
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_misspelled_component_key_exits_one(tmp_path, capsys):
+    cfg = load_json(CONFIGS / "distill_identity.json")
+    cfg["oracle"]["components"][1]["sigm"] = 0.2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["distill", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "oracle.components[1].sigm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_configs_have_no_unknown_keys(name):
+    cfg = load_json(CONFIGS / name)
+    build_experiment(cfg, "distill" if name.startswith("distill") else name.split(".")[0])
+    build_jitter(cfg)
+    if "generator" in cfg:
+        build_generator(cfg)
+
+
+@pytest.mark.parametrize("objective", ["ism", "sds"])
+def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, objective):
+    """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
+    unconditional branch: the run stops with exit code 3, one stderr line, no
+    numpy warning and a metrics.csv of the rows logged before the failure."""
+    cfg = tweak_config(tmp_path, "distill_identity.json",
+                       **{"generator.theta": [1e200, 1e200],
+                          "distill.objective": objective, "distill.iterations": 5})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["distill", "--config", str(cfg), "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == METRICS_CSV_HEADER
+    assert len(rows) - 1 < 5
+    assert not (out / "report.json").exists()

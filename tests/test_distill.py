@@ -10,7 +10,9 @@ from ismlab import (
     GuidanceSpec,
     IdentityLatent,
     MixtureOracle,
+    NumericalError,
     OptimConfig,
+    ViewJitterSpec,
     nearest_mode_distance,
     run_distillation,
 )
@@ -93,6 +95,22 @@ def test_view_batch_accumulates_linearly(bimodal, schedule):
     assert row2.grad_norm == pytest.approx(2 * row1.grad_norm, rel=1e-12)
 
 
+@pytest.mark.parametrize("view_batch", [1, 2])
+@pytest.mark.parametrize("jitter", [ViewJitterSpec(),
+                                    ViewJitterSpec(rotation_max=0.3, shift_max=0.1)])
+def test_view_stream_draws_one_seed_per_view(bimodal, schedule, view_batch, jitter):
+    """Every view draws one seed from the view substream, the canonical view
+    of a zero jitter spec included, so matched runs keep sharing the stream."""
+    cfg = base_config(view_batch=view_batch, jitter=jitter)
+    state = init_state(IdentityLatent([0.2, 0.1]), bimodal, cfg)
+    steps = 5
+    for i in range(steps):
+        distill_step(state, bimodal, schedule, cfg, i)
+    fresh = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
+    expected = fresh.integers(0, 2 ** 63 - 1, size=steps * view_batch + 1)[-1]
+    assert state.rng_view.integers(0, 2 ** 63 - 1) == expected
+
+
 def test_zero_iterations_leaves_parameters(bimodal, schedule):
     gen = IdentityLatent([0.3, 0.3])
     log = run_distillation(gen, bimodal, schedule, base_config(iterations=0))
@@ -151,6 +169,18 @@ def test_non_finite_gradient_aborts(bimodal, schedule):
     gen = BrokenGenerator([0.1, 0.1])
     with pytest.raises(RuntimeError, match="non-finite"):
         run_distillation(gen, bimodal, schedule, base_config(iterations=3))
+
+
+def test_numerical_error_carries_logged_rows(bimodal, schedule):
+    class BrokenGenerator(IdentityLatent):
+        def backward(self, view, grad_output):
+            return np.full_like(self.theta, np.inf)
+
+    gen = BrokenGenerator([0.1, 0.1])
+    with pytest.raises(NumericalError) as info:
+        run_distillation(gen, bimodal, schedule, base_config(iterations=3))
+    # the diagnostic row of the failing iteration is logged before the abort
+    assert [r.iter for r in info.value.log.rows] == [0]
 
 
 def test_metrics_csv_schema(tmp_path, bimodal, schedule):

@@ -1,0 +1,196 @@
+"""The tabulated schedule and the memoised oracle constants reproduce the
+plain formulas bit for bit.
+
+The reference functions below recompute every square root and per-label
+constant on each call, exactly as the oracle and transport did before the
+tables and the memo existed; they are kept here as the judge.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ismlab import GuidanceSpec, MixtureOracle, make_schedule
+from ismlab.trajectory import add_noise, hop, pseudo_gt_single
+
+
+def _sa(sch, t):
+    return math.sqrt(sch.alpha_bar[t])
+
+
+def _s1(sch, t):
+    return math.sqrt(1.0 - sch.alpha_bar[t])
+
+
+def ref_eps_predict(o, sch, x, t, label):
+    if t == 0:
+        return np.zeros(o.dim)
+    if label is None:
+        idx, logw = np.arange(o.n_components), np.log(o.weights)
+    else:
+        idx = np.asarray(o.labels[label])
+        w = o.weights[idx]
+        logw = np.log(w / w.sum())
+    ab = sch.alpha_bar[t]
+    mu = math.sqrt(ab) * o.means[idx]
+    var = ab * o.sigmas[idx] ** 2 + (1.0 - ab)
+    diff = x[None, :] - mu
+    sq = np.einsum("kd,kd->k", diff, diff)
+    logs = logw - 0.5 * o.dim * np.log(2.0 * math.pi * var) - sq / (2.0 * var)
+    m = logs.max()
+    resp = np.exp(logs - m)
+    resp /= resp.sum()
+    score = -(resp / var) @ diff
+    return -_s1(sch, t) * score
+
+
+def ref_eps_guided(o, sch, x, t, g):
+    if g.scale == 1.0:
+        return ref_eps_predict(o, sch, x, t, g.positive)
+    if g.scale == 0.0:
+        return ref_eps_predict(o, sch, x, t, g.negative)
+    eps_neg = ref_eps_predict(o, sch, x, t, g.negative)
+    eps_pos = ref_eps_predict(o, sch, x, t, g.positive)
+    return eps_neg + g.scale * (eps_pos - eps_neg)
+
+
+def ref_hop(sch, x, a, b, eps):
+    x0_hat = (x - _s1(sch, a) * eps) / _sa(sch, a)
+    return _sa(sch, b) * x0_hat + _s1(sch, b) * eps
+
+
+def ref_add_noise(sch, x0, t, eps):
+    return _sa(sch, t) * x0 + _s1(sch, t) * eps
+
+
+def ref_pseudo_gt_single(sch, xt, t, eps):
+    return (xt - _s1(sch, t) * eps) / _sa(sch, t)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def mixtures(draw):
+    """An oracle with K in 1..4 components in D in 1..8 dimensions, a
+    single-component label per component and one random subset label."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 8))
+    coords = st.floats(-3.0, 3.0, allow_nan=False)
+    means = [[draw(coords) for _ in range(d)] for _ in range(k)]
+    sigmas = [draw(st.floats(1e-5, 2.0)) for _ in range(k)]
+    weights = [draw(st.floats(0.05, 10.0)) for _ in range(k)]
+    labels = {f"c{i}": [i] for i in range(k)}
+    labels["sub"] = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    return MixtureOracle(means, sigmas, weights, labels)
+
+
+schedules = st.builds(
+    make_schedule,
+    st.integers(2, 60),
+    st.floats(1e-4, 0.05),
+    st.floats(0.05, 0.3),
+    st.sampled_from(["unit", "one_minus_alpha_bar"]),
+)
+scales = st.one_of(st.just(0.0), st.just(1.0), st.floats(-3.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(o=mixtures(), sch=schedules, data=st.data())
+def test_fast_path_matches_reference_bitwise(o, sch, data):
+    labels = [None] + sorted(o.labels)
+    d = o.dim
+    x = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
+    eps = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+    t = data.draw(st.integers(0, sch.num_steps))
+    label = data.draw(st.sampled_from(labels))
+    g = GuidanceSpec(positive=data.draw(st.sampled_from(labels)),
+                     negative=data.draw(st.sampled_from(labels)),
+                     scale=data.draw(scales))
+
+    # twice, so the second call reads the memo the first one filled
+    for _ in range(2):
+        assert_same_bits(o.eps_predict(sch, x, t, label), ref_eps_predict(o, sch, x, t, label))
+        assert_same_bits(o.eps_guided(sch, x, t, g), ref_eps_guided(o, sch, x, t, g))
+
+    assert sch.sqrt_alpha_bar(t) == _sa(sch, t)
+    assert sch.sqrt_one_minus_alpha_bar(t) == _s1(sch, t)
+    assert sch.noise_to_signal(t) == _s1(sch, t) / _sa(sch, t)
+    t_to = data.draw(st.integers(0, sch.num_steps))
+    assert_same_bits(hop(sch, x, t, t_to, eps), ref_hop(sch, x, t, t_to, eps))
+    if t >= 1:
+        assert_same_bits(add_noise(sch, x, t, eps), ref_add_noise(sch, x, t, eps))
+        assert_same_bits(pseudo_gt_single(sch, x, t, eps), ref_pseudo_gt_single(sch, x, t, eps))
+
+
+def test_one_oracle_alternating_two_schedules(mixture3):
+    """The memo is per schedule: interleaved calls under two schedules at the
+    same timesteps and labels each match their own schedule's reference."""
+    a = make_schedule(1000)
+    b = make_schedule(1000, 2e-5, 0.00045)
+    x = np.array([0.3, -0.4])
+    for t in (1, 10, 500, 1000, 10, 1):
+        for label in (None, "a", "ab"):
+            for sch in (a, b, a):
+                assert_same_bits(mixture3.eps_predict(sch, x, t, label),
+                                 ref_eps_predict(mixture3, sch, x, t, label))
+
+
+def test_schedule_built_after_another_is_dropped(mixture3):
+    """A schedule made after an earlier one is released never reads the
+    earlier schedule's memoised constants."""
+    x = np.array([0.3, -0.4])
+    for i in range(20):
+        sch = make_schedule(50, 1e-3 * (i + 1), 0.2)
+        assert_same_bits(mixture3.eps_predict(sch, x, 25, "ab"),
+                         ref_eps_predict(mixture3, sch, x, 25, "ab"))
+        del sch
+
+
+def test_memo_is_bounded_by_timesteps_times_labels(mixture3, schedule):
+    x = np.array([0.3, -0.4])
+    for _ in range(3):
+        for t in range(schedule.num_steps + 1):
+            for label in (None, "a", "b", "c", "ab"):
+                mixture3.eps_predict(schedule, x, t, label)
+    filled = sum(c is not None for _, consts in mixture3._memo.values() for c in consts)
+    assert len(mixture3._memo) == 5
+    assert filled <= (schedule.num_steps + 1) * 5
+
+
+def test_negative_timestep_is_rejected_not_wrapped(mixture3, schedule):
+    """Every function that indexes the tables checks the timestep first."""
+    x = np.zeros(2)
+    for call in (lambda: mixture3.eps_predict(schedule, x, -1),
+                 lambda: mixture3.log_density(schedule, x, -1),
+                 lambda: hop(schedule, x, -1, 5, x),
+                 lambda: hop(schedule, x, 5, -1, x),
+                 lambda: add_noise(schedule, x, -1, x),
+                 lambda: pseudo_gt_single(schedule, x, -1, x)):
+        with pytest.raises(IndexError):
+            call()
+
+
+def test_single_component_score_stays_finite_where_softmax_overflowed(mixture3, schedule):
+    """At |x| = 1e200, |x - mu|^2 overflows. The softmax form returned NaN
+    there even for a single-component label; the single-component path
+    returns the exact single-Gaussian prediction
+    sqrt(1 - ab) * (x - sqrt(ab) mu) / var."""
+    x = np.full(2, 1e200)
+    t = 300
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(ref_eps_predict(mixture3, schedule, x, t, "a")).all()
+        # several components still go through the softmax, as before
+        assert np.isnan(mixture3.eps_predict(schedule, x, t, "ab")).all()
+    got = mixture3.eps_predict(schedule, x, t, "a")
+    ab = schedule.alpha_bar[t]
+    var = ab * mixture3.sigmas[0] ** 2 + (1.0 - ab)
+    want = math.sqrt(1.0 - ab) * (x - math.sqrt(ab) * mixture3.means[0]) / var
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)

@@ -176,10 +176,13 @@ def test_backward_dimension_mismatch():
 
 
 def test_zero_jitter_gives_canonical_view():
-    view = sample_view(123, ViewJitterSpec(width=10, height=6))
-    base = canonical_view(10, 6)
-    assert np.array_equal(view.affine, base.affine)
-    assert (view.width, view.height) == (10, 6)
+    for width, height in [(10, 6), (16, 16), (1, 7)]:
+        base = canonical_view(width, height)
+        for seed in [123, *range(100)]:
+            view = sample_view(seed, ViewJitterSpec(width=width, height=height))
+            assert np.array_equal(view.affine, base.affine)
+            assert view.affine.tobytes() == base.affine.tobytes()
+            assert (view.width, view.height) == (width, height)
 
 
 def test_same_seed_same_view():
