@@ -27,25 +27,17 @@ from .objectives import (
 )
 from .oracle import SIGMA_MIN, GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule, make_schedule
-from .trajectory import (
-    LatentTrajectory,
-    add_noise,
-    ddim_denoise,
-    ddim_invert,
-    denoise_hop,
-    invert_hop,
-    pseudo_gt_single,
-)
+from .trajectory import Trajectory, add_noise, ddim_denoise, ddim_invert, pseudo_gt_single
 
 __all__ = [
     "AdamOptimizer", "ConfigError", "DistillConfig", "GradientReport",
-    "GuidanceSpec", "IdentityLatent", "LatentTrajectory", "MixtureOracle",
-    "NoiseSchedule", "NumericalError", "OptimConfig", "RunLog", "SIGMA_MIN", "SplatGenerator",
-    "UnknownLabelError", "View", "ViewJitterSpec", "add_noise",
+    "GuidanceSpec", "IdentityLatent", "MixtureOracle", "NoiseSchedule",
+    "NumericalError", "OptimConfig", "RunLog", "SIGMA_MIN", "SplatGenerator",
+    "Trajectory", "UnknownLabelError", "View", "ViewJitterSpec", "add_noise",
     "canonical_view", "ddim_denoise", "ddim_invert", "decomposition_check",
-    "denoise_hop", "invert_hop", "ism_gradient", "make_schedule",
-    "multistep_bias", "naive_gradient", "nearest_mode_distance",
-    "pseudo_gt_single", "run_distillation", "sample_view", "sds_gradient",
+    "ism_gradient", "make_schedule", "multistep_bias", "naive_gradient",
+    "nearest_mode_distance", "pseudo_gt_single", "run_distillation",
+    "sample_view", "sds_gradient",
 ]
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ def get_key(cfg: dict, key: str, default=None, required: bool = False):
 SCHEDULE_KEYS = ("T", "beta_start", "beta_end", "omega")
 ORACLE_KEYS = ("dim", "components", "labels")
 COMPONENT_KEYS = ("weight", "mean", "sigma")
+TEMPLATE_KEYS = ("template", "width", "height", "channels", "center", "sigma", "peak")
 GUIDANCE_KEYS = ("positive", "negative", "scale")
 VIEW_KEYS = ("width", "height")
 JITTER_KEYS = ("rotation_max", "zoom_min", "zoom_max", "shift_max")
@@ -92,11 +93,12 @@ def gaussian_blob_template(width: int, height: int, channels: int,
     return np.repeat(img.ravel()[:, None], channels, axis=1).ravel()
 
 
-def _component_mean(spec, dim: Optional[int]) -> np.ndarray:
+def _component_mean(spec, dim: Optional[int], path: str) -> np.ndarray:
     if isinstance(spec, dict):
+        reject_unknown_keys(spec, TEMPLATE_KEYS, path)
         kind = spec.get("template")
         if kind != "gaussian_blob":
-            raise ConfigError(f"unknown template kind {kind!r} in oracle.components[].mean")
+            raise ConfigError(f"unknown template kind {kind!r} in {path}")
         return gaussian_blob_template(
             width=int(spec.get("width", 16)),
             height=int(spec.get("height", 16)),
@@ -107,7 +109,7 @@ def _component_mean(spec, dim: Optional[int]) -> np.ndarray:
         )
     mean = np.asarray(spec, dtype=float).ravel()
     if dim is not None and mean.shape[0] != dim:
-        raise ConfigError(f"oracle.components[].mean has length {mean.shape[0]}, expected {dim}")
+        raise ConfigError(f"{path} has length {mean.shape[0]}, expected {dim}")
     return mean
 
 
@@ -120,8 +122,9 @@ def build_oracle(cfg: dict) -> MixtureOracle:
     dim = int(dim) if dim is not None else None
     means, sigmas, weights = [], [], []
     for i, comp in enumerate(comps):
-        reject_unknown_keys(comp, COMPONENT_KEYS, f"oracle.components[{i}]")
-        means.append(_component_mean(comp.get("mean"), dim))
+        path = f"oracle.components[{i}]"
+        reject_unknown_keys(comp, COMPONENT_KEYS, path)
+        means.append(_component_mean(comp.get("mean"), dim, f"{path}.mean"))
         sigmas.append(float(comp.get("sigma", 0.1)))
         weights.append(float(comp.get("weight", 1.0)))
     lens = {m.shape[0] for m in means}

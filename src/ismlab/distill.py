@@ -200,7 +200,8 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
     step, so row 0 reflects the initial parameters. With zero jitter every
     view is the canonical one and that render is also each view's x0. A
     non-finite accumulated gradient appends a diagnostic row and aborts the
-    run.
+    run; a non-finite point met by the oracle aborts it without a row. Both
+    raise a NumericalError naming the iteration and timestep.
     """
     gen = state.generator
     t = int(state.rng_t.integers(cfg.t_min, cfg.t_max + 1))
@@ -217,16 +218,19 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
         view_seed = int(state.rng_view.integers(0, 2 ** 63 - 1))
         view = state.cview if canonical else sample_view(view_seed, cfg.jitter)
         x0 = entering if canonical else gen.render(view)
-        if cfg.objective == "sds":
-            eps = state.rng_noise.standard_normal(x0.shape[0])
-            report = sds_gradient(oracle, schedule, x0, t, eps, cfg.guidance)
-        elif cfg.objective == "ism":
-            # stride cannot exceed the inversion target s = t - delta_t
-            delta_s = min(cfg.delta_s, t - delta_t)
-            report = ism_gradient(oracle, schedule, x0, t, delta_t,
-                                  delta_s, cfg.guidance)
-        else:
-            report = naive_gradient(oracle, schedule, x0, t, delta_t, cfg.guidance)
+        try:
+            if cfg.objective == "sds":
+                eps = state.rng_noise.standard_normal(x0.shape[0])
+                report = sds_gradient(oracle, schedule, x0, t, eps, cfg.guidance)
+            elif cfg.objective == "ism":
+                # stride cannot exceed the inversion target s = t - delta_t
+                delta_s = min(cfg.delta_s, t - delta_t)
+                report = ism_gradient(oracle, schedule, x0, t, delta_t,
+                                      delta_s, cfg.guidance)
+            else:
+                report = naive_gradient(oracle, schedule, x0, t, delta_t, cfg.guidance)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} at iteration {iter_index}, t={t}") from exc
         grad_theta += gen.backward(view, report.grad_x0)
         calls += report.oracle_calls
         loss_proxy += float(np.sum((x0 - report.pseudo_gt) ** 2))
@@ -244,7 +248,7 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
     )
     state.log.rows.append(row)
     if not np.isfinite(grad_theta).all():
-        raise NumericalError(f"non-finite gradient at iteration {iter_index}")
+        raise NumericalError(f"non-finite gradient at iteration {iter_index}, t={t}")
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))
 
@@ -259,15 +263,18 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
     """Execute a full run; metrics are a pure function of (config, seed).
 
     A NumericalError carries the rows logged up to the failure as ``log``.
+    numpy's overflow and invalid-value warnings are silenced for the run, so
+    that error is the only report of a non-finite value.
     """
     cfg.validate(schedule)
-    state = init_state(generator, oracle, cfg)
-    try:
-        for i in range(cfg.iterations):
-            distill_step(state, oracle, schedule, cfg, i)
-    except NumericalError as exc:
-        exc.log = state.log
-        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = init_state(generator, oracle, cfg)
+        try:
+            for i in range(cfg.iterations):
+                distill_step(state, oracle, schedule, cfg, i)
+        except NumericalError as exc:
+            exc.log = state.log
+            raise
     state.log.final_theta = generator.get_params()
     state.log.final_mode_distance = nearest_mode_distance(
         oracle, cfg.guidance.positive, generator.render(state.cview))

@@ -1,10 +1,11 @@
 """Named, config-driven diagnostic experiments.
 
 Each runner consumes an ExperimentSpec and returns a report object holding
-plain arrays and scalars; ``write_report`` serialises a report under an
-output directory as report.json, one or more CSV files with stable headers,
-and (for image-producing generators) pixmap frames. Every report is a pure
-function of its spec, so reruns reproduce outputs exactly.
+plain arrays and scalars. ``write_report`` writes a report's ``summary()``
+as report.json under an output directory and then lets the report write its
+own files: one or more CSV files with stable headers and, for
+image-producing generators, pixmap frames. Every report is a pure function
+of its spec, so reruns reproduce outputs exactly.
 
 Kinds:
   * consistency -- spread of stochastic single-step clean targets versus the
@@ -17,6 +18,9 @@ Kinds:
   * race        -- matched-seed interval-vs-noise-matching distillations with
     threshold-crossing statistics.
   * gradcheck   -- finite-difference and algebraic self-checks, pass/fail.
+
+DistillReport is the report of the CLI's plain ``distill`` kind, whose
+runner (``cli._run_distill``) sits beside these in ``cli.RUNNERS``.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from typing import Optional
 import numpy as np
 
 from . import config as cfgmod
-from .distill import DistillConfig, nearest_mode_distance, run_distillation
+from .distill import DistillConfig, RunLog, nearest_mode_distance, run_distillation
 from .errors import ConfigError
-from .generators import canonical_view, random_scene
+from .generators import ViewJitterSpec, canonical_view, random_scene
 from .objectives import (
     REPORT_CSV_HEADER,
     decomposition_check,
@@ -65,7 +69,6 @@ DEFAULT_CHECKS = ("score_fd", "renderer_fd", "gradient_forms", "decomposition")
 class ExperimentSpec:
     """Parsed experiment configuration; see docs/config.md for the JSON form."""
 
-    kind: str
     schedule: NoiseSchedule
     oracle: MixtureOracle
     guidance: GuidanceSpec
@@ -80,17 +83,15 @@ class ExperimentSpec:
     distill: Optional[DistillConfig] = None
     checks: tuple[str, ...] = DEFAULT_CHECKS
     corrupt_renderer_scale: float = 1.0
-    out_dir: Optional[Path] = None
 
     def make_generator(self):
         return cfgmod.build_generator(self.generator_cfg)
 
 
-def build_experiment(cfg: dict, kind: str, out_dir=None) -> ExperimentSpec:
+def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     cfgmod.check_section(cfg, "experiment", cfgmod.EXPERIMENT_KEYS)
     checks = cfgmod.get_key(cfg, "experiment.checks")
     return ExperimentSpec(
-        kind=kind,
         schedule=cfgmod.build_schedule(cfg),
         oracle=cfgmod.build_oracle(cfg),
         guidance=cfgmod.build_guidance(cfg),
@@ -107,7 +108,6 @@ def build_experiment(cfg: dict, kind: str, out_dir=None) -> ExperimentSpec:
         checks=tuple(checks) if checks is not None else DEFAULT_CHECKS,
         corrupt_renderer_scale=float(
             cfgmod.get_key(cfg, "experiment.corrupt_renderer_scale", 1.0)),
-        out_dir=Path(out_dir) if out_dir is not None else None,
     )
 
 
@@ -129,6 +129,25 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow(["" if v is None else v for v in row])
+
+
+def _write_frames(out: Path, frames: dict[str, np.ndarray]) -> None:
+    if not frames:
+        return
+    frame_dir = out / "frames"
+    frame_dir.mkdir(exist_ok=True)
+    for name, img in frames.items():
+        write_ppm(frame_dir / f"{name}.ppm", img)
+
+
+def final_frame(gen, jitter: ViewJitterSpec) -> Optional[np.ndarray]:
+    """The generator's canonical render clipped to [0, 1] as an (H, W, C)
+    image, or None for a generator that has no image shape."""
+    shape = gen.image_shape(jitter)
+    if shape is None:
+        return None
+    img = gen.render(canonical_view(jitter.width, jitter.height))
+    return np.clip(img, 0, 1).reshape(shape)
 
 
 def _montage(images: list[list[np.ndarray]], shape) -> np.ndarray:
@@ -174,6 +193,11 @@ class ConsistencyReport:
             "ism_mean_target_mode_distance": self.ism_mean_target_mode_distance,
             "ism_mean_of_target_distances": self.ism_mean_of_target_distances,
         }
+
+    def write_files(self, out: Path) -> None:
+        _write_csv(out / "consistency.csv", CONSISTENCY_CSV_HEADER,
+                   zip(self.t_values, self.sds_noise_variance, self.ism_noise_variance))
+        _write_frames(out, self.frames)
 
 
 def run_consistency(spec: ExperimentSpec) -> ConsistencyReport:
@@ -249,6 +273,9 @@ class QualityReport:
         return {"kind": "quality",
                 "rows": [list(r) for r in self.rows]}
 
+    def write_files(self, out: Path) -> None:
+        _write_csv(out / "quality.csv", QUALITY_CSV_HEADER, self.rows)
+
 
 def run_quality(spec: ExperimentSpec) -> QualityReport:
     """Distance-to-mode of single-step versus multi-step clean estimates.
@@ -291,6 +318,10 @@ class EtaReport:
 
     def summary(self) -> dict:
         return {"kind": "eta_sweep", "rows": [list(r) for r in self.rows]}
+
+    def write_files(self, out: Path) -> None:
+        _write_csv(out / "eta_sweep.csv", ETA_CSV_HEADER, self.rows)
+        _write_csv(out / "gradients.csv", REPORT_CSV_HEADER, self.gradient_rows)
 
 
 def run_eta_sweep(spec: ExperimentSpec) -> EtaReport:
@@ -353,6 +384,10 @@ class IntervalSweepReport:
             "spread_over_delta_S": self.axis_spread("delta_S"),
         }
 
+    def write_files(self, out: Path) -> None:
+        _write_csv(out / "interval_sweep.csv", INTERVAL_CSV_HEADER, self.rows)
+        _write_frames(out, self.frames)
+
 
 def run_interval_sweep(spec: ExperimentSpec) -> IntervalSweepReport:
     """Full distillation per (interval, stride) grid cell with a shared seed."""
@@ -369,11 +404,9 @@ def run_interval_sweep(spec: ExperimentSpec) -> IntervalSweepReport:
             wall = time.perf_counter() - started
             report.rows.append((dt, ds, log.final_mode_distance,
                                 log.total_oracle_calls(), wall))
-            shape = gen.image_shape(cfg.jitter)
-            if shape is not None:
-                img = gen.render(canonical_view(cfg.jitter.width, cfg.jitter.height))
-                report.frames[f"final_dT{dt}_dS{ds}"] = \
-                    np.clip(img, 0, 1).reshape(shape)
+            frame = final_frame(gen, cfg.jitter)
+            if frame is not None:
+                report.frames[f"final_dT{dt}_dS{ds}"] = frame
     return report
 
 
@@ -401,6 +434,16 @@ class RaceReport:
             "median_ism_crossing": _json_num(self.median_crossing("ism")),
             "median_sds_crossing": _json_num(self.median_crossing("sds")),
         }
+
+    def write_files(self, out: Path) -> None:
+        rows = [(seed, obj, i, d)
+                for (seed, obj), curve in sorted(self.curves.items())
+                for i, d in enumerate(curve)]
+        _write_csv(out / "race.csv", RACE_CSV_HEADER, rows)
+        summary_rows = [(seed, self.crossings.get((seed, "ism")),
+                         self.crossings.get((seed, "sds")), self.threshold)
+                        for seed in sorted({s for s, _ in self.crossings})]
+        _write_csv(out / "race_summary.csv", RACE_SUMMARY_CSV_HEADER, summary_rows)
 
 
 def _json_num(v: float):
@@ -454,6 +497,10 @@ class GradcheckReport:
                       "tolerance": r.tolerance, "passed": r.passed}
                      for r in self.rows],
         }
+
+    def write_files(self, out: Path) -> None:
+        _write_csv(out / "gradcheck.csv", GRADCHECK_CSV_HEADER,
+                   [(r.check, r.max_error, r.tolerance, r.passed) for r in self.rows])
 
 
 def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
@@ -576,54 +623,44 @@ def run_gradcheck(spec: ExperimentSpec) -> GradcheckReport:
 
 
 # ---------------------------------------------------------------------------
+# distill
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DistillReport:
+    """One distillation run: its settings, its log, and the frames to write
+    (snapshots and the final canonical render, for image generators)."""
+
+    cfg: DistillConfig
+    log: RunLog
+    frames: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def summary(self) -> dict:
+        return {
+            "kind": "distill",
+            "objective": self.cfg.objective,
+            "iterations": self.cfg.iterations,
+            "initial_mode_distance": self.log.initial_mode_distance,
+            "final_mode_distance": self.log.final_mode_distance,
+            "oracle_calls": self.log.total_oracle_calls(),
+        }
+
+    def write_files(self, out: Path) -> None:
+        self.log.write_metrics_csv(out / "metrics.csv")
+        _write_frames(out, self.frames)
+
+
+# ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
 
 def write_report(report, out_dir) -> None:
+    """report.json from the report's summary, then the report's own files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
         json.dump(report.summary(), fh, indent=2)
-
-    if isinstance(report, ConsistencyReport):
-        _write_csv(out / "consistency.csv", CONSISTENCY_CSV_HEADER,
-                   zip(report.t_values, report.sds_noise_variance,
-                       report.ism_noise_variance))
-        _write_frames(out, report.frames)
-    elif isinstance(report, QualityReport):
-        _write_csv(out / "quality.csv", QUALITY_CSV_HEADER, report.rows)
-    elif isinstance(report, EtaReport):
-        _write_csv(out / "eta_sweep.csv", ETA_CSV_HEADER, report.rows)
-        _write_csv(out / "gradients.csv", REPORT_CSV_HEADER, report.gradient_rows)
-    elif isinstance(report, IntervalSweepReport):
-        _write_csv(out / "interval_sweep.csv", INTERVAL_CSV_HEADER, report.rows)
-        _write_frames(out, report.frames)
-    elif isinstance(report, RaceReport):
-        rows = [(seed, obj, i, d)
-                for (seed, obj), curve in sorted(report.curves.items())
-                for i, d in enumerate(curve)]
-        _write_csv(out / "race.csv", RACE_CSV_HEADER, rows)
-        summary_rows = []
-        for seed in sorted({s for s, _ in report.crossings}):
-            summary_rows.append((seed, report.crossings.get((seed, "ism")),
-                                 report.crossings.get((seed, "sds")),
-                                 report.threshold))
-        _write_csv(out / "race_summary.csv", RACE_SUMMARY_CSV_HEADER, summary_rows)
-    elif isinstance(report, GradcheckReport):
-        _write_csv(out / "gradcheck.csv", GRADCHECK_CSV_HEADER,
-                   [(r.check, r.max_error, r.tolerance, r.passed)
-                    for r in report.rows])
-    else:
-        raise TypeError(f"unknown report type {type(report)!r}")
-
-
-def _write_frames(out: Path, frames: dict[str, np.ndarray]) -> None:
-    if not frames:
-        return
-    frame_dir = out / "frames"
-    frame_dir.mkdir(exist_ok=True)
-    for name, img in frames.items():
-        write_ppm(frame_dir / f"{name}.ppm", img)
+    report.write_files(out)
 
 
 RUNNERS = {

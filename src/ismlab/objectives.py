@@ -28,8 +28,7 @@ from .errors import ConfigError
 from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule
 from .trajectory import (
-    DenoisePath,
-    LatentTrajectory,
+    Trajectory,
     add_noise,
     denoise_path,
     descent_grid,
@@ -126,8 +125,8 @@ class _IntervalPieces:
     """Shared intermediates of the multi-step objective on the common grid."""
 
     grid: tuple[int, ...]          # ascending, grid[0] = 0, grid[-1] = t
-    inv: LatentTrajectory          # unconditional inversion along grid
-    deno: DenoisePath              # guided denoising back down grid
+    inv: Trajectory                # unconditional inversion along grid
+    deno: Trajectory               # guided denoising back down grid
     oracle_calls: int
 
     @property

@@ -17,7 +17,6 @@ pure functions of their inputs: repeated calls are bitwise identical.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,13 +28,14 @@ from .schedule import NoiseSchedule
 
 
 @dataclass(frozen=True)
-class LatentTrajectory:
-    """An inversion path: increasing timesteps, latents, and the epsilon used
-    to step away from each node.
+class Trajectory:
+    """A deterministic walk over a timestep grid: the visited timesteps
+    (ascending for an inversion, descending for a denoising walk), the latent
+    at each, and the epsilon-prediction evaluated at each node that was
+    stepped away from.
 
-    eps_cache[i] is the unconditional prediction evaluated at
-    (latents[i], timesteps[i]) that produced latents[i + 1]; the final entry
-    is retained so downstream gradients can reuse it without re-evaluation.
+    eps_cache[i] was evaluated at (latents[i], timesteps[i]) and produced
+    latents[i + 1]; callers read the final entries without re-evaluation.
     """
 
     timesteps: tuple[int, ...]
@@ -45,23 +45,6 @@ class LatentTrajectory:
     def __post_init__(self):
         if len(self.timesteps) != len(self.latents) or len(self.eps_cache) != len(self.latents) - 1:
             raise ValueError("trajectory lengths inconsistent")
-
-    def replay_error(self, schedule: NoiseSchedule) -> float:
-        """Max deviation of stored latents from re-applying the hop recursion."""
-        worst = 0.0
-        for i in range(len(self.eps_cache)):
-            nxt = hop(schedule, self.latents[i], self.timesteps[i],
-                      self.timesteps[i + 1], self.eps_cache[i])
-            worst = max(worst, float(np.abs(nxt - self.latents[i + 1]).max()))
-        return worst
-
-    def to_csv(self, path) -> None:
-        dim = self.latents[0].shape[0]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step_index", "t"] + [f"x{i}" for i in range(dim)])
-            for i, (t, x) in enumerate(zip(self.timesteps, self.latents)):
-                writer.writerow([i, t] + [repr(float(v)) for v in x])
 
 
 def add_noise(schedule: NoiseSchedule, x0, t: int, eps) -> np.ndarray:
@@ -91,26 +74,8 @@ def hop(schedule: NoiseSchedule, x, t_from: int, t_to: int, eps) -> np.ndarray:
     return sab[b] * x0_hat + s1mab[b] * eps
 
 
-def invert_hop(oracle: MixtureOracle, schedule: NoiseSchedule, x, t_from: int,
-               t_to: int, label: Label = None) -> np.ndarray:
-    """One inversion hop upward, epsilon evaluated at the starting point."""
-    if not 0 <= t_from < t_to:
-        raise ConfigError(f"inversion hop needs 0 <= t_from < t_to, got {t_from} -> {t_to}")
-    eps = oracle.eps_predict(schedule, x, t_from, label)
-    return hop(schedule, x, t_from, t_to, eps)
-
-
-def denoise_hop(oracle: MixtureOracle, schedule: NoiseSchedule, x, t_from: int,
-                t_to: int, g: GuidanceSpec) -> np.ndarray:
-    """One denoising hop downward, guided epsilon evaluated at the start."""
-    if not 0 <= t_to < t_from:
-        raise ConfigError(f"denoising hop needs t_to < t_from, got {t_from} -> {t_to}")
-    eps = oracle.eps_guided(schedule, x, t_from, g)
-    return hop(schedule, x, t_from, t_to, eps)
-
-
 def invert_along(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
-                 timesteps: Sequence[int], label: Label = None) -> LatentTrajectory:
+                 timesteps: Sequence[int], label: Label = None) -> Trajectory:
     """Invert a clean sample along an explicit increasing timestep grid.
 
     timesteps must start at 0; predictions are unconditional unless another
@@ -128,7 +93,7 @@ def invert_along(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
         x = hop(schedule, x, a, b, eps)
         cache.append(eps)
         latents.append(x)
-    return LatentTrajectory(tuple(steps), tuple(latents), tuple(cache))
+    return Trajectory(tuple(steps), tuple(latents), tuple(cache))
 
 
 def inversion_grid(t: int, stride: int) -> list[int]:
@@ -148,7 +113,7 @@ def descent_grid(t: int, stride: int) -> list[int]:
 
 
 def ddim_invert(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
-                delta_s: int, label: Label = None) -> LatentTrajectory:
+                delta_s: int, label: Label = None) -> Trajectory:
     """Deterministically invert x0 up to timestep t with stride delta_s.
 
     Intermediate nodes are the multiples of delta_s below t; the final hop
@@ -161,18 +126,8 @@ def ddim_invert(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     return invert_along(oracle, schedule, x0, inversion_grid(t, delta_s), label)
 
 
-@dataclass(frozen=True)
-class DenoisePath:
-    """A denoising walk: decreasing timesteps, visited latents, and the guided
-    epsilon evaluated at each node that was stepped away from."""
-
-    timesteps: tuple[int, ...]
-    latents: tuple[np.ndarray, ...]
-    eps_cache: tuple[np.ndarray, ...]
-
-
 def denoise_path(oracle: MixtureOracle, schedule: NoiseSchedule, xt, t: int,
-                 stride: int, g: GuidanceSpec) -> DenoisePath:
+                 stride: int, g: GuidanceSpec) -> Trajectory:
     """Walk from (xt, t) down to timestep 0, re-evaluating the guided epsilon
     at every visited latent."""
     t = schedule._check_t(t, 1)
@@ -190,7 +145,7 @@ def denoise_path(oracle: MixtureOracle, schedule: NoiseSchedule, xt, t: int,
         taus.append(nxt)
         latents.append(x)
         cache.append(eps)
-    return DenoisePath(tuple(taus), tuple(latents), tuple(cache))
+    return Trajectory(tuple(taus), tuple(latents), tuple(cache))
 
 
 def ddim_denoise(oracle: MixtureOracle, schedule: NoiseSchedule, xt, t: int,

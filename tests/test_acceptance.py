@@ -20,8 +20,6 @@ from ismlab import (
     canonical_view,
     ddim_denoise,
     ddim_invert,
-    denoise_hop,
-    invert_hop,
     ism_gradient,
     make_schedule,
     multistep_bias,
@@ -39,6 +37,7 @@ from ismlab.experiments import (
     score_fd_check,
 )
 from ismlab.generators import random_scene
+from ismlab.trajectory import hop
 
 
 def report(num, name, ok, detail):
@@ -121,8 +120,10 @@ def test_criterion_3_invertibility(default_schedule):
                            labels={"m": [0]})
     g1 = GuidanceSpec(positive="m", scale=1.0)
     x_start = np.array([0.9, 0.1])
-    x_up = invert_hop(narrow, default_schedule, x_start, 50, 500)
-    x_back = denoise_hop(narrow, default_schedule, x_up, 500, 50, g1)
+    x_up = hop(default_schedule, x_start, 50, 500,
+               narrow.eps_predict(default_schedule, x_start, 50))
+    x_back = hop(default_schedule, x_up, 500, 50,
+                 narrow.eps_guided(default_schedule, x_up, 500, g1))
     hop_err = float(np.abs(x_back - x_start).max())
 
     smooth = MixtureOracle(
@@ -158,7 +159,7 @@ def test_criterion_5_consistency_finding(default_schedule):
         means=[[1.0, 0.0], [-1.0, 0.0]], sigmas=[0.2, 0.2], weights=[0.5, 0.5],
         labels={"right": [0], "left": [1]})
     spec = ExperimentSpec(
-        kind="consistency", schedule=default_schedule, oracle=oracle,
+        schedule=default_schedule, oracle=oracle,
         guidance=GuidanceSpec(positive="right", scale=7.5),
         generator_cfg={"generator": {"kind": "identity", "theta": [0.0, 0.0]}},
         t_values=[100, 300, 500, 700, 900], delta_t_values=[50],
@@ -180,7 +181,7 @@ def test_criterion_6_quality_finding(default_schedule):
         means=[[1.0, 0.0], [-0.5, 0.8], [0.2, -1.0]],
         sigmas=[0.15, 0.15, 0.15], weights=[0.4, 0.3, 0.3])
     spec = ExperimentSpec(
-        kind="quality", schedule=default_schedule, oracle=oracle,
+        schedule=default_schedule, oracle=oracle,
         guidance=GuidanceSpec(positive=None, scale=1.0),
         generator_cfg={}, t_values=[900], delta_t_values=[50],
         delta_s_values=[50], start_points=20, seeds=[1])

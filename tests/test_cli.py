@@ -105,6 +105,58 @@ def test_race_kind(tmp_path):
     assert (out / "race_summary.csv").exists()
 
 
+# Small image-generator overrides for configs that ship with an identity latent.
+_SPLATS = load_json(CONFIGS / "distill_splats.json")
+SPLAT_IMAGE = {"schedule": _SPLATS["schedule"], "oracle": _SPLATS["oracle"],
+               "guidance.positive": "left",
+               "generator": {"kind": "splats", "n_splats": 4, "channels": 1, "init_seed": 0},
+               "view": {"width": 16, "height": 16}}
+
+
+@pytest.mark.parametrize("kind, name, tweaks, files", [
+    ("consistency", "consistency.json",
+     {"experiment.noise_draws": 2, "experiment.t_values": [300]},
+     {"report.json", "consistency.csv"}),
+    ("consistency", "consistency.json",
+     {"experiment.noise_draws": 2, "experiment.t_values": [300], **SPLAT_IMAGE},
+     {"report.json", "consistency.csv", "frames/sds_pseudo_gt_grid.ppm",
+      "frames/ism_pseudo_gt_grid.ppm", "frames/input_view.ppm"}),
+    ("quality", "quality.json",
+     {"experiment.t_values": [200], "experiment.start_points": 2},
+     {"report.json", "quality.csv"}),
+    ("eta-sweep", "eta_sweep.json",
+     {"experiment.t_values": [200], "experiment.delta_T_values": [50]},
+     {"report.json", "eta_sweep.csv", "gradients.csv"}),
+    ("interval-sweep", "interval_sweep.json",
+     {"distill.iterations": 3, "experiment.delta_T_values": [50],
+      "experiment.delta_S_values": [50, 100]},
+     {"report.json", "interval_sweep.csv"}),
+    ("interval-sweep", "interval_sweep.json",
+     {"distill.iterations": 3, "experiment.delta_T_values": [50],
+      "experiment.delta_S_values": [50, 100], **SPLAT_IMAGE},
+     {"report.json", "interval_sweep.csv", "frames/final_dT50_dS50.ppm",
+      "frames/final_dT50_dS100.ppm"}),
+    ("race", "race.json", {"distill.iterations": 3, "experiment.seeds": [0, 1]},
+     {"report.json", "race.csv", "race_summary.csv"}),
+    ("gradcheck", "gradcheck.json", {"experiment.checks": ["gradient_forms"]},
+     {"report.json", "gradcheck.csv"}),
+    ("distill", "distill_identity.json", {"distill.iterations": 3},
+     {"report.json", "metrics.csv"}),
+    ("distill", "distill_splats.json",
+     {"distill.iterations": 4, "distill.snapshot_every": 2, "generator.n_splats": 4},
+     {"report.json", "metrics.csv", "frames/iter_000002.ppm", "frames/iter_000004.ppm",
+      "frames/final.ppm"}),
+], ids=["consistency", "consistency-image", "quality", "eta-sweep", "interval-sweep",
+        "interval-sweep-image", "race", "gradcheck", "distill", "distill-image"])
+def test_each_kind_writes_its_file_set(tmp_path, kind, name, tweaks, files):
+    """The files of each kind, as listed in docs/config.md under Outputs."""
+    cfg = tweak_config(tmp_path, name, **tweaks)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == files
+    assert json.loads((out / "report.json").read_text())["kind"] == kind.replace("-", "_")
+
+
 @given(st.integers(1, 300), st.integers(1, 300), st.sampled_from([1, 3]))
 @example(255, 2, 1)
 @example(3, 255, 3)
@@ -201,6 +253,22 @@ def test_misspelled_component_key_exits_one(tmp_path, capsys):
     assert main(["distill", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "oracle.components[1].sigm" in capsys.readouterr().err
 
+    # keys of a template mean object: a misspelled one would otherwise run
+    # silently with its default
+    cfg = load_json(CONFIGS / "distill_splats.json")
+    cfg["oracle"]["components"][1]["mean"]["sigam"] = 0.1
+    path.write_text(json.dumps(cfg))
+    assert main(["distill", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "oracle.components[1].mean.sigam" in err
+
+    cfg = load_json(CONFIGS / "distill_splats.json")
+    cfg["oracle"]["components"][1]["mean"]["template"] = "gaussian_blub"
+    path.write_text(json.dumps(cfg))
+    assert main(["distill", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'gaussian_blub'" in err and "oracle.components[1].mean" in err
+
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
 def test_shipped_configs_have_no_unknown_keys(name):
@@ -211,11 +279,12 @@ def test_shipped_configs_have_no_unknown_keys(name):
         build_generator(cfg)
 
 
-@pytest.mark.parametrize("objective", ["ism", "sds"])
+@pytest.mark.parametrize("objective", ["ism", "sds", "naive"])
 def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, objective):
     """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
-    unconditional branch: the run stops with exit code 3, one stderr line, no
-    numpy warning and a metrics.csv of the rows logged before the failure."""
+    unconditional branch: the run stops with exit code 3, one stderr line
+    naming the iteration, no numpy warning and a metrics.csv of the rows
+    logged before the failure."""
     cfg = tweak_config(tmp_path, "distill_identity.json",
                        **{"generator.theta": [1e200, 1e200],
                           "distill.objective": objective, "distill.iterations": 5})
@@ -226,6 +295,7 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ob
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
+    assert "at iteration 0, t=" in err
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ismlab import objectives
 from ismlab import (
     ConfigError,
     GuidanceSpec,
+    MixtureOracle,
     decomposition_check,
     ism_gradient,
     multistep_bias,
@@ -179,6 +182,39 @@ def test_decomposition_sweep(mixture3, schedule, guide_a):
         t = int(rng.integers(dt, 951))
         worst = max(worst, decomposition_check(mixture3, schedule, x0, t, dt, guide_a))
     assert worst < 1e-9
+
+
+@st.composite
+def decomposition_cases(draw):
+    """(oracle, x0, t, delta_t, guidance) with K in 1..4 components in D in
+    1..8 dimensions, sigmas in [0.05, 1], means and x0 in [-2, 2]."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 8))
+    coords = st.floats(-2.0, 2.0, allow_nan=False)
+    o = MixtureOracle(
+        means=[[draw(coords) for _ in range(d)] for _ in range(k)],
+        sigmas=[draw(st.floats(0.05, 1.0)) for _ in range(k)],
+        weights=[draw(st.floats(0.1, 1.0)) for _ in range(k)],
+        labels={"c0": [0],
+                "sub": draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k,
+                                     unique=True))})
+    x0 = np.array([draw(coords) for _ in range(d)])
+    dt = draw(st.sampled_from([10, 25, 50, 100]))
+    t = draw(st.integers(dt, 950))
+    g = GuidanceSpec(positive=draw(st.sampled_from([None, "c0", "sub"])),
+                     negative=draw(st.sampled_from([None, "c0"])),
+                     scale=draw(st.sampled_from([0.0, 1.0, 7.5])))
+    return o, x0, t, dt, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=decomposition_cases())
+def test_decomposition_identity_property(schedule, case):
+    # the multi-step direction is the interval score plus the telescoping
+    # bias series; multistep_bias raises if its two evaluations disagree
+    o, x0, t, dt, g = case
+    assert decomposition_check(o, schedule, x0, t, dt, g) <= 1e-9
+    multistep_bias(o, schedule, x0, t, dt, g)
 
 
 def test_gradient_report_rows(mixture3, schedule, guide_a):

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -7,16 +6,24 @@ import pytest
 from ismlab import (
     ConfigError,
     GuidanceSpec,
-    LatentTrajectory,
     MixtureOracle,
+    Trajectory,
     add_noise,
     ddim_denoise,
     ddim_invert,
-    denoise_hop,
-    invert_hop,
     pseudo_gt_single,
 )
-from ismlab.trajectory import denoise_path, descent_grid, inversion_grid, invert_along
+from ismlab.trajectory import denoise_path, descent_grid, hop, inversion_grid, invert_along
+
+
+def replay_error(traj, schedule) -> float:
+    """Max deviation of stored latents from re-applying the hop recursion."""
+    worst = 0.0
+    for i in range(len(traj.eps_cache)):
+        nxt = hop(schedule, traj.latents[i], traj.timesteps[i],
+                  traj.timesteps[i + 1], traj.eps_cache[i])
+        worst = max(worst, float(np.abs(nxt - traj.latents[i + 1]).max()))
+    return worst
 
 
 def test_add_noise_values(tiny_schedule):
@@ -102,8 +109,8 @@ def test_one_hop_denoise_is_single_step_estimate(mixture3, schedule, guide_a):
 def test_degenerate_one_hop_round_trip(point_oracle, schedule):
     g = GuidanceSpec(positive="m", scale=1.0)
     x_start = np.array([0.9, 0.1])
-    x_up = invert_hop(point_oracle, schedule, x_start, 50, 500)
-    x_back = denoise_hop(point_oracle, schedule, x_up, 500, 50, g)
+    x_up = hop(schedule, x_start, 50, 500, point_oracle.eps_predict(schedule, x_start, 50))
+    x_back = hop(schedule, x_up, 500, 50, point_oracle.eps_guided(schedule, x_up, 500, g))
     assert np.abs(x_back - x_start).max() < 1e-6
 
 
@@ -141,13 +148,13 @@ def test_transport_is_deterministic(mixture3, schedule, guide_a):
 
 def test_replay_detects_tampering(mixture3, schedule):
     traj = ddim_invert(mixture3, schedule, np.array([0.4, 0.4]), 300, 100)
-    assert traj.replay_error(schedule) == 0.0
-    bad = LatentTrajectory(
+    assert replay_error(traj, schedule) == 0.0
+    bad = Trajectory(
         traj.timesteps,
         traj.latents[:-1] + (traj.latents[-1] + 1e-3,),
         traj.eps_cache,
     )
-    assert bad.replay_error(schedule) > 1e-4
+    assert replay_error(bad, schedule) > 1e-4
 
 
 def test_denoise_path_grid_matches_descent(mixture3, schedule, guide_a):
@@ -156,15 +163,15 @@ def test_denoise_path_grid_matches_descent(mixture3, schedule, guide_a):
     assert len(path.eps_cache) == 3
 
 
-def test_trajectory_csv_round_trip(tmp_path, mixture3, schedule):
-    traj = ddim_invert(mixture3, schedule, np.array([0.1, 0.2]), 400, 100)
-    out = tmp_path / "traj.csv"
-    traj.to_csv(out)
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["step_index", "t", "x0", "x1"]
-    assert len(rows) == 1 + len(traj.timesteps)
-    assert float(rows[1][2]) == traj.latents[0][0]
+def test_inversion_and_denoising_share_one_type(mixture3, schedule, guide_a):
+    up = ddim_invert(mixture3, schedule, np.array([0.1, 0.2]), 400, 100)
+    down = denoise_path(mixture3, schedule, up.latents[-1], 400, 100, guide_a)
+    assert type(up) is Trajectory and type(down) is Trajectory
+    assert up.timesteps == (0, 100, 200, 300, 400)
+    assert down.timesteps == up.timesteps[::-1]
+    assert replay_error(up, schedule) == 0.0 and replay_error(down, schedule) == 0.0
+    with pytest.raises(ValueError, match="inconsistent"):
+        Trajectory(up.timesteps, up.latents, up.eps_cache[:-1])
 
 
 def test_bad_arguments_raise(mixture3, schedule):
