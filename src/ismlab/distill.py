@@ -262,9 +262,10 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
                      cfg: DistillConfig) -> RunLog:
     """Execute a full run; metrics are a pure function of (config, seed).
 
-    A NumericalError carries the rows logged up to the failure as ``log``.
-    numpy's overflow and invalid-value warnings are silenced for the run, so
-    that error is the only report of a non-finite value.
+    A NumericalError carries the rows logged up to the failure as ``log``
+    and names the run (objective, seed, interval, stride). numpy's overflow
+    and invalid-value warnings are silenced for the run, so that error is the
+    only report of a non-finite value.
     """
     cfg.validate(schedule)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,6 +274,8 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
             for i in range(cfg.iterations):
                 distill_step(state, oracle, schedule, cfg, i)
         except NumericalError as exc:
+            exc.args = (f"{exc} of the {cfg.objective} run with seed={cfg.seed}, "
+                        f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_s}",)
             exc.log = state.log
             raise
     state.log.final_theta = generator.get_params()

@@ -31,11 +31,12 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import config as cfgmod
+from .config import get_key, nonempty_ints, read
 from .distill import DistillConfig, RunLog, nearest_mode_distance, run_distillation
 from .errors import ConfigError
 from .generators import ViewJitterSpec, canonical_view, random_scene
@@ -62,7 +63,16 @@ RACE_CSV_HEADER = ("seed", "objective", "iter", "mode_distance")
 RACE_SUMMARY_CSV_HEADER = ("seed", "ism_crossing", "sds_crossing", "threshold")
 GRADCHECK_CSV_HEADER = ("check", "max_error", "tolerance", "passed")
 
-DEFAULT_CHECKS = ("score_fd", "renderer_fd", "gradient_forms", "decomposition")
+GRADCHECKS = {  # name -> (its max error for an ExperimentSpec, tolerance)
+    "score_fd": (lambda s: score_fd_check(s.oracle, s.schedule, seed=s.seeds[0]), 1e-5),
+    "renderer_fd": (lambda s: renderer_fd_check(
+        seed=s.seeds[0], corrupt_scale=s.corrupt_renderer_scale), 1e-4),
+    "gradient_forms": (lambda s: gradient_forms_check(
+        s.oracle, s.schedule, s.guidance, seed=s.seeds[0]), 1e-10),
+    "decomposition": (lambda s: decomposition_sweep_check(
+        s.oracle, s.schedule, s.guidance, seed=s.seeds[0]), 1e-9),
+}
+DEFAULT_CHECKS = tuple(GRADCHECKS)
 
 
 @dataclass
@@ -73,11 +83,11 @@ class ExperimentSpec:
     oracle: MixtureOracle
     guidance: GuidanceSpec
     generator_cfg: dict
-    t_values: list[int]
-    delta_t_values: list[int]
-    delta_s_values: list[int]
+    t_values: Sequence[int]
+    delta_t_values: Sequence[int]
+    delta_s_values: Sequence[int]
     noise_draws: int = 8
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seeds: Sequence[int] = field(default_factory=lambda: [0])
     threshold: float = 0.2
     start_points: int = 20
     distill: Optional[DistillConfig] = None
@@ -88,27 +98,41 @@ class ExperimentSpec:
         return cfgmod.build_generator(self.generator_cfg)
 
 
+def _check_names(value) -> tuple[str, ...]:
+    """experiment.checks: gradcheck names; null selects all of them."""
+    names = DEFAULT_CHECKS if value is None else tuple(value)
+    for name in names:
+        if name not in GRADCHECKS:
+            raise ValueError(f"unknown gradcheck {name!r}")
+    return names
+
+
+EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty_ints),
+              "delta_T_values": ((10, 25, 50, 100), nonempty_ints),
+              "delta_S_values": ((50,), nonempty_ints), "seeds": ((0,), nonempty_ints),
+              "noise_draws": (8, int), "threshold": (0.2, float), "start_points": (20, int),
+              "checks": (DEFAULT_CHECKS, _check_names), "corrupt_renderer_scale": (1.0, float)}
+
+
 def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
-    cfgmod.check_section(cfg, "experiment", cfgmod.EXPERIMENT_KEYS)
-    checks = cfgmod.get_key(cfg, "experiment.checks")
-    return ExperimentSpec(
+    """The spec of a config; EXPERIMENT keys other than the delta_ ones are
+    spec fields of the same name. The guidance labels must be oracle labels."""
+    e = read(get_key(cfg, "experiment"), EXPERIMENT, "experiment")
+    spec = ExperimentSpec(
         schedule=cfgmod.build_schedule(cfg),
         oracle=cfgmod.build_oracle(cfg),
         guidance=cfgmod.build_guidance(cfg),
         generator_cfg=cfg,
-        t_values=cfgmod.int_list(cfg, "experiment.t_values", [100, 300, 500, 700, 900]),
-        delta_t_values=cfgmod.int_list(cfg, "experiment.delta_T_values", [10, 25, 50, 100]),
-        delta_s_values=cfgmod.int_list(cfg, "experiment.delta_S_values", [50]),
-        noise_draws=int(cfgmod.get_key(cfg, "experiment.noise_draws", 8)),
-        seeds=cfgmod.int_list(cfg, "experiment.seeds", [0]),
-        threshold=float(cfgmod.get_key(cfg, "experiment.threshold", 0.2)),
-        start_points=int(cfgmod.get_key(cfg, "experiment.start_points", 20)),
+        delta_t_values=e.pop("delta_T_values"),
+        delta_s_values=e.pop("delta_S_values"),
         distill=cfgmod.build_distill(cfg) if "distill" in cfg or kind in
             ("interval-sweep", "race", "distill") else None,
-        checks=tuple(checks) if checks is not None else DEFAULT_CHECKS,
-        corrupt_renderer_scale=float(
-            cfgmod.get_key(cfg, "experiment.corrupt_renderer_scale", 1.0)),
+        **e,
     )
+    for key, label in (("positive", spec.guidance.positive), ("negative", spec.guidance.negative)):
+        if label not in (None, *spec.oracle.labels):
+            raise ConfigError(f"guidance.{key} is not null or an oracle label: {label!r}")
+    return spec
 
 
 def _variance(points: list[np.ndarray]) -> float:
@@ -601,24 +625,10 @@ def decomposition_sweep_check(oracle: MixtureOracle, schedule: NoiseSchedule,
 def run_gradcheck(spec: ExperimentSpec) -> GradcheckReport:
     """Aggregate the package's independent-oracle checks into one report."""
     rows = []
-    for check in spec.checks:
-        if check == "score_fd":
-            err, tol = score_fd_check(spec.oracle, spec.schedule,
-                                      seed=spec.seeds[0]), 1e-5
-        elif check == "renderer_fd":
-            err = renderer_fd_check(seed=spec.seeds[0],
-                                    corrupt_scale=spec.corrupt_renderer_scale)
-            tol = 1e-4
-        elif check == "gradient_forms":
-            err, tol = gradient_forms_check(spec.oracle, spec.schedule,
-                                            spec.guidance, seed=spec.seeds[0]), 1e-10
-        elif check == "decomposition":
-            err, tol = decomposition_sweep_check(spec.oracle, spec.schedule,
-                                                 spec.guidance, seed=spec.seeds[0]), 1e-9
-        else:
-            raise ConfigError(f"unknown gradcheck {check!r}")
-        rows.append(GradcheckRow(check=check, max_error=err, tolerance=tol,
-                                 passed=err < tol))
+    for name in spec.checks:
+        check, tol = GRADCHECKS[name]
+        err = check(spec)
+        rows.append(GradcheckRow(check=name, max_error=err, tolerance=tol, passed=err < tol))
     return GradcheckReport(rows=rows)
 
 

@@ -85,31 +85,32 @@ def invert_along(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
     if steps[0] != 0 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ConfigError(f"timestep grid must be strictly increasing from 0, got {steps}")
     schedule._check_t(steps[-1], 1)
-    x = np.asarray(x0, dtype=float).copy()
+    return _walk(schedule, x0, steps, oracle.eps_predict, label)
+
+
+def _walk(schedule: NoiseSchedule, x, nodes: list[int], predict, cond) -> Trajectory:
+    """Hop from nodes[0] through each later node, predicting epsilon with
+    predict(schedule, x, t, cond) at every node stepped away from."""
+    x = np.asarray(x, dtype=float).copy()
     latents = [x]
     cache = []
-    for a, b in zip(steps, steps[1:]):
-        eps = oracle.eps_predict(schedule, x, a, label)
+    for a, b in zip(nodes, nodes[1:]):
+        eps = predict(schedule, x, a, cond)
         x = hop(schedule, x, a, b, eps)
         cache.append(eps)
         latents.append(x)
-    return Trajectory(tuple(steps), tuple(latents), tuple(cache))
+    return Trajectory(tuple(nodes), tuple(latents), tuple(cache))
 
 
 def inversion_grid(t: int, stride: int) -> list[int]:
     """Grid [0, stride, 2*stride, ..., t]; the final gap may be shorter."""
-    grid = list(range(0, t, stride))
-    grid.append(t)
-    return grid
+    return [*range(0, t, stride), t]
 
 
 def descent_grid(t: int, stride: int) -> list[int]:
     """Nodes visited when stepping down from t by stride (final hop shorter),
     returned ascending: [0, t mod stride?, ..., t - stride, t]."""
-    taus = [t]
-    while taus[-1] > 0:
-        taus.append(max(taus[-1] - stride, 0))
-    return taus[::-1]
+    return [0, *range(t, 0, -stride)[::-1]]
 
 
 def ddim_invert(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
@@ -133,19 +134,7 @@ def denoise_path(oracle: MixtureOracle, schedule: NoiseSchedule, xt, t: int,
     t = schedule._check_t(t, 1)
     if not 1 <= stride <= t:
         raise ConfigError(f"need 1 <= stride <= t, got stride={stride}, t={t}")
-    x = np.asarray(xt, dtype=float).copy()
-    taus = [t]
-    latents = [x]
-    cache = []
-    while taus[-1] > 0:
-        cur = taus[-1]
-        nxt = max(cur - stride, 0)
-        eps = oracle.eps_guided(schedule, x, cur, g)
-        x = hop(schedule, x, cur, nxt, eps)
-        taus.append(nxt)
-        latents.append(x)
-        cache.append(eps)
-    return Trajectory(tuple(taus), tuple(latents), tuple(cache))
+    return _walk(schedule, xt, descent_grid(t, stride)[::-1], oracle.eps_guided, g)
 
 
 def ddim_denoise(oracle: MixtureOracle, schedule: NoiseSchedule, xt, t: int,

@@ -245,6 +245,22 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("name, kind, key, value", [
+    ("race.json", "race", "distill.iterations", "many"),
+    ("distill_splats.json", "distill", "guidance.negative", ["left"]),
+    ("gradcheck.json", "gradcheck", "experiment.checks", ["score_fd", "nope"]),
+])
+def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
+    """A wrong-typed value or an unknown guidance label or gradcheck name is
+    a config error naming its key, raised before anything runs."""
+    cfg = tweak_config(tmp_path, name, **{key: value})
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
 def test_misspelled_component_key_exits_one(tmp_path, capsys):
     cfg = load_json(CONFIGS / "distill_identity.json")
     cfg["oracle"]["components"][1]["sigm"] = 0.2
@@ -279,23 +295,35 @@ def test_shipped_configs_have_no_unknown_keys(name):
         build_generator(cfg)
 
 
-@pytest.mark.parametrize("objective", ["ism", "sds", "naive"])
-def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, objective):
+@pytest.mark.parametrize("kind, name, tweaks, run", [
+    ("distill", "distill_identity.json", {"distill.objective": "ism"},
+     "of the ism run with seed=0, delta_T=200, delta_S=50"),
+    ("distill", "distill_identity.json", {"distill.objective": "sds"},
+     "of the sds run with seed=0, delta_T=200, delta_S=50"),
+    ("distill", "distill_identity.json", {"distill.objective": "naive"},
+     "of the naive run with seed=0, delta_T=200, delta_S=50"),
+    ("race", "race.json", {"experiment.seeds": [3, 4]}, "of the ism run with seed=3, "),
+    ("interval-sweep", "interval_sweep.json", {"experiment.delta_T_values": [100],
+                                               "experiment.delta_S_values": [200]},
+     ", delta_T=100, delta_S=200"),
+], ids=["ism", "sds", "naive", "race", "interval-sweep"])
+def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, kind, name,
+                                                           tweaks, run):
     """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
     unconditional branch: the run stops with exit code 3, one stderr line
-    naming the iteration, no numpy warning and a metrics.csv of the rows
-    logged before the failure."""
-    cfg = tweak_config(tmp_path, "distill_identity.json",
-                       **{"generator.theta": [1e200, 1e200],
-                          "distill.objective": objective, "distill.iterations": 5})
+    naming the iteration and the failing run (the race's seed and objective,
+    the interval-sweep's grid cell), no numpy warning and a metrics.csv of
+    the rows logged before the failure."""
+    cfg = tweak_config(tmp_path, name, **{"generator.theta": [1e200, 1e200],
+                                          "distill.iterations": 5, **tweaks})
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["distill", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 3
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
-    assert "at iteration 0, t=" in err
+    assert "at iteration 0, t=" in err and run in err
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER

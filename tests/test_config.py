@@ -1,15 +1,32 @@
+import copy
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ismlab import ConfigError, IdentityLatent, SplatGenerator
+from ismlab import (
+    ConfigError,
+    DistillConfig,
+    GuidanceSpec,
+    IdentityLatent,
+    SplatGenerator,
+    ViewJitterSpec,
+    config,
+    make_schedule,
+)
 from ismlab.config import (
     build_distill,
     build_generator,
     build_guidance,
+    build_jitter,
     build_oracle,
     build_schedule,
     get_key,
+    load_json,
 )
+from ismlab.experiments import EXPERIMENT, ExperimentSpec, build_experiment
 
 
 def test_dotted_key_access():
@@ -89,3 +106,106 @@ def test_distill_defaults_follow_interval_start():
     assert cfg.t_min == 120
     assert cfg.delta_t_start == 100
     assert cfg.guidance.scale == 7.5
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "config.md"
+BAD_VALUES = ["x", None, [], {}, ["a"], {"a": 1}]
+
+
+def kind_of(name: str) -> str:
+    """The CLI kind a shipped config is written for."""
+    return "distill" if name.startswith("distill") else name.split(".")[0].replace("_", "-")
+
+
+def key_paths(node, prefix=()):
+    """Every path to an object key or list entry inside a JSON value."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+def test_wrong_typed_values_are_config_errors():
+    """Each of six wrong-typed values at every key path of every shipped
+    config either builds (for example null where null means the default) or
+    raises ConfigError, never another exception."""
+    leaks = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        base = load_json(path)
+        for keys in key_paths(base):
+            for bad in BAD_VALUES:
+                cfg = copy.deepcopy(base)
+                node = cfg
+                for key in keys[:-1]:
+                    node = node[key]
+                node[keys[-1]] = bad
+                try:
+                    build_experiment(cfg, kind_of(path.name)).make_generator()
+                except ConfigError:
+                    pass
+                except Exception as exc:  # any other exception type is a leak
+                    leaks.append(f"{path.name} {keys} = {bad!r}: {type(exc).__name__}")
+    assert leaks == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("distill.iterations", "many"),
+    ("distill.iterations", None),
+    ("guidance.scale", "x"),
+    ("experiment.seeds", 5),
+    ("experiment.seeds", []),
+    ("generator.theta", {"a": 1}),
+    ("oracle.components[0].mean", ["a", "b"]),
+    ("oracle.labels.left", "x"),
+    ("distill.optimizer.beta1", [0.9]),
+])
+def test_wrong_typed_value_names_its_key(key, value):
+    cfg = load_json(CONFIGS / "race.json")
+    node, parts = cfg, key.replace("[0]", ".0").split(".")
+    for part in parts[:-1]:
+        node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
+    node[parts[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(f"config key {key}: ")):
+        build_experiment(cfg, "race").make_generator()
+
+
+@pytest.mark.parametrize("key, value", [("positive", "nope"), ("negative", "nope"),
+                                        ("positive", ["right"]), ("negative", {"a": 1})])
+def test_guidance_label_must_be_an_oracle_label(key, value):
+    cfg = load_json(CONFIGS / "race.json")
+    cfg["guidance"][key] = value
+    with pytest.raises(ConfigError, match=f"guidance.{key} is not null or an oracle label"):
+        build_experiment(cfg, "race")
+
+
+def test_every_table_key_is_documented():
+    """Each key of each section table has a `dotted.key` entry in docs/config.md."""
+    tables = {"schedule": config.SCHEDULE, "oracle": config.ORACLE,
+              "oracle.components[]": config.COMPONENT,
+              "oracle.components[].mean": config.TEMPLATE, "guidance": config.GUIDANCE,
+              "view": config.VIEW, "jitter": config.JITTER, "generator": config.GENERATOR,
+              "generator.splats[]": config.SPLAT, "distill": config.DISTILL,
+              "distill.optimizer": config.OPTIMIZER, "experiment": EXPERIMENT}
+    docs = DOCS.read_text()
+    missing = [f"{path}.{key}" for path, table in tables.items() for key in table
+               if f"`{path}.{key}`" not in docs]
+    assert missing == []
+
+
+def test_table_defaults_match_the_constructor_defaults():
+    """A config that omits a key builds what the library constructors build
+    when the same argument is omitted."""
+    assert np.array_equal(build_schedule({}).beta, make_schedule(1000).beta)
+    assert build_jitter({}) == ViewJitterSpec()
+    assert build_guidance({}) == GuidanceSpec(positive=None)
+    assert build_distill({}) == DistillConfig(
+        objective="ism", iterations=1000, t_min=220, t_max=980, delta_t_start=200,
+        delta_t_end=50, delta_s=50, guidance=GuidanceSpec(positive=None))
+    spec = build_experiment({"oracle": {"components": [{"mean": [0.0]}]}}, "quality")
+    for f in fields(ExperimentSpec):
+        if f.default is not MISSING:
+            assert getattr(spec, f.name) == f.default, f.name
+        elif f.default_factory is not MISSING:
+            assert list(getattr(spec, f.name)) == f.default_factory(), f.name

@@ -63,6 +63,43 @@ def test_grids():
     assert descent_grid(600, 200) == [0, 200, 400, 600]
 
 
+def reference_walk(schedule, x, t, stride, predict):
+    """The per-walk loop both walks used before they shared one: step down
+    from t by stride (the last hop shorter) when stride > 0, up the
+    inversion grid to t when stride < 0."""
+    x = np.asarray(x, dtype=float).copy()
+    taus, latents, cache = [0 if stride < 0 else t], [x], []
+    while taus[-1] != (t if stride < 0 else 0):
+        cur = taus[-1]
+        nxt = min(cur - stride, t) if stride < 0 else max(cur - stride, 0)
+        eps = predict(x, cur)
+        x = hop(schedule, x, cur, nxt, eps)
+        taus.append(nxt)
+        latents.append(x)
+        cache.append(eps)
+    return tuple(taus), latents, cache
+
+
+def test_walks_match_reference_loops(mixture3, schedule, guide_a):
+    """invert_along and denoise_path, now one shared hop loop over an explicit
+    node list, give the nodes, latents and predictions of the loops they
+    replaced, bit for bit."""
+    x = np.array([0.3, -0.6])
+    for t, stride in [(1, 1), (7, 3), (450, 200), (600, 200), (999, 37), (1000, 1000)]:
+        up = ddim_invert(mixture3, schedule, x, t, stride)
+        ref = reference_walk(schedule, x, t, -stride,
+                             lambda y, a: mixture3.eps_predict(schedule, y, a))
+        assert up.timesteps == ref[0] == tuple(inversion_grid(t, stride))
+        assert all(np.array_equal(a, b) for a, b in zip(up.latents, ref[1], strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(up.eps_cache, ref[2], strict=True))
+        down = denoise_path(mixture3, schedule, x, t, stride, guide_a)
+        ref = reference_walk(schedule, x, t, stride,
+                             lambda y, a: mixture3.eps_guided(schedule, y, a, guide_a))
+        assert down.timesteps == ref[0] == tuple(descent_grid(t, stride))[::-1]
+        assert all(np.array_equal(a, b) for a, b in zip(down.latents, ref[1], strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(down.eps_cache, ref[2], strict=True))
+
+
 def test_single_hop_inversion_scales_input(mixture3, schedule):
     x0 = np.array([0.4, -0.7])
     traj = ddim_invert(mixture3, schedule, x0, 150, 150)
