@@ -44,7 +44,7 @@ def read(section, table: dict, path: str) -> dict:
     """The values of the config object at a dotted path, by its table
     key -> (default, converter); a missing or null object takes every default.
     An unknown or missing REQUIRED key, or a value its converter rejects with
-    TypeError or ValueError, is a ConfigError naming the dotted key."""
+    TypeError, ValueError or OverflowError, is a ConfigError naming the dotted key."""
     section = {} if section is None else section
     if not isinstance(section, dict):
         raise ConfigError(f"{path} must be an object")
@@ -60,7 +60,7 @@ def read(section, table: dict, path: str) -> dict:
         else:
             try:
                 values[key] = convert(section[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for config key {path}.{key}: {exc}") from exc
     return values
 
@@ -76,6 +76,16 @@ def nonempty_ints(value) -> list[int]:
     if not out:
         raise ValueError("must be non-empty")
     return out
+
+
+def positive(kind):
+    """Converter to a finite number > 0 of the given kind, int or float; a
+    bool or string is rejected, and so is a fraction given for an int."""
+    def convert(value):
+        if type(value) not in (int, float) or not 0 < value < np.inf or kind(value) != value:
+            raise ValueError(f"must be a finite {kind.__name__} > 0, got {value!r}")
+        return kind(value)
+    return convert
 
 
 def _vector(value) -> np.ndarray:
@@ -116,9 +126,9 @@ ORACLE = {"dim": (None, _optional(int)), "components": (REQUIRED, list),
           "labels": (None, lambda v: v)}
 COMPONENT = {"weight": (1.0, float), "sigma": (0.1, float),
              "mean": (REQUIRED, lambda v: v if isinstance(v, dict) else _vector(v))}
-TEMPLATE = {"template": (REQUIRED, str), "width": (16, int), "height": (16, int),
-            "channels": (1, int), "center": ((0.0, 0.0), _center), "sigma": (0.35, float),
-            "peak": (0.9, float)}
+TEMPLATE = {"template": (REQUIRED, str), "center": ((0.0, 0.0), _center), "peak": (0.9, float),
+            "width": (16, positive(int)), "height": (16, positive(int)),
+            "channels": (1, positive(int)), "sigma": (0.35, positive(float))}
 
 
 def build_oracle(cfg: dict) -> MixtureOracle:
@@ -156,7 +166,7 @@ def build_guidance(cfg: dict) -> GuidanceSpec:
     return GuidanceSpec(**read(get_key(cfg, "guidance"), GUIDANCE, "guidance"))
 
 
-VIEW = {"width": (16, int), "height": (16, int)}
+VIEW = {"width": (16, positive(int)), "height": (16, positive(int))}
 JITTER = {"rotation_max": (0.0, float), "zoom_min": (1.0, float), "zoom_max": (1.0, float),
           "shift_max": (0.0, float)}
 
@@ -166,9 +176,9 @@ def build_jitter(cfg: dict) -> ViewJitterSpec:
                           **read(get_key(cfg, "jitter"), JITTER, "jitter"))
 
 
-GENERATOR = {"kind": ("identity", str), "theta": (None, _vector), "n_splats": (32, int),
-             "channels": (1, int), "init_seed": (0, int), "splats": (None, _optional(list)),
-             "background": (None, _optional(_vector))}
+GENERATOR = {"kind": ("identity", str), "theta": (None, _vector), "n_splats": (32, positive(int)),
+             "channels": (1, positive(int)), "init_seed": (0, int),
+             "splats": (None, _optional(list)), "background": (None, _optional(_vector))}
 SPLAT = {"center": (REQUIRED, _vector), "log_scale": (REQUIRED, _vector),
          "rotation": (REQUIRED, _vector), "color": (REQUIRED, _vector),
          "logit_opacity": (REQUIRED, _vector), "depth": (0.0, float)}

@@ -10,8 +10,9 @@ Two generators are provided:
     only orders the splats and is not a parameter.
 
 A View is an affine map from scene coordinates to image coordinates. Splat
-footprints are evaluated at pixel centers pulled back into scene space, so
-parameter gradients never touch the camera matrix.
+footprints are evaluated at its pixel centers, pulled back into scene space
+once per View, so parameter gradients never touch the camera matrix. A splat
+backward reuses the forward pass of the last render if it was of that View.
 
 Constraints are kept by construction: per-axis standard deviations are
 exp(log_scale) and opacity is sigmoid(logit_opacity). Colors and background
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +51,17 @@ class View:
     @property
     def offset(self) -> np.ndarray:
         return self.affine[:, 2]
+
+    @cached_property
+    def pixel_centers(self) -> np.ndarray:
+        """Read-only pixel centers in scene coordinates, (H * W, 2) row-major over (y, x)."""
+        if abs(np.linalg.det(self.linear)) < 1e-12:
+            raise ConfigError("degenerate view: affine block is singular")
+        gx, gy = np.meshgrid(np.arange(self.width) + 0.5, np.arange(self.height) + 0.5)
+        pix = np.stack([gx.ravel(), gy.ravel()], axis=1) - self.offset
+        z = np.linalg.solve(self.linear, pix.T).T
+        z.flags.writeable = False
+        return z
 
 
 @dataclass(frozen=True)
@@ -102,19 +115,6 @@ def sample_view(seed: int, jitter: ViewJitterSpec) -> View:
     return View(affine=affine, width=jitter.width, height=jitter.height)
 
 
-def _pixel_centers_scene(view: View) -> np.ndarray:
-    """Pixel centers pulled back to scene coordinates, shape (H * W, 2),
-    row-major over (y, x)."""
-    det = np.linalg.det(view.linear)
-    if abs(det) < 1e-12:
-        raise ConfigError("degenerate view: affine block is singular")
-    xs = np.arange(view.width) + 0.5
-    ys = np.arange(view.height) + 0.5
-    gx, gy = np.meshgrid(xs, ys)                    # (H, W)
-    pix = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return np.linalg.solve(view.linear, (pix - view.offset).T).T
-
-
 # Columns of one splat row in SplatGenerator.theta.
 CENTER, LOG_SCALE, ROTATION, COLOR, LOGIT_OPACITY = slice(0, 2), slice(2, 4), 4, slice(5, -1), -1
 
@@ -128,7 +128,7 @@ def _composite(rows: np.ndarray, background: np.ndarray, view: View):
     alphas (N, P), the transmittance in front of each splat (N, P) and the
     final transmittance (P,).
     """
-    z = _pixel_centers_scene(view)
+    z = view.pixel_centers
     cos, sin = np.cos(rows[:, ROTATION]), np.sin(rows[:, ROTATION])
     rot = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)
     w = (z[None, :, :] - rows[:, None, CENTER]) @ rot
@@ -199,6 +199,7 @@ class SplatGenerator:
             rows = rows[np.argsort(depth, kind="stable")]
         self.channels = c
         self.theta = np.concatenate([rows.ravel(), background])
+        self._memo = (None, None)  # (view, forward context) of the last render, if current
 
     @property
     def n_params(self) -> int:
@@ -219,12 +220,14 @@ class SplatGenerator:
         rows[:, COLOR] = np.clip(rows[:, COLOR], 0.0, 1.0)
         theta[-c:] = np.clip(theta[-c:], 0.0, 1.0)
         self.theta = theta
+        self._memo = (None, None)
 
     def render(self, view: View) -> np.ndarray:
         """Flat image of length height * width * channels, row-major with
         channels innermost, values in [0, 1] whenever colors and background
         are."""
-        img, _ = _composite(self._rows(), self.theta[-self.channels:], view)
+        img, ctx = _composite(self._rows(), self.theta[-self.channels:], view)
+        self._memo = (view, ctx)
         return img.ravel()
 
     def image_shape(self, jitter: ViewJitterSpec) -> tuple[int, int, int]:
@@ -232,35 +235,37 @@ class SplatGenerator:
 
     def backward(self, view: View, grad_output) -> np.ndarray:
         """Exact analytic gradient of <grad_output, render(view)> in theta
-        layout."""
+        layout; reuses the forward pass when the last render was of this View."""
         c = self.channels
         grad_image = np.asarray(grad_output, dtype=float).reshape(view.width * view.height, c)
         rows, background = self._rows(), self.theta[-c:]
-        _, (w, rot, inv_var, opacity, alphas, t_excl, t_last) = _composite(rows, background, view)
+        if self._memo[0] is not view:
+            self._memo = (view, _composite(rows, background, view)[1])
+        w, rot, inv_var, opacity, alphas, t_excl, t_last = self._memo[1]
         colors = rows[:, COLOR]
 
         # behind[i]: composite of everything behind splat i, over the background.
         # Kept as a recurrence: dividing by the transmittance fails where it is 0.
-        n = rows.shape[0]
-        behind = np.empty((n,) + grad_image.shape)
-        behind[n - 1] = background[None, :]
-        for i in range(n - 1, 0, -1):
-            a = alphas[i][:, None]
-            behind[i - 1] = colors[i][None, :] * a + (1.0 - a) * behind[i]
+        behind = np.empty(alphas.shape + (c,))
+        behind[-1] = background[None, :]
+        premul, keep = alphas[:, :, None] * colors[:, None, :], 1.0 - alphas[:, :, None]
+        for i in range(len(behind) - 1, 0, -1):
+            np.multiply(keep[i], behind[i], out=behind[i - 1])
+            behind[i - 1] += premul[i]
 
         g_alpha = t_excl * np.einsum("pc,npc->np", grad_image, colors[:, None, :] - behind)
         g_q = -0.5 * alphas * g_alpha
         grad = np.empty_like(self.theta)
         g_rows = grad[:-c].reshape(rows.shape)
-        # q = w^T diag(inv_var) w with w = R^T (z - center):
-        #   dq/dcenter   = -2 R diag(inv_var) w
-        #   dq/dlogscale = -2 w_a^2 inv_var_a
-        #   dq/drotation =  2 w_x w_y (inv_var_x - inv_var_y)
-        dq_dcenter = -2.0 * (w * inv_var[:, None, :]) @ rot.transpose(0, 2, 1)
-        g_rows[:, CENTER] = np.einsum("np,npk->nk", g_q, dq_dcenter)
-        g_rows[:, LOG_SCALE] = -2.0 * np.einsum("np,npk->nk", g_q, w * w) * inv_var
-        g_rows[:, ROTATION] = 2.0 * np.einsum("np,np->n", g_q, w[..., 0] * w[..., 1]) \
-            * (inv_var[:, 0] - inv_var[:, 1])
+        # q = w^T diag(inv_var) w, w = R^T (z - center); with s_f = sum_p g_q f for f in
+        # wx, wy, wx^2, wy^2, wx wy: dL/dcenter = -2 R diag(inv_var) (sx, sy),
+        # dL/dlog_scale = -2 (sxx, syy) inv_var, dL/drotation = 2 sxy (inv_var_x - inv_var_y).
+        wx, wy = w[..., 0], w[..., 1]
+        sx, sy = np.einsum("np,np->n", g_q, wx), np.einsum("np,np->n", g_q, wy)
+        sxx, syy, sxy = (np.einsum("np,np,np->n", g_q, *f) for f in ((wx, wx), (wy, wy), (wx, wy)))
+        g_rows[:, CENTER] = -2.0 * np.einsum("nkj,nj->nk", rot, np.stack([sx, sy], 1) * inv_var)
+        g_rows[:, LOG_SCALE] = -2.0 * np.stack([sxx, syy], 1) * inv_var
+        g_rows[:, ROTATION] = 2.0 * sxy * (inv_var[:, 0] - inv_var[:, 1])
         g_rows[:, COLOR] = (alphas * t_excl) @ grad_image
         g_rows[:, LOGIT_OPACITY] = (g_alpha * alphas).sum(axis=1) * (1.0 - opacity)
         grad[-c:] = grad_image.T @ t_last

@@ -63,6 +63,15 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert main(["gradcheck", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("key, value", [("view.width", -3), ("view.width", 0),
+                                        ("generator.n_splats", -1), ("generator.n_splats", 2.7)])
+def test_out_of_range_size_is_a_one_line_config_error(tmp_path, capsys, key, value):
+    cfg = tweak_config(tmp_path, "distill_splats.json", **{key: value})
+    assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: bad value for config key {key}: must be a finite int > 0, got {value!r}"]
+
+
 def test_eta_sweep_outputs(tmp_path):
     cfg = tweak_config(tmp_path, "eta_sweep.json",
                        **{"experiment.t_values": [200],

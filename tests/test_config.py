@@ -171,6 +171,48 @@ def test_wrong_typed_value_names_its_key(key, value):
         build_experiment(cfg, "race").make_generator()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("generator.n_splats", -1),
+    ("generator.n_splats", 0),
+    ("generator.n_splats", 2.7),
+    ("generator.n_splats", True),
+    ("generator.n_splats", "32"),
+    ("generator.channels", -1),
+    ("generator.channels", float("inf")),
+    ("view.width", -3),
+    ("view.width", 0),
+    ("view.height", 2.5),
+    ("view.height", float("nan")),
+    ("oracle.components[0].mean.sigma", 0),
+    ("oracle.components[0].mean.sigma", -0.35),
+    ("oracle.components[0].mean.sigma", float("inf")),
+    ("oracle.components[0].mean.sigma", 10 ** 400),
+    ("oracle.components[0].mean.channels", -1),
+    ("oracle.components[0].mean.width", 0),
+    ("oracle.components[0].mean.height", 16.5),
+    ("distill.iterations", float("inf")),
+])
+def test_out_of_range_values_name_their_key(key, value):
+    """Sizes must be positive integers (a fraction is rejected, not
+    truncated) and the template sigma a finite positive number."""
+    cfg = load_json(CONFIGS / "distill_splats.json")
+    node, parts = cfg, key.replace("[0]", ".0").split(".")
+    for part in parts[:-1]:
+        node = node[int(part)] if part.isdigit() else node[part]
+    node[parts[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(f"bad value for config key {key}: ")):
+        build_experiment(cfg, "distill").make_generator()
+
+
+def test_integral_sizes_in_float_form_are_accepted():
+    cfg = load_json(CONFIGS / "distill_splats.json")
+    cfg["generator"]["n_splats"] = 4.0
+    cfg["view"]["width"] = 8.0
+    spec = build_experiment(cfg, "distill")
+    assert spec.make_generator().n_params == 4 * 7 + 1
+    assert spec.distill.jitter.width == 8 and isinstance(spec.distill.jitter.width, int)
+
+
 @pytest.mark.parametrize("key, value", [("positive", "nope"), ("negative", "nope"),
                                         ("positive", ["right"]), ("negative", {"a": 1})])
 def test_guidance_label_must_be_an_oracle_label(key, value):

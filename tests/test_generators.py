@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from ismlab import (
     ConfigError,
+    DistillConfig,
+    GuidanceSpec,
     IdentityLatent,
+    MixtureOracle,
     SplatGenerator,
     ViewJitterSpec,
     canonical_view,
     sample_view,
 )
+from ismlab.distill import distill_step, init_state
 from ismlab.experiments import fd_gradient
 from ismlab.generators import random_scene
 
@@ -242,3 +246,89 @@ def test_splat_generator_param_round_trip():
     clamped = gen.get_params()
     assert clamped[5] == 1.0 and clamped[-1] == 0.0
     assert gen.image_shape(ViewJitterSpec(width=16, height=16)) == (16, 16, 1)
+
+
+def fresh_copy(gen):
+    """A generator with gen's parameters and no forward pass held."""
+    c = gen.channels
+    theta = gen.get_params()
+    return SplatGenerator(theta[:-c].reshape(-1, 6 + c), theta[-c:])
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+WIDE_JITTER = dict(rotation_max=1.0, zoom_min=0.5, zoom_max=2.0, shift_max=0.5)
+
+
+@st.composite
+def scenes_and_views(draw):
+    """A random scene of 1-8 splats with 1-3 channels, two jittered views of
+    one size in 1..12 x 1..12, an image gradient and other parameters."""
+    n, c = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    spec = ViewJitterSpec(**WIDE_JITTER, width=draw(st.integers(1, 12)),
+                          height=draw(st.integers(1, 12)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    gen = random_scene(n, c, seed=seed, background=rng.uniform(0.0, 1.0, c))
+    grad = rng.standard_normal(spec.width * spec.height * c)
+    other = gen.get_params() + rng.normal(0.0, 0.1, gen.n_params)
+    return gen, sample_view(seed, spec), sample_view(seed + 1, spec), grad, other
+
+
+@given(case=scenes_and_views())
+@settings(max_examples=60, deadline=None)
+def test_backward_reuses_only_the_matching_render(case):
+    """backward after render of the same View object reuses its forward pass
+    and is bitwise the backward of a generator that never rendered; another
+    view, or parameters set since, make it recompute."""
+    gen, v1, v2, grad, other = case
+    want_v1 = fresh_copy(gen).backward(v1, grad)
+    want_v2 = fresh_copy(gen).backward(v2, grad)
+    gen.render(v1)
+    assert_same_bits(gen.backward(v1, grad), want_v1)
+    assert_same_bits(gen.backward(v1, grad), want_v1)
+    gen.render(v1)
+    assert_same_bits(gen.backward(v2, grad), want_v2)
+    gen.render(v1)
+    gen.set_params(other)
+    assert_same_bits(gen.backward(v1, grad), fresh_copy(gen).backward(v1, grad))
+
+
+def test_pixel_centers_are_solved_once_and_read_only():
+    view = sample_view(3, ViewJitterSpec(**WIDE_JITTER, width=5, height=4))
+    z = view.pixel_centers
+    assert z is view.pixel_centers and z.shape == (20, 2)
+    gx, gy = np.meshgrid(np.arange(5) + 0.5, np.arange(4) + 0.5)
+    pix = z @ view.linear.T + view.offset
+    assert np.allclose(pix, np.stack([gx.ravel(), gy.ravel()], axis=1), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        z[0, 0] = 0.0
+
+
+def test_jittered_view_batch_step_sums_fresh_backward_calls(schedule):
+    """One distill_step over two jittered views accumulates, bit for bit, the
+    sum of each view's backward on a generator that never rendered."""
+    spec = ViewJitterSpec(**WIDE_JITTER, width=6, height=5)
+    rng = np.random.default_rng(4)
+    oracle = MixtureOracle(means=rng.uniform(0.0, 1.0, (2, 30)), sigmas=[0.2, 0.2],
+                           weights=[0.5, 0.5], labels={"a": [0], "b": [1]})
+    cfg = DistillConfig(objective="ism", iterations=1, t_min=220, t_max=600,
+                        delta_t_start=200, delta_t_end=50, delta_s=50,
+                        guidance=GuidanceSpec(positive="a", scale=7.5),
+                        view_batch=2, jitter=spec, seed=5)
+    gen = random_scene(4, 1, seed=2, background=[0.3])
+    state = init_state(gen, oracle, cfg)
+    before = fresh_copy(gen)
+    calls, steps = [], []
+    backward, adam_step = gen.backward, state.adam.step
+    gen.backward = lambda view, g: (calls.append((view, g)), backward(view, g))[1]
+    state.adam.step = lambda params, grad: (steps.append(grad), adam_step(params, grad))[1]
+    distill_step(state, oracle, schedule, cfg, 0)
+    assert len(calls) == 2 and calls[0][0] is not calls[1][0]
+    assert not any(np.array_equal(view.affine, state.cview.affine) for view, _ in calls)
+    want = np.zeros(gen.n_params)
+    for view, g in calls:
+        want += fresh_copy(before).backward(view, g)
+    assert_same_bits(steps[0], want)
