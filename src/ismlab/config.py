@@ -9,6 +9,7 @@ dotted key that failed, so the CLI can exit with the config-error code.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -105,12 +106,18 @@ def build_schedule(cfg: dict) -> NoiseSchedule:
 def gaussian_blob_template(width: int, height: int, channels: int,
                            center, sigma: float, peak: float) -> np.ndarray:
     """Flat image of an isotropic blob over the canonical [-1, 1]^2 square;
-    used to define image-space mixture components from compact configs."""
+    used to define image-space mixture components from compact configs.
+    A sigma too large to square (above about 1.3e154) gives the flat limit,
+    every pixel peak."""
     xs = (np.arange(width) + 0.5) / width * 2.0 - 1.0
     ys = (np.arange(height) + 0.5) / height * 2.0 - 1.0
     gx, gy = np.meshgrid(xs, ys)
     d2 = (gx - center[0]) ** 2 + (gy - center[1]) ** 2
-    img = peak * np.exp(-0.5 * d2 / sigma ** 2)
+    try:
+        var = sigma ** 2
+    except OverflowError:
+        var = math.inf
+    img = peak * np.exp(-0.5 * d2 / var)
     return np.repeat(img.ravel()[:, None], channels, axis=1).ravel()
 
 

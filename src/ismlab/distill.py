@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,8 +54,11 @@ class AdamOptimizer:
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         c = self.cfg
         self.k += 1
-        self.m = c.beta1 * self.m + (1.0 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1.0 - c.beta2) * grad * grad
+        # in place, by the operations of beta * m + (1 - beta) * g in their order
+        self.m *= c.beta1
+        self.m += (1.0 - c.beta1) * grad
+        self.v *= c.beta2
+        self.v += (1.0 - c.beta2) * grad * grad
         m_hat = self.m / (1.0 - c.beta1 ** self.k)
         v_hat = self.v / (1.0 - c.beta2 ** self.k)
         return params - c.step_size * m_hat / (np.sqrt(v_hat) + c.eps_hat)
@@ -121,10 +124,6 @@ class RunLog:
     def total_oracle_calls(self) -> int:
         return sum(r.oracle_calls for r in self.rows)
 
-    def mode_distance_curve(self) -> list[float]:
-        """Distances entering each iteration, starting from the initial state."""
-        return [r.mode_distance for r in self.rows]
-
     def first_crossing(self, threshold: float) -> Optional[int]:
         """First iteration whose entering state is within threshold of a mode;
         the final state counts as iteration len(rows)."""
@@ -139,17 +138,34 @@ class RunLog:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_CSV_HEADER)
-            for r in self.rows:
-                writer.writerow([r.iter, r.t, r.delta_t, repr(r.grad_norm),
-                                 r.oracle_calls, repr(r.loss_proxy),
-                                 repr(r.mode_distance), repr(r.wall_time)])
+            writer.writerows(astuple(r) for r in self.rows)  # csv writes floats by repr
+
+
+def norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-D float array, bit for bit."""
+    return math.sqrt(v.dot(v))
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
+    """np.sum((a - b) ** 2, axis=-1) bit for bit; its square root is
+    np.linalg.norm(a - b, axis=-1) bit for bit."""
+    d = a - b
+    return np.add.reduce(d * d, axis=-1)
 
 
 def nearest_mode_distance(oracle: MixtureOracle, label: Label, x) -> float:
     """Distance from x to the closest component mean selected by the label."""
     x = np.asarray(x, dtype=float).ravel()
-    means = oracle.label_means(label)
-    return float(np.min(np.linalg.norm(means - x[None, :], axis=1)))
+    return math.sqrt(np.minimum.reduce(squared_distances(oracle.label_means(label), x)))
+
+
+def checked_render(generator, oracle: MixtureOracle, view: View) -> np.ndarray:
+    """The generator's render of a view, which must have the oracle's dimension."""
+    x = generator.render(view)
+    if x.shape != (oracle.dim,):
+        raise ConfigError(f"the generator renders {x.size} values per view but the "
+                          f"oracle's dimension is {oracle.dim}")
+    return x
 
 
 def current_interval(cfg: DistillConfig, iter_index: int) -> int:
@@ -178,7 +194,7 @@ def init_state(generator, oracle: MixtureOracle, cfg: DistillConfig) -> DistillS
     cview = canonical_view(cfg.jitter.width, cfg.jitter.height)
     log = RunLog()
     log.initial_mode_distance = nearest_mode_distance(
-        oracle, cfg.guidance.positive, generator.render(cview))
+        oracle, cfg.guidance.positive, checked_render(generator, oracle, cview))
     return DistillState(
         generator=generator,
         adam=AdamOptimizer(generator.n_params, cfg.optimizer),
@@ -233,21 +249,14 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
             raise NumericalError(f"{exc} at iteration {iter_index}, t={t}") from exc
         grad_theta += gen.backward(view, report.grad_x0)
         calls += report.oracle_calls
-        loss_proxy += float(np.sum((x0 - report.pseudo_gt) ** 2))
+        loss_proxy += float(squared_distances(x0, report.pseudo_gt))
     loss_proxy /= cfg.view_batch
 
-    row = LogRow(
-        iter=iter_index,
-        t=t,
-        delta_t=delta_t,
-        grad_norm=float(np.linalg.norm(grad_theta)),
-        oracle_calls=calls,
-        loss_proxy=loss_proxy,
-        mode_distance=entering_distance,
-        wall_time=time.perf_counter() - state.started,
-    )
+    row = LogRow(iter=iter_index, t=t, delta_t=delta_t, grad_norm=norm(grad_theta),
+                 oracle_calls=calls, loss_proxy=loss_proxy, mode_distance=entering_distance,
+                 wall_time=time.perf_counter() - state.started)
     state.log.rows.append(row)
-    if not np.isfinite(grad_theta).all():
+    if not np.logical_and.reduce(np.isfinite(grad_theta)):
         raise NumericalError(f"non-finite gradient at iteration {iter_index}, t={t}")
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))

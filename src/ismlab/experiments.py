@@ -29,7 +29,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,7 +37,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import get_key, nonempty_ints, read
-from .distill import DistillConfig, RunLog, nearest_mode_distance, run_distillation
+from .distill import (DistillConfig, RunLog, checked_render, nearest_mode_distance,
+                      run_distillation)
 from .errors import ConfigError
 from .generators import ViewJitterSpec, canonical_view, random_scene
 from .objectives import (
@@ -205,18 +206,8 @@ class ConsistencyReport:
     frames: dict[str, np.ndarray] = field(default_factory=dict)
 
     def summary(self) -> dict:
-        return {
-            "kind": "consistency",
-            "t_values": self.t_values,
-            "sds_noise_variance": self.sds_noise_variance,
-            "ism_noise_variance": self.ism_noise_variance,
-            "sds_across_t_variance": self.sds_across_t_variance,
-            "ism_across_t_variance": self.ism_across_t_variance,
-            "sds_mean_target_mode_distance": self.sds_mean_target_mode_distance,
-            "sds_mean_of_target_distances": self.sds_mean_of_target_distances,
-            "ism_mean_target_mode_distance": self.ism_mean_target_mode_distance,
-            "ism_mean_of_target_distances": self.ism_mean_of_target_distances,
-        }
+        """Every field but the frames, in declaration order."""
+        return {"kind": "consistency", **{k: v for k, v in vars(self).items() if k != "frames"}}
 
     def write_files(self, out: Path) -> None:
         _write_csv(out / "consistency.csv", CONSISTENCY_CSV_HEADER,
@@ -237,8 +228,7 @@ def run_consistency(spec: ExperimentSpec) -> ConsistencyReport:
     gen = spec.make_generator()
     sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
     jit = cfgmod.build_jitter(spec.generator_cfg)
-    view = canonical_view(jit.width, jit.height)
-    x0 = gen.render(view)
+    x0 = checked_render(gen, oracle, canonical_view(jit.width, jit.height))
     stride = spec.delta_s_values[0]
     rng = np.random.default_rng(spec.seeds[0])
 
@@ -351,9 +341,8 @@ class EtaReport:
 def run_eta_sweep(spec: ExperimentSpec) -> EtaReport:
     """Bias magnitude versus interval length, with cost accounting."""
     sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
-    gen = spec.make_generator()
     jit = cfgmod.build_jitter(spec.generator_cfg)
-    x0 = gen.render(canonical_view(jit.width, jit.height))
+    x0 = checked_render(spec.make_generator(), oracle, canonical_view(jit.width, jit.height))
     delta_s = spec.delta_s_values[0]
 
     rows, grad_rows = [], []
@@ -487,8 +476,8 @@ def run_race(spec: ExperimentSpec) -> RaceReport:
             cfg = replace(spec.distill, objective=objective, seed=seed)
             gen = spec.make_generator()
             log = run_distillation(gen, spec.oracle, spec.schedule, cfg)
-            curve = log.mode_distance_curve() + [log.final_mode_distance]
-            curves[(seed, objective)] = curve
+            curve = [r.mode_distance for r in log.rows]  # entering each iteration
+            curves[(seed, objective)] = curve + [log.final_mode_distance]
             crossings[(seed, objective)] = log.first_crossing(spec.threshold)
     return RaceReport(curves=curves, crossings=crossings, threshold=spec.threshold)
 
@@ -517,14 +506,11 @@ class GradcheckReport:
         return {
             "kind": "gradcheck",
             "ok": self.ok,
-            "rows": [{"check": r.check, "max_error": r.max_error,
-                      "tolerance": r.tolerance, "passed": r.passed}
-                     for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def write_files(self, out: Path) -> None:
-        _write_csv(out / "gradcheck.csv", GRADCHECK_CSV_HEADER,
-                   [(r.check, r.max_error, r.tolerance, r.passed) for r in self.rows])
+        _write_csv(out / "gradcheck.csv", GRADCHECK_CSV_HEADER, map(astuple, self.rows))
 
 
 def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:

@@ -73,8 +73,6 @@ def sds_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     """Noise-matching update: omega(t) * (guided prediction at the noised
     point minus the injected noise). Varies with the noise draw."""
     t = schedule._check_t(t, 1)
-    x0 = np.asarray(x0, dtype=float)
-    eps = np.asarray(eps, dtype=float)
     before = oracle.eps_evals
     xt = add_noise(schedule, x0, t, eps)
     eps_pred = oracle.eps_guided(schedule, xt, t, g)
@@ -103,7 +101,6 @@ def ism_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     s = t - delta_t
     if not 1 <= delta_s <= s:
         raise ConfigError(f"need 1 <= delta_s <= t - delta_t, got delta_s={delta_s}")
-    x0 = np.asarray(x0, dtype=float)
     before = oracle.eps_evals
     grid = inversion_grid(s, delta_s) + [t]
     traj = invert_along(oracle, schedule, x0, grid)
@@ -182,7 +179,6 @@ def naive_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     omega(t) * interval score exactly. Costs about 2 * (t / delta_t) oracle
     evaluations, which is what the interval objective avoids.
     """
-    x0 = np.asarray(x0, dtype=float)
     pieces = _interval_pieces(oracle, schedule, x0, t, delta_t, g)
     w = schedule.loss_weight(t) / schedule.noise_to_signal(t)
     return GradientReport(
@@ -204,7 +200,6 @@ def multistep_bias(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     scores from the cached trajectories and verifies the two agree to 1e-9;
     disagreement indicates a broken trajectory invariant and raises.
     """
-    x0 = np.asarray(x0, dtype=float)
     pieces = _interval_pieces(oracle, schedule, x0, t, delta_t, g)
     residual = (x0 - pieces.x0_tilde) - schedule.noise_to_signal(t) * pieces.interval
     gap = float(np.linalg.norm(residual - pieces.series(schedule)))
@@ -223,7 +218,6 @@ def decomposition_check(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
     interval score plus the telescoping bias; should be < 1e-9 in double
     precision for all valid inputs.
     """
-    x0 = np.asarray(x0, dtype=float)
     pieces = _interval_pieces(oracle, schedule, x0, t, delta_t, g)
     gam = schedule.noise_to_signal(t)
     lhs = x0 - pieces.x0_tilde

@@ -98,12 +98,11 @@ class MixtureOracle:
         if np.any(weights <= 0) or not np.isfinite(weights).all():
             raise ConfigError("component weights must be positive and finite")
 
-        self.means = means
-        self.means.flags.writeable = False
-        self.sigmas = np.maximum(sigmas, SIGMA_MIN)
-        self.sigmas.flags.writeable = False
+        self.means, self.sigmas = means, np.maximum(sigmas, SIGMA_MIN)
         self.weights = weights / weights.sum()
-        self.weights.flags.writeable = False
+        for a in (self.means, self.sigmas, self.weights):
+            a.flags.writeable = False
+        self._shape = means.shape[1:]  # of an input point
 
         self.labels: dict[str, tuple[int, ...]] = {}
         for name, idx in (labels or {}).items():
@@ -153,17 +152,22 @@ class MixtureOracle:
         except KeyError:
             raise UnknownLabelError(label) from None
 
-    def _check_x(self, x) -> np.ndarray:
+    def _checked(self, schedule: NoiseSchedule, x, t: int, label: Label):
+        """The point as a float array, the timestep as an int and the label's
+        terms, each checked once: shape, finiteness, timestep range, label."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape != self._shape:
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x)):
             raise NumericalError("non-finite input point")
-        return x
+        t = int(t)
+        if not 0 <= t <= schedule.num_steps:
+            raise IndexError(f"timestep {t} outside [0, {schedule.num_steps}]")
+        return x, t, self._select(label)
 
     def _consts(self, schedule: NoiseSchedule, t: int, label: Label, terms: _LabelTerms):
-        """Memoised K-vectors at a checked timestep: the noised variances
-        var, 2 * var, -1 / var and the log-normalisers
+        """Memoised K-vectors at a checked timestep, from the noised variances
+        var: -var, 2 * var, -1 / var and the log-normalisers
         logw - D/2 * log(2 pi var)."""
         held = self._memo.get((id(schedule), label))
         if held is None:
@@ -174,16 +178,14 @@ class MixtureOracle:
             ab = schedule.alpha_bar[t]
             var = ab * terms.sig2 + (1.0 - ab)
             lognorm = terms.logw - 0.5 * self.dim * np.log(2.0 * math.pi * var)
-            consts = held[1][t] = (var, 2.0 * var, -(1.0 / var), lognorm)
+            consts = held[1][t] = (-var, 2.0 * var, -(1.0 / var), lognorm)
         return consts
 
     def log_density(self, schedule: NoiseSchedule, x, t: int, label: Label = None) -> float:
         """Log of the noised, label-restricted mixture density at x."""
-        x = self._check_x(x)
-        t = schedule._check_t(t, 0)
-        terms = self._select(label)
+        x, t, terms = self._checked(schedule, x, t, label)
         _, twovar, _, lognorm = self._consts(schedule, t, label, terms)
-        diff = x[None, :] - schedule.sab[t] * terms.means
+        diff = x - terms.means * schedule.sab[t]
         logs = lognorm - np.einsum("kd,kd->k", diff, diff) / twovar
         m = logs.max()
         return float(m + np.log(np.exp(logs - m).sum()))
@@ -196,22 +198,21 @@ class MixtureOracle:
         exactly 1), so its score stays finite even where |x - mu|^2
         overflows.
         """
-        x = self._check_x(x)
-        t = schedule._check_t(t, 0)
-        terms = self._select(label)
+        x, t, terms = self._checked(schedule, x, t, label)
         self.eps_evals += 1
         if t == 0:
             return np.zeros(self.dim)
-        var, twovar, neg_inv_var, lognorm = self._consts(schedule, t, label, terms)
-        diff = x[None, :] - schedule.sab[t] * terms.means
+        neg_var, twovar, neg_inv_var, lognorm = self._consts(schedule, t, label, terms)
+        diff = x - terms.means * schedule.sab[t]
         if terms.single:
             score = neg_inv_var @ diff
         else:
             logs = lognorm - np.einsum("kd,kd->k", diff, diff) / twovar
-            resp = np.exp(logs - logs.max())
-            resp /= resp.sum()
-            score = -(resp / var) @ diff
-        return -schedule.s1mab[t] * score
+            resp = np.exp(logs - np.maximum.reduce(logs))
+            resp /= np.add.reduce(resp)
+            # resp / -var is -(resp / var) bit for bit: a negated divisor negates the quotient
+            score = (resp / neg_var) @ diff
+        return score * -schedule.s1mab[t]
 
     def sample(self, rng: np.random.Generator, n: int = 1, label: Label = None) -> np.ndarray:
         """Draw clean samples from the label-restricted mixture, shape (n, dim)."""

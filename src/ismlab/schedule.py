@@ -36,8 +36,8 @@ class NoiseSchedule:
         omega_kind: which per-timestep loss weight to use, one of
             ``unit`` (constant 1) or ``one_minus_alpha_bar``.
 
-    Derived read-only tables, indexed by timestep (index only after
-    ``_check_t``: a negative index would wrap silently):
+    Derived read-only tables, indexed by timestep (index only after a range
+    check such as ``_check_t``: a negative index would wrap silently):
         sab: sqrt(alpha_bar[t]).
         s1mab: sqrt(1 - alpha_bar[t]).
         nsr: s1mab[t] / sab[t], the noise-to-signal ratio.

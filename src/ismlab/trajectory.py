@@ -67,11 +67,14 @@ def hop(schedule: NoiseSchedule, x, t_from: int, t_to: int, eps) -> np.ndarray:
     """One deterministic move t_from -> t_to with a fixed epsilon-prediction."""
     a = schedule._check_t(t_from, 0)
     b = schedule._check_t(t_to, 0)
-    x = np.asarray(x, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    sab, s1mab = schedule.sab, schedule.s1mab
-    x0_hat = (x - s1mab[a] * eps) / sab[a]
-    return sab[b] * x0_hat + s1mab[b] * eps
+    return _hop(schedule, np.asarray(x, dtype=float), a, b, np.asarray(eps, dtype=float))
+
+
+def _hop(schedule: NoiseSchedule, x: np.ndarray, a: int, b: int, eps: np.ndarray) -> np.ndarray:
+    """The hop formula on float arrays at timesteps already checked; the array
+    comes first in each product, which skips a try of float.__mul__."""
+    x0_hat = (x - eps * schedule.s1mab[a]) / schedule.sab[a]
+    return x0_hat * schedule.sab[b] + eps * schedule.s1mab[b]
 
 
 def invert_along(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
@@ -82,21 +85,21 @@ def invert_along(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
     label is supplied.
     """
     steps = [int(t) for t in timesteps]
-    if steps[0] != 0 or any(b <= a for a, b in zip(steps, steps[1:])):
+    if steps[0] != 0 or steps != sorted(set(steps)):
         raise ConfigError(f"timestep grid must be strictly increasing from 0, got {steps}")
     schedule._check_t(steps[-1], 1)
     return _walk(schedule, x0, steps, oracle.eps_predict, label)
 
 
 def _walk(schedule: NoiseSchedule, x, nodes: list[int], predict, cond) -> Trajectory:
-    """Hop from nodes[0] through each later node, predicting epsilon with
-    predict(schedule, x, t, cond) at every node stepped away from."""
+    """Hop from nodes[0] through each later node (the caller checked them),
+    predicting epsilon with predict(schedule, x, t, cond) at each node it leaves."""
     x = np.asarray(x, dtype=float).copy()
     latents = [x]
     cache = []
     for a, b in zip(nodes, nodes[1:]):
         eps = predict(schedule, x, a, cond)
-        x = hop(schedule, x, a, b, eps)
+        x = _hop(schedule, x, a, b, eps)
         cache.append(eps)
         latents.append(x)
     return Trajectory(tuple(nodes), tuple(latents), tuple(cache))

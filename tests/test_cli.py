@@ -72,6 +72,32 @@ def test_out_of_range_size_is_a_one_line_config_error(tmp_path, capsys, key, val
         f"config error: bad value for config key {key}: must be a finite int > 0, got {value!r}"]
 
 
+@pytest.mark.parametrize("kind, name, key, value, size, dim", [
+    ("distill", "distill_splats.json", "view.width", 8, 128, 256),
+    ("distill", "distill_splats.json", "generator.channels", 2, 512, 256),
+    ("distill", "distill_identity.json", "generator.theta", [0.0, 0.0, 0.0], 3, 2),
+    ("consistency", "consistency.json", "generator.theta", [0.0], 1, 2),
+    ("eta-sweep", "eta_sweep.json", "generator.theta", [0.0, 0.0, 0.0], 3, 2),
+])
+def test_render_size_other_than_oracle_dim_is_a_one_line_config_error(
+        tmp_path, capsys, kind, name, key, value, size, dim):
+    cfg = tweak_config(tmp_path, name, **{key: value})
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: the generator renders {size} values per view but the "
+        f"oracle's dimension is {dim}"]
+
+
+def test_template_sigma_too_large_to_square_gives_the_flat_template(tmp_path):
+    flat = gaussian_blob_template(16, 16, 1, (0.45, 0.0), 1e300, 0.9)
+    assert flat.tobytes() == np.full(256, 0.9).tobytes()
+    blob = {"template": "gaussian_blob", "center": [0.45, 0.0]}
+    cfg = tweak_config(tmp_path, "distill_splats.json",
+                       **{"distill.iterations": 3, "oracle.components": [
+                           {"mean": {**blob, "sigma": 1e300}}, {"mean": blob}]})
+    assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_eta_sweep_outputs(tmp_path):
     cfg = tweak_config(tmp_path, "eta_sweep.json",
                        **{"experiment.t_values": [200],

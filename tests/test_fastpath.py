@@ -1,13 +1,16 @@
 """The tabulated schedule and the memoised oracle constants reproduce the
-plain formulas bit for bit, and the splat backward pass reproduces its
-plain formulas to 1e-12 relative.
+plain formulas bit for bit, the distillation step's bookkeeping reproduces
+numpy's norm, sum and out-of-place Adam bit for bit, and the splat backward
+pass reproduces its plain formulas to 1e-12 relative.
 
 The reference functions below recompute every square root and per-label
 constant on each call, exactly as the oracle and transport did before the
-tables and the memo existed, and the splat reference recomputes the forward
-pass and forms the geometric partials per pixel, as the backward pass did
-before it reused the render and summed over pixels first; they are kept
-here as the judge.
+tables and the memo existed; the step references call np.linalg.norm and
+np.sum and rebuild Adam's moments out of place, as the step did before it
+skipped numpy's Python wrappers; and the splat reference recomputes the
+forward pass and forms the geometric partials per pixel, as the backward
+pass did before it reused the render and summed over pixels first. They are
+kept here as the judge.
 """
 
 import math
@@ -17,7 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ismlab import GuidanceSpec, MixtureOracle, ViewJitterSpec, make_schedule, sample_view
+from ismlab import (
+    AdamOptimizer,
+    GuidanceSpec,
+    MixtureOracle,
+    NumericalError,
+    OptimConfig,
+    ViewJitterSpec,
+    make_schedule,
+    sample_view,
+)
+from ismlab.distill import nearest_mode_distance, norm, squared_distances
 from ismlab.generators import (
     CENTER,
     COLOR,
@@ -27,7 +40,14 @@ from ismlab.generators import (
     _composite,
     random_scene,
 )
-from ismlab.trajectory import add_noise, hop, pseudo_gt_single
+from ismlab.trajectory import (
+    add_noise,
+    ddim_invert,
+    denoise_path,
+    hop,
+    invert_along,
+    pseudo_gt_single,
+)
 
 
 def _sa(sch, t):
@@ -111,6 +131,34 @@ def ref_splat_backward(gen, view, grad_output):
     g_rows[:, LOGIT_OPACITY] = (g_alpha * alphas).sum(axis=1) * (1.0 - opacity)
     grad[-c:] = grad_image.T @ t_last
     return grad
+
+
+def ref_norm(v):
+    return float(np.linalg.norm(v))
+
+
+def ref_nearest_mode_distance(means, x):
+    return float(np.min(np.linalg.norm(means - x[None, :], axis=1)))
+
+
+def ref_squared_distance(a, b):
+    return float(np.sum((a - b) ** 2))
+
+
+class RefAdam:
+    """AdamOptimizer with its moments rebuilt out of place on every step."""
+
+    def __init__(self, n_params, cfg):
+        self.cfg, self.m, self.v, self.k = cfg, np.zeros(n_params), np.zeros(n_params), 0
+
+    def step(self, params, grad):
+        c = self.cfg
+        self.k += 1
+        self.m = c.beta1 * self.m + (1.0 - c.beta1) * grad
+        self.v = c.beta2 * self.v + (1.0 - c.beta2) * grad * grad
+        m_hat = self.m / (1.0 - c.beta1 ** self.k)
+        v_hat = self.v / (1.0 - c.beta2 ** self.k)
+        return params - c.step_size * m_hat / (np.sqrt(v_hat) + c.eps_hat)
 
 
 def assert_same_bits(got, want):
@@ -263,3 +311,87 @@ def test_splat_backward_matches_reference(n, c, width, height, seed):
         assert np.abs(got_rows[:, :5] - rows[:, :5]).max() <= 1e-12 * scale
         assert_same_bits(got_rows[:, 5:], rows[:, 5:])
         assert_same_bits(got[-c:], want[-c:])
+
+
+def signed_vector(data, rng, d):
+    """A length-d vector at a drawn scale with -0.0 and 0.0 written at drawn
+    shares of its positions (none, some or all of them)."""
+    v = rng.standard_normal(d) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    v[rng.random(d) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    v[rng.random(d) < data.draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 300), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_step_bookkeeping_matches_numpy_bitwise(d, k, seed, data):
+    """The gradient norm, the loss proxy's squared distance, the nearest-mode
+    distance and the in-place Adam step give numpy's bits, signed zeros
+    included."""
+    rng = np.random.default_rng(seed)
+    a, b = signed_vector(data, rng, d), signed_vector(data, rng, d)
+    assert_same_bits(norm(a), ref_norm(a))
+    assert_same_bits(float(squared_distances(a, b)), ref_squared_distance(a, b))
+
+    means = np.array([signed_vector(data, rng, d) for _ in range(k)])
+    o = MixtureOracle(means, [0.1] * k, [1.0] * k, {"sub": sorted({0, k - 1})})
+    for label in (None, "sub"):
+        assert_same_bits(nearest_mode_distance(o, label, a),
+                         ref_nearest_mode_distance(o.label_means(label), a))
+
+    cfg = OptimConfig(step_size=data.draw(st.floats(1e-4, 1.0)),
+                      beta1=data.draw(st.floats(0.0, 0.999)),
+                      beta2=data.draw(st.floats(0.0, 0.9999)),
+                      eps_hat=data.draw(st.sampled_from([1e-8, 1e-3])))
+    adam, ref = AdamOptimizer(d, cfg), RefAdam(d, cfg)
+    params = ref_params = signed_vector(data, rng, d)
+    for _ in range(data.draw(st.integers(1, 6))):
+        grad = signed_vector(data, rng, d)
+        params, ref_params = adam.step(params, grad), ref.step(ref_params, grad)
+        assert_same_bits(params, ref_params)
+        assert_same_bits(adam.m, ref.m)
+        assert_same_bits(adam.v, ref.v)
+
+
+def test_checks_raise_as_when_every_hop_was_checked(mixture3, schedule):
+    """A non-finite point and an out-of-range timestep raise the same error
+    types and messages from the oracle, hop and the walks as when every hop
+    of a walk was checked. hop never checked finiteness and still carries a
+    non-finite point through; a walk that makes a non-finite latent stops at
+    the next node."""
+    x, bad = np.array([0.3, -0.4]), np.array([np.nan, 0.0])
+    g = GuidanceSpec(positive="a", scale=7.5)
+    nonfinite = (NumericalError, "non-finite input point")
+    cases = [
+        (lambda: mixture3.eps_predict(schedule, bad, 5), nonfinite),
+        (lambda: mixture3.eps_predict(schedule, np.array([np.inf, 0.0]), 1001, "zz"), nonfinite),
+        (lambda: mixture3.eps_predict(schedule, x, 1001, "zz"),
+         (IndexError, "timestep 1001 outside [0, 1000]")),
+        (lambda: mixture3.eps_predict(schedule, x, -1), (IndexError, "timestep -1 outside [0, 1000]")),
+        (lambda: mixture3.eps_predict(schedule, x[:1], 5),
+         (ValueError, "expected point of shape (2,), got (1,)")),
+        (lambda: mixture3.eps_guided(schedule, bad, 5, g), nonfinite),
+        (lambda: mixture3.log_density(schedule, bad, 5), nonfinite),
+        (lambda: mixture3.log_density(schedule, x, 1001), (IndexError, "timestep 1001 outside [0, 1000]")),
+        (lambda: hop(schedule, x, 1001, 5, x), (IndexError, "timestep 1001 outside [0, 1000]")),
+        (lambda: hop(schedule, bad, 5, -1, x), (IndexError, "timestep -1 outside [0, 1000]")),
+        (lambda: invert_along(mixture3, schedule, bad, [0, 5, 10]), nonfinite),
+        (lambda: invert_along(mixture3, schedule, x, [0, 5, 1001]),
+         (IndexError, "timestep 1001 outside [1, 1000]")),
+        (lambda: ddim_invert(mixture3, schedule, bad, 10, 5), nonfinite),
+        (lambda: denoise_path(mixture3, schedule, bad, 10, 5, g), nonfinite),
+        (lambda: denoise_path(mixture3, schedule, x, 1001, 5, g),
+         (IndexError, "timestep 1001 outside [1, 1000]")),
+        (lambda: denoise_path(mixture3, schedule, x, 0, 5, g),
+         (IndexError, "timestep 0 outside [1, 1000]")),
+        # the softmax over "ab" is NaN at |x| = 1e200, so the second node is not finite
+        (lambda: denoise_path(mixture3, schedule, np.full(2, 1e200), 10, 5,
+                              GuidanceSpec(positive="ab", scale=1.0)), nonfinite),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call, (kind, message) in cases:
+            with pytest.raises(Exception) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (kind, message)
+        assert np.isnan(hop(schedule, bad, 5, 10, x)[0])
