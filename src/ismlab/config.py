@@ -20,6 +20,9 @@ from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule, make_schedule
 
 REQUIRED = object()  # table default of a key that must be given
+# The top-level sections of a config; each is read by its own table.
+SECTIONS = dict.fromkeys(("schedule", "oracle", "guidance", "view", "jitter", "generator",
+                          "distill", "experiment"), (None, lambda v: v))
 
 
 def load_json(path) -> dict:
@@ -30,39 +33,30 @@ def load_json(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def get_key(cfg: dict, key: str, default=None, required: bool = False):
-    node = cfg
-    for part in key.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing config key {key!r}")
-            return default
-        node = node[part]
-    return node
-
-
 def read(section, table: dict, path: str) -> dict:
-    """The values of the config object at a dotted path, by its table
-    key -> (default, converter); a missing or null object takes every default.
-    An unknown or missing REQUIRED key, or a value its converter rejects with
-    TypeError, ValueError or OverflowError, is a ConfigError naming the dotted key."""
+    """The values of the config object at a dotted path ("" for the top level),
+    by its table key -> (default, converter); a missing or null object takes
+    every default. An unknown or missing REQUIRED key, or a value its converter
+    rejects with TypeError, ValueError or OverflowError, is a ConfigError
+    naming the dotted key."""
     section = {} if section is None else section
     if not isinstance(section, dict):
         raise ConfigError(f"{path} must be an object")
+    prefix = f"{path}." if path else ""
     for key in section:
         if key not in table:
-            raise ConfigError(f"unknown config key {path}.{key}")
+            raise ConfigError(f"unknown config key {prefix}{key}")
     values = {}
     for key, (default, convert) in table.items():
         if key not in section:
             if default is REQUIRED:
-                raise ConfigError(f"missing config key {path}.{key}")
+                raise ConfigError(f"missing config key {prefix}{key}")
             values[key] = default
         else:
             try:
                 values[key] = convert(section[key])
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad value for config key {path}.{key}: {exc}") from exc
+                raise ConfigError(f"bad value for config key {prefix}{key}: {exc}") from exc
     return values
 
 
@@ -98,7 +92,7 @@ SCHEDULE = {"T": (1000, int), "beta_start": (0.00085, float), "beta_end": (0.012
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:
-    s = read(get_key(cfg, "schedule"), SCHEDULE, "schedule")
+    s = read(cfg.get("schedule"), SCHEDULE, "schedule")
     return make_schedule(num_steps=s["T"], beta_start=s["beta_start"],
                          beta_end=s["beta_end"], omega_kind=s["omega"])
 
@@ -139,7 +133,7 @@ TEMPLATE = {"template": (REQUIRED, str), "center": ((0.0, 0.0), _center), "peak"
 
 
 def build_oracle(cfg: dict) -> MixtureOracle:
-    o = read(get_key(cfg, "oracle"), ORACLE, "oracle")
+    o = read(cfg.get("oracle"), ORACLE, "oracle")
     if not o["components"]:
         raise ConfigError("oracle.components must be non-empty")
     comps, means = [], []
@@ -170,7 +164,7 @@ GUIDANCE = {"positive": (None, lambda v: v), "negative": (None, lambda v: v),
 
 
 def build_guidance(cfg: dict) -> GuidanceSpec:
-    return GuidanceSpec(**read(get_key(cfg, "guidance"), GUIDANCE, "guidance"))
+    return GuidanceSpec(**read(cfg.get("guidance"), GUIDANCE, "guidance"))
 
 
 VIEW = {"width": (16, positive(int)), "height": (16, positive(int))}
@@ -179,8 +173,8 @@ JITTER = {"rotation_max": (0.0, float), "zoom_min": (1.0, float), "zoom_max": (1
 
 
 def build_jitter(cfg: dict) -> ViewJitterSpec:
-    return ViewJitterSpec(**read(get_key(cfg, "view"), VIEW, "view"),
-                          **read(get_key(cfg, "jitter"), JITTER, "jitter"))
+    return ViewJitterSpec(**read(cfg.get("view"), VIEW, "view"),
+                          **read(cfg.get("jitter"), JITTER, "jitter"))
 
 
 GENERATOR = {"kind": ("identity", str), "theta": (None, _vector), "n_splats": (32, positive(int)),
@@ -209,7 +203,7 @@ def _explicit_splats(splats: list, background: np.ndarray) -> SplatGenerator:
 
 
 def build_generator(cfg: dict):
-    g = read(get_key(cfg, "generator"), GENERATOR, "generator")
+    g = read(cfg.get("generator"), GENERATOR, "generator")
     if g["kind"] == "identity":
         if g["theta"] is None:
             raise ConfigError("missing config key generator.theta")
@@ -234,7 +228,7 @@ OPTIMIZER = {"step_size": (0.01, float), "beta1": (0.9, float), "beta2": (0.99, 
 
 
 def build_distill(cfg: dict) -> DistillConfig:
-    d = read(get_key(cfg, "distill"), DISTILL, "distill")
+    d = read(cfg.get("distill"), DISTILL, "distill")
     if d["t_min"] is None:
         d["t_min"] = 20 + d["delta_T_start"]
     return DistillConfig(

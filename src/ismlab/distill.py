@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -138,7 +138,8 @@ class RunLog:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_CSV_HEADER)
-            writer.writerows(astuple(r) for r in self.rows)  # csv writes floats by repr
+            # a row's fields in declaration order, not copied; csv writes floats by repr
+            writer.writerows(vars(r).values() for r in self.rows)
 
 
 def norm(v: np.ndarray) -> float:

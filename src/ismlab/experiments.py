@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import config as cfgmod
-from .config import get_key, nonempty_ints, read
+from .config import nonempty_ints, positive, read
 from .distill import (DistillConfig, RunLog, checked_render, nearest_mode_distance,
                       run_distillation)
 from .errors import ConfigError
@@ -52,7 +52,7 @@ from .objectives import (
 from .oracle import GuidanceSpec, MixtureOracle
 from .ppm import write_ppm
 from .schedule import NoiseSchedule
-from .trajectory import add_noise, ddim_denoise, ddim_invert, pseudo_gt_single
+from .trajectory import add_noise, denoise_path, inversion_grid, invert_along, pseudo_gt_single
 
 CONSISTENCY_CSV_HEADER = ("t", "sds_noise_variance", "ism_noise_variance")
 QUALITY_CSV_HEADER = ("t", "err_single", "err_multi", "oracle_calls_multi")
@@ -66,8 +66,7 @@ GRADCHECK_CSV_HEADER = ("check", "max_error", "tolerance", "passed")
 
 GRADCHECKS = {  # name -> (its max error for an ExperimentSpec, tolerance)
     "score_fd": (lambda s: score_fd_check(s.oracle, s.schedule, seed=s.seeds[0]), 1e-5),
-    "renderer_fd": (lambda s: renderer_fd_check(
-        seed=s.seeds[0], corrupt_scale=s.corrupt_renderer_scale), 1e-4),
+    "renderer_fd": (lambda s: renderer_fd_check(seed=s.seeds[0]), 1e-4),
     "gradient_forms": (lambda s: gradient_forms_check(
         s.oracle, s.schedule, s.guidance, seed=s.seeds[0]), 1e-10),
     "decomposition": (lambda s: decomposition_sweep_check(
@@ -93,7 +92,6 @@ class ExperimentSpec:
     start_points: int = 20
     distill: Optional[DistillConfig] = None
     checks: tuple[str, ...] = DEFAULT_CHECKS
-    corrupt_renderer_scale: float = 1.0
 
     def make_generator(self):
         return cfgmod.build_generator(self.generator_cfg)
@@ -109,16 +107,20 @@ def _check_names(value) -> tuple[str, ...]:
 
 
 EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty_ints),
-              "delta_T_values": ((10, 25, 50, 100), nonempty_ints),
-              "delta_S_values": ((50,), nonempty_ints), "seeds": ((0,), nonempty_ints),
-              "noise_draws": (8, int), "threshold": (0.2, float), "start_points": (20, int),
-              "checks": (DEFAULT_CHECKS, _check_names), "corrupt_renderer_scale": (1.0, float)}
+              "delta_T_values": ((10, 25, 50, 100), lambda v: nonempty_ints(map(positive(int), v))),
+              "delta_S_values": ((50,), lambda v: nonempty_ints(map(positive(int), v))),
+              "seeds": ((0,), nonempty_ints), "noise_draws": (8, int), "threshold": (0.2, float),
+              "start_points": (20, int), "checks": (DEFAULT_CHECKS, _check_names)}
 
 
 def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
-    """The spec of a config; EXPERIMENT keys other than the delta_ ones are
-    spec fields of the same name. The guidance labels must be oracle labels."""
-    e = read(get_key(cfg, "experiment"), EXPERIMENT, "experiment")
+    """The spec of a config, an object of SECTIONS; EXPERIMENT keys other than
+    the delta_ ones are spec fields of the same name. The guidance labels must
+    be oracle labels, and the t_values of a kind that reads them in [1, T]."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("the top level of a config must be an object")
+    read(cfg, cfgmod.SECTIONS, "")
+    e = read(cfg.get("experiment"), EXPERIMENT, "experiment")
     spec = ExperimentSpec(
         schedule=cfgmod.build_schedule(cfg),
         oracle=cfgmod.build_oracle(cfg),
@@ -133,6 +135,11 @@ def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     for key, label in (("positive", spec.guidance.positive), ("negative", spec.guidance.negative)):
         if label not in (None, *spec.oracle.labels):
             raise ConfigError(f"guidance.{key} is not null or an oracle label: {label!r}")
+    T = spec.schedule.num_steps
+    bad = [t for t in spec.t_values if not 1 <= t <= T]
+    if bad and kind in ("consistency", "quality", "eta-sweep"):
+        raise ConfigError(
+            f"bad value for config key experiment.t_values: {bad[0]} outside [1, {T}]")
     return spec
 
 
@@ -223,13 +230,16 @@ def run_consistency(spec: ExperimentSpec) -> ConsistencyReport:
     branch inverts the view and denoises multi-step, repeated K times to
     demonstrate (rather than assume) zero spread.
     """
+    stride = spec.delta_s_values[0]
     if spec.noise_draws < 2:
         raise ConfigError("consistency needs noise_draws >= 2")
+    if stride > min(spec.t_values):
+        raise ConfigError(f"consistency needs delta_S_values[0] <= every t_value, "
+                          f"got {stride} > {min(spec.t_values)}")
     gen = spec.make_generator()
     sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
     jit = cfgmod.build_jitter(spec.generator_cfg)
     x0 = checked_render(gen, oracle, canonical_view(jit.width, jit.height))
-    stride = spec.delta_s_values[0]
     rng = np.random.default_rng(spec.seeds[0])
 
     sds_by_t, ism_by_t = [], []
@@ -242,8 +252,8 @@ def run_consistency(spec: ExperimentSpec) -> ConsistencyReport:
         sds_by_t.append(draws)
         repeats = []
         for _ in range(spec.noise_draws):
-            xt = ddim_invert(oracle, sch, x0, t, stride).latents[-1]
-            repeats.append(ddim_denoise(oracle, sch, xt, t, stride, g))
+            xt = invert_along(oracle, sch, x0, inversion_grid(t, stride)).latents[-1]
+            repeats.append(denoise_path(oracle, sch, xt, t, stride, g).latents[-1])
         ism_by_t.append(repeats)
 
     label = g.positive
@@ -309,10 +319,10 @@ def run_quality(spec: ExperimentSpec) -> QualityReport:
     for t in spec.t_values:
         err_s, err_m, calls = [], [], []
         for x0 in starts:
-            xt = ddim_invert(oracle, sch, x0, t, min(inv_stride, t)).latents[-1]
+            xt = invert_along(oracle, sch, x0, inversion_grid(t, inv_stride)).latents[-1]
             single = pseudo_gt_single(sch, xt, t, oracle.eps_guided(sch, xt, t, g))
             before = oracle.eps_evals
-            multi = ddim_denoise(oracle, sch, xt, t, min(deno_stride, t), g)
+            multi = denoise_path(oracle, sch, xt, t, min(deno_stride, t), g).latents[-1]
             calls.append(oracle.eps_evals - before)
             err_s.append(nearest_mode_distance(oracle, label, single))
             err_m.append(nearest_mode_distance(oracle, label, multi))
@@ -534,7 +544,7 @@ def score_fd_check(oracle: MixtureOracle, schedule: NoiseSchedule,
         x = rng.uniform(-3.0, 3.0, size=oracle.dim)
         t = int(rng.integers(1, schedule.num_steps + 1))
         fd = fd_gradient(lambda p: oracle.log_density(schedule, p, t), x, 1e-5)
-        expected = -schedule.sqrt_one_minus_alpha_bar(t) * fd
+        expected = -schedule.s1mab[t] * fd
         got = oracle.eps_predict(schedule, x, t)
         denom = max(float(np.linalg.norm(expected)), 1e-12)
         worst = max(worst, float(np.linalg.norm(got - expected)) / denom)
@@ -542,10 +552,9 @@ def score_fd_check(oracle: MixtureOracle, schedule: NoiseSchedule,
 
 
 def renderer_fd_check(n_scenes: int = 20, size: int = 16, channels: int = 1,
-                      seed: int = 0, corrupt_scale: float = 1.0) -> float:
+                      seed: int = 0) -> float:
     """Max relative error of analytic renderer gradients against central
-    finite differences over random scenes. corrupt_scale != 1 deliberately
-    scales one analytic partial (fault-injection hook for the harness)."""
+    finite differences over random scenes."""
     worst = 0.0
     for k in range(n_scenes):
         rng = np.random.default_rng((seed, k))
@@ -556,10 +565,6 @@ def renderer_fd_check(n_scenes: int = 20, size: int = 16, channels: int = 1,
         view = canonical_view(size, size)
         grad_img = rng.standard_normal(size * size * channels)
         analytic = gen.backward(view, grad_img)
-        if corrupt_scale != 1.0:
-            analytic = analytic.copy()
-            analytic[0] *= corrupt_scale
-
         params = gen.get_params()
 
         def loss(p, gen=gen, view=view, grad_img=grad_img):

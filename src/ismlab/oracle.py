@@ -138,10 +138,6 @@ class MixtureOracle:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def n_components(self) -> int:
-        return self.means.shape[0]
-
     def label_means(self, label: Label) -> np.ndarray:
         """Read-only (K, D) means of the components the label selects."""
         return self._select(label).means

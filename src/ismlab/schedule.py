@@ -65,12 +65,6 @@ class NoiseSchedule:
             raise IndexError(f"timestep {t} outside [{lo}, {self.num_steps}]")
         return t
 
-    def sqrt_alpha_bar(self, t: int) -> float:
-        return self.sab[self._check_t(t, 0)]
-
-    def sqrt_one_minus_alpha_bar(self, t: int) -> float:
-        return self.s1mab[self._check_t(t, 0)]
-
     def noise_to_signal(self, t: int) -> float:
         """Ratio sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t); zero at t = 0."""
         return self.nsr[self._check_t(t, 0)]

@@ -116,32 +116,12 @@ def descent_grid(t: int, stride: int) -> list[int]:
     return [0, *range(t, 0, -stride)[::-1]]
 
 
-def ddim_invert(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
-                delta_s: int, label: Label = None) -> Trajectory:
-    """Deterministically invert x0 up to timestep t with stride delta_s.
-
-    Intermediate nodes are the multiples of delta_s below t; the final hop
-    covers whatever gap remains. The last cached epsilon is the prediction at
-    the penultimate node, kept for reuse by interval gradients.
-    """
-    t = schedule._check_t(t, 1)
-    if not 1 <= delta_s <= t:
-        raise ConfigError(f"need 1 <= delta_s <= t, got delta_s={delta_s}, t={t}")
-    return invert_along(oracle, schedule, x0, inversion_grid(t, delta_s), label)
-
-
 def denoise_path(oracle: MixtureOracle, schedule: NoiseSchedule, xt, t: int,
                  stride: int, g: GuidanceSpec) -> Trajectory:
     """Walk from (xt, t) down to timestep 0, re-evaluating the guided epsilon
-    at every visited latent."""
+    at every visited latent. The last latent is the multi-step clean estimate,
+    which is pseudo_gt_single's when stride = t."""
     t = schedule._check_t(t, 1)
     if not 1 <= stride <= t:
         raise ConfigError(f"need 1 <= stride <= t, got stride={stride}, t={t}")
     return _walk(schedule, xt, descent_grid(t, stride)[::-1], oracle.eps_guided, g)
-
-
-def ddim_denoise(oracle: MixtureOracle, schedule: NoiseSchedule, xt, t: int,
-                 stride: int, g: GuidanceSpec) -> np.ndarray:
-    """Multi-step clean estimate from (xt, t); the multi-step counterpart of
-    pseudo_gt_single (to which it collapses when stride = t)."""
-    return denoise_path(oracle, schedule, xt, t, stride, g).latents[-1]

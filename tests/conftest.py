@@ -1,6 +1,6 @@
 import pytest
 
-from ismlab import GuidanceSpec, MixtureOracle, make_schedule
+from ismlab import GuidanceSpec, MixtureOracle, SplatGenerator, make_schedule
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +49,17 @@ def guide_a():
 @pytest.fixture()
 def unconditional():
     return GuidanceSpec(positive=None, scale=1.0)
+
+
+@pytest.fixture()
+def corrupt_backward(monkeypatch):
+    """Scale the first analytic partial of every splat backward pass by 1.01,
+    a fault the renderer finite-difference check must catch."""
+    backward = SplatGenerator.backward
+
+    def scaled(self, view, grad_output):
+        grad = backward(self, view, grad_output).copy()
+        grad[0] *= 1.01
+        return grad
+
+    monkeypatch.setattr(SplatGenerator, "backward", scaled)

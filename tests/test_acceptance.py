@@ -18,8 +18,6 @@ from ismlab import (
     MixtureOracle,
     ViewJitterSpec,
     canonical_view,
-    ddim_denoise,
-    ddim_invert,
     ism_gradient,
     make_schedule,
     multistep_bias,
@@ -37,7 +35,7 @@ from ismlab.experiments import (
     score_fd_check,
 )
 from ismlab.generators import random_scene
-from ismlab.trajectory import hop
+from ismlab.trajectory import denoise_path, hop, inversion_grid, invert_along
 
 
 def report(num, name, ok, detail):
@@ -133,9 +131,9 @@ def test_criterion_3_invertibility(default_schedule):
     x0 = np.random.default_rng(1).uniform(-1.5, 1.5, 2)
     errs = {}
     for stride in (100, 50, 25):
-        xt = ddim_invert(smooth, default_schedule, x0, 600, stride).latents[-1]
-        errs[stride] = float(np.linalg.norm(
-            ddim_denoise(smooth, default_schedule, xt, 600, stride, uncond) - x0))
+        xt = invert_along(smooth, default_schedule, x0, inversion_grid(600, stride)).latents[-1]
+        back = denoise_path(smooth, default_schedule, xt, 600, stride, uncond).latents[-1]
+        errs[stride] = float(np.linalg.norm(back - x0))
     r1, r2 = errs[100] / errs[50], errs[50] / errs[25]
     elapsed = time.perf_counter() - t0
     report(3, "deterministic invertibility",

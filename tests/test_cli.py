@@ -46,10 +46,8 @@ def test_gradcheck_exits_zero(tmp_path):
     assert (out / "gradcheck.csv").exists()
 
 
-def test_gradcheck_failure_exits_two(tmp_path, capsys):
-    cfg = tweak_config(tmp_path, "gradcheck.json",
-                       **{"experiment.checks": ["renderer_fd"],
-                          "experiment.corrupt_renderer_scale": 1.01})
+def test_gradcheck_failure_exits_two(tmp_path, capsys, corrupt_backward):
+    cfg = tweak_config(tmp_path, "gradcheck.json", **{"experiment.checks": ["renderer_fd"]})
     out = tmp_path / "out"
     assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 2
     assert "renderer_fd" in capsys.readouterr().err
@@ -319,6 +317,82 @@ def test_misspelled_component_key_exits_one(tmp_path, capsys):
     assert main(["distill", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "'gaussian_blub'" in err and "oracle.components[1].mean" in err
+
+
+SECTION_TYPOS = {"schedule": "schedul", "oracle": "orcale", "guidance": "guidence",
+                 "view": "veiw", "jitter": "jiter", "generator": "generater",
+                 "distill": "distil", "experiment": "experiments"}
+
+
+@pytest.mark.parametrize("section, typo", SECTION_TYPOS.items())
+def test_misspelled_section_is_a_one_line_config_error(tmp_path, capsys, section, typo):
+    """A top-level key other than the eight section names is a config error
+    naming it, raised before anything runs; a misspelled `distill` section no
+    longer runs 1000 default iterations."""
+    cfg = load_json(CONFIGS / "distill_identity.json")
+    cfg[typo] = cfg.pop(section, {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["distill", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: unknown config key {typo}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '"race"', "3", '[{"schedule": {}}]'])
+def test_top_level_value_other_than_an_object_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["race", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: the top level of a config must be an object"]
+
+
+@pytest.mark.parametrize("kind, name", [("consistency", "consistency.json"),
+                                        ("quality", "quality.json"),
+                                        ("eta-sweep", "eta_sweep.json")])
+@pytest.mark.parametrize("t", [2000, 1001, 0, -5])
+def test_timestep_outside_the_schedule_is_a_one_line_config_error(tmp_path, capsys, kind,
+                                                                  name, t):
+    """Was an IndexError traceback, or for eta-sweep at 0 an exit 0 with an
+    empty eta_sweep.csv."""
+    cfg = tweak_config(tmp_path, name, **{"experiment.t_values": [200, t]})
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: bad value for config key experiment.t_values: {t} outside [1, 1000]"]
+    assert not out.exists()
+
+
+def test_timesteps_are_checked_only_for_the_kinds_that_read_them():
+    for kind, name in [("consistency", "consistency.json"), ("quality", "quality.json"),
+                       ("eta-sweep", "eta_sweep.json")]:
+        cfg = load_json(CONFIGS / name)
+        cfg["experiment"]["t_values"] = [1, 1000]
+        assert build_experiment(cfg, kind).t_values == [1, 1000]
+    for kind, name in [("race", "race.json"), ("gradcheck", "gradcheck.json"),
+                       ("interval-sweep", "interval_sweep.json")]:
+        cfg = load_json(CONFIGS / name)
+        cfg["experiment"]["t_values"] = [2000]
+        assert build_experiment(cfg, kind).t_values == [2000]
+
+
+@pytest.mark.parametrize("key", ["experiment.delta_T_values", "experiment.delta_S_values"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, True, "50"])
+def test_grid_step_other_than_a_positive_int_is_a_one_line_config_error(tmp_path, capsys,
+                                                                        key, value):
+    cfg = tweak_config(tmp_path, "quality.json", **{key: [50, value]})
+    assert main(["quality", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: bad value for config key {key}: must be a finite int > 0, got {value!r}"]
+
+
+def test_consistency_stride_above_a_timestep_is_a_one_line_config_error(tmp_path, capsys):
+    cfg = tweak_config(tmp_path, "consistency.json",
+                       **{"experiment.t_values": [100, 30], "experiment.delta_S_values": [50]})
+    assert main(["consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: consistency needs delta_S_values[0] <= every t_value, got 50 > 30"]
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))

@@ -23,18 +23,9 @@ from ismlab.config import (
     build_jitter,
     build_oracle,
     build_schedule,
-    get_key,
     load_json,
 )
 from ismlab.experiments import EXPERIMENT, ExperimentSpec, build_experiment
-
-
-def test_dotted_key_access():
-    cfg = {"a": {"b": {"c": 3}}}
-    assert get_key(cfg, "a.b.c") == 3
-    assert get_key(cfg, "a.b.d", default=7) == 7
-    with pytest.raises(ConfigError):
-        get_key(cfg, "a.x.c", required=True)
 
 
 def test_schedule_defaults():

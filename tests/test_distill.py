@@ -1,4 +1,5 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from ismlab import (
     MixtureOracle,
     NumericalError,
     OptimConfig,
+    RunLog,
     ViewJitterSpec,
     nearest_mode_distance,
     run_distillation,
 )
 from ismlab.distill import (
     METRICS_CSV_HEADER,
+    LogRow,
     current_interval,
     distill_step,
     init_state,
@@ -192,6 +195,30 @@ def test_metrics_csv_schema(tmp_path, bimodal, schedule):
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER
     assert len(rows) == 5
+
+
+def test_metrics_csv_matches_the_astuple_writer_bitwise(tmp_path):
+    """Rows written field by field, without dataclasses.astuple's deep copy,
+    give the same bytes: csv writes the same objects either way."""
+    rng = np.random.default_rng(8)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
+    log = RunLog()
+    for i in range(300):
+        floats = [float(v) for v in rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4)]
+        floats[int(rng.integers(4))] = specials[i % len(specials)]
+        if i % 3 == 0:
+            floats[int(rng.integers(4))] = np.float64(floats[0])
+        calls = int(rng.integers(0, 50)) if i % 2 else np.int64(rng.integers(0, 50))
+        log.rows.append(LogRow(iter=i, t=int(rng.integers(1, 1001)),
+                               delta_t=int(rng.integers(1, 200)), grad_norm=floats[0],
+                               oracle_calls=calls, loss_proxy=floats[1],
+                               mode_distance=floats[2], wall_time=floats[3]))
+    log.write_metrics_csv(tmp_path / "metrics.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_CSV_HEADER)
+        writer.writerows(astuple(r) for r in log.rows)
+    assert (tmp_path / "metrics.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_config_validation(schedule):

@@ -192,10 +192,8 @@ def test_gradcheck_default_passes(tmp_path):
     assert tuple(rows[0]) == GRADCHECK_CSV_HEADER
 
 
-def test_gradcheck_detects_corruption():
-    spec = load_spec("gradcheck.json", "gradcheck",
-                     **{"experiment.checks": ["renderer_fd"],
-                        "experiment.corrupt_renderer_scale": 1.01})
+def test_gradcheck_detects_corruption(corrupt_backward):
+    spec = load_spec("gradcheck.json", "gradcheck", **{"experiment.checks": ["renderer_fd"]})
     report = run_gradcheck(spec)
     assert not report.ok
 

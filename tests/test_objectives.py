@@ -84,8 +84,8 @@ def test_interval_gradient_unconditional_collapse(bimodal, schedule):
     eps_prev = None
     for a, b in zip(grid, grid[1:]):
         eps_prev = bimodal.eps_predict(schedule, x, a)
-        x0_hat = (x - schedule.sqrt_one_minus_alpha_bar(a) * eps_prev) / schedule.sqrt_alpha_bar(a)
-        x = schedule.sqrt_alpha_bar(b) * x0_hat + schedule.sqrt_one_minus_alpha_bar(b) * eps_prev
+        x0_hat = (x - schedule.s1mab[a] * eps_prev) / schedule.sab[a]
+        x = schedule.sab[b] * x0_hat + schedule.s1mab[b] * eps_prev
     expected = schedule.loss_weight(t) * (bimodal.eps_predict(schedule, x, t) - eps_prev)
     assert np.abs(report.grad_x0 - expected).max() < 1e-10
 
@@ -104,8 +104,8 @@ def test_interval_gradient_matches_straight_line_rewrite(bimodal, schedule):
     eps_s = None
     for a, b in zip(grid, grid[1:]):
         eps_s = bimodal.eps_predict(schedule, x, a)
-        x0_hat = (x - schedule.sqrt_one_minus_alpha_bar(a) * eps_s) / schedule.sqrt_alpha_bar(a)
-        x = schedule.sqrt_alpha_bar(b) * x0_hat + schedule.sqrt_one_minus_alpha_bar(b) * eps_s
+        x0_hat = (x - schedule.s1mab[a] * eps_s) / schedule.sab[a]
+        x = schedule.sab[b] * x0_hat + schedule.s1mab[b] * eps_s
     eps_t = bimodal.eps_guided(schedule, x, t, g)
     expected = schedule.loss_weight(t) * (eps_t - eps_s)
     assert np.abs(report.grad_x0 - expected).max() < 1e-10
@@ -143,7 +143,7 @@ def test_single_interval_collapse(mixture3, schedule, guide_a):
     assert decomposition_check(mixture3, schedule, x0, t, t, guide_a) < 1e-12
     # the update equals the loss weight times the interval score exactly
     report = naive_gradient(mixture3, schedule, x0, t, t, guide_a)
-    xt = schedule.sqrt_alpha_bar(t) * x0
+    xt = schedule.sab[t] * x0
     eps_t = mixture3.eps_guided(schedule, xt, t, guide_a)
     assert np.abs(report.grad_x0 - schedule.loss_weight(t) * eps_t).max() < 1e-10
 

@@ -40,7 +40,7 @@ def test_prediction_matches_density_gradient(mixture3, schedule):
         x = rng.uniform(-3, 3, size=2)
         t = int(rng.integers(1, 1001))
         fd = fd_log_density_grad(mixture3, schedule, x, t)
-        expected = -schedule.sqrt_one_minus_alpha_bar(t) * fd
+        expected = -schedule.s1mab[t] * fd
         got = mixture3.eps_predict(schedule, x, t)
         assert np.linalg.norm(got - expected) < 1e-5 * max(np.linalg.norm(expected), 1e-9)
 
@@ -52,7 +52,7 @@ def test_zero_timestep_returns_zero(mixture3, schedule):
 def test_mode_is_exact_zero(schedule):
     o = MixtureOracle(means=[[0.7, -0.2]], sigmas=[0.3], weights=[1.0], labels={"m": [0]})
     for t in (1, 57, 500, 1000):
-        x = schedule.sqrt_alpha_bar(t) * np.array([0.7, -0.2])
+        x = schedule.sab[t] * np.array([0.7, -0.2])
         assert np.all(o.eps_predict(schedule, x, t, "m") == 0.0)
 
 
@@ -190,7 +190,7 @@ def test_prediction_consistency_property(seed):
     x = rng.uniform(-2.5, 2.5, size=2)
     t = int(rng.integers(1, 51))
     fd = fd_log_density_grad(o, sch, x, t)
-    expected = -sch.sqrt_one_minus_alpha_bar(t) * fd
+    expected = -sch.s1mab[t] * fd
     got = o.eps_predict(sch, x, t)
     # absolute floor keeps finite-difference noise out of the comparison at
     # near-zero-score points (mixture balance loci)

@@ -9,8 +9,6 @@ from ismlab import (
     MixtureOracle,
     Trajectory,
     add_noise,
-    ddim_denoise,
-    ddim_invert,
     pseudo_gt_single,
 )
 from ismlab.trajectory import denoise_path, descent_grid, hop, inversion_grid, invert_along
@@ -86,7 +84,7 @@ def test_walks_match_reference_loops(mixture3, schedule, guide_a):
     replaced, bit for bit."""
     x = np.array([0.3, -0.6])
     for t, stride in [(1, 1), (7, 3), (450, 200), (600, 200), (999, 37), (1000, 1000)]:
-        up = ddim_invert(mixture3, schedule, x, t, stride)
+        up = invert_along(mixture3, schedule, x, inversion_grid(t, stride))
         ref = reference_walk(schedule, x, t, -stride,
                              lambda y, a: mixture3.eps_predict(schedule, y, a))
         assert up.timesteps == ref[0] == tuple(inversion_grid(t, stride))
@@ -102,24 +100,24 @@ def test_walks_match_reference_loops(mixture3, schedule, guide_a):
 
 def test_single_hop_inversion_scales_input(mixture3, schedule):
     x0 = np.array([0.4, -0.7])
-    traj = ddim_invert(mixture3, schedule, x0, 150, 150)
+    traj = invert_along(mixture3, schedule, x0, inversion_grid(150, 150))
     assert traj.timesteps == (0, 150)
     # prediction at the clean boundary is zero, so one hop just rescales
-    assert np.array_equal(traj.latents[1], schedule.sqrt_alpha_bar(150) * x0)
+    assert np.array_equal(traj.latents[1], schedule.sab[150] * x0)
 
 
 def test_inversion_stays_on_mode(point_oracle, schedule):
     mu = np.array([0.6, -0.3])
-    traj = ddim_invert(point_oracle, schedule, mu, 600, 200)
+    traj = invert_along(point_oracle, schedule, mu, inversion_grid(600, 200))
     for t, x in zip(traj.timesteps, traj.latents):
-        assert np.abs(x - schedule.sqrt_alpha_bar(t) * mu).max() < 1e-6
+        assert np.abs(x - schedule.sab[t] * mu).max() < 1e-6
 
 
 def test_coarse_strides_approach_fine_reference(mixture3, schedule):
     x0 = np.array([0.3, 0.5])
-    ref = ddim_invert(mixture3, schedule, x0, 600, 1).latents[-1]
-    coarse = ddim_invert(mixture3, schedule, x0, 600, 200).latents[-1]
-    fine = ddim_invert(mixture3, schedule, x0, 600, 25).latents[-1]
+    ref = invert_along(mixture3, schedule, x0, inversion_grid(600, 1)).latents[-1]
+    coarse = invert_along(mixture3, schedule, x0, inversion_grid(600, 200)).latents[-1]
+    fine = invert_along(mixture3, schedule, x0, inversion_grid(600, 25)).latents[-1]
     d_coarse = np.linalg.norm(coarse - ref)
     d_fine = np.linalg.norm(fine - ref)
     assert d_coarse > d_fine > 0
@@ -130,8 +128,8 @@ def test_denoise_fixed_point(schedule):
     o = MixtureOracle(means=[[0.6, -0.3]], sigmas=[1e-4], weights=[1.0], labels={"m": [0]})
     g = GuidanceSpec(positive="m", scale=1.0)
     mu = np.array([0.6, -0.3])
-    xt = schedule.sqrt_alpha_bar(700) * mu
-    got = ddim_denoise(o, schedule, xt, 700, 100, g)
+    xt = schedule.sab[700] * mu
+    got = denoise_path(o, schedule, xt, 700, 100, g).latents[-1]
     assert np.abs(got - mu).max() < 1e-6
 
 
@@ -139,7 +137,7 @@ def test_one_hop_denoise_is_single_step_estimate(mixture3, schedule, guide_a):
     xt = np.array([1.3, -0.2])
     eps = mixture3.eps_guided(schedule, xt, 400, guide_a)
     expected = pseudo_gt_single(schedule, xt, 400, eps)
-    got = ddim_denoise(mixture3, schedule, xt, 400, 400, guide_a)
+    got = denoise_path(mixture3, schedule, xt, 400, 400, guide_a).latents[-1]
     assert got == pytest.approx(expected, abs=1e-14)
 
 
@@ -158,33 +156,38 @@ def test_round_trip_error_halves_with_stride(schedule, unconditional):
     x0 = rng.uniform(-1.5, 1.5, size=2)
     errs = {}
     for stride in (100, 50, 25):
-        xt = ddim_invert(o, schedule, x0, 600, stride).latents[-1]
-        back = ddim_denoise(o, schedule, xt, 600, stride, unconditional)
+        xt = invert_along(o, schedule, x0, inversion_grid(600, stride)).latents[-1]
+        back = denoise_path(o, schedule, xt, 600, stride, unconditional).latents[-1]
         errs[stride] = np.linalg.norm(back - x0)
     assert 1.4 <= errs[100] / errs[50] <= 2.6
     assert 1.4 <= errs[50] / errs[25] <= 2.6
 
 
 def test_coarse_denoise_approaches_fine_reference(mixture3, schedule, guide_a):
-    xt = ddim_invert(mixture3, schedule, np.array([0.3, 0.5]), 600, 50).latents[-1]
-    ref = ddim_denoise(mixture3, schedule, xt, 600, 1, guide_a)
-    d50 = np.linalg.norm(ddim_denoise(mixture3, schedule, xt, 600, 50, guide_a) - ref)
-    d25 = np.linalg.norm(ddim_denoise(mixture3, schedule, xt, 600, 25, guide_a) - ref)
+    x0 = np.array([0.3, 0.5])
+    xt = invert_along(mixture3, schedule, x0, inversion_grid(600, 50)).latents[-1]
+
+    def denoised(stride):
+        return denoise_path(mixture3, schedule, xt, 600, stride, guide_a).latents[-1]
+
+    ref = denoised(1)
+    d50 = np.linalg.norm(denoised(50) - ref)
+    d25 = np.linalg.norm(denoised(25) - ref)
     assert d50 > d25 > 0
 
 
 def test_transport_is_deterministic(mixture3, schedule, guide_a):
     x0 = np.array([0.25, -0.4])
-    a = ddim_invert(mixture3, schedule, x0, 500, 50)
-    b = ddim_invert(mixture3, schedule, x0, 500, 50)
+    a = invert_along(mixture3, schedule, x0, inversion_grid(500, 50))
+    b = invert_along(mixture3, schedule, x0, inversion_grid(500, 50))
     assert all(np.array_equal(x, y) for x, y in zip(a.latents, b.latents))
-    d1 = ddim_denoise(mixture3, schedule, a.latents[-1], 500, 50, guide_a)
-    d2 = ddim_denoise(mixture3, schedule, b.latents[-1], 500, 50, guide_a)
+    d1 = denoise_path(mixture3, schedule, a.latents[-1], 500, 50, guide_a).latents[-1]
+    d2 = denoise_path(mixture3, schedule, b.latents[-1], 500, 50, guide_a).latents[-1]
     assert np.array_equal(d1, d2)
 
 
 def test_replay_detects_tampering(mixture3, schedule):
-    traj = ddim_invert(mixture3, schedule, np.array([0.4, 0.4]), 300, 100)
+    traj = invert_along(mixture3, schedule, np.array([0.4, 0.4]), inversion_grid(300, 100))
     assert replay_error(traj, schedule) == 0.0
     bad = Trajectory(
         traj.timesteps,
@@ -201,7 +204,7 @@ def test_denoise_path_grid_matches_descent(mixture3, schedule, guide_a):
 
 
 def test_inversion_and_denoising_share_one_type(mixture3, schedule, guide_a):
-    up = ddim_invert(mixture3, schedule, np.array([0.1, 0.2]), 400, 100)
+    up = invert_along(mixture3, schedule, np.array([0.1, 0.2]), inversion_grid(400, 100))
     down = denoise_path(mixture3, schedule, up.latents[-1], 400, 100, guide_a)
     assert type(up) is Trajectory and type(down) is Trajectory
     assert up.timesteps == (0, 100, 200, 300, 400)
@@ -212,16 +215,21 @@ def test_inversion_and_denoising_share_one_type(mixture3, schedule, guide_a):
 
 
 def test_bad_arguments_raise(mixture3, schedule):
+    """A grid that repeats a node (a zero stride) and a denoising stride
+    outside [1, t] are config errors; a stride above t only shortens an
+    inversion grid to one hop."""
     x0 = np.zeros(2)
+    g = GuidanceSpec(positive=None, scale=1.0)
     with pytest.raises(ConfigError):
-        ddim_invert(mixture3, schedule, x0, 100, 0)
+        invert_along(mixture3, schedule, x0, [0, 0, 100])
+    assert inversion_grid(100, 101) == [0, 100]
     with pytest.raises(ConfigError):
-        ddim_invert(mixture3, schedule, x0, 100, 101)
+        denoise_path(mixture3, schedule, x0, 100, 101, g)
     with pytest.raises(ConfigError):
-        ddim_denoise(mixture3, schedule, x0, 100, 0, GuidanceSpec(positive=None, scale=1.0))
+        denoise_path(mixture3, schedule, x0, 100, 0, g)
     with pytest.raises(ConfigError):
         invert_along(mixture3, schedule, x0, [10, 20])
     with pytest.raises(ConfigError):
         invert_along(mixture3, schedule, x0, [0, 30, 20])
     with pytest.raises(IndexError):
-        ddim_invert(mixture3, schedule, x0, 2000, 100)
+        invert_along(mixture3, schedule, x0, inversion_grid(2000, 100))
