@@ -29,14 +29,4 @@ from .oracle import SIGMA_MIN, GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule, make_schedule
 from .trajectory import Trajectory, add_noise, pseudo_gt_single
 
-__all__ = [
-    "AdamOptimizer", "ConfigError", "DistillConfig", "GradientReport",
-    "GuidanceSpec", "IdentityLatent", "MixtureOracle", "NoiseSchedule",
-    "NumericalError", "OptimConfig", "RunLog", "SIGMA_MIN", "SplatGenerator",
-    "Trajectory", "UnknownLabelError", "View", "ViewJitterSpec", "add_noise",
-    "canonical_view", "decomposition_check", "ism_gradient", "make_schedule",
-    "multistep_bias", "naive_gradient", "nearest_mode_distance",
-    "pseudo_gt_single", "run_distillation", "sample_view", "sds_gradient",
-]
-
 __version__ = "0.1.0"

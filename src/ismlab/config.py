@@ -73,14 +73,19 @@ def nonempty_ints(value) -> list[int]:
     return out
 
 
-def positive(kind):
-    """Converter to a finite number > 0 of the given kind, int or float; a
-    bool or string is rejected, and so is a fraction given for an int."""
+def positive(kind, or_zero=False):
+    """Converter to a finite number > 0 (>= 0 if or_zero) of the given kind, int
+    or float; a bool or string is rejected, and so is a fraction given for an int."""
+    bound = ">= 0" if or_zero else "> 0"
     def convert(value):
-        if type(value) not in (int, float) or not 0 < value < np.inf or kind(value) != value:
-            raise ValueError(f"must be a finite {kind.__name__} > 0, got {value!r}")
+        if type(value) not in (int, float) or not (0 <= value if or_zero else 0 < value) \
+                or not value < np.inf or kind(value) != value:
+            raise ValueError(f"must be a finite {kind.__name__} {bound}, got {value!r}")
         return kind(value)
     return convert
+
+
+SEED = positive(int, or_zero=True)
 
 
 def _vector(value) -> np.ndarray:
@@ -178,7 +183,7 @@ def build_jitter(cfg: dict) -> ViewJitterSpec:
 
 
 GENERATOR = {"kind": ("identity", str), "theta": (None, _vector), "n_splats": (32, positive(int)),
-             "channels": (1, positive(int)), "init_seed": (0, int),
+             "channels": (1, positive(int)), "init_seed": (0, SEED),
              "splats": (None, _optional(list)), "background": (None, _optional(_vector))}
 SPLAT = {"center": (REQUIRED, _vector), "log_scale": (REQUIRED, _vector),
          "rotation": (REQUIRED, _vector), "color": (REQUIRED, _vector),
@@ -221,7 +226,7 @@ def build_generator(cfg: dict):
 # optimizer (read with OPTIMIZER); t_min defaults to 20 + delta_T_start.
 DISTILL = {"objective": ("ism", str), "iterations": (1000, int), "t_min": (None, int),
            "t_max": (980, int), "delta_T_start": (200, int), "delta_T_end": (50, int),
-           "delta_S": (50, int), "view_batch": (1, int), "seed": (0, int),
+           "delta_S": (50, int), "view_batch": (1, int), "seed": (0, SEED),
            "snapshot_every": (0, int), "optimizer": (None, lambda v: v)}
 OPTIMIZER = {"step_size": (0.01, float), "beta1": (0.9, float), "beta2": (0.99, float),
              "eps_hat": (1e-8, float)}

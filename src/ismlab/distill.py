@@ -257,7 +257,7 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
                  oracle_calls=calls, loss_proxy=loss_proxy, mode_distance=entering_distance,
                  wall_time=time.perf_counter() - state.started)
     state.log.rows.append(row)
-    if not np.logical_and.reduce(np.isfinite(grad_theta)):
+    if not math.isfinite(row.grad_norm) and not np.logical_and.reduce(np.isfinite(grad_theta)):
         raise NumericalError(f"non-finite gradient at iteration {iter_index}, t={t}")
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import config as cfgmod
-from .config import nonempty_ints, positive, read
+from .config import SEED, nonempty_ints, positive, read
 from .distill import (DistillConfig, RunLog, checked_render, nearest_mode_distance,
                       run_distillation)
 from .errors import ConfigError
@@ -109,8 +109,9 @@ def _check_names(value) -> tuple[str, ...]:
 EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty_ints),
               "delta_T_values": ((10, 25, 50, 100), lambda v: nonempty_ints(map(positive(int), v))),
               "delta_S_values": ((50,), lambda v: nonempty_ints(map(positive(int), v))),
-              "seeds": ((0,), nonempty_ints), "noise_draws": (8, int), "threshold": (0.2, float),
-              "start_points": (20, int), "checks": (DEFAULT_CHECKS, _check_names)}
+              "seeds": ((0,), lambda v: nonempty_ints(map(SEED, v))), "noise_draws": (8, int),
+              "threshold": (0.2, float), "start_points": (20, positive(int)),
+              "checks": (DEFAULT_CHECKS, _check_names)}
 
 
 def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
@@ -164,12 +165,10 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _write_frames(out: Path, frames: dict[str, np.ndarray]) -> None:
-    if not frames:
-        return
-    frame_dir = out / "frames"
-    frame_dir.mkdir(exist_ok=True)
+    if frames:
+        (out / "frames").mkdir(exist_ok=True)
     for name, img in frames.items():
-        write_ppm(frame_dir / f"{name}.ppm", img)
+        write_ppm(out / "frames" / f"{name}.ppm", img)
 
 
 def final_frame(gen, jitter: ViewJitterSpec) -> Optional[np.ndarray]:

@@ -11,8 +11,11 @@ Two generators are provided:
 
 A View is an affine map from scene coordinates to image coordinates. Splat
 footprints are evaluated at its pixel centers, pulled back into scene space
-once per View, so parameter gradients never touch the camera matrix. A splat
-backward reuses the forward pass of the last render if it was of that View.
+once per View as a row of x and a row of y, so parameter gradients never
+touch the camera matrix. Every per-splat, per-pixel quantity is held as
+contiguous rows, one per splat: the frame coordinates (N, 2, P), the alphas,
+transmittances and weights as (N, P) planes, the backward's behind-composite
+(N, P * C). A backward reuses the forward planes if the last render was of its View.
 
 Constraints are kept by construction: per-axis standard deviations are
 exp(log_scale) and opacity is sigmoid(logit_opacity). Colors and background
@@ -54,12 +57,12 @@ class View:
 
     @cached_property
     def pixel_centers(self) -> np.ndarray:
-        """Read-only pixel centers in scene coordinates, (H * W, 2) row-major over (y, x)."""
+        """Read-only pixel centers in scene coordinates: a contiguous row of x and
+        one of y, (2, H * W), pixels row-major over (y, x)."""
         if abs(np.linalg.det(self.linear)) < 1e-12:
             raise ConfigError("degenerate view: affine block is singular")
         gx, gy = np.meshgrid(np.arange(self.width) + 0.5, np.arange(self.height) + 0.5)
-        pix = np.stack([gx.ravel(), gy.ravel()], axis=1) - self.offset
-        z = np.linalg.solve(self.linear, pix.T).T
+        z = np.linalg.solve(self.linear, np.stack([gx.ravel(), gy.ravel()]) - self.offset[:, None])
         z.flags.writeable = False
         return z
 
@@ -95,11 +98,6 @@ def canonical_view(width: int, height: int) -> View:
     return View(affine=affine, width=width, height=height)
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def sample_view(seed: int, jitter: ViewJitterSpec) -> View:
     """Deterministic jittered view: scene points are rotated, zoomed and
     shifted before the canonical projection. The zero-jitter spec returns the
@@ -109,9 +107,9 @@ def sample_view(seed: int, jitter: ViewJitterSpec) -> View:
     zoom = rng.uniform(jitter.zoom_min, jitter.zoom_max)
     shift = rng.uniform(-jitter.shift_max, jitter.shift_max, size=2)
     base = canonical_view(jitter.width, jitter.height)
-    linear = base.linear @ (zoom * rotation_matrix(angle))
-    offset = base.linear @ shift + base.offset
-    affine = np.concatenate([linear, offset[:, None]], axis=1)
+    c, s = math.cos(angle), math.sin(angle)
+    linear = base.linear @ (zoom * np.array([[c, -s], [s, c]]))
+    affine = np.column_stack([linear, base.linear @ shift + base.offset])
     return View(affine=affine, width=jitter.width, height=jitter.height)
 
 
@@ -122,25 +120,39 @@ CENTER, LOG_SCALE, ROTATION, COLOR, LOGIT_OPACITY = slice(0, 2), slice(2, 4), 4,
 def _composite(rows: np.ndarray, background: np.ndarray, view: View):
     """Front-to-back alpha compositing of splat rows over the background.
 
-    Returns the (P, C) image and the intermediates the backward pass needs:
-    per-splat frame coordinates w = R^T (z - center) of shape (N, P, 2), the
-    rotations (N, 2, 2), inverse variances (N, 2), opacities (N,), footprint
-    alphas (N, P), the transmittance in front of each splat (N, P) and the
-    final transmittance (P,).
-    """
+    Returns the (P, C) image and the forward context the backward pass needs:
+    the frame coordinates w = R^T (z - center) (N, 2, P), the rotations R^T
+    (N, 2, 2), inverse variances (N, 2), opacities (N,), footprint alphas
+    (N, P), transmittances trans (N + 1, P), trans[i] in front of splat i,
+    and compositing weights alphas * trans[:N] (N, P)."""
     z = view.pixel_centers
     cos, sin = np.cos(rows[:, ROTATION]), np.sin(rows[:, ROTATION])
-    rot = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)
-    w = (z[None, :, :] - rows[:, None, CENTER]) @ rot
+    rot_t = np.array([[cos, sin], [-sin, cos]]).transpose(2, 0, 1)
+    w = rot_t @ (z[None] - rows[:, CENTER, None])
     inv_var = np.exp(-2.0 * rows[:, LOG_SCALE])          # 1 / std^2 per axis
-    q = np.einsum("npk,nk->np", w * w, inv_var)
     opacity = 1.0 / (1.0 + np.exp(-rows[:, LOGIT_OPACITY]))
-    alphas = opacity[:, None] * np.exp(-0.5 * q)
+    alphas = opacity[:, None] * np.exp(-0.5 * np.einsum("nkp,nk->np", w * w, inv_var))
+    trans = np.empty((len(rows) + 1, z.shape[1]))
+    trans[0] = 1.0
+    for front, keep, t in zip(trans, 1.0 - alphas, trans[1:]):
+        np.multiply(front, keep, t)
+    weight = alphas * trans[:-1]
+    img = weight.T @ rows[:, COLOR] + trans[-1][:, None] * background[None, :]
+    return img, (w, rot_t, inv_var, opacity, alphas, trans, weight)
 
-    trans = np.cumprod(1.0 - alphas, axis=0)
-    t_excl = np.vstack([np.ones((1, alphas.shape[1])), trans[:-1]])
-    img = (alphas * t_excl).T @ rows[:, COLOR] + trans[-1][:, None] * background[None, :]
-    return img, (w, rot, inv_var, opacity, alphas, t_excl, trans[-1])
+
+def _behind(alphas: np.ndarray, colors: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """(N, P, C) composite of everything behind each splat over the background, a
+    recurrence over (P * C) rows from the back: dividing by transmittance fails at 0."""
+    (n, p), c = alphas.shape, len(background)
+    behind = np.empty((n, p * c))
+    behind[-1] = np.tile(background, p)
+    premul = (alphas[:, :, None] * colors[:, None, :]).reshape(n, p * c)
+    keep = 1.0 - alphas if c == 1 else np.repeat(1.0 - alphas, c, axis=1)
+    for k, pre, back, dst in zip(keep[:0:-1], premul[:0:-1], behind[:0:-1], behind[-2::-1]):
+        np.multiply(k, back, dst)
+        np.add(dst, pre, dst)
+    return behind.reshape(n, p, c)
 
 
 class IdentityLatent:
@@ -241,34 +253,27 @@ class SplatGenerator:
         rows, background = self._rows(), self.theta[-c:]
         if self._memo[0] is not view:
             self._memo = (view, _composite(rows, background, view)[1])
-        w, rot, inv_var, opacity, alphas, t_excl, t_last = self._memo[1]
+        w, rot_t, inv_var, opacity, alphas, trans, weight = self._memo[1]
         colors = rows[:, COLOR]
-
-        # behind[i]: composite of everything behind splat i, over the background.
-        # Kept as a recurrence: dividing by the transmittance fails where it is 0.
-        behind = np.empty(alphas.shape + (c,))
-        behind[-1] = background[None, :]
-        premul, keep = alphas[:, :, None] * colors[:, None, :], 1.0 - alphas[:, :, None]
-        for i in range(len(behind) - 1, 0, -1):
-            np.multiply(keep[i], behind[i], out=behind[i - 1])
-            behind[i - 1] += premul[i]
-
-        g_alpha = t_excl * np.einsum("pc,npc->np", grad_image, colors[:, None, :] - behind)
-        g_q = -0.5 * alphas * g_alpha
         grad = np.empty_like(self.theta)
         g_rows = grad[:-c].reshape(rows.shape)
-        # q = w^T diag(inv_var) w, w = R^T (z - center); with s_f = sum_p g_q f for f in
-        # wx, wy, wx^2, wy^2, wx wy: dL/dcenter = -2 R diag(inv_var) (sx, sy),
-        # dL/dlog_scale = -2 (sxx, syy) inv_var, dL/drotation = 2 sxy (inv_var_x - inv_var_y).
-        wx, wy = w[..., 0], w[..., 1]
-        sx, sy = np.einsum("np,np->n", g_q, wx), np.einsum("np,np->n", g_q, wy)
-        sxx, syy, sxy = (np.einsum("np,np,np->n", g_q, *f) for f in ((wx, wx), (wy, wy), (wx, wy)))
-        g_rows[:, CENTER] = -2.0 * np.einsum("nkj,nj->nk", rot, np.stack([sx, sy], 1) * inv_var)
-        g_rows[:, LOG_SCALE] = -2.0 * np.stack([sxx, syy], 1) * inv_var
-        g_rows[:, ROTATION] = 2.0 * sxy * (inv_var[:, 0] - inv_var[:, 1])
-        g_rows[:, COLOR] = (alphas * t_excl) @ grad_image
-        g_rows[:, LOGIT_OPACITY] = (g_alpha * alphas).sum(axis=1) * (1.0 - opacity)
-        grad[-c:] = grad_image.T @ t_last
+        # g_q holds dL/dalpha, then dL/dalpha * alpha (the opacity partial's terms), then dL/dq
+        g_q = trans[:-1] * np.einsum("pc,npc->np", grad_image,
+                                     colors[:, None, :] - _behind(alphas, colors, background))
+        g_q *= alphas
+        g_rows[:, LOGIT_OPACITY] = g_q.sum(axis=1) * (1.0 - opacity)
+        g_q *= -0.5
+        # q = w^T diag(inv_var) w, w = R^T (z - center); with the per-splat pixel sums
+        # s = sum_p g_q w and m = sum_p g_q w w^T: dL/dcenter = -2 R (s * inv_var),
+        # dL/dlog_scale = -2 diag(m) * inv_var, dL/drotation = 2 m_xy (inv_var_x - inv_var_y).
+        gw = w * g_q[:, None, :]
+        m = gw @ w.transpose(0, 2, 1)
+        s = np.add.reduce(gw, axis=2) * inv_var
+        g_rows[:, CENTER] = -2.0 * (s[:, None, :] @ rot_t)[:, 0]
+        g_rows[:, LOG_SCALE] = -2.0 * m.diagonal(axis1=1, axis2=2) * inv_var
+        g_rows[:, ROTATION] = 2.0 * m[:, 0, 1] * (inv_var[:, 0] - inv_var[:, 1])
+        g_rows[:, COLOR] = weight @ grad_image
+        grad[-c:] = grad_image.T @ trans[-1]
         return grad
 
 

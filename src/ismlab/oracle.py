@@ -150,11 +150,12 @@ class MixtureOracle:
 
     def _checked(self, schedule: NoiseSchedule, x, t: int, label: Label):
         """The point as a float array, the timestep as an int and the label's
-        terms, each checked once: shape, finiteness, timestep range, label."""
+        terms, each checked once: shape, finiteness (entry by entry only if vdot(x, x),
+        which never warns, is not finite), timestep range, label."""
         x = np.asarray(x, dtype=float)
         if x.shape != self._shape:
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        if not np.logical_and.reduce(np.isfinite(x)):
+        if not math.isfinite(np.vdot(x, x)) and not np.logical_and.reduce(np.isfinite(x)):
             raise NumericalError("non-finite input point")
         t = int(t)
         if not 0 <= t <= schedule.num_steps:

@@ -387,6 +387,25 @@ def test_grid_step_other_than_a_positive_int_is_a_one_line_config_error(tmp_path
         f"config error: bad value for config key {key}: must be a finite int > 0, got {value!r}"]
 
 
+@pytest.mark.parametrize("name, kind, key, value, bad, bound", [
+    ("distill_splats.json", "distill", "distill.seed", -1, -1, ">= 0"),
+    ("distill_splats.json", "distill", "generator.init_seed", -1, -1, ">= 0"),
+    ("race.json", "race", "experiment.seeds", [0, -1], -1, ">= 0"),
+    ("quality.json", "quality", "experiment.start_points", 0, 0, "> 0"),
+    ("quality.json", "quality", "experiment.start_points", -1, -1, "> 0"),
+])
+def test_negative_seed_or_no_start_points_is_a_one_line_config_error(
+        tmp_path, capsys, name, kind, key, value, bad, bound):
+    """Was a numpy traceback for a negative seed, and for start_points 0 an
+    exit 0 with NaN rows."""
+    cfg = tweak_config(tmp_path, name, **{key: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: bad value for config key {key}: must be a finite int {bound}, got {bad!r}"]
+
+
 def test_consistency_stride_above_a_timestep_is_a_one_line_config_error(tmp_path, capsys):
     cfg = tweak_config(tmp_path, "consistency.json",
                        **{"experiment.t_values": [100, 30], "experiment.delta_S_values": [50]})

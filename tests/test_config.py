@@ -26,6 +26,7 @@ from ismlab.config import (
     load_json,
 )
 from ismlab.experiments import EXPERIMENT, ExperimentSpec, build_experiment
+from ismlab.generators import random_scene
 
 
 def test_schedule_defaults():
@@ -182,17 +183,40 @@ def test_wrong_typed_value_names_its_key(key, value):
     ("oracle.components[0].mean.width", 0),
     ("oracle.components[0].mean.height", 16.5),
     ("distill.iterations", float("inf")),
+    ("distill.seed", -1),
+    ("distill.seed", 2.5),
+    ("distill.seed", "7"),
+    ("generator.init_seed", -1),
+    ("generator.init_seed", True),
+    ("experiment.seeds", [0, -1]),
+    ("experiment.seeds", [1.5]),
+    ("experiment.start_points", 0),
+    ("experiment.start_points", -1),
+    ("experiment.start_points", 2.5),
 ])
 def test_out_of_range_values_name_their_key(key, value):
-    """Sizes must be positive integers (a fraction is rejected, not
-    truncated) and the template sigma a finite positive number."""
+    """Sizes and start_points must be positive integers and seeds
+    non-negative integers (a fraction is rejected, not truncated), and the
+    template sigma a finite positive number."""
     cfg = load_json(CONFIGS / "distill_splats.json")
     node, parts = cfg, key.replace("[0]", ".0").split(".")
     for part in parts[:-1]:
-        node = node[int(part)] if part.isdigit() else node[part]
+        node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
     node[parts[-1]] = value
     with pytest.raises(ConfigError, match=re.escape(f"bad value for config key {key}: ")):
         build_experiment(cfg, "distill").make_generator()
+
+
+def test_zero_seeds_and_integral_seeds_in_float_form_are_accepted():
+    cfg = load_json(CONFIGS / "distill_splats.json")
+    cfg["distill"]["seed"] = 0
+    cfg["generator"]["init_seed"] = 3.0
+    cfg["experiment"] = {"seeds": [0, 2.0, 2 ** 70], "start_points": 1}
+    spec = build_experiment(cfg, "distill")
+    assert spec.distill.seed == 0 and spec.seeds == [0, 2, 2 ** 70] and spec.start_points == 1
+    assert all(type(s) is int for s in spec.seeds)
+    np.testing.assert_array_equal(spec.make_generator().get_params(),
+                                  random_scene(32, 1, seed=3).get_params())
 
 
 def test_integral_sizes_in_float_form_are_accepted():

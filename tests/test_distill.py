@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -172,6 +173,27 @@ def test_non_finite_gradient_aborts(bimodal, schedule):
     gen = BrokenGenerator([0.1, 0.1])
     with pytest.raises(RuntimeError, match="non-finite"):
         run_distillation(gen, bimodal, schedule, base_config(iterations=3))
+
+
+def test_finite_gradient_whose_norm_overflows_is_accepted(bimodal, schedule):
+    """The step reads finiteness from the gradient norm it logs and checks
+    entry by entry only when that is not finite: finite entries of 1e200
+    pass with an infinite norm, and one NaN among them still aborts."""
+    class HugeGenerator(IdentityLatent):
+        fill = 1e200
+
+        def backward(self, view, grad_output):
+            grad = np.full_like(self.theta, 1e200)
+            grad[-1] = self.fill
+            return grad
+
+    log = run_distillation(HugeGenerator([0.1, 0.1]), bimodal, schedule,
+                           base_config(iterations=1))
+    assert log.rows[0].grad_norm == math.inf
+    gen = HugeGenerator([0.1, 0.1])
+    gen.fill = np.nan
+    with pytest.raises(NumericalError, match="non-finite gradient at iteration 0"):
+        run_distillation(gen, bimodal, schedule, base_config(iterations=1))
 
 
 def test_numerical_error_carries_logged_rows(bimodal, schedule):

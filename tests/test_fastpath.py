@@ -1,19 +1,22 @@
 """The tabulated schedule and the memoised oracle constants reproduce the
 plain formulas bit for bit, the distillation step's bookkeeping reproduces
 numpy's norm, sum and out-of-place Adam bit for bit, and the splat backward
-pass reproduces its plain formulas to 1e-12 relative.
+pass reproduces its plain formulas to 1e-12 relative and the render to
+1e-15 absolute.
 
 The reference functions below recompute every square root and per-label
 constant on each call, exactly as the oracle and transport did before the
 tables and the memo existed; the step references call np.linalg.norm and
 np.sum and rebuild Adam's moments out of place, as the step did before it
-skipped numpy's Python wrappers; and the splat reference recomputes the
-forward pass and forms the geometric partials per pixel, as the backward
-pass did before it reused the render and summed over pixels first. They are
-kept here as the judge.
+skipped numpy's Python wrappers; and the splat references recompute the
+forward pass from the splat rows with an einsum exponent and a cumprod
+transmittance, as the renderer did before per-splat planes, and form the
+geometric partials per pixel, as the backward pass did before it reused the
+render and summed over pixels first. They are kept here as the judge.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +40,6 @@ from ismlab.generators import (
     LOG_SCALE,
     LOGIT_OPACITY,
     ROTATION,
-    _composite,
     random_scene,
 )
 from ismlab.trajectory import (
@@ -102,14 +104,40 @@ def ref_pseudo_gt_single(sch, xt, t, eps):
     return (xt - _s1(sch, t) * eps) / _sa(sch, t)
 
 
+def ref_splat_forward(rows, background, view, pixels_last=True):
+    """The splat forward pass from the rows alone: the frame w = R^T (z - center)
+    as one batched matmul, the exponent contracted with einsum and the
+    transmittance as a cumprod over the splats stacked under a row of ones.
+    With pixels_last the frame is R^T @ (z - center) over (N, 2, P), as the
+    renderer forms it; without, (z - center) @ R over (N, P, 2), as it did
+    before per-splat planes. Returns the (P, C) image and the intermediates,
+    the frame as (N, P, 2)."""
+    z = view.pixel_centers
+    cos, sin = np.cos(rows[:, ROTATION]), np.sin(rows[:, ROTATION])
+    rot = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)
+    if pixels_last:
+        rot_t = np.array([[cos, sin], [-sin, cos]]).transpose(2, 0, 1)
+        w = (rot_t @ (z[None, :, :] - rows[:, CENTER, None])).transpose(0, 2, 1)
+    else:
+        w = (z.T[None, :, :] - rows[:, None, CENTER]) @ rot
+    inv_var = np.exp(-2.0 * rows[:, LOG_SCALE])
+    q = np.einsum("npk,nk->np", w * w, inv_var)
+    opacity = 1.0 / (1.0 + np.exp(-rows[:, LOGIT_OPACITY]))
+    alphas = opacity[:, None] * np.exp(-0.5 * q)
+    trans = np.cumprod(1.0 - alphas, axis=0)
+    t_excl = np.vstack([np.ones((1, alphas.shape[1])), trans[:-1]])
+    img = (alphas * t_excl).T @ rows[:, COLOR] + trans[-1][:, None] * background[None, :]
+    return img, (w, rot, inv_var, opacity, alphas, t_excl, trans[-1])
+
+
 def ref_splat_backward(gen, view, grad_output):
-    """SplatGenerator.backward with its forward pass recomputed, a fresh
-    array per step of the behind recurrence, and the geometric partials as
-    per-pixel derivatives contracted with einsum."""
+    """SplatGenerator.backward with its forward pass recomputed by
+    ref_splat_forward, a fresh array per step of the behind recurrence, and
+    the geometric partials as per-pixel derivatives contracted with einsum."""
     c = gen.channels
     grad_image = np.asarray(grad_output, dtype=float).reshape(view.width * view.height, c)
     rows, background = gen._rows(), gen.theta[-c:]
-    _, (w, rot, inv_var, opacity, alphas, t_excl, t_last) = _composite(rows, background, view)
+    _, (w, rot, inv_var, opacity, alphas, t_excl, t_last) = ref_splat_forward(rows, background, view)
     colors = rows[:, COLOR]
     n = rows.shape[0]
     behind = np.empty((n,) + grad_image.shape)
@@ -286,6 +314,31 @@ def test_single_component_score_stays_finite_where_softmax_overflowed(mixture3, 
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
+def splat_case(n, c, width, height, seed):
+    """A seeded scene with a drawn background and a widely jittered view."""
+    rng = np.random.default_rng(seed)
+    gen = random_scene(n, c, seed=seed, background=rng.uniform(0.0, 1.0, c))
+    view = sample_view(seed, ViewJitterSpec(rotation_max=1.0, zoom_min=0.5, zoom_max=2.0,
+                                            shift_max=0.5, width=width, height=height))
+    return gen, view, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 32), c=st.integers(1, 3), width=st.integers(1, 16),
+       height=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_splat_render_matches_reference(n, c, width, height, seed):
+    """The render agrees with the (N, P, 2) frame, einsum exponent and cumprod
+    transmittance it had before per-splat planes to 1e-15 absolute (its
+    frame matmul runs over the other orientation), and equals the same pass
+    over the (N, 2, P) frame bit for bit."""
+    gen, view, _ = splat_case(n, c, width, height, seed)
+    got = gen.render(view)
+    rows, background = gen._rows(), gen.theta[-c:]
+    before = ref_splat_forward(rows, background, view, pixels_last=False)[0].ravel()
+    assert np.abs(got - before).max() <= 1e-15
+    assert_same_bits(got, ref_splat_forward(rows, background, view)[0].ravel())
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 8), c=st.integers(1, 3), width=st.integers(1, 12),
        height=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
@@ -294,10 +347,7 @@ def test_splat_backward_matches_reference(n, c, width, height, seed):
     and agree to 1e-12 of the largest of them; color, opacity and background
     partials, and so the behind recurrence, are bitwise equal. Checked with
     the forward pass recomputed and with it reused from render."""
-    rng = np.random.default_rng(seed)
-    gen = random_scene(n, c, seed=seed, background=rng.uniform(0.0, 1.0, c))
-    view = sample_view(seed, ViewJitterSpec(rotation_max=1.0, zoom_min=0.5, zoom_max=2.0,
-                                            shift_max=0.5, width=width, height=height))
+    gen, view, rng = splat_case(n, c, width, height, seed)
     grad_image = rng.standard_normal(width * height * c)
     want = ref_splat_backward(gen, view, grad_image)
     rows = want[:-c].reshape(n, 6 + c)
@@ -393,3 +443,24 @@ def test_checks_raise_as_when_every_hop_was_checked(mixture3, schedule):
                 call()
             assert (type(info.value), str(info.value)) == (kind, message)
         assert np.isnan(hop(schedule, bad, 5, 10, x)[0])
+
+
+def test_finite_point_whose_square_overflows_is_accepted(mixture3, schedule):
+    """Finiteness is read from x.x and checked entry by entry only when that
+    is not finite: a point of finite entries whose square overflows is still
+    accepted, without a warning from the check, and a NaN or inf entry
+    still raises NumericalError, also next to a huge entry."""
+    huge = np.full(2, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mixture3.eps_predict(schedule, huge, 5, "a")
+    ab = schedule.alpha_bar[5]
+    var = ab * mixture3.sigmas[0] ** 2 + (1.0 - ab)
+    want = math.sqrt(1.0 - ab) * (huge - math.sqrt(ab) * mixture3.means[0]) / var
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixture3.eps_predict(schedule, huge, 5, "ab")
+        mixture3.log_density(schedule, huge, 5)
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, 1e200], [1e200, np.nan]):
+        with pytest.raises(NumericalError, match="^non-finite input point$"):
+            mixture3.eps_predict(schedule, np.array(bad), 5, "a")

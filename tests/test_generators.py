@@ -299,9 +299,9 @@ def test_backward_reuses_only_the_matching_render(case):
 def test_pixel_centers_are_solved_once_and_read_only():
     view = sample_view(3, ViewJitterSpec(**WIDE_JITTER, width=5, height=4))
     z = view.pixel_centers
-    assert z is view.pixel_centers and z.shape == (20, 2)
+    assert z is view.pixel_centers and z.shape == (2, 20) and z.flags.c_contiguous
     gx, gy = np.meshgrid(np.arange(5) + 0.5, np.arange(4) + 0.5)
-    pix = z @ view.linear.T + view.offset
+    pix = (view.linear @ z).T + view.offset
     assert np.allclose(pix, np.stack([gx.ravel(), gy.ravel()], axis=1), rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         z[0, 0] = 0.0
