@@ -4,8 +4,9 @@
 
 kind is one of consistency, quality, eta-sweep, interval-sweep, race,
 gradcheck, distill. Every kind runs the same way: the config becomes an
-ExperimentSpec, the kind's runner in RUNNERS turns it into a report, and
-write_report writes report.json plus the report's own CSV files and
+ExperimentSpec, the kind's runner in RUNNERS turns it into an
+experiments.Report (a summary, CSV tables and frames), and write_report
+writes report.json, the tables as CSV files and the frames as
 frames/*.ppm under --out (docs/config.md lists the files per kind).
 
 Exit codes: 0 success, 1 configuration error, 2 check failure, 3 numerical
@@ -25,19 +26,12 @@ from . import config as cfgmod
 from . import experiments
 from .distill import run_distillation
 from .errors import ConfigError, NumericalError
-from .experiments import (
-    DistillReport,
-    ExperimentSpec,
-    GradcheckReport,
-    build_experiment,
-    final_frame,
-    write_report,
-)
+from .experiments import ExperimentSpec, Report, build_experiment, final_frame, write_report
 
 
-def _run_distill(spec: ExperimentSpec) -> DistillReport:
-    """One distillation of the configured generator; for image generators the
-    snapshots and the final canonical render become frames."""
+def _run_distill(spec: ExperimentSpec) -> Report:
+    """One distillation of the configured generator; its metrics.csv table and,
+    for image generators, the snapshots and the final canonical render as frames."""
     gen = spec.make_generator()
     cfg = spec.distill
     log = run_distillation(gen, spec.oracle, spec.schedule, cfg)
@@ -47,7 +41,11 @@ def _run_distill(spec: ExperimentSpec) -> DistillReport:
         frames = {f"iter_{it:06d}": np.clip(img, 0, 1).reshape(final.shape)
                   for it, img in log.frames}
         frames["final"] = final
-    return DistillReport(cfg, log, frames)
+    summary = {"kind": "distill", "objective": cfg.objective, "iterations": cfg.iterations,
+               "initial_mode_distance": log.initial_mode_distance,
+               "final_mode_distance": log.final_mode_distance,
+               "oracle_calls": log.total_oracle_calls()}
+    return Report(summary, {"metrics": log.metrics_table()}, frames)
 
 
 RUNNERS = {**experiments.RUNNERS, "distill": _run_distill}
@@ -75,8 +73,8 @@ def main(argv=None) -> int:
             exc.log.write_metrics_csv(out / "metrics.csv")
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    if isinstance(report, GradcheckReport) and not report.ok:
-        failing = [r.check for r in report.rows if not r.passed]
+    if not report.summary.get("ok", True):  # a gradcheck with a failed check
+        failing = [r["check"] for r in report.summary["rows"] if not r["passed"]]
         print(f"gradcheck failed: {', '.join(failing)}", file=sys.stderr)
         return 2
     return 0

@@ -73,13 +73,14 @@ def nonempty_ints(value) -> list[int]:
     return out
 
 
-def positive(kind, or_zero=False):
-    """Converter to a finite number > 0 (>= 0 if or_zero) of the given kind, int
-    or float; a bool or string is rejected, and so is a fraction given for an int."""
-    bound = ">= 0" if or_zero else "> 0"
+def positive(kind, or_zero=False, below=np.inf):
+    """Converter to a finite number > 0 (>= 0 if or_zero) and < below of the given
+    kind, int or float; a bool or string is rejected, and so is a fraction given
+    for an int."""
+    bound = (">= 0" if or_zero else "> 0") + (f" and < {below}" if below < np.inf else "")
     def convert(value):
         if type(value) not in (int, float) or not (0 <= value if or_zero else 0 < value) \
-                or not value < np.inf or kind(value) != value:
+                or not value < below or kind(value) != value:
             raise ValueError(f"must be a finite {kind.__name__} {bound}, got {value!r}")
         return kind(value)
     return convert
@@ -92,14 +93,19 @@ def _vector(value) -> np.ndarray:
     return np.asarray(value, dtype=float).ravel()
 
 
-SCHEDULE = {"T": (1000, int), "beta_start": (0.00085, float), "beta_end": (0.012, float),
+SCHEDULE = {"T": (1000, positive(int)), "beta_start": (0.00085, float), "beta_end": (0.012, float),
             "omega": ("unit", str)}
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:
     s = read(cfg.get("schedule"), SCHEDULE, "schedule")
-    return make_schedule(num_steps=s["T"], beta_start=s["beta_start"],
-                         beta_end=s["beta_end"], omega_kind=s["omega"])
+    try:
+        return make_schedule(num_steps=s["T"], beta_start=s["beta_start"],
+                             beta_end=s["beta_end"], omega_kind=s["omega"])
+    except ConfigError:
+        raise
+    except (ValueError, MemoryError) as exc:  # numpy cannot allocate T + 1 steps
+        raise ConfigError("bad value for config key schedule.T: too large to tabulate") from exc
 
 
 def gaussian_blob_template(width: int, height: int, channels: int,
@@ -228,15 +234,18 @@ DISTILL = {"objective": ("ism", str), "iterations": (1000, int), "t_min": (None,
            "t_max": (980, int), "delta_T_start": (200, int), "delta_T_end": (50, int),
            "delta_S": (50, int), "view_batch": (1, int), "seed": (0, SEED),
            "snapshot_every": (0, int), "optimizer": (None, lambda v: v)}
-OPTIMIZER = {"step_size": (0.01, float), "beta1": (0.9, float), "beta2": (0.99, float),
-             "eps_hat": (1e-8, float)}
+OPTIMIZER = {"step_size": (0.01, positive(float)), "beta1": (0.9, positive(float, True, 1)),
+             "beta2": (0.99, positive(float, True, 1)), "eps_hat": (1e-8, positive(float))}
 
 
-def build_distill(cfg: dict) -> DistillConfig:
+def build_distill(cfg: dict, guidance: GuidanceSpec | None = None,
+                  jitter: ViewJitterSpec | None = None) -> DistillConfig:
+    """The distill section; the guidance and jitter are built from cfg unless given."""
     d = read(cfg.get("distill"), DISTILL, "distill")
     if d["t_min"] is None:
         d["t_min"] = 20 + d["delta_T_start"]
     return DistillConfig(
         delta_t_start=d.pop("delta_T_start"), delta_t_end=d.pop("delta_T_end"),
-        delta_s=d.pop("delta_S"), guidance=build_guidance(cfg), jitter=build_jitter(cfg),
+        delta_s=d.pop("delta_S"), guidance=guidance or build_guidance(cfg),
+        jitter=jitter or build_jitter(cfg),
         optimizer=OptimConfig(**read(d.pop("optimizer"), OPTIMIZER, "distill.optimizer")), **d)

@@ -134,12 +134,21 @@ class RunLog:
             return len(self.rows)
         return None
 
+    def metrics_table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        """metrics.csv's header and rows, a row's fields in declaration order."""
+        return METRICS_CSV_HEADER, [tuple(vars(r).values()) for r in self.rows]
+
     def write_metrics_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_CSV_HEADER)
-            # a row's fields in declaration order, not copied; csv writes floats by repr
-            writer.writerows(vars(r).values() for r in self.rows)
+        write_csv(path, *self.metrics_table())
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV file of a header and rows; None is written as an empty cell and a
+    float by its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def norm(v: np.ndarray) -> float:

@@ -1,11 +1,11 @@
 """Named, config-driven diagnostic experiments.
 
-Each runner consumes an ExperimentSpec and returns a report object holding
-plain arrays and scalars. ``write_report`` writes a report's ``summary()``
-as report.json under an output directory and then lets the report write its
-own files: one or more CSV files with stable headers and, for
-image-producing generators, pixmap frames. Every report is a pure function
-of its spec, so reruns reproduce outputs exactly.
+Each runner consumes an ExperimentSpec and returns a Report: the summary
+that becomes report.json, the CSV tables (name -> header and rows) and, for
+image-producing generators, the frames (name -> image). ``write_report``
+writes any report in one pass: report.json, ``<name>.csv`` per table and
+``frames/<name>.ppm`` per frame. Every report is a pure function of its spec,
+so reruns reproduce outputs exactly.
 
 Kinds:
   * consistency -- spread of stochastic single-step clean targets versus the
@@ -19,17 +19,17 @@ Kinds:
     threshold-crossing statistics.
   * gradcheck   -- finite-difference and algebraic self-checks, pass/fail.
 
-DistillReport is the report of the CLI's plain ``distill`` kind, whose
-runner (``cli._run_distill``) sits beside these in ``cli.RUNNERS``.
+The CLI's plain ``distill`` kind has its runner (``cli._run_distill``) beside
+these in ``cli.RUNNERS``.
 """
 
 from __future__ import annotations
 
-import csv
+import copy
 import json
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,18 +37,12 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import SEED, nonempty_ints, positive, read
-from .distill import (DistillConfig, RunLog, checked_render, nearest_mode_distance,
-                      run_distillation)
+from .distill import (DistillConfig, checked_render, nearest_mode_distance, run_distillation,
+                      write_csv)
 from .errors import ConfigError
 from .generators import ViewJitterSpec, canonical_view, random_scene
-from .objectives import (
-    REPORT_CSV_HEADER,
-    decomposition_check,
-    ism_gradient,
-    multistep_bias,
-    naive_gradient,
-    sds_gradient,
-)
+from .objectives import (REPORT_CSV_HEADER, _interval_pieces, decomposition_check,
+                         ism_gradient, sds_gradient)
 from .oracle import GuidanceSpec, MixtureOracle
 from .ppm import write_ppm
 from .schedule import NoiseSchedule
@@ -73,19 +67,36 @@ GRADCHECKS = {  # name -> (its max error for an ExperimentSpec, tolerance)
         s.oracle, s.schedule, s.guidance, seed=s.seeds[0]), 1e-9),
 }
 DEFAULT_CHECKS = tuple(GRADCHECKS)
+# The kinds that render a generator, and those that run distillations.
+GENERATOR_KINDS = ("consistency", "eta-sweep", "interval-sweep", "race", "distill")
+DISTILL_KINDS = ("interval-sweep", "race", "distill")
+
+
+@dataclass
+class Report:
+    """What a runner produced: ``summary`` is report.json's object, its
+    ``"kind"`` first; ``tables`` maps a CSV name to its header and rows (None
+    is written as an empty cell); ``frames`` maps a frame name to an image."""
+
+    summary: dict
+    tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]] = field(default_factory=dict)
+    frames: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
 class ExperimentSpec:
-    """Parsed experiment configuration; see docs/config.md for the JSON form."""
+    """Parsed experiment configuration; see docs/config.md for the JSON form.
+    ``generator`` is the built generator (None for a kind that renders none
+    and a config without a generator section)."""
 
     schedule: NoiseSchedule
     oracle: MixtureOracle
     guidance: GuidanceSpec
-    generator_cfg: dict
     t_values: Sequence[int]
     delta_t_values: Sequence[int]
     delta_s_values: Sequence[int]
+    jitter: ViewJitterSpec = ViewJitterSpec()
+    generator: object = None
     noise_draws: int = 8
     seeds: Sequence[int] = field(default_factory=lambda: [0])
     threshold: float = 0.2
@@ -94,7 +105,8 @@ class ExperimentSpec:
     checks: tuple[str, ...] = DEFAULT_CHECKS
 
     def make_generator(self):
-        return cfgmod.build_generator(self.generator_cfg)
+        """A fresh copy of the built generator, for one run."""
+        return copy.deepcopy(self.generator)
 
 
 def _check_names(value) -> tuple[str, ...]:
@@ -115,28 +127,28 @@ EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty_ints),
 
 
 def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
-    """The spec of a config, an object of SECTIONS; EXPERIMENT keys other than
-    the delta_ ones are spec fields of the same name. The guidance labels must
-    be oracle labels, and the t_values of a kind that reads them in [1, T]."""
+    """The spec of a config, an object of SECTIONS. Every section present is
+    built, whatever the kind, and so are the generator and distill sections
+    the kind needs. EXPERIMENT keys other than the delta_ ones are spec fields
+    of the same name. The guidance labels must be oracle labels, and the
+    t_values of a kind that reads them in [1, T]."""
     if not isinstance(cfg, dict):
         raise ConfigError("the top level of a config must be an object")
     read(cfg, cfgmod.SECTIONS, "")
     e = read(cfg.get("experiment"), EXPERIMENT, "experiment")
+    schedule, oracle = cfgmod.build_schedule(cfg), cfgmod.build_oracle(cfg)
+    guidance, jitter = cfgmod.build_guidance(cfg), cfgmod.build_jitter(cfg)
     spec = ExperimentSpec(
-        schedule=cfgmod.build_schedule(cfg),
-        oracle=cfgmod.build_oracle(cfg),
-        guidance=cfgmod.build_guidance(cfg),
-        generator_cfg=cfg,
-        delta_t_values=e.pop("delta_T_values"),
-        delta_s_values=e.pop("delta_S_values"),
-        distill=cfgmod.build_distill(cfg) if "distill" in cfg or kind in
-            ("interval-sweep", "race", "distill") else None,
-        **e,
-    )
-    for key, label in (("positive", spec.guidance.positive), ("negative", spec.guidance.negative)):
-        if label not in (None, *spec.oracle.labels):
+        schedule, oracle, guidance, jitter=jitter,
+        generator=(cfgmod.build_generator(cfg)
+                   if "generator" in cfg or kind in GENERATOR_KINDS else None),
+        distill=(cfgmod.build_distill(cfg, guidance, jitter)
+                 if "distill" in cfg or kind in DISTILL_KINDS else None),
+        delta_t_values=e.pop("delta_T_values"), delta_s_values=e.pop("delta_S_values"), **e)
+    for key, label in (("positive", guidance.positive), ("negative", guidance.negative)):
+        if label not in (None, *oracle.labels):
             raise ConfigError(f"guidance.{key} is not null or an oracle label: {label!r}")
-    T = spec.schedule.num_steps
+    T = schedule.num_steps
     bad = [t for t in spec.t_values if not 1 <= t <= T]
     if bad and kind in ("consistency", "quality", "eta-sweep"):
         raise ConfigError(
@@ -154,21 +166,6 @@ def _variance(points: list[np.ndarray]) -> float:
     d = stack - stack[0]
     centered = np.mean(np.sum(d * d, axis=1)) - np.sum(np.mean(d, axis=0) ** 2)
     return float(max(centered, 0.0))
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-
-
-def _write_frames(out: Path, frames: dict[str, np.ndarray]) -> None:
-    if frames:
-        (out / "frames").mkdir(exist_ok=True)
-    for name, img in frames.items():
-        write_ppm(out / "frames" / f"{name}.ppm", img)
 
 
 def final_frame(gen, jitter: ViewJitterSpec) -> Optional[np.ndarray]:
@@ -198,30 +195,7 @@ def _montage(images: list[list[np.ndarray]], shape) -> np.ndarray:
 # consistency
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConsistencyReport:
-    t_values: list[int]
-    sds_noise_variance: list[float]
-    ism_noise_variance: list[float]
-    sds_across_t_variance: float
-    ism_across_t_variance: float
-    sds_mean_target_mode_distance: float
-    sds_mean_of_target_distances: float
-    ism_mean_target_mode_distance: float
-    ism_mean_of_target_distances: float
-    frames: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def summary(self) -> dict:
-        """Every field but the frames, in declaration order."""
-        return {"kind": "consistency", **{k: v for k, v in vars(self).items() if k != "frames"}}
-
-    def write_files(self, out: Path) -> None:
-        _write_csv(out / "consistency.csv", CONSISTENCY_CSV_HEADER,
-                   zip(self.t_values, self.sds_noise_variance, self.ism_noise_variance))
-        _write_frames(out, self.frames)
-
-
-def run_consistency(spec: ExperimentSpec) -> ConsistencyReport:
+def run_consistency(spec: ExperimentSpec) -> Report:
     """Spread of clean targets for a fixed view.
 
     The stochastic branch draws K noise vectors per timestep and estimates
@@ -236,8 +210,7 @@ def run_consistency(spec: ExperimentSpec) -> ConsistencyReport:
         raise ConfigError(f"consistency needs delta_S_values[0] <= every t_value, "
                           f"got {stride} > {min(spec.t_values)}")
     gen = spec.make_generator()
-    sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
-    jit = cfgmod.build_jitter(spec.generator_cfg)
+    sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
     x0 = checked_render(gen, oracle, canonical_view(jit.width, jit.height))
     rng = np.random.default_rng(spec.seeds[0])
 
@@ -258,21 +231,24 @@ def run_consistency(spec: ExperimentSpec) -> ConsistencyReport:
     label = g.positive
     sds_all = [p for draws in sds_by_t for p in draws]
     ism_all = [p for draws in ism_by_t for p in draws]
-    report = ConsistencyReport(
-        t_values=list(spec.t_values),
-        sds_noise_variance=[_variance(d) for d in sds_by_t],
-        ism_noise_variance=[_variance(d) for d in ism_by_t],
-        sds_across_t_variance=_variance([np.mean(d, axis=0) for d in sds_by_t]),
-        ism_across_t_variance=_variance([np.mean(d, axis=0) for d in ism_by_t]),
-        sds_mean_target_mode_distance=nearest_mode_distance(
+    summary = {
+        "kind": "consistency",
+        "t_values": list(spec.t_values),
+        "sds_noise_variance": [_variance(d) for d in sds_by_t],
+        "ism_noise_variance": [_variance(d) for d in ism_by_t],
+        "sds_across_t_variance": _variance([np.mean(d, axis=0) for d in sds_by_t]),
+        "ism_across_t_variance": _variance([np.mean(d, axis=0) for d in ism_by_t]),
+        "sds_mean_target_mode_distance": nearest_mode_distance(
             oracle, label, np.mean(sds_all, axis=0)),
-        sds_mean_of_target_distances=float(np.mean(
+        "sds_mean_of_target_distances": float(np.mean(
             [nearest_mode_distance(oracle, label, p) for p in sds_all])),
-        ism_mean_target_mode_distance=nearest_mode_distance(
+        "ism_mean_target_mode_distance": nearest_mode_distance(
             oracle, label, np.mean(ism_all, axis=0)),
-        ism_mean_of_target_distances=float(np.mean(
+        "ism_mean_of_target_distances": float(np.mean(
             [nearest_mode_distance(oracle, label, p) for p in ism_all])),
-    )
+    }
+    rows = zip(summary["t_values"], summary["sds_noise_variance"], summary["ism_noise_variance"])
+    report = Report(summary, {"consistency": (CONSISTENCY_CSV_HEADER, list(rows))})
 
     shape = gen.image_shape(jit)
     if shape is not None:
@@ -288,19 +264,7 @@ def run_consistency(spec: ExperimentSpec) -> ConsistencyReport:
 # quality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QualityReport:
-    rows: list[tuple]  # (t, err_single, err_multi, oracle_calls_multi)
-
-    def summary(self) -> dict:
-        return {"kind": "quality",
-                "rows": [list(r) for r in self.rows]}
-
-    def write_files(self, out: Path) -> None:
-        _write_csv(out / "quality.csv", QUALITY_CSV_HEADER, self.rows)
-
-
-def run_quality(spec: ExperimentSpec) -> QualityReport:
+def run_quality(spec: ExperimentSpec) -> Report:
     """Distance-to-mode of single-step versus multi-step clean estimates.
 
     Start points are drawn from the data prior; each is inverted
@@ -327,30 +291,18 @@ def run_quality(spec: ExperimentSpec) -> QualityReport:
             err_m.append(nearest_mode_distance(oracle, label, multi))
         rows.append((t, float(np.mean(err_s)), float(np.mean(err_m)),
                      float(np.mean(calls))))
-    return QualityReport(rows=rows)
+    return Report({"kind": "quality", "rows": rows}, {"quality": (QUALITY_CSV_HEADER, rows)})
 
 
 # ---------------------------------------------------------------------------
 # eta sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EtaReport:
-    rows: list[tuple]
-    gradient_rows: list[tuple]
-
-    def summary(self) -> dict:
-        return {"kind": "eta_sweep", "rows": [list(r) for r in self.rows]}
-
-    def write_files(self, out: Path) -> None:
-        _write_csv(out / "eta_sweep.csv", ETA_CSV_HEADER, self.rows)
-        _write_csv(out / "gradients.csv", REPORT_CSV_HEADER, self.gradient_rows)
-
-
-def run_eta_sweep(spec: ExperimentSpec) -> EtaReport:
-    """Bias magnitude versus interval length, with cost accounting."""
-    sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
-    jit = cfgmod.build_jitter(spec.generator_cfg)
+def run_eta_sweep(spec: ExperimentSpec) -> Report:
+    """Bias magnitude versus interval length, with cost accounting. The
+    multi-step pieces of each (t, delta_T) cell are built once and give its
+    bias, decomposition residual and naive gradient."""
+    sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
     x0 = checked_render(spec.make_generator(), oracle, canonical_view(jit.width, jit.height))
     delta_s = spec.delta_s_values[0]
 
@@ -359,9 +311,10 @@ def run_eta_sweep(spec: ExperimentSpec) -> EtaReport:
         for dt in spec.delta_t_values:
             if dt > t:
                 continue
-            bias = multistep_bias(oracle, sch, x0, t, dt, g)
-            residual = decomposition_check(oracle, sch, x0, t, dt, g)
-            naive = naive_gradient(oracle, sch, x0, t, dt, g)
+            pieces = _interval_pieces(oracle, sch, x0, t, dt, g)
+            bias = pieces.bias(sch)
+            residual = pieces.decomposition(sch)
+            naive = pieces.naive(sch)
             # scaled interval score recovered from the exact decomposition
             interval_norm = float(np.linalg.norm(x0 - naive.pseudo_gt - bias))
             eta_norm = float(np.linalg.norm(bias))
@@ -375,47 +328,31 @@ def run_eta_sweep(spec: ExperimentSpec) -> EtaReport:
                 ism_calls = None
             rows.append((t, dt, eta_norm, interval_norm, ratio, residual,
                          naive.oracle_calls, ism_calls))
-    return EtaReport(rows=rows, gradient_rows=grad_rows)
+    return Report({"kind": "eta_sweep", "rows": rows},
+                  {"eta_sweep": (ETA_CSV_HEADER, rows),
+                   "gradients": (REPORT_CSV_HEADER, grad_rows)})
 
 
 # ---------------------------------------------------------------------------
 # interval sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IntervalSweepReport:
-    rows: list[tuple]
-    frames: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def axis_spread(self, axis: str) -> dict[int, float]:
-        """Max pairwise gap of final mode distances when varying one grid
-        axis with the other held fixed (how much each knob matters), keyed
-        by the held value."""
-        held_col = 1 if axis == "delta_T" else 0
-        out = {}
-        for held in sorted({r[held_col] for r in self.rows}):
-            dists = [r[2] for r in self.rows if r[held_col] == held]
-            out[held] = float(max(dists) - min(dists)) if len(dists) > 1 else 0.0
-        return out
-
-    def summary(self) -> dict:
-        return {
-            "kind": "interval_sweep",
-            "rows": [list(r) for r in self.rows],
-            "spread_over_delta_T": self.axis_spread("delta_T"),
-            "spread_over_delta_S": self.axis_spread("delta_S"),
-        }
-
-    def write_files(self, out: Path) -> None:
-        _write_csv(out / "interval_sweep.csv", INTERVAL_CSV_HEADER, self.rows)
-        _write_frames(out, self.frames)
+def _axis_spread(rows: list[tuple], held_col: int) -> dict[int, float]:
+    """Max pairwise gap of final mode distances over the rows that share a
+    value in column held_col (how much the other grid axis matters), keyed by
+    that held value."""
+    out = {}
+    for held in sorted({r[held_col] for r in rows}):
+        dists = [r[2] for r in rows if r[held_col] == held]
+        out[held] = float(max(dists) - min(dists)) if len(dists) > 1 else 0.0
+    return out
 
 
-def run_interval_sweep(spec: ExperimentSpec) -> IntervalSweepReport:
+def run_interval_sweep(spec: ExperimentSpec) -> Report:
     """Full distillation per (interval, stride) grid cell with a shared seed."""
     if spec.distill is None:
         raise ConfigError("interval-sweep needs a distill section")
-    report = IntervalSweepReport(rows=[])
+    rows, frames = [], {}
     for dt in spec.delta_t_values:
         for ds in spec.delta_s_values:
             cfg = replace(spec.distill, delta_t_start=dt, delta_t_end=dt,
@@ -424,55 +361,30 @@ def run_interval_sweep(spec: ExperimentSpec) -> IntervalSweepReport:
             started = time.perf_counter()
             log = run_distillation(gen, spec.oracle, spec.schedule, cfg)
             wall = time.perf_counter() - started
-            report.rows.append((dt, ds, log.final_mode_distance,
-                                log.total_oracle_calls(), wall))
+            rows.append((dt, ds, log.final_mode_distance, log.total_oracle_calls(), wall))
             frame = final_frame(gen, cfg.jitter)
             if frame is not None:
-                report.frames[f"final_dT{dt}_dS{ds}"] = frame
-    return report
+                frames[f"final_dT{dt}_dS{ds}"] = frame
+    summary = {"kind": "interval_sweep", "rows": rows,
+               "spread_over_delta_T": _axis_spread(rows, 1),
+               "spread_over_delta_S": _axis_spread(rows, 0)}
+    return Report(summary, {"interval_sweep": (INTERVAL_CSV_HEADER, rows)}, frames)
 
 
 # ---------------------------------------------------------------------------
 # race
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RaceReport:
-    curves: dict[tuple[int, str], list[float]]
-    crossings: dict[tuple[int, str], Optional[int]]
-    threshold: float
-
-    def median_crossing(self, objective: str) -> float:
-        vals = [math.inf if c is None else c
-                for (seed, obj), c in self.crossings.items() if obj == objective]
-        return float(np.median(vals))
-
-    def summary(self) -> dict:
-        return {
-            "kind": "race",
-            "threshold": self.threshold,
-            "crossings": {f"{seed}:{obj}": c
-                          for (seed, obj), c in self.crossings.items()},
-            "median_ism_crossing": _json_num(self.median_crossing("ism")),
-            "median_sds_crossing": _json_num(self.median_crossing("sds")),
-        }
-
-    def write_files(self, out: Path) -> None:
-        rows = [(seed, obj, i, d)
-                for (seed, obj), curve in sorted(self.curves.items())
-                for i, d in enumerate(curve)]
-        _write_csv(out / "race.csv", RACE_CSV_HEADER, rows)
-        summary_rows = [(seed, self.crossings.get((seed, "ism")),
-                         self.crossings.get((seed, "sds")), self.threshold)
-                        for seed in sorted({s for s, _ in self.crossings})]
-        _write_csv(out / "race_summary.csv", RACE_SUMMARY_CSV_HEADER, summary_rows)
+def _median_crossing(crossings: dict[tuple[int, str], Optional[int]],
+                     objective: str) -> Optional[float]:
+    """Median first crossing of an objective's runs, a run that never crossed
+    counting as infinite; None when the median is not finite."""
+    median = float(np.median([math.inf if c is None else c
+                              for (seed, obj), c in crossings.items() if obj == objective]))
+    return median if math.isfinite(median) else None
 
 
-def _json_num(v: float):
-    return None if math.isinf(v) or math.isnan(v) else v
-
-
-def run_race(spec: ExperimentSpec) -> RaceReport:
+def run_race(spec: ExperimentSpec) -> Report:
     """Matched-seed interval-vs-noise-matching runs with shared timestep and
     view streams; records distance curves and first threshold crossings."""
     if spec.distill is None:
@@ -488,39 +400,24 @@ def run_race(spec: ExperimentSpec) -> RaceReport:
             curve = [r.mode_distance for r in log.rows]  # entering each iteration
             curves[(seed, objective)] = curve + [log.final_mode_distance]
             crossings[(seed, objective)] = log.first_crossing(spec.threshold)
-    return RaceReport(curves=curves, crossings=crossings, threshold=spec.threshold)
+    summary = {
+        "kind": "race",
+        "threshold": spec.threshold,
+        "crossings": {f"{seed}:{obj}": c for (seed, obj), c in crossings.items()},
+        "median_ism_crossing": _median_crossing(crossings, "ism"),
+        "median_sds_crossing": _median_crossing(crossings, "sds"),
+    }
+    race_rows = [(seed, obj, i, d) for (seed, obj), curve in sorted(curves.items())
+                 for i, d in enumerate(curve)]
+    summary_rows = [(seed, crossings.get((seed, "ism")), crossings.get((seed, "sds")),
+                     spec.threshold) for seed in sorted({s for s, _ in crossings})]
+    return Report(summary, {"race": (RACE_CSV_HEADER, race_rows),
+                            "race_summary": (RACE_SUMMARY_CSV_HEADER, summary_rows)})
 
 
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GradcheckRow:
-    check: str
-    max_error: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass
-class GradcheckReport:
-    rows: list[GradcheckRow]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def summary(self) -> dict:
-        return {
-            "kind": "gradcheck",
-            "ok": self.ok,
-            "rows": [asdict(r) for r in self.rows],
-        }
-
-    def write_files(self, out: Path) -> None:
-        _write_csv(out / "gradcheck.csv", GRADCHECK_CSV_HEADER, map(astuple, self.rows))
-
 
 def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     """Central finite differences of a scalar function of a flat vector."""
@@ -612,55 +509,36 @@ def decomposition_sweep_check(oracle: MixtureOracle, schedule: NoiseSchedule,
     return worst
 
 
-def run_gradcheck(spec: ExperimentSpec) -> GradcheckReport:
-    """Aggregate the package's independent-oracle checks into one report."""
+def run_gradcheck(spec: ExperimentSpec) -> Report:
+    """Aggregate the package's independent-oracle checks into one report;
+    its summary's ``ok`` is whether every check passed."""
     rows = []
     for name in spec.checks:
         check, tol = GRADCHECKS[name]
         err = check(spec)
-        rows.append(GradcheckRow(check=name, max_error=err, tolerance=tol, passed=err < tol))
-    return GradcheckReport(rows=rows)
-
-
-# ---------------------------------------------------------------------------
-# distill
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DistillReport:
-    """One distillation run: its settings, its log, and the frames to write
-    (snapshots and the final canonical render, for image generators)."""
-
-    cfg: DistillConfig
-    log: RunLog
-    frames: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def summary(self) -> dict:
-        return {
-            "kind": "distill",
-            "objective": self.cfg.objective,
-            "iterations": self.cfg.iterations,
-            "initial_mode_distance": self.log.initial_mode_distance,
-            "final_mode_distance": self.log.final_mode_distance,
-            "oracle_calls": self.log.total_oracle_calls(),
-        }
-
-    def write_files(self, out: Path) -> None:
-        self.log.write_metrics_csv(out / "metrics.csv")
-        _write_frames(out, self.frames)
+        rows.append((name, err, tol, err < tol))
+    summary = {"kind": "gradcheck", "ok": all(r[3] for r in rows),
+               "rows": [dict(zip(GRADCHECK_CSV_HEADER, r)) for r in rows]}
+    return Report(summary, {"gradcheck": (GRADCHECK_CSV_HEADER, rows)})
 
 
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
 
-def write_report(report, out_dir) -> None:
-    """report.json from the report's summary, then the report's own files."""
+def write_report(report: Report, out_dir) -> None:
+    """report.json from the summary, then ``<name>.csv`` per table and
+    ``frames/<name>.ppm`` per frame."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
-        json.dump(report.summary(), fh, indent=2)
-    report.write_files(out)
+        json.dump(report.summary, fh, indent=2)
+    for name, (header, rows) in report.tables.items():
+        write_csv(out / f"{name}.csv", header, rows)
+    if report.frames:
+        (out / "frames").mkdir(exist_ok=True)
+    for name, img in report.frames.items():
+        write_ppm(out / "frames" / f"{name}.ppm", img)
 
 
 RUNNERS = {

@@ -119,9 +119,12 @@ def ism_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
 
 @dataclass(frozen=True)
 class _IntervalPieces:
-    """Shared intermediates of the multi-step objective on the common grid."""
+    """Shared intermediates of the multi-step objective on the common grid; naive,
+    bias and decomposition return what naive_gradient, multistep_bias and
+    decomposition_check do."""
 
-    grid: tuple[int, ...]          # ascending, grid[0] = 0, grid[-1] = t
+    x0: np.ndarray
+    grid: tuple[int, ...]          # ascending, grid[0] = 0, grid[-2] = s, grid[-1] = t
     inv: Trajectory                # unconditional inversion along grid
     deno: Trajectory               # guided denoising back down grid
     oracle_calls: int
@@ -149,6 +152,25 @@ class _IntervalPieces:
             series -= gammas[j - 1] * (deno.eps_cache[n - j] - deno.eps_cache[n - j + 1])
         return series
 
+    def naive(self, schedule: NoiseSchedule) -> GradientReport:
+        t = self.grid[-1]
+        w = schedule.loss_weight(t) / schedule.noise_to_signal(t)
+        return GradientReport(grad_x0=w * (self.x0 - self.x0_tilde), pseudo_gt=self.x0_tilde,
+                              t=t, s=self.grid[-2], oracle_calls=self.oracle_calls)
+
+    def bias(self, schedule: NoiseSchedule) -> np.ndarray:
+        residual = (self.x0 - self.x0_tilde) \
+            - schedule.noise_to_signal(self.grid[-1]) * self.interval
+        gap = float(np.linalg.norm(residual - self.series(schedule)))
+        if gap > 1e-9:
+            raise ArithmeticError(f"bias residual and series evaluation disagree by {gap:.3e}")
+        return residual
+
+    def decomposition(self, schedule: NoiseSchedule) -> float:
+        lhs = self.x0 - self.x0_tilde
+        rhs = schedule.noise_to_signal(self.grid[-1]) * self.interval + self.series(schedule)
+        return float(np.linalg.norm(lhs - rhs))
+
 
 def _interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
                      delta_t: int, g: GuidanceSpec) -> _IntervalPieces:
@@ -166,7 +188,7 @@ def _interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     if deno.timesteps != tuple(reversed(grid)):
         raise RuntimeError(f"denoising nodes {deno.timesteps} do not retrace the "
                            f"inversion grid {grid}")
-    return _IntervalPieces(grid=tuple(grid), inv=inv, deno=deno,
+    return _IntervalPieces(x0=x0, grid=tuple(grid), inv=inv, deno=deno,
                            oracle_calls=oracle.eps_evals - before)
 
 
@@ -179,15 +201,7 @@ def naive_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     omega(t) * interval score exactly. Costs about 2 * (t / delta_t) oracle
     evaluations, which is what the interval objective avoids.
     """
-    pieces = _interval_pieces(oracle, schedule, x0, t, delta_t, g)
-    w = schedule.loss_weight(t) / schedule.noise_to_signal(t)
-    return GradientReport(
-        grad_x0=w * (x0 - pieces.x0_tilde),
-        pseudo_gt=pieces.x0_tilde,
-        t=int(t),
-        s=int(t) - int(delta_t),
-        oracle_calls=pieces.oracle_calls,
-    )
+    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).naive(schedule)
 
 
 def multistep_bias(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
@@ -200,14 +214,7 @@ def multistep_bias(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     scores from the cached trajectories and verifies the two agree to 1e-9;
     disagreement indicates a broken trajectory invariant and raises.
     """
-    pieces = _interval_pieces(oracle, schedule, x0, t, delta_t, g)
-    residual = (x0 - pieces.x0_tilde) - schedule.noise_to_signal(t) * pieces.interval
-    gap = float(np.linalg.norm(residual - pieces.series(schedule)))
-    if gap > 1e-9:
-        raise ArithmeticError(
-            f"bias residual and series evaluation disagree by {gap:.3e}"
-        )
-    return residual
+    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).bias(schedule)
 
 
 def decomposition_check(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
@@ -218,8 +225,4 @@ def decomposition_check(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
     interval score plus the telescoping bias; should be < 1e-9 in double
     precision for all valid inputs.
     """
-    pieces = _interval_pieces(oracle, schedule, x0, t, delta_t, g)
-    gam = schedule.noise_to_signal(t)
-    lhs = x0 - pieces.x0_tilde
-    rhs = gam * pieces.interval + pieces.series(schedule)
-    return float(np.linalg.norm(lhs - rhs))
+    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).decomposition(schedule)

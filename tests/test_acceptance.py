@@ -159,13 +159,13 @@ def test_criterion_5_consistency_finding(default_schedule):
     spec = ExperimentSpec(
         schedule=default_schedule, oracle=oracle,
         guidance=GuidanceSpec(positive="right", scale=7.5),
-        generator_cfg={"generator": {"kind": "identity", "theta": [0.0, 0.0]}},
+        generator=IdentityLatent([0.0, 0.0]),
         t_values=[100, 300, 500, 700, 900], delta_t_values=[50],
         delta_s_values=[50], noise_draws=32, seeds=[0])
-    rep = run_consistency(spec)
-    ism_zero = all(v == 0.0 for v in rep.ism_noise_variance)
-    sds_var_700 = rep.sds_noise_variance[rep.t_values.index(700)]
-    factor = sds_var_700 / max(rep.ism_across_t_variance, 1e-300)
+    rep = run_consistency(spec).summary
+    ism_zero = all(v == 0.0 for v in rep["ism_noise_variance"])
+    sds_var_700 = rep["sds_noise_variance"][rep["t_values"].index(700)]
+    factor = sds_var_700 / max(rep["ism_across_t_variance"], 1e-300)
     elapsed = time.perf_counter() - t0
     report(5, "clean-target consistency",
            ism_zero and factor >= 2.0 and elapsed < 30.0,
@@ -181,10 +181,10 @@ def test_criterion_6_quality_finding(default_schedule):
     spec = ExperimentSpec(
         schedule=default_schedule, oracle=oracle,
         guidance=GuidanceSpec(positive=None, scale=1.0),
-        generator_cfg={}, t_values=[900], delta_t_values=[50],
+        t_values=[900], delta_t_values=[50],
         delta_s_values=[50], start_points=20, seeds=[1])
     rep = run_quality(spec)
-    (_, err_single, err_multi, _), = rep.rows
+    (_, err_single, err_multi, _), = rep.summary["rows"]
     elapsed = time.perf_counter() - t0
     report(6, "multi-step clean-estimate quality",
            err_multi < err_single and elapsed < 60.0,

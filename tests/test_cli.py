@@ -294,6 +294,27 @@ def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, kind, key, value", [
+    ("quality.json", "quality", "view.widht", 16),
+    ("quality.json", "quality", "jitter.zoom_mn", 1.0),
+    ("gradcheck.json", "gradcheck", "generator.kindd", "identity"),
+    ("gradcheck.json", "gradcheck", "jitter.rotaton_max", 0.1),
+    ("gradcheck.json", "gradcheck", "distill.optimizer.beta1", 1.5),
+    ("quality.json", "quality", "schedule.T", 1e300),
+])
+def test_sections_a_kind_does_not_use_are_still_checked(tmp_path, capsys, name, kind, key,
+                                                        value):
+    """Every section present is built for every kind, so a misspelled key or an
+    out-of-range value in a section the kind never reads is a one-line config
+    error naming the key, not a silent default."""
+    cfg = tweak_config(tmp_path, name, **{key: value})
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
 def test_misspelled_component_key_exits_one(tmp_path, capsys):
     cfg = load_json(CONFIGS / "distill_identity.json")
     cfg["oracle"]["components"][1]["sigm"] = 0.2

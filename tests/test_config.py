@@ -193,11 +193,28 @@ def test_wrong_typed_value_names_its_key(key, value):
     ("experiment.start_points", 0),
     ("experiment.start_points", -1),
     ("experiment.start_points", 2.5),
+    ("schedule.T", 2.7),
+    ("schedule.T", True),
+    ("schedule.T", 0),
+    ("schedule.T", 1e300),
+    ("schedule.T", 2 ** 63),
+    ("distill.optimizer.step_size", -0.01),
+    ("distill.optimizer.step_size", 0),
+    ("distill.optimizer.step_size", float("inf")),
+    ("distill.optimizer.eps_hat", 0),
+    ("distill.optimizer.eps_hat", float("nan")),
+    ("distill.optimizer.beta1", 1),
+    ("distill.optimizer.beta1", 1.5),
+    ("distill.optimizer.beta1", -0.1),
+    ("distill.optimizer.beta2", 1),
+    ("distill.optimizer.beta2", True),
 ])
 def test_out_of_range_values_name_their_key(key, value):
-    """Sizes and start_points must be positive integers and seeds
-    non-negative integers (a fraction is rejected, not truncated), and the
-    template sigma a finite positive number."""
+    """Sizes, schedule.T and start_points must be positive integers and seeds
+    non-negative integers (a fraction is rejected, not truncated); the
+    template sigma, the optimizer step_size and eps_hat finite positive
+    numbers, and the optimizer betas in [0, 1). A T too large to tabulate is
+    a config error too."""
     cfg = load_json(CONFIGS / "distill_splats.json")
     node, parts = cfg, key.replace("[0]", ".0").split(".")
     for part in parts[:-1]:

@@ -49,8 +49,8 @@ def test_consistency_deterministic_branch_has_zero_spread(tmp_path):
                      **{"experiment.noise_draws": 6,
                         "experiment.t_values": [300, 700]})
     report = run_consistency(spec)
-    assert report.ism_noise_variance == [0.0, 0.0]
-    assert all(v > 0 for v in report.sds_noise_variance)
+    assert report.summary["ism_noise_variance"] == [0.0, 0.0]
+    assert all(v > 0 for v in report.summary["sds_noise_variance"])
     write_report(report, tmp_path)
     rows = read_csv(tmp_path / "consistency.csv")
     assert tuple(rows[0]) == CONSISTENCY_CSV_HEADER
@@ -77,7 +77,7 @@ def test_consistency_single_component_variance_matches_closed_form(schedule):
     gamma = spec.schedule.noise_to_signal(t)
     expected = 2 * (gamma * ab * 0.25 / v) ** 2
     rel_sd = np.sqrt(2.0 / (2 * 4096))
-    assert report.sds_noise_variance[0] == pytest.approx(expected, rel=5 * rel_sd)
+    assert report.summary["sds_noise_variance"][0] == pytest.approx(expected, rel=5 * rel_sd)
 
 
 def test_consistency_rejects_single_draw():
@@ -92,8 +92,8 @@ def test_quality_low_noise_estimates_agree(tmp_path):
                      **{"experiment.t_values": [50, 900],
                         "experiment.start_points": 6})
     report = run_quality(spec)
-    assert [r[0] for r in report.rows] == [50, 900]
-    t50, t900 = report.rows
+    assert [r[0] for r in report.summary["rows"]] == [50, 900]
+    t50, t900 = report.summary["rows"]
     assert t50[1] == pytest.approx(t50[2], abs=0.05)   # near-exact at low noise
     assert t900[2] < t900[1]                           # multi-step wins at high noise
     write_report(report, tmp_path)
@@ -110,7 +110,7 @@ def test_quality_single_component_near_exact():
                         "oracle.labels": {"m": [0]},
                         "guidance.positive": "m"})
     report = run_quality(spec)
-    for row in report.rows:
+    for row in report.summary["rows"]:
         assert row[1] < 1e-3 and row[2] < 1e-3
 
 
@@ -119,10 +119,10 @@ def test_eta_sweep_identities_and_costs(tmp_path):
                      **{"experiment.t_values": [100, 400],
                         "experiment.delta_T_values": [25, 100]})
     report = run_eta_sweep(spec)
-    by_key = {(r[0], r[1]): r for r in report.rows}
+    by_key = {(r[0], r[1]): r for r in report.summary["rows"]}
     # full-span interval rows have no telescoping bias
     assert by_key[(100, 100)][2] < 1e-12
-    for row in report.rows:
+    for row in report.summary["rows"]:
         assert row[5] < 1e-9                 # decomposition residual
         if row[7] is not None:
             assert row[7] < row[6]           # interval cheaper than multi-step
@@ -141,8 +141,8 @@ def test_interval_sweep_costs_and_determinism(tmp_path):
                         "experiment.delta_S_values": [50, 200]})
     report = run_interval_sweep(spec)
     again = run_interval_sweep(spec)
-    assert [r[:4] for r in report.rows] == [r[:4] for r in again.rows]
-    by_ds = {r[1]: r for r in report.rows}
+    assert [r[:4] for r in report.summary["rows"]] == [r[:4] for r in again.summary["rows"]]
+    by_ds = {r[1]: r for r in report.summary["rows"]}
     assert by_ds[200][3] < by_ds[50][3]      # larger stride, fewer evaluations
     write_report(report, tmp_path)
     rows = read_csv(tmp_path / "interval_sweep.csv")
@@ -156,7 +156,7 @@ def test_race_self_consistency(tmp_path):
                         "experiment.threshold": 10.0})
     report = run_race(spec)
     # threshold above the starting distance crosses at iteration zero
-    assert all(c == 0 for c in report.crossings.values())
+    assert all(c == 0 for c in report.summary["crossings"].values())
     write_report(report, tmp_path)
     race_rows = read_csv(tmp_path / "race.csv")
     assert tuple(race_rows[0]) == RACE_CSV_HEADER
@@ -169,8 +169,9 @@ def test_race_matched_streams(schedule):
     spec = load_spec("race.json", "race", **{"distill.iterations": 50,
                                              "experiment.seeds": [3, 4]})
     report = run_race(spec)
-    ism = report.curves[(3, "ism")]
-    sds = report.curves[(3, "sds")]
+    curves = report.tables["race"][1]
+    ism = [r[3] for r in curves if r[:2] == (3, "ism")]
+    sds = [r[3] for r in curves if r[:2] == (3, "sds")]
     assert len(ism) == len(sds) == 51
     assert ism[0] == sds[0] == 1.0
 
@@ -184,8 +185,8 @@ def test_race_needs_two_seeds():
 def test_gradcheck_default_passes(tmp_path):
     spec = load_spec("gradcheck.json", "gradcheck")
     report = run_gradcheck(spec)
-    assert report.ok
-    assert {r.check for r in report.rows} == {
+    assert report.summary["ok"]
+    assert {r["check"] for r in report.summary["rows"]} == {
         "score_fd", "renderer_fd", "gradient_forms", "decomposition"}
     write_report(report, tmp_path)
     rows = read_csv(tmp_path / "gradcheck.csv")
@@ -195,14 +196,14 @@ def test_gradcheck_default_passes(tmp_path):
 def test_gradcheck_detects_corruption(corrupt_backward):
     spec = load_spec("gradcheck.json", "gradcheck", **{"experiment.checks": ["renderer_fd"]})
     report = run_gradcheck(spec)
-    assert not report.ok
+    assert not report.summary["ok"]
 
 
 def test_gradcheck_empty_check_list(tmp_path):
     spec = load_spec("gradcheck.json", "gradcheck",
                      **{"experiment.checks": []})
     report = run_gradcheck(spec)
-    assert report.rows == [] and report.ok
+    assert report.summary["rows"] == [] and report.summary["ok"]
     write_report(report, tmp_path)
     assert len(read_csv(tmp_path / "gradcheck.csv")) == 1
 
