@@ -1,9 +1,9 @@
 """JSON experiment configuration: parsing and object builders.
 
-The schema is documented in docs/config.md. Each config object is declared
-once, as a table key -> (default, converter) beside its builder; ``read``
-checks an object against its table. Builders raise ConfigError with the
-dotted key that failed, so the CLI can exit with the config-error code.
+The schema is in docs/config.md. Each config object is declared once, as a
+table key -> (default, converter) beside its builder: ``read`` checks an
+object against its table (a key's range is its converter), the builder the
+constraints across keys (``need``). Each ConfigError names its dotted keys.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import math
 
 import numpy as np
 
-from .distill import DistillConfig, OptimConfig
+from .distill import OBJECTIVES, DistillConfig, OptimConfig
 from .errors import ConfigError
 from .generators import IdentityLatent, SplatGenerator, ViewJitterSpec, random_scene
 from .oracle import GuidanceSpec, MixtureOracle
-from .schedule import NoiseSchedule, make_schedule
+from .schedule import OMEGA_KINDS, NoiseSchedule, make_schedule
 
 REQUIRED = object()  # table default of a key that must be given
 # The top-level sections of a config; each is read by its own table.
@@ -65,47 +65,68 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-def nonempty_ints(value) -> list[int]:
-    """Converter to a non-empty list of integers."""
-    out = [int(v) for v in value]
-    if not out:
-        raise ValueError("must be non-empty")
-    return out
-
-
-def positive(kind, or_zero=False, below=np.inf):
-    """Converter to a finite number > 0 (>= 0 if or_zero) and < below of the given
-    kind, int or float; a bool or string is rejected, and so is a fraction given
-    for an int."""
-    bound = (">= 0" if or_zero else "> 0") + (f" and < {below}" if below < np.inf else "")
+def positive(kind, low=0, closed=False, below=math.inf):
+    """Converter to a finite number of the given kind, int or float, > low
+    (>= low if closed; of any sign if low is -inf) and < below; a bool or
+    string is rejected, and so is a fraction given for an int."""
+    bound = " and ".join(([f"{'>=' if closed else '>'} {low}"] if low > -math.inf else [])
+                         + ([f"< {below}"] if below < math.inf else []))
     def convert(value):
-        if type(value) not in (int, float) or not (0 <= value if or_zero else 0 < value) \
+        if type(value) not in (int, float) or not (low <= value if closed else low < value) \
                 or not value < below or kind(value) != value:
-            raise ValueError(f"must be a finite {kind.__name__} {bound}, got {value!r}")
+            raise ValueError(f"must be a finite {' '.join((kind.__name__, bound)).strip()}, "
+                             f"got {value!r}")
         return kind(value)
     return convert
 
 
-SEED = positive(int, or_zero=True)
+MAX_SIZE = 2 ** 24  # above every size, and every value count of an array that sizes span
+SIZE = positive(int, below=MAX_SIZE)
+NON_NEGATIVE = positive(int, 0, True)
+FINITE = positive(float, -math.inf)
+
+
+def one_of(*choices):
+    """Converter accepting only the given values."""
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"must be one of {choices}, got {value!r}")
+        return value
+    return convert
+
+
+def nonempty(convert, at_least=1):
+    """Converter to a list of at least one (or at_least) entries, each by convert."""
+    def convert_list(value):
+        if type(value) is not list or len(value) < at_least:
+            raise ValueError(f"must be a list of {at_least} or more entries, got {value!r}")
+        return [convert(v) for v in value]
+    return convert_list
 
 
 def _vector(value) -> np.ndarray:
-    return np.asarray(value, dtype=float).ravel()
+    """Converter to a non-empty flat array of finite floats; a number is a vector of one."""
+    return np.array(nonempty(FINITE)(value if type(value) is list else [value]))
 
 
-SCHEDULE = {"T": (1000, positive(int)), "beta_start": (0.00085, float), "beta_end": (0.012, float),
-            "omega": ("unit", str)}
+def need(holds: bool, rule: str, *values) -> None:
+    """A constraint across config keys: unless it holds, a ConfigError stating
+    the rule, which names the keys, and their values."""
+    if not holds:
+        raise ConfigError(f"need {rule}, got {', '.join(map(str, values))}")
+
+
+SCHEDULE = {"T": (1000, positive(int, 2, True, MAX_SIZE)),
+            "beta_start": (0.00085, positive(float, below=1)),
+            "beta_end": (0.012, positive(float, below=1)), "omega": ("unit", one_of(*OMEGA_KINDS))}
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:
     s = read(cfg.get("schedule"), SCHEDULE, "schedule")
-    try:
-        return make_schedule(num_steps=s["T"], beta_start=s["beta_start"],
-                             beta_end=s["beta_end"], omega_kind=s["omega"])
-    except ConfigError:
-        raise
-    except (ValueError, MemoryError) as exc:  # numpy cannot allocate T + 1 steps
-        raise ConfigError("bad value for config key schedule.T: too large to tabulate") from exc
+    need(s["beta_start"] <= s["beta_end"], "schedule.beta_start <= schedule.beta_end",
+         s["beta_start"], s["beta_end"])
+    return make_schedule(num_steps=s["T"], beta_start=s["beta_start"],
+                         beta_end=s["beta_end"], omega_kind=s["omega"])
 
 
 def gaussian_blob_template(width: int, height: int, channels: int,
@@ -126,74 +147,71 @@ def gaussian_blob_template(width: int, height: int, channels: int,
     return np.repeat(img.ravel()[:, None], channels, axis=1).ravel()
 
 
-def _center(value) -> list[float]:
-    """A template center; coordinates after the second are ignored."""
-    center = [float(v) for v in value]
-    if len(center) < 2:
-        raise ValueError("needs two coordinates")
-    return center
-
-
-ORACLE = {"dim": (None, _optional(int)), "components": (REQUIRED, list),
+ORACLE = {"dim": (None, _optional(SIZE)), "components": (REQUIRED, nonempty(lambda v: v)),
           "labels": (None, lambda v: v)}
-COMPONENT = {"weight": (1.0, float), "sigma": (0.1, float),
+COMPONENT = {"weight": (1.0, positive(float)), "sigma": (0.1, positive(float, 0, True)),
              "mean": (REQUIRED, lambda v: v if isinstance(v, dict) else _vector(v))}
-TEMPLATE = {"template": (REQUIRED, str), "center": ((0.0, 0.0), _center), "peak": (0.9, float),
-            "width": (16, positive(int)), "height": (16, positive(int)),
-            "channels": (1, positive(int)), "sigma": (0.35, positive(float))}
+TEMPLATE = {"template": (REQUIRED, one_of("gaussian_blob")), "center": ((0.0, 0.0), nonempty(FINITE, 2)),
+            "peak": (0.9, FINITE), "width": (16, SIZE), "height": (16, SIZE),
+            "channels": (1, SIZE), "sigma": (0.35, positive(float))}
 
 
 def build_oracle(cfg: dict) -> MixtureOracle:
     o = read(cfg.get("oracle"), ORACLE, "oracle")
-    if not o["components"]:
-        raise ConfigError("oracle.components must be non-empty")
-    comps, means = [], []
+    comps, means, dim = [], [], o["dim"]
+    # every mean has the length of oracle.dim, or of the first mean without one
+    first = "oracle.components[0].mean" if dim is None else "oracle.dim"
     for i, comp in enumerate(o["components"]):
         path = f"oracle.components[{i}]"
         comps.append(read(comp, COMPONENT, path))
         mean = comps[-1]["mean"]
         if isinstance(mean, dict):
             blob = read(mean, TEMPLATE, f"{path}.mean")
-            if blob.pop("template") != "gaussian_blob":
-                raise ConfigError(f"unknown template kind {mean['template']!r} in {path}.mean")
+            del blob["template"]
+            need(blob["width"] * blob["height"] * blob["channels"] < MAX_SIZE,
+                 f"{path}.mean.width * height * channels < {MAX_SIZE}",
+                 blob["width"], blob["height"], blob["channels"])
             mean = gaussian_blob_template(**blob)
-        elif o["dim"] is not None and mean.shape[0] != o["dim"]:
-            raise ConfigError(f"{path}.mean has length {mean.shape[0]}, expected {o['dim']}")
+        dim = dim or mean.shape[0]
+        if mean.shape[0] != dim:
+            raise ConfigError(f"{path}.mean has length {mean.shape[0]} but {first} gives {dim}")
         means.append(mean)
-    if len({m.shape[0] for m in means}) != 1:
-        raise ConfigError("oracle components disagree on dimension")
     # every key of oracle.labels names a label; its value lists component indices
     names = o["labels"] if isinstance(o["labels"], dict) else ()
-    labels = read(o["labels"], dict.fromkeys(names, (None, nonempty_ints)), "oracle.labels")
+    index = nonempty(positive(int, 0, True, len(means)))
+    labels = read(o["labels"], dict.fromkeys(names, (None, index)), "oracle.labels")
     return MixtureOracle(means=means, sigmas=[c["sigma"] for c in comps],
                          weights=[c["weight"] for c in comps], labels=labels)
 
 
 # experiments.build_experiment checks the labels against the oracle.
 GUIDANCE = {"positive": (None, lambda v: v), "negative": (None, lambda v: v),
-            "scale": (7.5, float)}
+            "scale": (7.5, FINITE)}
 
 
 def build_guidance(cfg: dict) -> GuidanceSpec:
     return GuidanceSpec(**read(cfg.get("guidance"), GUIDANCE, "guidance"))
 
 
-VIEW = {"width": (16, positive(int)), "height": (16, positive(int))}
-JITTER = {"rotation_max": (0.0, float), "zoom_min": (1.0, float), "zoom_max": (1.0, float),
-          "shift_max": (0.0, float)}
+VIEW = {"width": (16, SIZE), "height": (16, SIZE)}
+JITTER = {"rotation_max": (0.0, positive(float, 0, True)), "zoom_min": (1.0, positive(float)),
+          "zoom_max": (1.0, positive(float)), "shift_max": (0.0, positive(float, 0, True))}
 
 
 def build_jitter(cfg: dict) -> ViewJitterSpec:
-    return ViewJitterSpec(**read(cfg.get("view"), VIEW, "view"),
-                          **read(cfg.get("jitter"), JITTER, "jitter"))
+    view, jitter = read(cfg.get("view"), VIEW, "view"), read(cfg.get("jitter"), JITTER, "jitter")
+    need(jitter["zoom_min"] <= jitter["zoom_max"], "jitter.zoom_min <= jitter.zoom_max",
+         jitter["zoom_min"], jitter["zoom_max"])
+    return ViewJitterSpec(**view, **jitter)
 
 
-GENERATOR = {"kind": ("identity", str), "theta": (None, _vector), "n_splats": (32, positive(int)),
-             "channels": (1, positive(int)), "init_seed": (0, SEED),
-             "splats": (None, _optional(list)), "background": (None, _optional(_vector))}
+GENERATOR = {"kind": ("identity", one_of("identity", "splats")), "theta": (None, _vector),
+             "n_splats": (32, SIZE), "channels": (1, SIZE), "init_seed": (0, NON_NEGATIVE),
+             "splats": (None, _optional(nonempty(lambda v: v))),
+             "background": (None, _optional(_vector))}
 SPLAT = {"center": (REQUIRED, _vector), "log_scale": (REQUIRED, _vector),
          "rotation": (REQUIRED, _vector), "color": (REQUIRED, _vector),
-         "logit_opacity": (REQUIRED, _vector), "depth": (0.0, float)}
+         "logit_opacity": (REQUIRED, _vector), "depth": (0.0, FINITE)}
 
 
 def _explicit_splats(splats: list, background: np.ndarray) -> SplatGenerator:
@@ -219,23 +237,27 @@ def build_generator(cfg: dict):
         if g["theta"] is None:
             raise ConfigError("missing config key generator.theta")
         return IdentityLatent(g["theta"])
-    if g["kind"] == "splats":
-        if g["splats"] is not None:
-            background = g["background"] if g["background"] is not None else np.zeros(1)
-            return _explicit_splats(g["splats"], background)
-        return random_scene(n_splats=g["n_splats"], channels=g["channels"],
-                            seed=g["init_seed"], background=g["background"])
-    raise ConfigError(f"generator.kind must be 'identity' or 'splats', got {g['kind']!r}")
+    background = g["background"]
+    if g["splats"] is not None:
+        return _explicit_splats(g["splats"], np.zeros(1) if background is None else background)
+    n, c = g["n_splats"], g["channels"]
+    need(n * (6 + c) < MAX_SIZE, f"generator.n_splats * (6 + generator.channels) < {MAX_SIZE}",
+         n, c)
+    need(background is None or len(background) == c,
+         "generator.background as long as generator.channels", background, c)
+    return random_scene(n_splats=n, channels=c, seed=g["init_seed"], background=background)
 
 
 # DistillConfig fields by their own names, except the delta_ keys and the
 # optimizer (read with OPTIMIZER); t_min defaults to 20 + delta_T_start.
-DISTILL = {"objective": ("ism", str), "iterations": (1000, int), "t_min": (None, int),
-           "t_max": (980, int), "delta_T_start": (200, int), "delta_T_end": (50, int),
-           "delta_S": (50, int), "view_batch": (1, int), "seed": (0, SEED),
-           "snapshot_every": (0, int), "optimizer": (None, lambda v: v)}
-OPTIMIZER = {"step_size": (0.01, positive(float)), "beta1": (0.9, positive(float, True, 1)),
-             "beta2": (0.99, positive(float, True, 1)), "eps_hat": (1e-8, positive(float))}
+DISTILL = {"objective": ("ism", one_of(*OBJECTIVES)), "iterations": (1000, NON_NEGATIVE),
+           "t_min": (None, _optional(positive(int))), "t_max": (980, positive(int)),
+           "delta_T_start": (200, positive(int)), "delta_T_end": (50, positive(int)),
+           "delta_S": (50, positive(int)), "view_batch": (1, positive(int)),
+           "seed": (0, NON_NEGATIVE), "snapshot_every": (0, NON_NEGATIVE),
+           "optimizer": (None, lambda v: v)}
+OPTIMIZER = {"step_size": (0.01, positive(float)), "beta1": (0.9, positive(float, 0, True, 1)),
+             "beta2": (0.99, positive(float, 0, True, 1)), "eps_hat": (1e-8, positive(float))}
 
 
 def build_distill(cfg: dict, guidance: GuidanceSpec | None = None,
@@ -244,6 +266,12 @@ def build_distill(cfg: dict, guidance: GuidanceSpec | None = None,
     d = read(cfg.get("distill"), DISTILL, "distill")
     if d["t_min"] is None:
         d["t_min"] = 20 + d["delta_T_start"]
+    T = read(cfg.get("schedule"), SCHEDULE, "schedule")["T"]
+    need(d["t_min"] <= d["t_max"] <= T, "distill.t_min <= distill.t_max <= schedule.T",
+         d["t_min"], d["t_max"], T)
+    need(d["delta_T_end"] <= d["delta_T_start"] < d["t_min"],
+         "distill.delta_T_end <= distill.delta_T_start < distill.t_min",
+         d["delta_T_end"], d["delta_T_start"], d["t_min"])
     return DistillConfig(
         delta_t_start=d.pop("delta_T_start"), delta_t_end=d.pop("delta_T_end"),
         delta_s=d.pop("delta_S"), guidance=guidance or build_guidance(cfg),

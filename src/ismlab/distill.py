@@ -66,7 +66,7 @@ class AdamOptimizer:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Settings for one distillation run; see docs/config.md for JSON keys."""
+    """One distillation run's settings (docs/config.md); build_distill checks them."""
 
     objective: str
     iterations: int
@@ -81,24 +81,6 @@ class DistillConfig:
     seed: int = 0
     jitter: ViewJitterSpec = ViewJitterSpec()
     snapshot_every: int = 0
-
-    def validate(self, schedule: NoiseSchedule) -> None:
-        if self.objective not in OBJECTIVES:
-            raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
-        if not 1 <= self.t_min <= self.t_max <= schedule.num_steps:
-            raise ConfigError(
-                f"need 1 <= t_min <= t_max <= {schedule.num_steps}, "
-                f"got [{self.t_min}, {self.t_max}]")
-        if not self.delta_t_end <= self.delta_t_start < self.t_min:
-            raise ConfigError(
-                "need delta_t_end <= delta_t_start < t_min, got "
-                f"{self.delta_t_end}, {self.delta_t_start}, {self.t_min}")
-        if self.delta_t_end < 1 or self.delta_s < 1:
-            raise ConfigError("interval and stride must be >= 1")
-        if self.view_batch < 1:
-            raise ConfigError("view_batch must be >= 1")
 
 
 @dataclass
@@ -169,15 +151,6 @@ def nearest_mode_distance(oracle: MixtureOracle, label: Label, x) -> float:
     return math.sqrt(np.minimum.reduce(squared_distances(oracle.label_means(label), x)))
 
 
-def checked_render(generator, oracle: MixtureOracle, view: View) -> np.ndarray:
-    """The generator's render of a view, which must have the oracle's dimension."""
-    x = generator.render(view)
-    if x.shape != (oracle.dim,):
-        raise ConfigError(f"the generator renders {x.size} values per view but the "
-                          f"oracle's dimension is {oracle.dim}")
-    return x
-
-
 def current_interval(cfg: DistillConfig, iter_index: int) -> int:
     """Interval length at an iteration: linear anneal from delta_t_start to
     delta_t_end over the run (non-increasing when the end is smaller)."""
@@ -204,7 +177,7 @@ def init_state(generator, oracle: MixtureOracle, cfg: DistillConfig) -> DistillS
     cview = canonical_view(cfg.jitter.width, cfg.jitter.height)
     log = RunLog()
     log.initial_mode_distance = nearest_mode_distance(
-        oracle, cfg.guidance.positive, checked_render(generator, oracle, cview))
+        oracle, cfg.guidance.positive, generator.render(cview))
     return DistillState(
         generator=generator,
         adam=AdamOptimizer(generator.n_params, cfg.optimizer),
@@ -253,8 +226,10 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
                 delta_s = min(cfg.delta_s, t - delta_t)
                 report = ism_gradient(oracle, schedule, x0, t, delta_t,
                                       delta_s, cfg.guidance)
-            else:
+            elif cfg.objective == "naive":
                 report = naive_gradient(oracle, schedule, x0, t, delta_t, cfg.guidance)
+            else:
+                raise ConfigError(f"objective must be one of {OBJECTIVES}, got {cfg.objective!r}")
         except NumericalError as exc:
             raise NumericalError(f"{exc} at iteration {iter_index}, t={t}") from exc
         grad_theta += gen.backward(view, report.grad_x0)
@@ -286,7 +261,6 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
     and invalid-value warnings are silenced for the run, so that error is the
     only report of a non-finite value.
     """
-    cfg.validate(schedule)
     with np.errstate(over="ignore", invalid="ignore"):
         state = init_state(generator, oracle, cfg)
         try:

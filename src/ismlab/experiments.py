@@ -36,9 +36,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import config as cfgmod
-from .config import SEED, nonempty_ints, positive, read
-from .distill import (DistillConfig, checked_render, nearest_mode_distance, run_distillation,
-                      write_csv)
+from .config import NON_NEGATIVE, SIZE, need, nonempty, one_of, positive, read
+from .distill import DistillConfig, nearest_mode_distance, run_distillation, write_csv
 from .errors import ConfigError
 from .generators import ViewJitterSpec, canonical_view, random_scene
 from .objectives import (REPORT_CSV_HEADER, _interval_pieces, decomposition_check,
@@ -109,29 +108,46 @@ class ExperimentSpec:
         return copy.deepcopy(self.generator)
 
 
-def _check_names(value) -> tuple[str, ...]:
-    """experiment.checks: gradcheck names; null selects all of them."""
-    names = DEFAULT_CHECKS if value is None else tuple(value)
-    for name in names:
-        if name not in GRADCHECKS:
-            raise ValueError(f"unknown gradcheck {name!r}")
-    return names
+EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty(positive(int, -math.inf))),
+              "delta_T_values": ((10, 25, 50, 100), nonempty(positive(int))),
+              "delta_S_values": ((50,), nonempty(positive(int))),
+              "seeds": ((0,), nonempty(NON_NEGATIVE)), "noise_draws": (8, positive(int, 2, True)),
+              "threshold": (0.2, positive(float, 0, True)), "start_points": (20, SIZE),
+              "checks": (DEFAULT_CHECKS, lambda v: DEFAULT_CHECKS if v is None
+                         else tuple(map(one_of(*GRADCHECKS), v)))}
 
 
-EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty_ints),
-              "delta_T_values": ((10, 25, 50, 100), lambda v: nonempty_ints(map(positive(int), v))),
-              "delta_S_values": ((50,), lambda v: nonempty_ints(map(positive(int), v))),
-              "seeds": ((0,), lambda v: nonempty_ints(map(SEED, v))), "noise_draws": (8, int),
-              "threshold": (0.2, float), "start_points": (20, positive(int)),
-              "checks": (DEFAULT_CHECKS, _check_names)}
+def _t_values_in_schedule(s) -> None:
+    need(all(1 <= t <= s.schedule.num_steps for t in s.t_values),
+         "every experiment.t_values entry in [1, schedule.T]", s.t_values, s.schedule.num_steps)
+
+
+# kind -> checks of a built spec that hold for that kind only
+KIND_CHECKS = {
+    "consistency": (_t_values_in_schedule, lambda s: need(
+        s.delta_s_values[0] <= min(s.t_values),
+        "experiment.delta_S_values[0] <= every experiment.t_values entry for consistency",
+        s.delta_s_values[0], min(s.t_values))),
+    "quality": (_t_values_in_schedule,),
+    "eta-sweep": (_t_values_in_schedule,),
+    "interval-sweep": (lambda s: need(
+        max(s.delta_t_values) < s.distill.t_min,
+        "every experiment.delta_T_values entry < distill.t_min for interval-sweep",
+        max(s.delta_t_values), s.distill.t_min),),
+    "race": (lambda s: need(len(s.seeds) >= 2, "two or more experiment.seeds for a race median",
+                            len(s.seeds)),),
+    "gradcheck": (lambda s: need(  # its cases draw t from [delta_T, T] with delta_T up to 100
+        "decomposition" not in s.checks or s.schedule.num_steps >= 100,
+        "schedule.T >= 100 for the decomposition gradcheck", s.schedule.num_steps),),
+}
 
 
 def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     """The spec of a config, an object of SECTIONS. Every section present is
     built, whatever the kind, and so are the generator and distill sections
     the kind needs. EXPERIMENT keys other than the delta_ ones are spec fields
-    of the same name. The guidance labels must be oracle labels, and the
-    t_values of a kind that reads them in [1, T]."""
+    of the same name. Guidance labels must be oracle labels, a rendering kind's
+    render must have the oracle's dimension, and KIND_CHECKS must pass."""
     if not isinstance(cfg, dict):
         raise ConfigError("the top level of a config must be an object")
     read(cfg, cfgmod.SECTIONS, "")
@@ -148,11 +164,14 @@ def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     for key, label in (("positive", guidance.positive), ("negative", guidance.negative)):
         if label not in (None, *oracle.labels):
             raise ConfigError(f"guidance.{key} is not null or an oracle label: {label!r}")
-    T = schedule.num_steps
-    bad = [t for t in spec.t_values if not 1 <= t <= T]
-    if bad and kind in ("consistency", "quality", "eta-sweep"):
-        raise ConfigError(
-            f"bad value for config key experiment.t_values: {bad[0]} outside [1, {T}]")
+    if kind in GENERATOR_KINDS:  # an image renders its shape, a latent its parameters
+        shape = spec.generator.image_shape(jitter)
+        size = math.prod(shape) if shape else spec.generator.n_params
+        need(size == oracle.dim, ("view.width * view.height * generator.channels" if shape
+                                  else "len(generator.theta)") + " == the oracle's dimension",
+             size, oracle.dim)
+    for check in KIND_CHECKS.get(kind, ()):
+        check(spec)
     return spec
 
 
@@ -204,14 +223,9 @@ def run_consistency(spec: ExperimentSpec) -> Report:
     demonstrate (rather than assume) zero spread.
     """
     stride = spec.delta_s_values[0]
-    if spec.noise_draws < 2:
-        raise ConfigError("consistency needs noise_draws >= 2")
-    if stride > min(spec.t_values):
-        raise ConfigError(f"consistency needs delta_S_values[0] <= every t_value, "
-                          f"got {stride} > {min(spec.t_values)}")
     gen = spec.make_generator()
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
-    x0 = checked_render(gen, oracle, canonical_view(jit.width, jit.height))
+    x0 = gen.render(canonical_view(jit.width, jit.height))
     rng = np.random.default_rng(spec.seeds[0])
 
     sds_by_t, ism_by_t = [], []
@@ -303,7 +317,7 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
     multi-step pieces of each (t, delta_T) cell are built once and give its
     bias, decomposition residual and naive gradient."""
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
-    x0 = checked_render(spec.make_generator(), oracle, canonical_view(jit.width, jit.height))
+    x0 = spec.make_generator().render(canonical_view(jit.width, jit.height))
     delta_s = spec.delta_s_values[0]
 
     rows, grad_rows = [], []
@@ -350,8 +364,6 @@ def _axis_spread(rows: list[tuple], held_col: int) -> dict[int, float]:
 
 def run_interval_sweep(spec: ExperimentSpec) -> Report:
     """Full distillation per (interval, stride) grid cell with a shared seed."""
-    if spec.distill is None:
-        raise ConfigError("interval-sweep needs a distill section")
     rows, frames = [], {}
     for dt in spec.delta_t_values:
         for ds in spec.delta_s_values:
@@ -387,10 +399,6 @@ def _median_crossing(crossings: dict[tuple[int, str], Optional[int]],
 def run_race(spec: ExperimentSpec) -> Report:
     """Matched-seed interval-vs-noise-matching runs with shared timestep and
     view streams; records distance curves and first threshold crossings."""
-    if spec.distill is None:
-        raise ConfigError("race needs a distill section")
-    if len(spec.seeds) < 2:
-        raise ConfigError("race needs at least two seeds for a median")
     curves, crossings = {}, {}
     for seed in spec.seeds:
         for objective in ("ism", "sds"):
@@ -489,8 +497,7 @@ def gradient_forms_check(oracle: MixtureOracle, schedule: NoiseSchedule,
         t = int(rng.integers(1, schedule.num_steps + 1))
         eps = rng.standard_normal(oracle.dim)
         report = sds_gradient(oracle, schedule, x0, t, eps, g)
-        alt = (schedule.loss_weight(t) / schedule.noise_to_signal(t)) \
-            * (x0 - report.pseudo_gt)
+        alt = (schedule.omega[t] / schedule.nsr[t]) * (x0 - report.pseudo_gt)
         worst = max(worst, float(np.abs(report.grad_x0 - alt).max()))
     return worst
 

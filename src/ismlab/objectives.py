@@ -34,7 +34,6 @@ from .trajectory import (
     descent_grid,
     inversion_grid,
     invert_along,
-    pseudo_gt_single,
 )
 
 REPORT_CSV_HEADER = ("t", "s", "grad_norm", "oracle_calls", "objective")
@@ -57,12 +56,6 @@ class GradientReport:
     s: Optional[int]
     oracle_calls: int
 
-    def __post_init__(self):
-        if self.oracle_calls <= 0:
-            raise ValueError("a gradient evaluation must consume oracle calls")
-        if self.s is not None and not 0 <= self.s < self.t:
-            raise ValueError(f"interval endpoint s={self.s} outside [0, {self.t})")
-
     def csv_row(self, tag: str) -> tuple:
         return (self.t, "" if self.s is None else self.s,
                 float(np.linalg.norm(self.grad_x0)), self.oracle_calls, tag)
@@ -72,14 +65,13 @@ def sds_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
                  eps, g: GuidanceSpec) -> GradientReport:
     """Noise-matching update: omega(t) * (guided prediction at the noised
     point minus the injected noise). Varies with the noise draw."""
-    t = schedule._check_t(t, 1)
     before = oracle.eps_evals
-    xt = add_noise(schedule, x0, t, eps)
+    xt = add_noise(schedule, x0, t, eps)  # the one check of t
+    t = int(t)
     eps_pred = oracle.eps_guided(schedule, xt, t, g)
-    grad = schedule.loss_weight(t) * (eps_pred - eps)
     return GradientReport(
-        grad_x0=grad,
-        pseudo_gt=pseudo_gt_single(schedule, xt, t, eps_pred),
+        grad_x0=schedule.omega[t] * (eps_pred - eps),
+        pseudo_gt=(xt - schedule.s1mab[t] * eps_pred) / schedule.sab[t],  # as pseudo_gt_single
         t=t,
         s=None,
         oracle_calls=oracle.eps_evals - before,
@@ -109,7 +101,7 @@ def ism_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     interval = eps_t - eps_s
     gam = schedule.nsr[t]
     return GradientReport(
-        grad_x0=schedule.loss_weight(t) * interval,
+        grad_x0=schedule.omega[t] * interval,
         pseudo_gt=x0 - gam * interval,
         t=t,
         s=s,
@@ -144,7 +136,7 @@ class _IntervalPieces:
         inv, deno, n = self.inv, self.deno, len(self.grid) - 1
         # eps at ascending node m: inversion cache index m (m < n), denoising
         # cache index n - m (m >= 1).
-        gammas = [schedule.noise_to_signal(tau) for tau in self.grid]
+        gammas = [schedule.nsr[tau] for tau in self.grid]
         series = np.zeros_like(self.x0_tilde)
         for i in range(1, n):
             series += gammas[i] * (inv.eps_cache[i] - inv.eps_cache[i - 1])
@@ -154,13 +146,13 @@ class _IntervalPieces:
 
     def naive(self, schedule: NoiseSchedule) -> GradientReport:
         t = self.grid[-1]
-        w = schedule.loss_weight(t) / schedule.noise_to_signal(t)
+        w = schedule.omega[t] / schedule.nsr[t]
         return GradientReport(grad_x0=w * (self.x0 - self.x0_tilde), pseudo_gt=self.x0_tilde,
                               t=t, s=self.grid[-2], oracle_calls=self.oracle_calls)
 
     def bias(self, schedule: NoiseSchedule) -> np.ndarray:
         residual = (self.x0 - self.x0_tilde) \
-            - schedule.noise_to_signal(self.grid[-1]) * self.interval
+            - schedule.nsr[self.grid[-1]] * self.interval
         gap = float(np.linalg.norm(residual - self.series(schedule)))
         if gap > 1e-9:
             raise ArithmeticError(f"bias residual and series evaluation disagree by {gap:.3e}")
@@ -168,7 +160,7 @@ class _IntervalPieces:
 
     def decomposition(self, schedule: NoiseSchedule) -> float:
         lhs = self.x0 - self.x0_tilde
-        rhs = schedule.noise_to_signal(self.grid[-1]) * self.interval + self.series(schedule)
+        rhs = schedule.nsr[self.grid[-1]] * self.interval + self.series(schedule)
         return float(np.linalg.norm(lhs - rhs))
 
 

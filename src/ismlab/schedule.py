@@ -5,8 +5,9 @@ alpha_bar_t = prod_{u<=t} (1 - beta_u), the noise-to-signal ratio
 sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t) that converts between epsilon-space
 and sample-space update directions, and the per-timestep loss weight.
 
-The square roots and the ratio are tabulated once per schedule, so the
-per-call transport and oracle code only indexes them.
+The square roots, the ratio and the loss weight are tabulated once per
+schedule, so the per-call transport, oracle and objective code only indexes
+them.
 
 Index 0 is the clean-data boundary: beta[0] = 0 and alpha_bar[0] = 1 by
 convention, so trajectories may start at t = 0.
@@ -40,7 +41,9 @@ class NoiseSchedule:
     check such as ``_check_t``: a negative index would wrap silently):
         sab: sqrt(alpha_bar[t]).
         s1mab: sqrt(1 - alpha_bar[t]).
-        nsr: s1mab[t] / sab[t], the noise-to-signal ratio.
+        nsr: s1mab[t] / sab[t], the noise-to-signal ratio; zero at t = 0.
+        omega: the loss weight, 1.0 for ``unit`` and 1.0 - alpha_bar[t]
+            otherwise (read at 1 <= t <= T).
     """
 
     num_steps: int
@@ -50,6 +53,7 @@ class NoiseSchedule:
     sab: tuple[float, ...] = field(init=False, repr=False, compare=False)
     s1mab: tuple[float, ...] = field(init=False, repr=False, compare=False)
     nsr: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    omega: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Python floats: they index and multiply faster than numpy scalars.
@@ -58,23 +62,14 @@ class NoiseSchedule:
         object.__setattr__(self, "sab", tuple(sab.tolist()))
         object.__setattr__(self, "s1mab", tuple(s1mab.tolist()))
         object.__setattr__(self, "nsr", tuple((s1mab / sab).tolist()))
+        object.__setattr__(self, "omega", (1.0,) * len(sab) if self.omega_kind == "unit"
+                           else tuple((1.0 - self.alpha_bar).tolist()))
 
     def _check_t(self, t: int, lo: int) -> int:
         t = int(t)
         if not lo <= t <= self.num_steps:
             raise IndexError(f"timestep {t} outside [{lo}, {self.num_steps}]")
         return t
-
-    def noise_to_signal(self, t: int) -> float:
-        """Ratio sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t); zero at t = 0."""
-        return self.nsr[self._check_t(t, 0)]
-
-    def loss_weight(self, t: int) -> float:
-        """Per-timestep objective weight for 1 <= t <= T."""
-        t = self._check_t(t, 1)
-        if self.omega_kind == "unit":
-            return 1.0
-        return 1.0 - float(self.alpha_bar[t])
 
 
 def make_schedule(

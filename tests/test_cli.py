@@ -27,9 +27,9 @@ def tweak_config(tmp_path, name, **tweaks):
     cfg = load_json(CONFIGS / name)
     for key, value in tweaks.items():
         node = cfg
-        parts = key.split(".")
+        parts = key.replace("[", ".").replace("]", "").split(".")
         for p in parts[:-1]:
-            node = node.setdefault(p, {})
+            node = node[int(p)] if p.isdigit() else node.setdefault(p, {})
         node[parts[-1]] = value
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -67,7 +67,8 @@ def test_out_of_range_size_is_a_one_line_config_error(tmp_path, capsys, key, val
     cfg = tweak_config(tmp_path, "distill_splats.json", **{key: value})
     assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"config error: bad value for config key {key}: must be a finite int > 0, got {value!r}"]
+        f"config error: bad value for config key {key}: must be a finite int > 0 and < 16777216, "
+        f"got {value!r}"]
 
 
 @pytest.mark.parametrize("kind, name, key, value, size, dim", [
@@ -81,9 +82,10 @@ def test_render_size_other_than_oracle_dim_is_a_one_line_config_error(
         tmp_path, capsys, kind, name, key, value, size, dim):
     cfg = tweak_config(tmp_path, name, **{key: value})
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    rendered = "len(generator.theta)" if key == "generator.theta" else \
+        "view.width * view.height * generator.channels"
     assert capsys.readouterr().err.splitlines() == [
-        f"config error: the generator renders {size} values per view but the "
-        f"oracle's dimension is {dim}"]
+        f"config error: need {rendered} == the oracle's dimension, got {size}, {dim}"]
 
 
 def test_template_sigma_too_large_to_square_gives_the_flat_template(tmp_path):
@@ -282,10 +284,29 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("race.json", "race", "distill.iterations", "many"),
     ("distill_splats.json", "distill", "guidance.negative", ["left"]),
     ("gradcheck.json", "gradcheck", "experiment.checks", ["score_fd", "nope"]),
+    ("distill_identity.json", "distill", "distill.iterations", 2.7),
+    ("distill_identity.json", "distill", "distill.view_batch", True),
+    ("distill_identity.json", "distill", "distill.snapshot_every", -1),
+    ("distill_identity.json", "distill", "distill.delta_S", 2.5),
+    ("distill_identity.json", "distill", "distill.t_min", 0),
+    ("distill_identity.json", "distill", "schedule.T", 1),
+    ("race.json", "race", "experiment.threshold", float("nan")),
+    ("distill_identity.json", "distill", "oracle.dim", 2.7),
+    ("distill_identity.json", "distill", "oracle.components[0].sigma", -1),
+    ("distill_splats.json", "distill", "jitter.rotation_max", float("nan")),
+    ("distill_splats.json", "distill", "view.width", 1e300),
+    ("distill_splats.json", "distill", "generator.n_splats", 1e12),
+    ("consistency.json", "consistency", "experiment.noise_draws", 1),
+    ("race.json", "race", "experiment.seeds", [3]),
+    ("interval_sweep.json", "interval-sweep", "experiment.delta_T_values", [10, 5000]),
+    ("gradcheck.json", "gradcheck", "schedule.T", 50),
 ])
 def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
-    """A wrong-typed value or an unknown guidance label or gradcheck name is
-    a config error naming its key, raised before anything runs."""
+    """A wrong-typed or out-of-range value, an unknown guidance label or
+    gradcheck name, or a value a kind cannot run is a config error naming its
+    key, raised before anything runs: a fraction is not truncated, a bool not
+    read as a number, NaN not accepted, and a size numpy cannot allocate is
+    refused before allocation."""
     cfg = tweak_config(tmp_path, name, **{key: value})
     out = tmp_path / "o"
     assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
@@ -381,7 +402,8 @@ def test_timestep_outside_the_schedule_is_a_one_line_config_error(tmp_path, caps
     out = tmp_path / "o"
     assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"config error: bad value for config key experiment.t_values: {t} outside [1, 1000]"]
+        f"config error: need every experiment.t_values entry in [1, schedule.T], "
+        f"got [200, {t}], 1000"]
     assert not out.exists()
 
 
@@ -389,7 +411,7 @@ def test_timesteps_are_checked_only_for_the_kinds_that_read_them():
     for kind, name in [("consistency", "consistency.json"), ("quality", "quality.json"),
                        ("eta-sweep", "eta_sweep.json")]:
         cfg = load_json(CONFIGS / name)
-        cfg["experiment"]["t_values"] = [1, 1000]
+        cfg["experiment"].update(t_values=[1, 1000], delta_S_values=[1])
         assert build_experiment(cfg, kind).t_values == [1, 1000]
     for kind, name in [("race", "race.json"), ("gradcheck", "gradcheck.json"),
                        ("interval-sweep", "interval_sweep.json")]:
@@ -412,8 +434,8 @@ def test_grid_step_other_than_a_positive_int_is_a_one_line_config_error(tmp_path
     ("distill_splats.json", "distill", "distill.seed", -1, -1, ">= 0"),
     ("distill_splats.json", "distill", "generator.init_seed", -1, -1, ">= 0"),
     ("race.json", "race", "experiment.seeds", [0, -1], -1, ">= 0"),
-    ("quality.json", "quality", "experiment.start_points", 0, 0, "> 0"),
-    ("quality.json", "quality", "experiment.start_points", -1, -1, "> 0"),
+    ("quality.json", "quality", "experiment.start_points", 0, 0, "> 0 and < 16777216"),
+    ("quality.json", "quality", "experiment.start_points", -1, -1, "> 0 and < 16777216"),
 ])
 def test_negative_seed_or_no_start_points_is_a_one_line_config_error(
         tmp_path, capsys, name, kind, key, value, bad, bound):
@@ -432,7 +454,8 @@ def test_consistency_stride_above_a_timestep_is_a_one_line_config_error(tmp_path
                        **{"experiment.t_values": [100, 30], "experiment.delta_S_values": [50]})
     assert main(["consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "config error: consistency needs delta_S_values[0] <= every t_value, got 50 > 30"]
+        "config error: need experiment.delta_S_values[0] <= every experiment.t_values entry "
+        "for consistency, got 50, 30"]
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))

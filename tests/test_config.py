@@ -1,4 +1,5 @@
 import copy
+import json
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -14,6 +15,7 @@ from ismlab import (
     SplatGenerator,
     ViewJitterSpec,
     config,
+    experiments,
     make_schedule,
 )
 from ismlab.config import (
@@ -163,6 +165,75 @@ def test_wrong_typed_value_names_its_key(key, value):
         build_experiment(cfg, "race").make_generator()
 
 
+PROBE_VALUES = [-1, 0, 2.5, 1e300, True, float("nan"), "x"]
+TEXTS = {path.name: path.read_text() for path in CONFIGS.glob("*.json")}
+
+
+def dotted(keys) -> str:
+    """The dotted key of a key path, list indices as [i]."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def key_path(key: str) -> tuple:
+    """The key path of a dotted key."""
+    return tuple(int(k) if k.isdigit() else k
+                 for k in key.replace("[", ".").replace("]", "").split("."))
+
+
+@pytest.fixture()
+def reads(monkeypatch):
+    """Dotted path -> the values config.read returned for the object there,
+    filled by every build in the test."""
+    recorded = {}
+    def recording(section, table, path, original=config.read):
+        values = original(section, table, path)
+        recorded[path] = dict(values)
+        return values
+    monkeypatch.setattr(config, "read", recording)
+    monkeypatch.setattr(experiments, "read", recording)
+    return recorded
+
+
+def probe(reads, name: str, keys: tuple, value):
+    """Build a shipped config under its kind with value at the key path. A
+    ConfigError must name the dotted key (its list indices aside) and is
+    returned; a build must read the value unchanged (no fraction truncated,
+    no bool read as a number, no NaN accepted) and returns None. Any other
+    exception propagates."""
+    cfg = json.loads(TEXTS[name])
+    node = cfg
+    for key in keys[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[keys[-1]] = value
+    last = max(i for i, key in enumerate(keys) if isinstance(key, str))
+    try:
+        build_experiment(cfg, kind_of(name)).make_generator()
+    except ConfigError as exc:
+        assert dotted(keys[:last + 1]) in str(exc), f"{name} {dotted(keys)} = {value!r}: {exc}"
+        return exc
+    got = reads[dotted(keys[:last])][keys[last]]
+    for index in keys[last + 1:]:
+        got = got[index]
+    assert isinstance(value, bool) == isinstance(got, bool) and np.all(np.asarray(got) == value), \
+        f"{name} {dotted(keys)} = {value!r} read as {got!r}"
+    return None
+
+
+def test_every_key_takes_a_value_unchanged_or_refuses_it_by_name(reads):
+    """Each probe value at every key path of every shipped config either
+    builds, read unchanged, or is a ConfigError naming its key; and the
+    distill values DistillConfig.validate refused before the checks moved to
+    the config builders are such a ConfigError."""
+    for name, text in sorted(TEXTS.items()):
+        for keys in key_paths(json.loads(text)):
+            for value in PROBE_VALUES:
+                probe(reads, name, keys, value)
+    for key, value in [("distill.objective", "vsd"), ("distill.t_min", 100),
+                       ("distill.t_max", 1200), ("distill.delta_T_end", 300),
+                       ("distill.view_batch", 0)]:
+        assert probe(reads, "distill_identity.json", key_path(key), value) is not None, key
+
+
 @pytest.mark.parametrize("key, value", [
     ("generator.n_splats", -1),
     ("generator.n_splats", 0),
@@ -209,19 +280,14 @@ def test_wrong_typed_value_names_its_key(key, value):
     ("distill.optimizer.beta2", 1),
     ("distill.optimizer.beta2", True),
 ])
-def test_out_of_range_values_name_their_key(key, value):
+def test_out_of_range_values_name_their_key(reads, key, value):
     """Sizes, schedule.T and start_points must be positive integers and seeds
     non-negative integers (a fraction is rejected, not truncated); the
     template sigma, the optimizer step_size and eps_hat finite positive
     numbers, and the optimizer betas in [0, 1). A T too large to tabulate is
-    a config error too."""
-    cfg = load_json(CONFIGS / "distill_splats.json")
-    node, parts = cfg, key.replace("[0]", ".0").split(".")
-    for part in parts[:-1]:
-        node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
-    node[parts[-1]] = value
-    with pytest.raises(ConfigError, match=re.escape(f"bad value for config key {key}: ")):
-        build_experiment(cfg, "distill").make_generator()
+    a config error too. Each case runs through the probe."""
+    exc = probe(reads, "distill_splats.json", key_path(key), value)
+    assert exc is not None and str(exc).startswith(f"bad value for config key {key}: ")
 
 
 def test_zero_seeds_and_integral_seeds_in_float_form_are_accepted():
@@ -239,10 +305,10 @@ def test_zero_seeds_and_integral_seeds_in_float_form_are_accepted():
 def test_integral_sizes_in_float_form_are_accepted():
     cfg = load_json(CONFIGS / "distill_splats.json")
     cfg["generator"]["n_splats"] = 4.0
-    cfg["view"]["width"] = 8.0
+    cfg["view"]["width"] = 16.0
     spec = build_experiment(cfg, "distill")
     assert spec.make_generator().n_params == 4 * 7 + 1
-    assert spec.distill.jitter.width == 8 and isinstance(spec.distill.jitter.width, int)
+    assert spec.distill.jitter.width == 16 and isinstance(spec.distill.jitter.width, int)
 
 
 @pytest.mark.parametrize("key, value", [("positive", "nope"), ("negative", "nope"),

@@ -243,15 +243,11 @@ def test_metrics_csv_matches_the_astuple_writer_bitwise(tmp_path):
     assert (tmp_path / "metrics.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_config_validation(schedule):
-    with pytest.raises(ConfigError):
-        base_config(objective="vsd").validate(schedule)
-    with pytest.raises(ConfigError):
-        base_config(t_min=100).validate(schedule)        # t_min <= delta_t_start
-    with pytest.raises(ConfigError):
-        base_config(t_max=1200).validate(schedule)
-    with pytest.raises(ConfigError):
-        base_config(delta_t_end=300).validate(schedule)  # end > start
-    with pytest.raises(ConfigError):
-        base_config(view_batch=0).validate(schedule)
-    base_config().validate(schedule)
+def test_hand_built_config_with_an_unknown_objective_fails_loudly(bimodal, schedule):
+    """config.build_distill refuses an unknown objective by its key; a
+    DistillConfig built by hand reaches the step's dispatch, which refuses it
+    too instead of running another objective."""
+    gen = IdentityLatent([0.2, 0.1])
+    with pytest.raises(ConfigError, match=r"objective must be one of \('ism', 'sds', 'naive'\), "
+                                          r"got 'vsd'"):
+        run_distillation(gen, bimodal, schedule, base_config(objective="vsd", iterations=1))

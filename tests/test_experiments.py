@@ -74,17 +74,15 @@ def test_consistency_single_component_variance_matches_closed_form(schedule):
     t = 400
     ab = spec.schedule.alpha_bar[t]
     v = ab * 0.25 + (1 - ab)
-    gamma = spec.schedule.noise_to_signal(t)
+    gamma = spec.schedule.nsr[t]
     expected = 2 * (gamma * ab * 0.25 / v) ** 2
     rel_sd = np.sqrt(2.0 / (2 * 4096))
     assert report.summary["sds_noise_variance"][0] == pytest.approx(expected, rel=5 * rel_sd)
 
 
 def test_consistency_rejects_single_draw():
-    spec = load_spec("consistency.json", "consistency",
-                     **{"experiment.noise_draws": 1})
-    with pytest.raises(ConfigError):
-        run_consistency(spec)
+    with pytest.raises(ConfigError, match="experiment.noise_draws"):
+        load_spec("consistency.json", "consistency", **{"experiment.noise_draws": 1})
 
 
 def test_quality_low_noise_estimates_agree(tmp_path):
@@ -177,9 +175,8 @@ def test_race_matched_streams(schedule):
 
 
 def test_race_needs_two_seeds():
-    spec = load_spec("race.json", "race", **{"experiment.seeds": [3]})
-    with pytest.raises(ConfigError):
-        run_race(spec)
+    with pytest.raises(ConfigError, match="experiment.seeds"):
+        load_spec("race.json", "race", **{"experiment.seeds": [3]})
 
 
 def test_gradcheck_default_passes(tmp_path):

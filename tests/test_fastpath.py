@@ -42,6 +42,13 @@ from ismlab.generators import (
     ROTATION,
     random_scene,
 )
+from ismlab.objectives import (
+    decomposition_check,
+    ism_gradient,
+    multistep_bias,
+    naive_gradient,
+    sds_gradient,
+)
 from ismlab.trajectory import (
     add_noise,
     denoise_path,
@@ -239,7 +246,8 @@ def test_fast_path_matches_reference_bitwise(o, sch, data):
 
     assert sch.sab[t] == _sa(sch, t)
     assert sch.s1mab[t] == _s1(sch, t)
-    assert sch.noise_to_signal(t) == _s1(sch, t) / _sa(sch, t)
+    assert sch.nsr[t] == _s1(sch, t) / _sa(sch, t)
+    assert sch.omega[t] == (1.0 if sch.omega_kind == "unit" else 1.0 - float(sch.alpha_bar[t]))
     t_to = data.draw(st.integers(0, sch.num_steps))
     assert_same_bits(hop(sch, x, t, t_to, eps), ref_hop(sch, x, t, t_to, eps))
     if t >= 1:
@@ -406,7 +414,9 @@ def test_step_bookkeeping_matches_numpy_bitwise(d, k, seed, data):
 def test_checks_raise_as_when_every_hop_was_checked(mixture3, schedule):
     """A non-finite point and an out-of-range timestep raise the same error
     types and messages from the oracle, hop and the walks as when every hop
-    of a walk was checked. hop never checked finiteness and still carries a
+    of a walk was checked, and an out-of-range timestep the same from the
+    objectives and the single-step maps as when each function they call
+    re-checked it. hop never checked finiteness and still carries a
     non-finite point through; a walk that makes a non-finite latent stops at
     the next node."""
     x, bad = np.array([0.3, -0.4]), np.array([np.nan, 0.0])
@@ -433,6 +443,22 @@ def test_checks_raise_as_when_every_hop_was_checked(mixture3, schedule):
          (IndexError, "timestep 1001 outside [1, 1000]")),
         (lambda: denoise_path(mixture3, schedule, x, 0, 5, g),
          (IndexError, "timestep 0 outside [1, 1000]")),
+        (lambda: add_noise(schedule, x, 1001, x), (IndexError, "timestep 1001 outside [1, 1000]")),
+        (lambda: pseudo_gt_single(schedule, x, 0, x), (IndexError, "timestep 0 outside [1, 1000]")),
+        (lambda: sds_gradient(mixture3, schedule, x, 0, x, g),
+         (IndexError, "timestep 0 outside [1, 1000]")),
+        (lambda: sds_gradient(mixture3, schedule, x, 1001, x, g),
+         (IndexError, "timestep 1001 outside [1, 1000]")),
+        (lambda: ism_gradient(mixture3, schedule, x, -1, 10, 5, g),
+         (IndexError, "timestep -1 outside [1, 1000]")),
+        (lambda: ism_gradient(mixture3, schedule, x, 1001, 10, 5, g),
+         (IndexError, "timestep 1001 outside [1, 1000]")),
+        (lambda: naive_gradient(mixture3, schedule, x, 0, 10, g),
+         (IndexError, "timestep 0 outside [1, 1000]")),
+        (lambda: multistep_bias(mixture3, schedule, x, 1001, 10, g),
+         (IndexError, "timestep 1001 outside [1, 1000]")),
+        (lambda: decomposition_check(mixture3, schedule, x, -1, 10, g),
+         (IndexError, "timestep -1 outside [1, 1000]")),
         # the softmax over "ab" is NaN at |x| = 1e200, so the second node is not finite
         (lambda: denoise_path(mixture3, schedule, np.full(2, 1e200), 10, 5,
                               GuidanceSpec(positive="ab", scale=1.0)), nonfinite),

@@ -35,7 +35,7 @@ def test_sds_two_forms_agree(mixture3, schedule, guide_a):
         t = int(rng.integers(1, 1001))
         eps = rng.standard_normal(2)
         report = sds_gradient(mixture3, schedule, x0, t, eps, guide_a)
-        alt = (schedule.loss_weight(t) / schedule.noise_to_signal(t)) * (x0 - report.pseudo_gt)
+        alt = (schedule.omega[t] / schedule.nsr[t]) * (x0 - report.pseudo_gt)
         assert np.abs(report.grad_x0 - alt).max() < 1e-10
 
 
@@ -50,7 +50,7 @@ def test_sds_mean_matches_mean_target_direction(mixture3, schedule, guide_a):
         grads.append(report.grad_x0)
         targets.append(report.pseudo_gt)
     grads = np.stack(grads)
-    w = schedule.loss_weight(t) / schedule.noise_to_signal(t)
+    w = schedule.omega[t] / schedule.nsr[t]
     implied = w * (x0 - np.mean(targets, axis=0))
     se = grads.std(axis=0) / math.sqrt(len(grads))
     assert np.all(np.abs(grads.mean(axis=0) - implied) <= 3 * se + 1e-12)
@@ -86,7 +86,7 @@ def test_interval_gradient_unconditional_collapse(bimodal, schedule):
         eps_prev = bimodal.eps_predict(schedule, x, a)
         x0_hat = (x - schedule.s1mab[a] * eps_prev) / schedule.sab[a]
         x = schedule.sab[b] * x0_hat + schedule.s1mab[b] * eps_prev
-    expected = schedule.loss_weight(t) * (bimodal.eps_predict(schedule, x, t) - eps_prev)
+    expected = schedule.omega[t] * (bimodal.eps_predict(schedule, x, t) - eps_prev)
     assert np.abs(report.grad_x0 - expected).max() < 1e-10
 
 
@@ -107,7 +107,7 @@ def test_interval_gradient_matches_straight_line_rewrite(bimodal, schedule):
         x0_hat = (x - schedule.s1mab[a] * eps_s) / schedule.sab[a]
         x = schedule.sab[b] * x0_hat + schedule.s1mab[b] * eps_s
     eps_t = bimodal.eps_guided(schedule, x, t, g)
-    expected = schedule.loss_weight(t) * (eps_t - eps_s)
+    expected = schedule.omega[t] * (eps_t - eps_s)
     assert np.abs(report.grad_x0 - expected).max() < 1e-10
 
 
@@ -145,7 +145,7 @@ def test_single_interval_collapse(mixture3, schedule, guide_a):
     report = naive_gradient(mixture3, schedule, x0, t, t, guide_a)
     xt = schedule.sab[t] * x0
     eps_t = mixture3.eps_guided(schedule, xt, t, guide_a)
-    assert np.abs(report.grad_x0 - schedule.loss_weight(t) * eps_t).max() < 1e-10
+    assert np.abs(report.grad_x0 - schedule.omega[t] * eps_t).max() < 1e-10
 
 
 def test_multistep_bias_zero_on_mode(point_oracle, schedule):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ismlab import ConfigError, make_schedule
+from ismlab import ConfigError, add_noise, make_schedule, pseudo_gt_single
 
 # independent extended-precision cumulative product for the default ramp
 ALPHA_BAR_1000 = 0.0015789629305514414581
@@ -34,26 +34,29 @@ def test_default_ramp_matches_plain_loop(schedule):
 
 
 def test_noise_to_signal_values(tiny_schedule):
-    assert tiny_schedule.noise_to_signal(2) == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    assert tiny_schedule.noise_to_signal(1) == pytest.approx(1.0, abs=1e-12)
-    assert tiny_schedule.noise_to_signal(0) == 0.0
+    assert tiny_schedule.nsr[2] == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert tiny_schedule.nsr[1] == pytest.approx(1.0, abs=1e-12)
+    assert tiny_schedule.nsr[0] == 0.0
 
 
 def test_loss_weight_kinds(tiny_schedule):
-    assert tiny_schedule.loss_weight(1) == 1.0
-    assert tiny_schedule.loss_weight(2) == 1.0
+    assert tiny_schedule.omega[1] == 1.0
+    assert tiny_schedule.omega[2] == 1.0
     weighted = make_schedule(2, 0.5, 0.5, omega_kind="one_minus_alpha_bar")
-    assert weighted.loss_weight(2) == pytest.approx(0.75, abs=1e-12)
-    assert weighted.loss_weight(1) == pytest.approx(0.5, abs=1e-12)
+    assert weighted.omega[2] == pytest.approx(0.75, abs=1e-12)
+    assert weighted.omega[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_timestep_bounds_raise(tiny_schedule):
-    with pytest.raises(IndexError):
-        tiny_schedule.noise_to_signal(3)
-    with pytest.raises(IndexError):
-        tiny_schedule.noise_to_signal(-1)
-    with pytest.raises(IndexError):
-        tiny_schedule.loss_weight(0)
+    """The tables hold T + 1 entries; the functions that index them check
+    the timestep first, since a negative index would wrap."""
+    assert len(tiny_schedule.nsr) == len(tiny_schedule.omega) == 3
+    x = np.zeros(2)
+    for t in (3, -1, 0):
+        with pytest.raises(IndexError):
+            add_noise(tiny_schedule, x, t, x)
+        with pytest.raises(IndexError):
+            pseudo_gt_single(tiny_schedule, x, t, x)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -82,5 +85,5 @@ def test_schedule_invariants(num_steps, beta_start, spread):
     assert np.all(np.diff(ab[1:]) < 0) or num_steps == 1
     rebuilt = np.cumprod(1.0 - s.beta[1:])
     assert np.max(np.abs(rebuilt - ab[1:]) / ab[1:]) < 1e-12
-    gammas = [s.noise_to_signal(t) for t in range(1, num_steps + 1)]
+    gammas = [s.nsr[t] for t in range(1, num_steps + 1)]
     assert all(g2 > g1 for g1, g2 in zip(gammas, gammas[1:]))
