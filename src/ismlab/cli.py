@@ -20,8 +20,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from . import experiments
 from .distill import run_distillation
@@ -38,8 +36,7 @@ def _run_distill(spec: ExperimentSpec) -> Report:
     frames = {}
     final = final_frame(gen, cfg.jitter)
     if final is not None:
-        frames = {f"iter_{it:06d}": np.clip(img, 0, 1).reshape(final.shape)
-                  for it, img in log.frames}
+        frames = {f"iter_{it:06d}": img.reshape(final.shape) for it, img in log.frames}
         frames["final"] = final
     summary = {"kind": "distill", "objective": cfg.objective, "iterations": cfg.iterations,
                "initial_mode_distance": log.initial_mode_distance,

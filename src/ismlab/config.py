@@ -84,6 +84,7 @@ MAX_SIZE = 2 ** 24  # above every size, and every value count of an array that s
 SIZE = positive(int, below=MAX_SIZE)
 NON_NEGATIVE = positive(int, 0, True)
 FINITE = positive(float, -math.inf)
+SQUARED = 1e150  # bound on the size of a value the builders square: two such squares add finitely
 
 
 def one_of(*choices):
@@ -149,9 +150,10 @@ def gaussian_blob_template(width: int, height: int, channels: int,
 
 ORACLE = {"dim": (None, _optional(SIZE)), "components": (REQUIRED, nonempty(lambda v: v)),
           "labels": (None, lambda v: v)}
-COMPONENT = {"weight": (1.0, positive(float)), "sigma": (0.1, positive(float, 0, True)),
+COMPONENT = {"weight": (1.0, positive(float)), "sigma": (0.1, positive(float, 0, True, SQUARED)),
              "mean": (REQUIRED, lambda v: v if isinstance(v, dict) else _vector(v))}
-TEMPLATE = {"template": (REQUIRED, one_of("gaussian_blob")), "center": ((0.0, 0.0), nonempty(FINITE, 2)),
+TEMPLATE = {"template": (REQUIRED, one_of("gaussian_blob")),
+            "center": ((0.0, 0.0), nonempty(positive(float, -SQUARED, below=SQUARED), 2)),
             "peak": (0.9, FINITE), "width": (16, SIZE), "height": (16, SIZE),
             "channels": (1, SIZE), "sigma": (0.35, positive(float))}
 

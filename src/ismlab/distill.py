@@ -145,10 +145,12 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     return np.add.reduce(d * d, axis=-1)
 
 
-def nearest_mode_distance(oracle: MixtureOracle, label: Label, x) -> float:
-    """Distance from x to the closest component mean selected by the label."""
-    x = np.asarray(x, dtype=float).ravel()
-    return math.sqrt(np.minimum.reduce(squared_distances(oracle.label_means(label), x)))
+def nearest_mode_distance(oracle: MixtureOracle, label: Label, x) -> float | list[float]:
+    """Distance from x to the closest component mean selected by the label:
+    a float for a point, a list with one per row for (N, D) rows."""
+    x = np.asarray(x, dtype=float)
+    d2 = np.minimum.reduce(squared_distances(oracle.label_means(label), x[..., None, :]).T)
+    return np.sqrt(d2).tolist() if d2.ndim else math.sqrt(d2)
 
 
 def current_interval(cfg: DistillConfig, iter_index: int) -> int:

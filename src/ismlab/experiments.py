@@ -175,39 +175,36 @@ def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     return spec
 
 
-def _variance(points: list[np.ndarray]) -> float:
-    """Mean squared deviation from the mean (trace of the covariance).
+def _variance(points: np.ndarray) -> np.ndarray:
+    """Mean squared deviation from the mean (trace of the covariance) of
+    (..., N, D) rows, one per leading index.
 
-    Computed about the first point so that bitwise-identical inputs give
-    exactly zero (summation dust would otherwise leak in through the mean).
+    Computed about the first row so that bitwise-identical rows give exactly
+    zero (summation dust would otherwise leak in through the mean).
     """
-    stack = np.stack(points)
-    d = stack - stack[0]
-    centered = np.mean(np.sum(d * d, axis=1)) - np.sum(np.mean(d, axis=0) ** 2)
-    return float(max(centered, 0.0))
+    d = points - points[..., :1, :]
+    centered = np.mean(np.sum(d * d, axis=-1), axis=-1) \
+        - np.sum(np.mean(d, axis=-2) ** 2, axis=-1)
+    return np.maximum(centered, 0.0)
 
 
 def final_frame(gen, jitter: ViewJitterSpec) -> Optional[np.ndarray]:
-    """The generator's canonical render clipped to [0, 1] as an (H, W, C)
-    image, or None for a generator that has no image shape."""
+    """The generator's canonical render as an (H, W, C) image, or None for a
+    generator that has no image shape."""
     shape = gen.image_shape(jitter)
     if shape is None:
         return None
-    img = gen.render(canonical_view(jitter.width, jitter.height))
-    return np.clip(img, 0, 1).reshape(shape)
+    return gen.render(canonical_view(jitter.width, jitter.height)).reshape(shape)
 
 
-def _montage(images: list[list[np.ndarray]], shape) -> np.ndarray:
-    """Tile (H, W, C) cells into one image with 1-pixel separators."""
+def _montage(cells: np.ndarray, shape) -> np.ndarray:
+    """Tile a (rows, cols, H * W * C) array of flat (H, W, C) images into
+    one image with 1-pixel separators."""
     h, w, c = shape
-    rows = len(images)
-    cols = max(len(r) for r in images)
-    out = np.ones((rows * (h + 1) - 1, cols * (w + 1) - 1, c))
-    for i, row in enumerate(images):
-        for j, img in enumerate(row):
-            out[i * (h + 1):i * (h + 1) + h, j * (w + 1):j * (w + 1) + w] = \
-                img.reshape(h, w, c)
-    return out
+    rows, cols = cells.shape[:2]
+    out = np.ones((rows, h + 1, cols, w + 1, c))
+    out[:, :h, :, :w] = cells.reshape(rows, cols, h, w, c).transpose(0, 2, 1, 3, 4)
+    return out.reshape(rows * (h + 1), cols * (w + 1), c)[:-1, :-1]
 
 
 # ---------------------------------------------------------------------------
@@ -219,58 +216,43 @@ def run_consistency(spec: ExperimentSpec) -> Report:
 
     The stochastic branch draws K noise vectors per timestep and estimates
     the clean target in one step from each noised latent; the deterministic
-    branch inverts the view and denoises multi-step, repeated K times to
-    demonstrate (rather than assume) zero spread.
+    branch inverts the view and denoises multi-step, K copies of it in one
+    walk to demonstrate (rather than assume) zero spread.
     """
     stride = spec.delta_s_values[0]
     gen = spec.make_generator()
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
     x0 = gen.render(canonical_view(jit.width, jit.height))
+    views = np.tile(x0, (spec.noise_draws, 1))
     rng = np.random.default_rng(spec.seeds[0])
 
-    sds_by_t, ism_by_t = [], []
+    sds, ism = [], []  # per timestep, (K, D) targets
     for t in spec.t_values:
-        draws = []
-        for _ in range(spec.noise_draws):
-            eps = rng.standard_normal(x0.shape[0])
-            xt = add_noise(sch, x0, t, eps)
-            draws.append(pseudo_gt_single(sch, xt, t, oracle.eps_guided(sch, xt, t, g)))
-        sds_by_t.append(draws)
-        repeats = []
-        for _ in range(spec.noise_draws):
-            xt = invert_along(oracle, sch, x0, inversion_grid(t, stride)).latents[-1]
-            repeats.append(denoise_path(oracle, sch, xt, t, stride, g).latents[-1])
-        ism_by_t.append(repeats)
+        xt = add_noise(sch, x0, t, rng.standard_normal(views.shape))
+        sds.append(pseudo_gt_single(sch, xt, t, oracle.eps_guided(sch, xt, t, g)))
+        xt = invert_along(oracle, sch, views, inversion_grid(t, stride)).latents[-1]
+        ism.append(denoise_path(oracle, sch, xt, t, stride, g).latents[-1])
+    sds, ism = np.stack(sds), np.stack(ism)
 
-    label = g.positive
-    sds_all = [p for draws in sds_by_t for p in draws]
-    ism_all = [p for draws in ism_by_t for p in draws]
-    summary = {
-        "kind": "consistency",
-        "t_values": list(spec.t_values),
-        "sds_noise_variance": [_variance(d) for d in sds_by_t],
-        "ism_noise_variance": [_variance(d) for d in ism_by_t],
-        "sds_across_t_variance": _variance([np.mean(d, axis=0) for d in sds_by_t]),
-        "ism_across_t_variance": _variance([np.mean(d, axis=0) for d in ism_by_t]),
-        "sds_mean_target_mode_distance": nearest_mode_distance(
-            oracle, label, np.mean(sds_all, axis=0)),
-        "sds_mean_of_target_distances": float(np.mean(
-            [nearest_mode_distance(oracle, label, p) for p in sds_all])),
-        "ism_mean_target_mode_distance": nearest_mode_distance(
-            oracle, label, np.mean(ism_all, axis=0)),
-        "ism_mean_of_target_distances": float(np.mean(
-            [nearest_mode_distance(oracle, label, p) for p in ism_all])),
-    }
+    summary = {"kind": "consistency", "t_values": list(spec.t_values),
+               "sds_noise_variance": _variance(sds).tolist(),
+               "ism_noise_variance": _variance(ism).tolist(),
+               "sds_across_t_variance": float(_variance(sds.mean(axis=1))),
+               "ism_across_t_variance": float(_variance(ism.mean(axis=1)))}
+    for name, targets in (("sds", sds), ("ism", ism)):
+        flat = targets.reshape(-1, x0.shape[0])
+        summary[f"{name}_mean_target_mode_distance"] = nearest_mode_distance(
+            oracle, g.positive, flat.mean(axis=0))
+        summary[f"{name}_mean_of_target_distances"] = float(np.mean(
+            nearest_mode_distance(oracle, g.positive, flat)))
     rows = zip(summary["t_values"], summary["sds_noise_variance"], summary["ism_noise_variance"])
     report = Report(summary, {"consistency": (CONSISTENCY_CSV_HEADER, list(rows))})
 
     shape = gen.image_shape(jit)
     if shape is not None:
-        report.frames["sds_pseudo_gt_grid"] = _montage(
-            [[np.clip(p, 0, 1) for p in draws] for draws in sds_by_t], shape)
-        report.frames["ism_pseudo_gt_grid"] = _montage(
-            [[np.clip(draws[0], 0, 1)] for draws in ism_by_t], shape)
-        report.frames["input_view"] = _montage([[np.clip(x0, 0, 1)]], shape)
+        report.frames["sds_pseudo_gt_grid"] = _montage(sds, shape)
+        report.frames["ism_pseudo_gt_grid"] = _montage(ism[:, :1], shape)
+        report.frames["input_view"] = _montage(x0[None, None], shape)
     return report
 
 
@@ -281,9 +263,9 @@ def run_consistency(spec: ExperimentSpec) -> Report:
 def run_quality(spec: ExperimentSpec) -> Report:
     """Distance-to-mode of single-step versus multi-step clean estimates.
 
-    Start points are drawn from the data prior; each is inverted
-    deterministically to t, then reconstructed both ways. Errors are averaged
-    over start points.
+    Start points are drawn from the data prior; all of them are inverted
+    deterministically to t in one walk, then reconstructed both ways. Errors
+    and the multi-step oracle calls are averaged over start points.
     """
     sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
     rng = np.random.default_rng(spec.seeds[0])
@@ -294,17 +276,13 @@ def run_quality(spec: ExperimentSpec) -> Report:
 
     rows = []
     for t in spec.t_values:
-        err_s, err_m, calls = [], [], []
-        for x0 in starts:
-            xt = invert_along(oracle, sch, x0, inversion_grid(t, inv_stride)).latents[-1]
-            single = pseudo_gt_single(sch, xt, t, oracle.eps_guided(sch, xt, t, g))
-            before = oracle.eps_evals
-            multi = denoise_path(oracle, sch, xt, t, min(deno_stride, t), g).latents[-1]
-            calls.append(oracle.eps_evals - before)
-            err_s.append(nearest_mode_distance(oracle, label, single))
-            err_m.append(nearest_mode_distance(oracle, label, multi))
-        rows.append((t, float(np.mean(err_s)), float(np.mean(err_m)),
-                     float(np.mean(calls))))
+        xt = invert_along(oracle, sch, starts, inversion_grid(t, inv_stride)).latents[-1]
+        single = pseudo_gt_single(sch, xt, t, oracle.eps_guided(sch, xt, t, g))
+        before = oracle.eps_evals
+        multi = denoise_path(oracle, sch, xt, t, min(deno_stride, t), g).latents[-1]
+        calls = (oracle.eps_evals - before) / len(starts)
+        rows.append((t, float(np.mean(nearest_mode_distance(oracle, label, single))),
+                     float(np.mean(nearest_mode_distance(oracle, label, multi))), calls))
     return Report({"kind": "quality", "rows": rows}, {"quality": (QUALITY_CSV_HEADER, rows)})
 
 
@@ -326,9 +304,7 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
             if dt > t:
                 continue
             pieces = _interval_pieces(oracle, sch, x0, t, dt, g)
-            bias = pieces.bias(sch)
-            residual = pieces.decomposition(sch)
-            naive = pieces.naive(sch)
+            bias, residual, naive = pieces.bias(), pieces.decomposition(), pieces.naive()
             # scaled interval score recovered from the exact decomposition
             interval_norm = float(np.linalg.norm(x0 - naive.pseudo_gt - bias))
             eta_norm = float(np.linalg.norm(bias))

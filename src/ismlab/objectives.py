@@ -20,6 +20,7 @@ objective, exposed via decomposition_check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -115,6 +116,7 @@ class _IntervalPieces:
     bias and decomposition return what naive_gradient, multistep_bias and
     decomposition_check do."""
 
+    schedule: NoiseSchedule
     x0: np.ndarray
     grid: tuple[int, ...]          # ascending, grid[0] = 0, grid[-2] = s, grid[-1] = t
     inv: Trajectory                # unconditional inversion along grid
@@ -131,12 +133,13 @@ class _IntervalPieces:
         """Guided eps at (x_t, t) minus unconditional eps at (x_s, s)."""
         return self.deno.eps_cache[0] - self.inv.eps_cache[-1]
 
-    def series(self, schedule: NoiseSchedule) -> np.ndarray:
+    @cached_property
+    def series(self) -> np.ndarray:
         """Telescoping evaluation of the bias (x0 - x0_tilde) - gamma(t) * interval."""
         inv, deno, n = self.inv, self.deno, len(self.grid) - 1
         # eps at ascending node m: inversion cache index m (m < n), denoising
         # cache index n - m (m >= 1).
-        gammas = [schedule.nsr[tau] for tau in self.grid]
+        gammas = [self.schedule.nsr[tau] for tau in self.grid]
         series = np.zeros_like(self.x0_tilde)
         for i in range(1, n):
             series += gammas[i] * (inv.eps_cache[i] - inv.eps_cache[i - 1])
@@ -144,23 +147,22 @@ class _IntervalPieces:
             series -= gammas[j - 1] * (deno.eps_cache[n - j] - deno.eps_cache[n - j + 1])
         return series
 
-    def naive(self, schedule: NoiseSchedule) -> GradientReport:
+    def naive(self) -> GradientReport:
         t = self.grid[-1]
-        w = schedule.omega[t] / schedule.nsr[t]
+        w = self.schedule.omega[t] / self.schedule.nsr[t]
         return GradientReport(grad_x0=w * (self.x0 - self.x0_tilde), pseudo_gt=self.x0_tilde,
                               t=t, s=self.grid[-2], oracle_calls=self.oracle_calls)
 
-    def bias(self, schedule: NoiseSchedule) -> np.ndarray:
-        residual = (self.x0 - self.x0_tilde) \
-            - schedule.nsr[self.grid[-1]] * self.interval
-        gap = float(np.linalg.norm(residual - self.series(schedule)))
+    def bias(self) -> np.ndarray:
+        residual = (self.x0 - self.x0_tilde) - self.schedule.nsr[self.grid[-1]] * self.interval
+        gap = float(np.linalg.norm(residual - self.series))
         if gap > 1e-9:
             raise ArithmeticError(f"bias residual and series evaluation disagree by {gap:.3e}")
         return residual
 
-    def decomposition(self, schedule: NoiseSchedule) -> float:
+    def decomposition(self) -> float:
         lhs = self.x0 - self.x0_tilde
-        rhs = schedule.nsr[self.grid[-1]] * self.interval + self.series(schedule)
+        rhs = self.schedule.nsr[self.grid[-1]] * self.interval + self.series
         return float(np.linalg.norm(lhs - rhs))
 
 
@@ -180,7 +182,7 @@ def _interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     if deno.timesteps != tuple(reversed(grid)):
         raise RuntimeError(f"denoising nodes {deno.timesteps} do not retrace the "
                            f"inversion grid {grid}")
-    return _IntervalPieces(x0=x0, grid=tuple(grid), inv=inv, deno=deno,
+    return _IntervalPieces(schedule=schedule, x0=x0, grid=tuple(grid), inv=inv, deno=deno,
                            oracle_calls=oracle.eps_evals - before)
 
 
@@ -193,7 +195,7 @@ def naive_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     omega(t) * interval score exactly. Costs about 2 * (t / delta_t) oracle
     evaluations, which is what the interval objective avoids.
     """
-    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).naive(schedule)
+    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).naive()
 
 
 def multistep_bias(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
@@ -206,7 +208,7 @@ def multistep_bias(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     scores from the cached trajectories and verifies the two agree to 1e-9;
     disagreement indicates a broken trajectory invariant and raises.
     """
-    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).bias(schedule)
+    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).bias()
 
 
 def decomposition_check(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
@@ -217,4 +219,4 @@ def decomposition_check(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
     interval score plus the telescoping bias; should be < 1e-9 in double
     precision for all valid inputs.
     """
-    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).decomposition(schedule)
+    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).decomposition()

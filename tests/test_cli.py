@@ -293,6 +293,8 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("race.json", "race", "experiment.threshold", float("nan")),
     ("distill_identity.json", "distill", "oracle.dim", 2.7),
     ("distill_identity.json", "distill", "oracle.components[0].sigma", -1),
+    ("distill_identity.json", "distill", "oracle.components[0].sigma", 1e300),
+    ("distill_splats.json", "distill", "oracle.components[0].mean.center", [1e300, 0]),
     ("distill_splats.json", "distill", "jitter.rotation_max", float("nan")),
     ("distill_splats.json", "distill", "view.width", 1e300),
     ("distill_splats.json", "distill", "generator.n_splats", 1e12),
@@ -306,7 +308,7 @@ def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     gradcheck name, or a value a kind cannot run is a config error naming its
     key, raised before anything runs: a fraction is not truncated, a bool not
     read as a number, NaN not accepted, and a size numpy cannot allocate is
-    refused before allocation."""
+    refused before allocation, as is a value too large to square."""
     cfg = tweak_config(tmp_path, name, **{key: value})
     out = tmp_path / "o"
     assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1

@@ -219,11 +219,13 @@ def probe(reads, name: str, keys: tuple, value):
     return None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_key_takes_a_value_unchanged_or_refuses_it_by_name(reads):
     """Each probe value at every key path of every shipped config either
-    builds, read unchanged, or is a ConfigError naming its key; and the
-    distill values DistillConfig.validate refused before the checks moved to
-    the config builders are such a ConfigError."""
+    builds, read unchanged and without a numpy overflow warning, or is a
+    ConfigError naming its key; and the distill values DistillConfig.validate
+    refused before the checks moved to the config builders are such a
+    ConfigError."""
     for name, text in sorted(TEXTS.items()):
         for keys in key_paths(json.loads(text)):
             for value in PROBE_VALUES:

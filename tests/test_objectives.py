@@ -249,3 +249,16 @@ def test_interval_pieces_rejects_mismatched_grids(monkeypatch, mixture3, schedul
     monkeypatch.setattr(objectives, "denoise_path", skewed)
     with pytest.raises(RuntimeError, match="inversion grid"):
         decomposition_check(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a)
+
+
+def test_interval_pieces_evaluate_the_series_once(mixture3, schedule, guide_a):
+    """The pieces hold their schedule; bias and decomposition read one
+    telescoping series and give what multistep_bias and decomposition_check
+    give."""
+    x0 = np.array([0.3, -0.2])
+    pieces = objectives._interval_pieces(mixture3, schedule, x0, 300, 40, guide_a)
+    bias = pieces.bias()
+    series = pieces.series
+    assert pieces.decomposition() == decomposition_check(mixture3, schedule, x0, 300, 40, guide_a)
+    assert pieces.series is series
+    assert np.array_equal(bias, multistep_bias(mixture3, schedule, x0, 300, 40, guide_a))

@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ismlab import (
     ConfigError,
     GuidanceSpec,
     MixtureOracle,
+    NumericalError,
     Trajectory,
     add_noise,
+    ism_gradient,
+    naive_gradient,
     pseudo_gt_single,
+    sds_gradient,
 )
 from ismlab.trajectory import denoise_path, descent_grid, hop, inversion_grid, invert_along
 
@@ -233,3 +239,82 @@ def test_bad_arguments_raise(mixture3, schedule):
         invert_along(mixture3, schedule, x0, [0, 30, 20])
     with pytest.raises(IndexError):
         invert_along(mixture3, schedule, x0, inversion_grid(2000, 100))
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_batch_is_its_rows(schedule, data):
+    """(B, D) rows at one timestep give, bit for bit, what each row gives
+    alone: both predictions and the log density, the latents and eps caches
+    of both walks, and the update and target of the three objectives;
+    eps_evals and oracle_calls are the sums over rows. One non-finite entry
+    fails the batch, and a wrong last axis or timestep fails it as it fails
+    a point."""
+    draw = data.draw
+    b, k, d = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    oracle = MixtureOracle(rng.normal(size=(k, d)), rng.uniform(0.05, 1.0, k),
+                           rng.uniform(0.1, 1.0, k), labels={"one": [k - 1], "all": range(k)})
+    label = draw(st.sampled_from([None, "one", "all"]))
+    g = GuidanceSpec(positive=label, negative=draw(st.sampled_from([None, "one"])),
+                     scale=draw(st.sampled_from([0.0, 1.0, 7.5])))
+    t = draw(st.integers(0, schedule.num_steps))
+    x = rng.normal(size=(b, d)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+
+    def rows_agree(call) -> None:
+        """call(points) on the batch equals call on each row: every array it
+        returns, and the evaluations it counts."""
+        before = oracle.eps_evals
+        batch = call(x)
+        calls = oracle.eps_evals - before
+        for i in range(b):
+            before = oracle.eps_evals
+            row = call(x[i])
+            calls -= oracle.eps_evals - before
+            assert all(same_bits(got[i], want) for got, want in zip(batch, row))
+        assert calls == 0
+
+    rows_agree(lambda p: [oracle.eps_predict(schedule, p, t, label),
+                          oracle.log_density(schedule, p, t, label)])
+    rows_agree(lambda p: [oracle.eps_guided(schedule, p, t, g)])
+    # walks of at most 8 hops; t >= 2 leaves room for an interval and a stride
+    t = max(t, 2)
+    stride = -(-t // draw(st.integers(1, 8)))
+
+    def walked(traj: Trajectory) -> list:
+        return [*traj.latents, *traj.eps_cache]
+
+    rows_agree(lambda p: walked(invert_along(oracle, schedule, p, inversion_grid(t, stride),
+                                             label)))
+    rows_agree(lambda p: walked(denoise_path(oracle, schedule, p, t, stride, g)))
+    delta_t = draw(st.integers(1, t - 1))
+    delta_s = -(-(t - delta_t) // draw(st.integers(1, 8)))
+    eps = rng.standard_normal((b, d))
+    for objective in (lambda p, e: sds_gradient(oracle, schedule, p, t, e, g),
+                      lambda p, e: ism_gradient(oracle, schedule, p, t, delta_t, delta_s, g),
+                      lambda p, e: naive_gradient(oracle, schedule, p, t,
+                                                  max(delta_t, stride), g)):
+        reports = [objective(x, eps), *(objective(x[i], eps[i]) for i in range(b))]
+        for field in ("grad_x0", "pseudo_gt"):
+            assert same_bits(getattr(reports[0], field),
+                             np.stack([getattr(r, field) for r in reports[1:]]))
+        assert reports[0].oracle_calls == sum(r.oracle_calls for r in reports[1:])
+
+    bad = x.copy()
+    bad[draw(st.integers(0, b - 1)), draw(st.integers(0, d - 1))] = draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(NumericalError, match="^non-finite input point$"):
+        oracle.eps_predict(schedule, bad, t, label)
+    for points, step, kind in ((np.zeros((b, d + 1)), t, ValueError),
+                               (x, schedule.num_steps + 1, IndexError)):
+        errors = []
+        for p in (points, points[0]):
+            with pytest.raises(kind) as info:
+                oracle.eps_predict(schedule, p, step, label)
+            errors.append(str(info.value).replace(str(p.shape), "<shape>"))
+        assert errors[0] == errors[1]
