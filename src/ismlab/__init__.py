@@ -19,9 +19,8 @@ from .generators import (
 )
 from .objectives import (
     GradientReport,
-    decomposition_check,
+    interval_pieces,
     ism_gradient,
-    multistep_bias,
     naive_gradient,
     sds_gradient,
 )

@@ -9,9 +9,10 @@ experiments.Report (a summary, CSV tables and frames), and write_report
 writes report.json, the tables as CSV files and the frames as
 frames/*.ppm under --out (docs/config.md lists the files per kind).
 
-Exit codes: 0 success, 1 configuration error, 2 check failure, 3 numerical
-failure (a non-finite gradient or point; metrics.csv then holds the rows
-the failing distillation logged before it).
+--out is created after the config is checked and before the run. Exit codes:
+0 success, 1 configuration error or an --out that cannot be created or
+written, 2 check failure, 3 numerical failure (a non-finite gradient or
+point; metrics.csv then holds the rows the failing distillation logged).
 """
 
 from __future__ import annotations
@@ -59,14 +60,17 @@ def main(argv=None) -> int:
 
     try:
         spec = build_experiment(cfgmod.load_json(args.config), args.kind)
+        out.mkdir(parents=True, exist_ok=True)
         report = RUNNERS[args.kind](spec)
         write_report(report, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"output error: {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except NumericalError as exc:
         if exc.log is not None:
-            out.mkdir(parents=True, exist_ok=True)
             exc.log.write_metrics_csv(out / "metrics.csv")
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -98,7 +98,6 @@ class LogRow:
 @dataclass
 class RunLog:
     rows: list[LogRow] = field(default_factory=list)
-    final_theta: Optional[np.ndarray] = None
     initial_mode_distance: float = math.nan
     final_mode_distance: float = math.nan
     frames: list[tuple[int, np.ndarray]] = field(default_factory=list)
@@ -273,7 +272,6 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
                         f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_s}",)
             exc.log = state.log
             raise
-    state.log.final_theta = generator.get_params()
     state.log.final_mode_distance = nearest_mode_distance(
         oracle, cfg.guidance.positive, generator.render(state.cview))
     return state.log

@@ -40,8 +40,7 @@ from .config import NON_NEGATIVE, SIZE, need, nonempty, one_of, positive, read
 from .distill import DistillConfig, nearest_mode_distance, run_distillation, write_csv
 from .errors import ConfigError
 from .generators import ViewJitterSpec, canonical_view, random_scene
-from .objectives import (REPORT_CSV_HEADER, _interval_pieces, decomposition_check,
-                         ism_gradient, sds_gradient)
+from .objectives import REPORT_CSV_HEADER, interval_pieces, ism_gradient, sds_gradient
 from .oracle import GuidanceSpec, MixtureOracle
 from .ppm import write_ppm
 from .schedule import NoiseSchedule
@@ -264,8 +263,9 @@ def run_quality(spec: ExperimentSpec) -> Report:
     """Distance-to-mode of single-step versus multi-step clean estimates.
 
     Start points are drawn from the data prior; all of them are inverted
-    deterministically to t in one walk, then reconstructed both ways. Errors
-    and the multi-step oracle calls are averaged over start points.
+    deterministically to t in one walk and denoised in one more, whose first
+    guided prediction also gives the single-step estimate. Errors and the
+    multi-step oracle calls are averaged over start points.
     """
     sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
     rng = np.random.default_rng(spec.seeds[0])
@@ -277,10 +277,10 @@ def run_quality(spec: ExperimentSpec) -> Report:
     rows = []
     for t in spec.t_values:
         xt = invert_along(oracle, sch, starts, inversion_grid(t, inv_stride)).latents[-1]
-        single = pseudo_gt_single(sch, xt, t, oracle.eps_guided(sch, xt, t, g))
         before = oracle.eps_evals
-        multi = denoise_path(oracle, sch, xt, t, min(deno_stride, t), g).latents[-1]
+        deno = denoise_path(oracle, sch, xt, t, min(deno_stride, t), g)
         calls = (oracle.eps_evals - before) / len(starts)
+        single, multi = pseudo_gt_single(sch, xt, t, deno.eps_cache[0]), deno.latents[-1]
         rows.append((t, float(np.mean(nearest_mode_distance(oracle, label, single))),
                      float(np.mean(nearest_mode_distance(oracle, label, multi))), calls))
     return Report({"kind": "quality", "rows": rows}, {"quality": (QUALITY_CSV_HEADER, rows)})
@@ -303,7 +303,7 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
         for dt in spec.delta_t_values:
             if dt > t:
                 continue
-            pieces = _interval_pieces(oracle, sch, x0, t, dt, g)
+            pieces = interval_pieces(oracle, sch, x0, t, dt, g)
             bias, residual, naive = pieces.bias(), pieces.decomposition(), pieces.naive()
             # scaled interval score recovered from the exact decomposition
             interval_norm = float(np.linalg.norm(x0 - naive.pseudo_gt - bias))
@@ -414,13 +414,12 @@ def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     return g
 
 
-def score_fd_check(oracle: MixtureOracle, schedule: NoiseSchedule,
-                   n_draws: int = 100, seed: int = 0) -> float:
+def score_fd_check(oracle: MixtureOracle, schedule: NoiseSchedule, seed: int = 0) -> float:
     """Max relative error between the analytic epsilon-prediction and the
-    finite-difference gradient of the log density."""
+    finite-difference gradient of the log density over 100 random points."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(100):
         x = rng.uniform(-3.0, 3.0, size=oracle.dim)
         t = int(rng.integers(1, schedule.num_steps + 1))
         fd = fd_gradient(lambda p: oracle.log_density(schedule, p, t), x, 1e-5)
@@ -431,19 +430,18 @@ def score_fd_check(oracle: MixtureOracle, schedule: NoiseSchedule,
     return worst
 
 
-def renderer_fd_check(n_scenes: int = 20, size: int = 16, channels: int = 1,
-                      seed: int = 0) -> float:
+def renderer_fd_check(seed: int = 0) -> float:
     """Max relative error of analytic renderer gradients against central
-    finite differences over random scenes."""
+    finite differences over 20 random single-channel 16x16 scenes."""
     worst = 0.0
-    for k in range(n_scenes):
+    for k in range(20):
         rng = np.random.default_rng((seed, k))
         # backgrounds strictly inside [0, 1]: finite differences must not
         # straddle the generator's clamp boundary
-        gen = random_scene(3, channels, seed=int(rng.integers(2 ** 31)),
-                           background=rng.uniform(0.2, 0.8, size=channels))
-        view = canonical_view(size, size)
-        grad_img = rng.standard_normal(size * size * channels)
+        gen = random_scene(3, 1, seed=int(rng.integers(2 ** 31)),
+                           background=rng.uniform(0.2, 0.8, size=1))
+        view = canonical_view(16, 16)
+        grad_img = rng.standard_normal(16 * 16)
         analytic = gen.backward(view, grad_img)
         params = gen.get_params()
 
@@ -462,13 +460,13 @@ def renderer_fd_check(n_scenes: int = 20, size: int = 16, channels: int = 1,
 
 
 def gradient_forms_check(oracle: MixtureOracle, schedule: NoiseSchedule,
-                         g: GuidanceSpec, n_draws: int = 50, seed: int = 0) -> float:
-    """Max absolute gap between the noise-matching update and its equivalent
-    sample-space form (loss weight over noise-to-signal times x0 minus the
-    single-step clean target)."""
+                         g: GuidanceSpec, seed: int = 0) -> float:
+    """Max absolute gap over 50 random draws between the noise-matching update
+    and its equivalent sample-space form (loss weight over noise-to-signal
+    times x0 minus the single-step clean target)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(50):
         x0 = rng.uniform(-2.0, 2.0, size=oracle.dim)
         t = int(rng.integers(1, schedule.num_steps + 1))
         eps = rng.standard_normal(oracle.dim)
@@ -479,16 +477,15 @@ def gradient_forms_check(oracle: MixtureOracle, schedule: NoiseSchedule,
 
 
 def decomposition_sweep_check(oracle: MixtureOracle, schedule: NoiseSchedule,
-                              g: GuidanceSpec, n_cases: int = 50,
-                              seed: int = 0) -> float:
-    """Max decomposition residual over randomized (x0, t, interval) triples."""
+                              g: GuidanceSpec, seed: int = 0) -> float:
+    """Max interval_pieces decomposition residual over 50 random (x0, t, interval)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(50):
         x0 = rng.uniform(-2.0, 2.0, size=oracle.dim)
         dt = int(rng.choice([10, 25, 50, 100]))
         t = int(rng.integers(dt, min(950, schedule.num_steps) + 1))
-        worst = max(worst, decomposition_check(oracle, schedule, x0, t, dt, g))
+        worst = max(worst, interval_pieces(oracle, schedule, x0, t, dt, g).decomposition())
     return worst
 
 

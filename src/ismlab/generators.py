@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class View:
     """Affine camera: image_point = affine[:, :2] @ scene_point + affine[:, 2]."""
 

@@ -14,7 +14,7 @@ Three objectives produce an update direction for a rendered view x0:
 The bias admits two independent evaluations (a residual and an explicit
 telescoping series over the shared inversion/denoising grid); their agreement
 is the machine-checkable form of the decomposition underlying the interval
-objective, exposed via decomposition_check.
+objective, exposed as interval_pieces(...).decomposition().
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .trajectory import (
 REPORT_CSV_HEADER = ("t", "s", "grad_norm", "oracle_calls", "objective")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientReport:
     """Result of one objective evaluation at a rendered view.
 
@@ -110,11 +110,10 @@ def ism_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _IntervalPieces:
-    """Shared intermediates of the multi-step objective on the common grid; naive,
-    bias and decomposition return what naive_gradient, multistep_bias and
-    decomposition_check do."""
+    """Shared intermediates of the multi-step objective on the common grid, as
+    interval_pieces walks them; naive, bias and decomposition read them."""
 
     schedule: NoiseSchedule
     x0: np.ndarray
@@ -154,6 +153,10 @@ class _IntervalPieces:
                               t=t, s=self.grid[-2], oracle_calls=self.oracle_calls)
 
     def bias(self) -> np.ndarray:
+        """(x0 - x0_tilde) - gamma(t) * interval, the residual separating the
+        multi-step objective from the interval score; raises ArithmeticError if
+        it and the telescoping series disagree by more than 1e-9 (a broken
+        trajectory invariant)."""
         residual = (self.x0 - self.x0_tilde) - self.schedule.nsr[self.grid[-1]] * self.interval
         gap = float(np.linalg.norm(residual - self.series))
         if gap > 1e-9:
@@ -161,13 +164,18 @@ class _IntervalPieces:
         return residual
 
     def decomposition(self) -> float:
+        """Norm of (x0 - x0_tilde) - (gamma(t) * interval + series), the identity
+        that the multi-step direction is the interval score plus the telescoping
+        bias; below 1e-9 in double precision for all valid inputs."""
         lhs = self.x0 - self.x0_tilde
         rhs = self.schedule.nsr[self.grid[-1]] * self.interval + self.series
         return float(np.linalg.norm(lhs - rhs))
 
 
-def _interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
-                     delta_t: int, g: GuidanceSpec) -> _IntervalPieces:
+def interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
+                    delta_t: int, g: GuidanceSpec) -> _IntervalPieces:
+    """Invert x0 up to t and denoise back to 0 with stride delta_t on one grid,
+    keeping both walks for the multi-step decomposition."""
     t = schedule._check_t(t, 1)
     if not 1 <= delta_t <= t:
         raise ConfigError(f"need 1 <= delta_t <= t, got delta_t={delta_t}, t={t}")
@@ -195,28 +203,4 @@ def naive_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     omega(t) * interval score exactly. Costs about 2 * (t / delta_t) oracle
     evaluations, which is what the interval objective avoids.
     """
-    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).naive()
-
-
-def multistep_bias(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
-                   delta_t: int, g: GuidanceSpec) -> np.ndarray:
-    """Residual separating the multi-step objective from the interval score:
-
-        bias = (x0 - x0_tilde) - gamma(t) * interval_score.
-
-    Also evaluates the explicit telescoping series of neighboring interval
-    scores from the cached trajectories and verifies the two agree to 1e-9;
-    disagreement indicates a broken trajectory invariant and raises.
-    """
-    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).bias()
-
-
-def decomposition_check(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
-                        t: int, delta_t: int, g: GuidanceSpec) -> float:
-    """Norm of (x0 - x0_tilde) - (gamma(t) * interval_score + bias series).
-
-    Exercises the identity that the multi-step matching direction is the
-    interval score plus the telescoping bias; should be < 1e-9 in double
-    precision for all valid inputs.
-    """
-    return _interval_pieces(oracle, schedule, x0, t, delta_t, g).decomposition()
+    return interval_pieces(oracle, schedule, x0, t, delta_t, g).naive()

@@ -60,7 +60,7 @@ class GuidanceSpec:
             raise ConfigError(f"guidance scale must be finite, got {self.scale}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LabelTerms:
     """Constants of one label's restricted mixture, fixed at construction."""
 
@@ -125,9 +125,7 @@ class MixtureOracle:
             ia = np.asarray(idx)
             w = self.weights[ia]
             self._terms[name] = self._label_terms(ia, np.log(w / w.sum()))
-        # (id(schedule), label) -> (schedule, per-timestep constants); holding
-        # the schedule keeps its id from being reused by another schedule.
-        self._memo: dict[tuple[int, Label], tuple[NoiseSchedule, list]] = {}
+        self._memo: dict[tuple[NoiseSchedule, Label], list] = {}
 
         self.eps_evals = 0
 
@@ -168,16 +166,15 @@ class MixtureOracle:
         """Memoised K-vectors at a checked timestep, from the noised variances
         var: -var, 2 * var, -1 / var and the log-normalisers
         logw - D/2 * log(2 pi var)."""
-        held = self._memo.get((id(schedule), label))
-        if held is None:
-            held = self._memo[(id(schedule), label)] = (
-                schedule, [None] * (schedule.num_steps + 1))
-        consts = held[1][t]
+        memo = self._memo.get((schedule, label))
+        if memo is None:
+            memo = self._memo[(schedule, label)] = [None] * (schedule.num_steps + 1)
+        consts = memo[t]
         if consts is None:
             ab = schedule.alpha_bar[t]
             var = ab * terms.sig2 + (1.0 - ab)
             lognorm = terms.logw - 0.5 * self.dim * np.log(2.0 * math.pi * var)
-            consts = held[1][t] = (-var, 2.0 * var, -(1.0 / var), lognorm)
+            consts = memo[t] = (-var, 2.0 * var, -(1.0 / var), lognorm)
         return consts
 
     def log_density(self, schedule: NoiseSchedule, x, t: int, label: Label = None):

@@ -24,7 +24,7 @@ from .errors import ConfigError
 OMEGA_KINDS = ("unit", "one_minus_alpha_bar")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Immutable lookup tables for a discrete forward-noising process.
 
@@ -50,10 +50,10 @@ class NoiseSchedule:
     beta: np.ndarray
     alpha_bar: np.ndarray
     omega_kind: str = "unit"
-    sab: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    s1mab: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    nsr: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    omega: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    sab: tuple[float, ...] = field(init=False, repr=False)
+    s1mab: tuple[float, ...] = field(init=False, repr=False)
+    nsr: tuple[float, ...] = field(init=False, repr=False)
+    omega: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         # Python floats: they index and multiply faster than numpy scalars.

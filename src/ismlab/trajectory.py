@@ -27,7 +27,7 @@ from .oracle import GuidanceSpec, Label, MixtureOracle
 from .schedule import NoiseSchedule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A deterministic walk over a timestep grid: the visited timesteps
     (ascending for an inversion, descending for a denoising walk), the latent

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ismlab import cli
 from ismlab.cli import main
 from ismlab.config import (
     build_generator,
@@ -51,6 +52,20 @@ def test_gradcheck_failure_exits_two(tmp_path, capsys, corrupt_backward):
     out = tmp_path / "out"
     assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 2
     assert "renderer_fd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_unwritable_out_is_a_one_line_output_error(tmp_path, capsys, monkeypatch, below):
+    """An --out that is an existing file, or a path below one, exits 1 with one
+    stderr line naming it, and the runner is never called."""
+    monkeypatch.setitem(cli.RUNNERS, "gradcheck", lambda spec: pytest.fail("runner called"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x" if below else blocker
+    assert main(["gradcheck", "--config", str(CONFIGS / "gradcheck.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {out}: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_config_error_exits_one(tmp_path, capsys):
@@ -208,6 +223,20 @@ def test_ppm_round_trip(tmp_path, height, width, channels):
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-9
     with open(path, "rb") as fh:
         assert fh.read(2) == (b"P5" if channels == 1 else b"P6")
+    if channels == 1:  # an (H, W) image is its one channel
+        flat = tmp_path / "flat.ppm"
+        write_ppm(flat, img[:, :, 0])
+        assert flat.read_bytes() == path.read_bytes()
+
+
+def test_ppm_rejects_bad_shapes_and_headers(tmp_path):
+    path = tmp_path / "img.ppm"
+    for shape in ((4, 4, 2), (4,), (2, 2, 2, 1)):
+        with pytest.raises(ValueError, match="expected"):
+            write_ppm(path, np.zeros(shape))
+    path.write_bytes(b"P3\n4 4\n255\n" + bytes(48))
+    with pytest.raises(ValueError, match="unsupported pixmap header"):
+        read_ppm(path)
 
 
 def test_blob_template_oracle_from_config():

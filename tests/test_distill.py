@@ -81,7 +81,7 @@ def test_fixed_point_run_is_stationary(schedule):
                       guidance=GuidanceSpec(positive="m", scale=1.0))
     gen = IdentityLatent([0.6, -0.3])
     log = run_distillation(gen, oracle, schedule, cfg)
-    assert np.linalg.norm(log.final_theta - np.array([0.6, -0.3])) < 1e-3
+    assert np.linalg.norm(gen.get_params() - np.array([0.6, -0.3])) < 1e-3
     assert all(r.grad_norm < 1e-4 for r in log.rows)
     # the very first update moves the parameters by far less than a full step
     first_move = np.abs(log.rows[0].grad_norm)
@@ -119,18 +119,18 @@ def test_zero_iterations_leaves_parameters(bimodal, schedule):
     gen = IdentityLatent([0.3, 0.3])
     log = run_distillation(gen, bimodal, schedule, base_config(iterations=0))
     assert log.rows == []
-    assert np.array_equal(log.final_theta, [0.3, 0.3])
+    assert np.array_equal(gen.get_params(), [0.3, 0.3])
 
 
 def test_runs_are_reproducible(bimodal, schedule):
-    logs = []
+    logs, gens = [], []
     for _ in range(2):
-        gen = IdentityLatent([0.0, 0.0])
-        logs.append(run_distillation(gen, bimodal, schedule, base_config(objective="sds")))
+        gens.append(IdentityLatent([0.0, 0.0]))
+        logs.append(run_distillation(gens[-1], bimodal, schedule, base_config(objective="sds")))
     a, b = logs
     assert [r.t for r in a.rows] == [r.t for r in b.rows]
     assert [r.grad_norm for r in a.rows] == [r.grad_norm for r in b.rows]
-    assert np.array_equal(a.final_theta, b.final_theta)
+    assert np.array_equal(gens[0].get_params(), gens[1].get_params())
 
 
 def test_matched_seeds_share_timesteps(bimodal, schedule):
@@ -163,6 +163,10 @@ def test_first_crossing_semantics(bimodal, schedule):
     # threshold above the initial distance crosses immediately
     assert log.first_crossing(10.0) == 0
     assert log.first_crossing(-1.0) is None
+    # a final state closer than every entering state is the only crossing below them
+    closest = min(r.mode_distance for r in log.rows)
+    only_final = RunLog(rows=log.rows, final_mode_distance=closest / 2)
+    assert only_final.first_crossing(closest / 2) == len(log.rows)
 
 
 def test_non_finite_gradient_aborts(bimodal, schedule):

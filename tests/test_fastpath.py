@@ -43,9 +43,8 @@ from ismlab.generators import (
     random_scene,
 )
 from ismlab.objectives import (
-    decomposition_check,
+    interval_pieces,
     ism_gradient,
-    multistep_bias,
     naive_gradient,
     sds_gradient,
 )
@@ -285,7 +284,7 @@ def test_memo_is_bounded_by_timesteps_times_labels(mixture3, schedule):
         for t in range(schedule.num_steps + 1):
             for label in (None, "a", "b", "c", "ab"):
                 mixture3.eps_predict(schedule, x, t, label)
-    filled = sum(c is not None for _, consts in mixture3._memo.values() for c in consts)
+    filled = sum(c is not None for consts in mixture3._memo.values() for c in consts)
     assert len(mixture3._memo) == 5
     assert filled <= (schedule.num_steps + 1) * 5
 
@@ -455,9 +454,9 @@ def test_checks_raise_as_when_every_hop_was_checked(mixture3, schedule):
          (IndexError, "timestep 1001 outside [1, 1000]")),
         (lambda: naive_gradient(mixture3, schedule, x, 0, 10, g),
          (IndexError, "timestep 0 outside [1, 1000]")),
-        (lambda: multistep_bias(mixture3, schedule, x, 1001, 10, g),
+        (lambda: interval_pieces(mixture3, schedule, x, 1001, 10, g),
          (IndexError, "timestep 1001 outside [1, 1000]")),
-        (lambda: decomposition_check(mixture3, schedule, x, -1, 10, g),
+        (lambda: interval_pieces(mixture3, schedule, x, -1, 10, g),
          (IndexError, "timestep -1 outside [1, 1000]")),
         # the softmax over "ab" is NaN at |x| = 1e200, so the second node is not finite
         (lambda: denoise_path(mixture3, schedule, np.full(2, 1e200), 10, 5,

@@ -230,6 +230,8 @@ def test_identity_latent_generator():
     gen.set_params([3.0, 4.0])
     assert gen.get_params().tolist() == [3.0, 4.0]
     assert gen.image_shape(ViewJitterSpec()) is None
+    with pytest.raises(ConfigError, match="must be finite"):
+        IdentityLatent([0.5, math.nan])
 
 
 def test_splat_generator_param_round_trip():
@@ -246,6 +248,14 @@ def test_splat_generator_param_round_trip():
     clamped = gen.get_params()
     assert clamped[5] == 1.0 and clamped[-1] == 0.0
     assert gen.image_shape(ViewJitterSpec(width=16, height=16)) == (16, 16, 1)
+    with pytest.raises(ValueError, match="expected 22 parameters, got 21"):
+        gen.set_params(params[:-1])
+    rows = params[:-1].reshape(3, 7)
+    for bad in (rows[:, :6], rows[:0], rows.ravel()):  # wrong width, no splats, not 2-D
+        with pytest.raises(ConfigError, match="splat rows"):
+            SplatGenerator(bad, [0.5])
+    with pytest.raises(ConfigError, match="got 2 depths for 3 splats"):
+        SplatGenerator(rows, [0.5], depth=[0.0, 1.0])
 
 
 def fresh_copy(gen):

@@ -11,9 +11,8 @@ from ismlab import (
     ConfigError,
     GuidanceSpec,
     MixtureOracle,
-    decomposition_check,
+    interval_pieces,
     ism_gradient,
-    multistep_bias,
     naive_gradient,
     sds_gradient,
 )
@@ -138,9 +137,9 @@ def test_multistep_cost_scales_with_interval_count(mixture3, schedule, guide_a):
 def test_single_interval_collapse(mixture3, schedule, guide_a):
     x0 = np.array([0.4, -0.3])
     t = 400
-    bias = multistep_bias(mixture3, schedule, x0, t, t, guide_a)
-    assert np.linalg.norm(bias) < 1e-12
-    assert decomposition_check(mixture3, schedule, x0, t, t, guide_a) < 1e-12
+    pieces = interval_pieces(mixture3, schedule, x0, t, t, guide_a)
+    assert np.linalg.norm(pieces.bias()) < 1e-12
+    assert pieces.decomposition() < 1e-12
     # the update equals the loss weight times the interval score exactly
     report = naive_gradient(mixture3, schedule, x0, t, t, guide_a)
     xt = schedule.sab[t] * x0
@@ -151,7 +150,7 @@ def test_single_interval_collapse(mixture3, schedule, guide_a):
 def test_multistep_bias_zero_on_mode(point_oracle, schedule):
     g = GuidanceSpec(positive="m", scale=1.0)
     mu = np.array([0.6, -0.3])
-    assert np.linalg.norm(multistep_bias(point_oracle, schedule, mu, 400, 50, g)) < 1e-5
+    assert np.linalg.norm(interval_pieces(point_oracle, schedule, mu, 400, 50, g).bias()) < 1e-5
 
 
 def test_multistep_gradient_zero_on_mode(point_oracle, schedule):
@@ -168,9 +167,9 @@ def test_bias_residual_matches_series(mixture3, schedule, guide_a):
         x0 = rng.uniform(-1.5, 1.5, size=2)
         dt = int(rng.choice([25, 50, 100, 130]))
         t = int(rng.integers(dt, 951))
-        bias = multistep_bias(mixture3, schedule, x0, t, dt, guide_a)
-        assert np.isfinite(bias).all()
-        assert decomposition_check(mixture3, schedule, x0, t, dt, guide_a) < 1e-9
+        pieces = interval_pieces(mixture3, schedule, x0, t, dt, guide_a)
+        assert np.isfinite(pieces.bias()).all()
+        assert pieces.decomposition() < 1e-9
 
 
 def test_decomposition_sweep(mixture3, schedule, guide_a):
@@ -180,7 +179,7 @@ def test_decomposition_sweep(mixture3, schedule, guide_a):
         x0 = rng.uniform(-2, 2, size=2)
         dt = int(rng.choice([10, 25, 50, 100]))
         t = int(rng.integers(dt, 951))
-        worst = max(worst, decomposition_check(mixture3, schedule, x0, t, dt, guide_a))
+        worst = max(worst, interval_pieces(mixture3, schedule, x0, t, dt, guide_a).decomposition())
     assert worst < 1e-9
 
 
@@ -211,10 +210,11 @@ def decomposition_cases(draw):
 @given(case=decomposition_cases())
 def test_decomposition_identity_property(schedule, case):
     # the multi-step direction is the interval score plus the telescoping
-    # bias series; multistep_bias raises if its two evaluations disagree
+    # bias series; bias() raises if its two evaluations disagree
     o, x0, t, dt, g = case
-    assert decomposition_check(o, schedule, x0, t, dt, g) <= 1e-9
-    multistep_bias(o, schedule, x0, t, dt, g)
+    pieces = interval_pieces(o, schedule, x0, t, dt, g)
+    assert pieces.decomposition() <= 1e-9
+    pieces.bias()
 
 
 def test_gradient_report_rows(mixture3, schedule, guide_a):
@@ -248,17 +248,17 @@ def test_interval_pieces_rejects_mismatched_grids(monkeypatch, mixture3, schedul
 
     monkeypatch.setattr(objectives, "denoise_path", skewed)
     with pytest.raises(RuntimeError, match="inversion grid"):
-        decomposition_check(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a)
+        interval_pieces(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a).decomposition()
 
 
 def test_interval_pieces_evaluate_the_series_once(mixture3, schedule, guide_a):
     """The pieces hold their schedule; bias and decomposition read one
-    telescoping series and give what multistep_bias and decomposition_check
-    give."""
+    telescoping series and give what a second walk's pieces give."""
     x0 = np.array([0.3, -0.2])
-    pieces = objectives._interval_pieces(mixture3, schedule, x0, 300, 40, guide_a)
+    pieces = interval_pieces(mixture3, schedule, x0, 300, 40, guide_a)
+    again = interval_pieces(mixture3, schedule, x0, 300, 40, guide_a)
     bias = pieces.bias()
     series = pieces.series
-    assert pieces.decomposition() == decomposition_check(mixture3, schedule, x0, 300, 40, guide_a)
+    assert pieces.decomposition() == again.decomposition()
     assert pieces.series is series
-    assert np.array_equal(bias, multistep_bias(mixture3, schedule, x0, 300, 40, guide_a))
+    assert np.array_equal(bias, again.bias())

@@ -152,6 +152,13 @@ def test_constructor_validation():
         MixtureOracle(means=[[0, 0]], sigmas=[0.1], weights=[1.0], labels={"x": []})
     with pytest.raises(ConfigError):
         MixtureOracle(means=[[0, 0]], sigmas=[0.1], weights=[1.0], labels={"x": [4]})
+    with pytest.raises(ConfigError, match="agree in length"):
+        MixtureOracle(means=[[0, 0], [1, 1]], sigmas=[0.1], weights=[1.0, 1.0])
+    for means, sigmas in (([[0, math.nan]], [0.1]), ([[0, 0]], [math.inf])):
+        with pytest.raises(ConfigError, match="must be finite"):
+            MixtureOracle(means=means, sigmas=sigmas, weights=[1.0])
+    with pytest.raises(ConfigError, match="guidance scale must be finite"):
+        GuidanceSpec(positive=None, scale=math.inf)
 
 
 def test_sigma_clamped_to_floor():

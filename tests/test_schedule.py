@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ismlab import ConfigError, add_noise, make_schedule, pseudo_gt_single
+from ismlab import ConfigError, add_noise, canonical_view, make_schedule, pseudo_gt_single
 
 # independent extended-precision cumulative product for the default ramp
 ALPHA_BAR_1000 = 0.0015789629305514414581
@@ -87,3 +87,13 @@ def test_schedule_invariants(num_steps, beta_start, spread):
     assert np.max(np.abs(rebuilt - ab[1:]) / ab[1:]) < 1e-12
     gammas = [s.nsr[t] for t in range(1, num_steps + 1)]
     assert all(g2 > g1 for g1, g2 in zip(gammas, gammas[1:]))
+
+
+def test_a_schedule_and_a_view_compare_and_hash_by_identity():
+    """Dataclasses holding arrays compare by identity, so == never raises and
+    they key a dict."""
+    for make in (lambda: make_schedule(50), lambda: canonical_view(4, 4)):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) != hash(b)
+        assert {a: 1, b: 2}[a] == 1 and len({a, a, b}) == 2
