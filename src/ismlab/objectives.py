@@ -155,11 +155,11 @@ class _IntervalPieces:
     def bias(self) -> np.ndarray:
         """(x0 - x0_tilde) - gamma(t) * interval, the residual separating the
         multi-step objective from the interval score; raises ArithmeticError if
-        it and the telescoping series disagree by more than 1e-9 (a broken
-        trajectory invariant)."""
+        it and the telescoping series disagree by more than 1e-9 or by NaN (a
+        broken trajectory invariant)."""
         residual = (self.x0 - self.x0_tilde) - self.schedule.nsr[self.grid[-1]] * self.interval
         gap = float(np.linalg.norm(residual - self.series))
-        if gap > 1e-9:
+        if not gap <= 1e-9:
             raise ArithmeticError(f"bias residual and series evaluation disagree by {gap:.3e}")
         return residual
 

@@ -25,7 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -69,6 +69,7 @@ class _LabelTerms:
     means: np.ndarray      # (K, D) read-only copy of the selected means
     sig2: np.ndarray       # (K,) component variances sigma_k^2
     single: bool           # one component: its responsibility is exactly 1
+    consts: dict = field(default_factory=dict)  # memo: alpha_bar_t -> _consts
 
 
 class MixtureOracle:
@@ -80,8 +81,9 @@ class MixtureOracle:
 
     Treat instances as immutable after construction. The mutated state is
     ``eps_evals``, a diagnostic counter of evaluated rows (guided predictions
-    count each internal branch they evaluate), and a memo of
-    per-(schedule, timestep, label) constants that never changes a result.
+    count each internal branch they evaluate), and each label's memo of
+    constants per noise level alpha_bar_t, which never changes a result and
+    holds no schedule: schedules with an equal level share its entry.
     """
 
     def __init__(
@@ -125,7 +127,6 @@ class MixtureOracle:
             ia = np.asarray(idx)
             w = self.weights[ia]
             self._terms[name] = self._label_terms(ia, np.log(w / w.sum()))
-        self._memo: dict[tuple[NoiseSchedule, Label], list] = {}
 
         self.eps_evals = 0
 
@@ -162,26 +163,23 @@ class MixtureOracle:
             raise IndexError(f"timestep {t} outside [0, {schedule.num_steps}]")
         return x, t, self._select(label)
 
-    def _consts(self, schedule: NoiseSchedule, t: int, label: Label, terms: _LabelTerms):
-        """Memoised K-vectors at a checked timestep, from the noised variances
-        var: -var, 2 * var, -1 / var and the log-normalisers
-        logw - D/2 * log(2 pi var)."""
-        memo = self._memo.get((schedule, label))
-        if memo is None:
-            memo = self._memo[(schedule, label)] = [None] * (schedule.num_steps + 1)
-        consts = memo[t]
+    def _consts(self, schedule: NoiseSchedule, t: int, terms: _LabelTerms):
+        """K-vectors at a checked timestep, memoised by its noise level, from
+        the noised variances var: -var, 2 * var, -1 / var and the
+        log-normalisers logw - D/2 * log(2 pi var)."""
+        ab = schedule.ab[t]
+        consts = terms.consts.get(ab)
         if consts is None:
-            ab = schedule.alpha_bar[t]
             var = ab * terms.sig2 + (1.0 - ab)
             lognorm = terms.logw - 0.5 * self.dim * np.log(2.0 * math.pi * var)
-            consts = memo[t] = (-var, 2.0 * var, -(1.0 / var), lognorm)
+            consts = terms.consts[ab] = (-var, 2.0 * var, -(1.0 / var), lognorm)
         return consts
 
     def log_density(self, schedule: NoiseSchedule, x, t: int, label: Label = None):
         """Log of the noised, label-restricted mixture density at x: a float
         for a point, an array over the leading axes for rows."""
         x, t, terms = self._checked(schedule, x, t, label)
-        _, twovar, _, lognorm = self._consts(schedule, t, label, terms)
+        _, twovar, _, lognorm = self._consts(schedule, t, terms)
         diff = x[..., None, :] - terms.means * schedule.sab[t]
         logs = (lognorm - np.einsum("...kd,...kd->...k", diff, diff) / twovar).T
         m = np.maximum.reduce(logs)
@@ -199,7 +197,7 @@ class MixtureOracle:
         self.eps_evals += x.size // self.dim
         if t == 0:
             return np.zeros(x.shape)
-        neg_var, twovar, neg_inv_var, lognorm = self._consts(schedule, t, label, terms)
+        neg_var, twovar, neg_inv_var, lognorm = self._consts(schedule, t, terms)
         diff = x[..., None, :] - terms.means * schedule.sab[t]
         if terms.single:
             score = neg_inv_var @ diff

@@ -5,9 +5,9 @@ alpha_bar_t = prod_{u<=t} (1 - beta_u), the noise-to-signal ratio
 sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t) that converts between epsilon-space
 and sample-space update directions, and the per-timestep loss weight.
 
-The square roots, the ratio and the loss weight are tabulated once per
-schedule, so the per-call transport, oracle and objective code only indexes
-them.
+The signal levels, their square roots, the ratio and the loss weight are
+tabulated once per schedule, so the per-call transport, oracle and objective
+code only indexes them.
 
 Index 0 is the clean-data boundary: beta[0] = 0 and alpha_bar[0] = 1 by
 convention, so trajectories may start at t = 0.
@@ -39,6 +39,7 @@ class NoiseSchedule:
 
     Derived read-only tables, indexed by timestep (index only after a range
     check such as ``_check_t``: a negative index would wrap silently):
+        ab: alpha_bar[t] as a Python float, which hashes fast as a memo key.
         sab: sqrt(alpha_bar[t]).
         s1mab: sqrt(1 - alpha_bar[t]).
         nsr: s1mab[t] / sab[t], the noise-to-signal ratio; zero at t = 0.
@@ -50,6 +51,7 @@ class NoiseSchedule:
     beta: np.ndarray
     alpha_bar: np.ndarray
     omega_kind: str = "unit"
+    ab: tuple[float, ...] = field(init=False, repr=False)
     sab: tuple[float, ...] = field(init=False, repr=False)
     s1mab: tuple[float, ...] = field(init=False, repr=False)
     nsr: tuple[float, ...] = field(init=False, repr=False)
@@ -59,6 +61,7 @@ class NoiseSchedule:
         # Python floats: they index and multiply faster than numpy scalars.
         sab = np.sqrt(self.alpha_bar)
         s1mab = np.sqrt(1.0 - self.alpha_bar)
+        object.__setattr__(self, "ab", tuple(self.alpha_bar.tolist()))
         object.__setattr__(self, "sab", tuple(sab.tolist()))
         object.__setattr__(self, "s1mab", tuple(s1mab.tolist()))
         object.__setattr__(self, "nsr", tuple((s1mab / sab).tolist()))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from ismlab.config import (
 )
 from ismlab.distill import METRICS_CSV_HEADER
 from ismlab.experiments import build_experiment
+from ismlab.oracle import MixtureOracle
 from ismlab.ppm import read_ppm, write_ppm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -52,6 +54,19 @@ def test_gradcheck_failure_exits_two(tmp_path, capsys, corrupt_backward):
     out = tmp_path / "out"
     assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 2
     assert "renderer_fd" in capsys.readouterr().err
+
+
+def test_gradcheck_with_a_nan_error_exits_two(tmp_path, capsys, monkeypatch):
+    """A check whose error is NaN fails: its max_error is NaN, not the 0.0 a
+    running max() started from."""
+    monkeypatch.setattr(MixtureOracle, "eps_predict",
+                        lambda self, schedule, x, t, label=None: np.full(np.shape(x), np.nan))
+    cfg = tweak_config(tmp_path, "gradcheck.json", **{"experiment.checks": ["score_fd"]})
+    out = tmp_path / "out"
+    assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "score_fd" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert math.isnan(report["rows"][0]["max_error"]) and report["rows"][0]["passed"] is False
 
 
 @pytest.mark.parametrize("below", [False, True])
@@ -329,6 +344,7 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("distill_splats.json", "distill", "generator.n_splats", 1e12),
     ("consistency.json", "consistency", "experiment.noise_draws", 1),
     ("race.json", "race", "experiment.seeds", [3]),
+    ("race.json", "race", "experiment.seeds", [0, 0]),
     ("interval_sweep.json", "interval-sweep", "experiment.delta_T_values", [10, 5000]),
     ("gradcheck.json", "gradcheck", "schedule.T", 50),
 ])

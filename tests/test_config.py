@@ -266,6 +266,8 @@ def test_every_key_takes_a_value_unchanged_or_refuses_it_by_name(reads):
     ("experiment.start_points", 0),
     ("experiment.start_points", -1),
     ("experiment.start_points", 2.5),
+    ("experiment.noise_draws", 1e300),
+    ("experiment.noise_draws", 10 ** 13),
     ("schedule.T", 2.7),
     ("schedule.T", True),
     ("schedule.T", 0),

@@ -15,8 +15,10 @@ geometric partials per pixel, as the backward pass did before it reused the
 render and summed over pixels first. They are kept here as the judge.
 """
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -279,14 +281,37 @@ def test_schedule_built_after_another_is_dropped(mixture3):
 
 
 def test_memo_is_bounded_by_timesteps_times_labels(mixture3, schedule):
+    """Each label memoises one entry per noise level it evaluated (t = 0
+    returns zeros and evaluates none), however often it is called."""
     x = np.array([0.3, -0.4])
     for _ in range(3):
         for t in range(schedule.num_steps + 1):
             for label in (None, "a", "b", "c", "ab"):
                 mixture3.eps_predict(schedule, x, t, label)
-    filled = sum(c is not None for consts in mixture3._memo.values() for c in consts)
-    assert len(mixture3._memo) == 5
-    assert filled <= (schedule.num_steps + 1) * 5
+    levels = len(set(schedule.ab[1:]))
+    assert levels == schedule.num_steps
+    assert [len(terms.consts) for terms in mixture3._terms.values()] == [levels] * 5
+
+
+def test_memo_holds_no_schedule_and_equal_levels_share_entries(mixture3):
+    """The memo is keyed by noise level, not by schedule: a schedule the
+    oracle evaluated is freed once released, and 100 equal schedules read
+    the entries its levels left and add none."""
+    x = np.array([0.3, -0.4])
+    sch = make_schedule(50, 1e-3, 0.2)
+    for t in range(1, 51):
+        mixture3.eps_predict(sch, x, t, "ab")
+    ref = weakref.ref(sch)
+    del sch
+    gc.collect()
+    assert ref() is None
+    assert len(mixture3._terms["ab"].consts) == 50
+    for _ in range(100):
+        sch = make_schedule(50, 1e-3, 0.2)
+        for t in (1, 25, 50):
+            assert_same_bits(mixture3.eps_predict(sch, x, t, "ab"),
+                             ref_eps_predict(mixture3, sch, x, t, "ab"))
+    assert [len(terms.consts) for terms in mixture3._terms.values()] == [0, 0, 0, 0, 50]
 
 
 def test_negative_timestep_is_rejected_not_wrapped(mixture3, schedule):

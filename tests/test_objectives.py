@@ -251,6 +251,17 @@ def test_interval_pieces_rejects_mismatched_grids(monkeypatch, mixture3, schedul
         interval_pieces(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a).decomposition()
 
 
+def test_bias_raises_on_a_nan_gap(mixture3, schedule, guide_a):
+    """A NaN in an inversion cache makes the residual and the series
+    disagree by NaN, which bias() refuses as it refuses a gap above 1e-9."""
+    pieces = interval_pieces(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a)
+    cache = list(pieces.inv.eps_cache)
+    cache[1] = np.full(2, np.nan)
+    broken = dataclasses.replace(pieces, inv=dataclasses.replace(pieces.inv, eps_cache=tuple(cache)))
+    with pytest.raises(ArithmeticError, match="disagree by nan"):
+        broken.bias()
+
+
 def test_interval_pieces_evaluate_the_series_once(mixture3, schedule, guide_a):
     """The pieces hold their schedule; bias and decomposition read one
     telescoping series and give what a second walk's pieces give."""
