@@ -21,6 +21,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from . import experiments
 from .distill import run_distillation
@@ -61,7 +63,9 @@ def main(argv=None) -> int:
     try:
         spec = build_experiment(cfgmod.load_json(args.config), args.kind)
         out.mkdir(parents=True, exist_ok=True)
-        report = RUNNERS[args.kind](spec)
+        # a non-finite value is reported once, as the NumericalError below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = RUNNERS[args.kind](spec)
         write_report(report, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distill import OBJECTIVES, DistillConfig, OptimConfig
 from .errors import ConfigError
-from .generators import IdentityLatent, SplatGenerator, ViewJitterSpec, random_scene
+from .generators import MIN_DET, IdentityLatent, SplatGenerator, ViewJitterSpec, random_scene
 from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import OMEGA_KINDS, NoiseSchedule, make_schedule
 
@@ -85,6 +85,14 @@ SIZE = positive(int, below=MAX_SIZE)
 NON_NEGATIVE = positive(int, 0, True)
 FINITE = positive(float, -math.inf)
 SQUARED = 1e150  # bound on the size of a value the builders square: two such squares add finitely
+SQUARABLE = positive(float, -SQUARED, below=SQUARED)
+
+
+def unit(value) -> float:
+    """Converter to a float in [0, 1], a color."""
+    if type(value) not in (int, float) or not 0 <= value <= 1:
+        raise ValueError(f"must be a float in [0, 1], got {value!r}")
+    return float(value)
 
 
 def one_of(*choices):
@@ -105,9 +113,10 @@ def nonempty(convert, at_least=1):
     return convert_list
 
 
-def _vector(value) -> np.ndarray:
-    """Converter to a non-empty flat array of finite floats; a number is a vector of one."""
-    return np.array(nonempty(FINITE)(value if type(value) is list else [value]))
+def vector(entry):
+    """Converter to a non-empty flat array of floats, each converted by entry; a
+    number is a vector of one."""
+    return lambda value: np.array(nonempty(entry)(value if type(value) is list else [value]))
 
 
 def need(holds: bool, rule: str, *values) -> None:
@@ -126,8 +135,12 @@ def build_schedule(cfg: dict) -> NoiseSchedule:
     s = read(cfg.get("schedule"), SCHEDULE, "schedule")
     need(s["beta_start"] <= s["beta_end"], "schedule.beta_start <= schedule.beta_end",
          s["beta_start"], s["beta_end"])
-    return make_schedule(num_steps=s["T"], beta_start=s["beta_start"],
-                         beta_end=s["beta_end"], omega_kind=s["omega"])
+    try:
+        return make_schedule(num_steps=s["T"], beta_start=s["beta_start"],
+                             beta_end=s["beta_end"], omega_kind=s["omega"])
+    except ConfigError:  # the one check the table leaves: alpha_bar_T underflows to 0
+        need(False, "schedule.T, schedule.beta_start and schedule.beta_end with alpha_bar_T > 0",
+             s["T"], s["beta_start"], s["beta_end"])
 
 
 def gaussian_blob_template(width: int, height: int, channels: int,
@@ -151,9 +164,9 @@ def gaussian_blob_template(width: int, height: int, channels: int,
 ORACLE = {"dim": (None, _optional(SIZE)), "components": (REQUIRED, nonempty(lambda v: v)),
           "labels": (None, lambda v: v)}
 COMPONENT = {"weight": (1.0, positive(float)), "sigma": (0.1, positive(float, 0, True, SQUARED)),
-             "mean": (REQUIRED, lambda v: v if isinstance(v, dict) else _vector(v))}
+             "mean": (REQUIRED, lambda v: v if isinstance(v, dict) else vector(SQUARABLE)(v))}
 TEMPLATE = {"template": (REQUIRED, one_of("gaussian_blob")),
-            "center": ((0.0, 0.0), nonempty(positive(float, -SQUARED, below=SQUARED), 2)),
+            "center": ((0.0, 0.0), nonempty(SQUARABLE, 2)),
             "peak": (0.9, FINITE), "width": (16, SIZE), "height": (16, SIZE),
             "channels": (1, SIZE), "sigma": (0.35, positive(float))}
 
@@ -182,8 +195,11 @@ def build_oracle(cfg: dict) -> MixtureOracle:
     names = o["labels"] if isinstance(o["labels"], dict) else ()
     index = nonempty(positive(int, 0, True, len(means)))
     labels = read(o["labels"], dict.fromkeys(names, (None, index)), "oracle.labels")
-    return MixtureOracle(means=means, sigmas=[c["sigma"] for c in comps],
-                         weights=[c["weight"] for c in comps], labels=labels)
+    weights = [c["weight"] for c in comps]  # whose sum may overflow, or a share underflow
+    need(min(weights) / sum(weights) > 0, "min(oracle.components[].weight) / their sum > 0",
+         min(weights), sum(weights))
+    return MixtureOracle(means=means, sigmas=[c["sigma"] for c in comps], weights=weights,
+                         labels=labels)
 
 
 # experiments.build_experiment checks the labels against the oracle.
@@ -204,16 +220,20 @@ def build_jitter(cfg: dict) -> ViewJitterSpec:
     view, jitter = read(cfg.get("view"), VIEW, "view"), read(cfg.get("jitter"), JITTER, "jitter")
     need(jitter["zoom_min"] <= jitter["zoom_max"], "jitter.zoom_min <= jitter.zoom_max",
          jitter["zoom_min"], jitter["zoom_max"])
+    zoom = jitter["zoom_min"]  # its view's |det| must reach View.pixel_centers' MIN_DET
+    need(zoom * zoom * view["width"] * view["height"] / 4 >= MIN_DET,
+         f"jitter.zoom_min ** 2 * view.width * view.height / 4 >= {MIN_DET}",
+         zoom, view["width"], view["height"])
     return ViewJitterSpec(**view, **jitter)
 
 
-GENERATOR = {"kind": ("identity", one_of("identity", "splats")), "theta": (None, _vector),
-             "n_splats": (32, SIZE), "channels": (1, SIZE), "init_seed": (0, NON_NEGATIVE),
-             "splats": (None, _optional(nonempty(lambda v: v))),
-             "background": (None, _optional(_vector))}
-SPLAT = {"center": (REQUIRED, _vector), "log_scale": (REQUIRED, _vector),
-         "rotation": (REQUIRED, _vector), "color": (REQUIRED, _vector),
-         "logit_opacity": (REQUIRED, _vector), "depth": (0.0, FINITE)}
+GENERATOR = {"kind": ("identity", one_of("identity", "splats")),
+             "theta": (None, vector(FINITE)), "n_splats": (32, SIZE), "channels": (1, SIZE),
+             "init_seed": (0, NON_NEGATIVE), "splats": (None, _optional(nonempty(lambda v: v))),
+             "background": (None, _optional(vector(unit)))}
+SPLAT = {"center": (REQUIRED, vector(FINITE)), "log_scale": (REQUIRED, vector(FINITE)),
+         "rotation": (REQUIRED, vector(FINITE)), "color": (REQUIRED, vector(unit)),
+         "logit_opacity": (REQUIRED, vector(FINITE)), "depth": (0.0, FINITE)}
 
 
 def _explicit_splats(splats: list, background: np.ndarray) -> SplatGenerator:

@@ -259,19 +259,18 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
 
     A NumericalError carries the rows logged up to the failure as ``log``
     and names the run (objective, seed, interval, stride). numpy's overflow
-    and invalid-value warnings are silenced for the run, so that error is the
-    only report of a non-finite value.
+    and invalid-value warnings are the caller's to silence, as the CLI does
+    for every kind.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = init_state(generator, oracle, cfg)
-        try:
-            for i in range(cfg.iterations):
-                distill_step(state, oracle, schedule, cfg, i)
-        except NumericalError as exc:
-            exc.args = (f"{exc} of the {cfg.objective} run with seed={cfg.seed}, "
-                        f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_s}",)
-            exc.log = state.log
-            raise
+    state = init_state(generator, oracle, cfg)
+    try:
+        for i in range(cfg.iterations):
+            distill_step(state, oracle, schedule, cfg, i)
+    except NumericalError as exc:
+        exc.args = (f"{exc} of the {cfg.objective} run with seed={cfg.seed}, "
+                    f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_s}",)
+        exc.log = state.log
+        raise
     state.log.final_mode_distance = nearest_mode_distance(
         oracle, cfg.guidance.positive, generator.render(state.cview))
     return state.log

@@ -122,13 +122,20 @@ def _t_values_in_schedule(s) -> None:
          "every experiment.t_values entry in [1, schedule.T]", s.t_values, s.schedule.num_steps)
 
 
+def _rows_below_max_size(key: str):
+    """Check that experiment.<key> rows of the oracle's dimension fit below MAX_SIZE."""
+    return lambda s: need(getattr(s, key) * s.oracle.dim < MAX_SIZE,
+                          f"experiment.{key} * the oracle's dimension < {MAX_SIZE}",
+                          getattr(s, key), s.oracle.dim)
+
+
 # kind -> checks of a built spec that hold for that kind only
 KIND_CHECKS = {
-    "consistency": (_t_values_in_schedule, lambda s: need(
+    "consistency": (_t_values_in_schedule, _rows_below_max_size("noise_draws"), lambda s: need(
         s.delta_s_values[0] <= min(s.t_values),
         "experiment.delta_S_values[0] <= every experiment.t_values entry for consistency",
         s.delta_s_values[0], min(s.t_values))),
-    "quality": (_t_values_in_schedule,),
+    "quality": (_t_values_in_schedule, _rows_below_max_size("start_points")),
     "eta-sweep": (_t_values_in_schedule,),
     "interval-sweep": (lambda s: need(
         max(s.delta_t_values) < s.distill.t_min,

@@ -33,6 +33,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+MIN_DET = 1e-12  # smallest |det| of a view's affine block that is solved for pixel centers
+
 
 @dataclass(frozen=True, eq=False)
 class View:
@@ -59,7 +61,7 @@ class View:
     def pixel_centers(self) -> np.ndarray:
         """Read-only pixel centers in scene coordinates: a contiguous row of x and
         one of y, (2, H * W), pixels row-major over (y, x)."""
-        if abs(np.linalg.det(self.linear)) < 1e-12:
+        if abs(np.linalg.det(self.linear)) < MIN_DET:
             raise ConfigError("degenerate view: affine block is singular")
         gx, gy = np.meshgrid(np.arange(self.width) + 0.5, np.arange(self.height) + 0.5)
         z = np.linalg.solve(self.linear, np.stack([gx.ravel(), gy.ravel()]) - self.offset[:, None])
@@ -211,7 +213,7 @@ class SplatGenerator:
             rows = rows[np.argsort(depth, kind="stable")]
         self.channels = c
         self.theta = np.concatenate([rows.ravel(), background])
-        self._memo = (None, None)  # (view, forward context) of the last render, if current
+        self.set_params(self.theta)  # clamps the colors and empties the render memo
 
     @property
     def n_params(self) -> int:
@@ -232,7 +234,7 @@ class SplatGenerator:
         rows[:, COLOR] = np.clip(rows[:, COLOR], 0.0, 1.0)
         theta[-c:] = np.clip(theta[-c:], 0.0, 1.0)
         self.theta = theta
-        self._memo = (None, None)
+        self._memo = (None, None)  # (view, forward context) of the last render, if current
 
     def render(self, view: View) -> np.ndarray:
         """Flat image of length height * width * channels, row-major with

@@ -65,7 +65,7 @@ class _LabelTerms:
     """Constants of one label's restricted mixture, fixed at construction."""
 
     idx: np.ndarray        # component indices
-    logw: np.ndarray       # log renormalised weights
+    logw: np.ndarray       # log weights, renormalised unless the label is the null label
     means: np.ndarray      # (K, D) read-only copy of the selected means
     sig2: np.ndarray       # (K,) component variances sigma_k^2
     single: bool           # one component: its responsibility is exactly 1
@@ -101,42 +101,35 @@ class MixtureOracle:
             raise ConfigError("means, sigmas and weights must agree in length")
         if not (np.isfinite(means).all() and np.isfinite(sigmas).all()):
             raise ConfigError("mixture parameters must be finite")
-        if np.any(weights <= 0) or not np.isfinite(weights).all():
-            raise ConfigError("component weights must be positive and finite")
+        with np.errstate(all="ignore"):  # each weight's share of a sum that overflows is 0
+            self.weights = weights / weights.sum()
+        if not (np.all(weights > 0) and np.isfinite(weights).all() and self.weights.all()):
+            raise ConfigError("component weights must be positive, finite shares of a finite sum")
 
         self.means, self.sigmas = means, np.maximum(sigmas, SIGMA_MIN)
-        self.weights = weights / weights.sum()
         for a in (self.means, self.sigmas, self.weights):
             a.flags.writeable = False
         self.dim = means.shape[1]
         self._shape = means.shape[1:]  # the last axis of input points
 
-        self.labels: dict[str, tuple[int, ...]] = {}
-        for name, idx in (labels or {}).items():
-            idx = tuple(int(i) for i in idx)
-            if not idx:
+        self._terms: dict[Label, _LabelTerms] = {}
+        for name, idx in {None: range(n), **(labels or {})}.items():
+            idx = np.asarray(tuple(int(i) for i in idx))
+            if not idx.size:
                 raise ConfigError(f"label {name!r} selects no components")
-            if any(i < 0 or i >= n for i in idx):
+            if any(i < 0 or i >= n for i in idx.tolist()):
                 raise ConfigError(f"label {name!r} has out-of-range component index")
-            self.labels[name] = idx
-
-        # The null label keeps the normalised weights as they are.
-        self._terms: dict[Label, _LabelTerms] = {
-            None: self._label_terms(np.arange(n), np.log(self.weights))}
-        for name, idx in self.labels.items():
-            ia = np.asarray(idx)
-            w = self.weights[ia]
-            self._terms[name] = self._label_terms(ia, np.log(w / w.sum()))
-
+            w, sig2 = self.weights[idx], self.sigmas[idx] ** 2
+            terms = (idx, np.log(w if name is None else w / w.sum()), self.means[idx], sig2)
+            for a in terms:
+                a.flags.writeable = False
+            self._terms[name] = _LabelTerms(*terms, single=idx.shape[0] == 1)
         self.eps_evals = 0
 
-    def _label_terms(self, idx: np.ndarray, logw: np.ndarray) -> _LabelTerms:
-        means = self.means[idx]
-        sig2 = self.sigmas[idx] ** 2
-        for a in (idx, logw, means, sig2):
-            a.flags.writeable = False
-        return _LabelTerms(idx=idx, logw=logw, means=means, sig2=sig2,
-                           single=idx.shape[0] == 1)
+    @property
+    def labels(self) -> dict[str, tuple[int, ...]]:
+        """Each named label's component indices."""
+        return {name: tuple(t.idx.tolist()) for name, t in self._terms.items() if name is not None}
 
     def label_means(self, label: Label) -> np.ndarray:
         """Read-only (K, D) means of the components the label selects."""

@@ -88,7 +88,8 @@ def make_schedule(
 
     Raises:
         ConfigError: if num_steps < 2, the beta range is not
-            0 < beta_start <= beta_end < 1, or omega_kind is unknown.
+            0 < beta_start <= beta_end < 1, omega_kind is unknown, or
+            alpha_bar_T underflows to 0.
     """
     if num_steps < 2:
         raise ConfigError(f"num_steps must be >= 2, got {num_steps}")
@@ -103,6 +104,9 @@ def make_schedule(
     beta[1:] = np.linspace(beta_start, beta_end, num_steps)
     alpha_bar = np.ones(num_steps + 1)
     alpha_bar[1:] = np.cumprod(1.0 - beta[1:])
+    if not alpha_bar[-1] > 0:
+        raise ConfigError(f"need alpha_bar_T > 0, but {num_steps} steps of beta from "
+                          f"{beta_start} to {beta_end} underflow it to 0")
     beta.flags.writeable = False
     alpha_bar.flags.writeable = False
     return NoiseSchedule(num_steps=num_steps, beta=beta, alpha_bar=alpha_bar,

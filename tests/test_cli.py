@@ -278,6 +278,7 @@ SPLAT = {"center": [0.0, 0.0], "log_scale": [-1.0, -1.0], "rotation": 0.0,
     ({"splats": [dict(SPLAT, log_scale=[-1.0])]}, "generator.splats[0].log_scale"),
     ({"splats": [SPLAT] * 3 + [dict(SPLAT, color=[0.5, 0.5, 0.5])]},
      "generator.splats[3].color"),
+    ({"splats": [dict(SPLAT, color=[1.5])]}, "generator.splats[0].color"),
 ])
 def test_bad_generator_section_exits_one(tmp_path, capsys, generator, key):
     cfg = tweak_config(tmp_path, "distill_splats.json",
@@ -347,16 +348,34 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("race.json", "race", "experiment.seeds", [0, 0]),
     ("interval_sweep.json", "interval-sweep", "experiment.delta_T_values", [10, 5000]),
     ("gradcheck.json", "gradcheck", "schedule.T", 50),
+    ("distill_identity.json", "distill", "schedule.beta_end", 0.99),
+    ("distill_identity.json", "distill", "oracle.components",
+     [{"weight": 1e308, "mean": [1.0, 0.0]}, {"weight": 1e308, "mean": [-1.0, 0.0]}]),
+    ("distill_identity.json", "distill", "oracle.components",
+     [{"weight": 1e-200, "mean": [1.0, 0.0]}, {"weight": 1e200, "mean": [-1.0, 0.0]}]),
+    ("eta_sweep.json", "eta-sweep", "oracle.components[0].mean", [1e300, 0.0]),
+    ("quality.json", "quality", "oracle.components[0].mean", [1e300, 0.0]),
+    ("gradcheck.json", "gradcheck", "oracle.components[0].mean", [1e300, 0.0]),
+    ("distill_splats.json", "distill", "generator.background", [5.0]),
+    ("distill_splats.json", "distill", "jitter.zoom_min", 1e-7),
+    ("quality.json", "quality", "experiment.start_points", 2 ** 23),
+    ("consistency.json", "consistency", "experiment.noise_draws", 2 ** 23),
 ])
 def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     """A wrong-typed or out-of-range value, an unknown guidance label or
     gradcheck name, or a value a kind cannot run is a config error naming its
-    key, raised before anything runs: a fraction is not truncated, a bool not
-    read as a number, NaN not accepted, and a size numpy cannot allocate is
-    refused before allocation, as is a value too large to square."""
+    key, raised before anything runs and without a numpy warning: a fraction
+    is not truncated, a bool not read as a number, NaN not accepted, and a
+    size numpy cannot allocate is refused before allocation, as is a value
+    too large to square, a schedule whose alpha_bar_T underflows to 0,
+    weights whose sum overflows, a color outside [0, 1] and a zoom too small
+    to solve a view for."""
     cfg = tweak_config(tmp_path, name, **{key: value})
     out = tmp_path / "o"
-    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
     assert not out.exists()
@@ -525,14 +544,19 @@ def test_shipped_configs_have_no_unknown_keys(name):
     ("interval-sweep", "interval_sweep.json", {"experiment.delta_T_values": [100],
                                                "experiment.delta_S_values": [200]},
      ", delta_T=100, delta_S=200"),
-], ids=["ism", "sds", "naive", "race", "interval-sweep"])
+    *[(kind, name, {"generator.theta": [0.3, -0.2], "guidance.scale": 1e300}, None)
+      for kind, name in (("consistency", "consistency.json"), ("eta-sweep", "eta_sweep.json"),
+                         ("gradcheck", "gradcheck.json"))],
+], ids=["ism", "sds", "naive", "race", "interval-sweep", "consistency", "eta-sweep",
+        "gradcheck"])
 def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, kind, name,
                                                            tweaks, run):
     """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
-    unconditional branch: the run stops with exit code 3, one stderr line
-    naming the iteration and the failing run (the race's seed and objective,
-    the interval-sweep's grid cell), no numpy warning and a metrics.csv of
-    the rows logged before the failure."""
+    unconditional branch, and a guidance scale of 1e300 the guided prediction:
+    the run stops with exit code 3, one stderr line and no numpy warning,
+    whatever the kind. In a distillation the line names the iteration and the
+    failing run (the race's seed and objective, the interval-sweep's grid
+    cell), and a metrics.csv holds the rows logged before the failure."""
     cfg = tweak_config(tmp_path, name, **{"generator.theta": [1e200, 1e200],
                                           "distill.iterations": 5, **tweaks})
     out = tmp_path / "out"
@@ -542,9 +566,11 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
+    if run is None:  # no distillation: no run to name and no metrics
+        return
     assert "at iteration 0, t=" in err and run in err
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER
     assert len(rows) - 1 < 5
-    assert not (out / "report.json").exists()

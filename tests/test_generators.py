@@ -247,6 +247,8 @@ def test_splat_generator_param_round_trip():
     gen.set_params(pushed)
     clamped = gen.get_params()
     assert clamped[5] == 1.0 and clamped[-1] == 0.0
+    assert np.array_equal(SplatGenerator(pushed[:-1].reshape(3, 7), pushed[-1:]).get_params(),
+                          clamped)  # the constructor sets its parameters the same way
     assert gen.image_shape(ViewJitterSpec(width=16, height=16)) == (16, 16, 1)
     with pytest.raises(ValueError, match="expected 22 parameters, got 21"):
         gen.set_params(params[:-1])

@@ -145,9 +145,14 @@ def test_non_finite_input_raises(mixture3, schedule):
         mixture3.log_density(schedule, np.array([np.inf, 0.0]), 10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_constructor_validation():
     with pytest.raises(ConfigError):
         MixtureOracle(means=[[0, 0]], sigmas=[0.1], weights=[-1.0])
+    # a sum that overflows, and a share of it that underflows
+    for weights in ([1e308, 1e308], [1e-200, 1e200]):
+        with pytest.raises(ConfigError, match="shares of a finite sum"):
+            MixtureOracle(means=[[0, 0], [1, 1]], sigmas=[0.1, 0.1], weights=weights)
     with pytest.raises(ConfigError):
         MixtureOracle(means=[[0, 0]], sigmas=[0.1], weights=[1.0], labels={"x": []})
     with pytest.raises(ConfigError):

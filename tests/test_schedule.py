@@ -65,7 +65,9 @@ def test_timestep_bounds_raise(tiny_schedule):
     dict(num_steps=10, beta_start=0.2, beta_end=0.1),
     dict(num_steps=10, beta_end=1.0),
     dict(num_steps=10, omega_kind="bogus"),
+    dict(num_steps=1000, beta_start=0.9, beta_end=0.99),  # alpha_bar_T underflows to 0
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_parameters_raise(kwargs):
     with pytest.raises(ConfigError):
         make_schedule(**kwargs)
