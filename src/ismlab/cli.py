@@ -11,8 +11,9 @@ frames/*.ppm under --out (docs/config.md lists the files per kind).
 
 --out is created after the config is checked and before the run. Exit codes:
 0 success, 1 configuration error or an --out that cannot be created or
-written, 2 check failure, 3 numerical failure (a non-finite gradient or
-point; metrics.csv then holds the rows the failing distillation logged).
+written, 2 check failure (a gradcheck, or eta-sweep's decomposition check),
+3 numerical failure (a non-finite gradient or point; metrics.csv then holds
+the rows the failing distillation logged).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import config as cfgmod
 from . import experiments
 from .distill import run_distillation
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DecompositionError, NumericalError
 from .experiments import ExperimentSpec, Report, build_experiment, final_frame, write_report
 
 
@@ -78,6 +79,9 @@ def main(argv=None) -> int:
             exc.log.write_metrics_csv(out / "metrics.csv")
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except DecompositionError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 2
     if not report.summary.get("ok", True):  # a gradcheck with a failed check
         failing = [r["check"] for r in report.summary["rows"] if not r["passed"]]
         print(f"gradcheck failed: {', '.join(failing)}", file=sys.stderr)

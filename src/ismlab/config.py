@@ -272,10 +272,11 @@ def build_generator(cfg: dict):
 
 # DistillConfig fields by their own names, except the delta_ keys and the
 # optimizer (read with OPTIMIZER); t_min defaults to 20 + delta_T_start.
-DISTILL = {"objective": ("ism", one_of(*OBJECTIVES)), "iterations": (1000, NON_NEGATIVE),
+DISTILL = {"objective": ("ism", one_of(*OBJECTIVES)),
+           "iterations": (1000, positive(int, 0, True, MAX_SIZE)),
            "t_min": (None, _optional(positive(int))), "t_max": (980, positive(int)),
            "delta_T_start": (200, positive(int)), "delta_T_end": (50, positive(int)),
-           "delta_S": (50, positive(int)), "view_batch": (1, positive(int)),
+           "delta_S": (50, positive(int)), "view_batch": (1, SIZE),
            "seed": (0, NON_NEGATIVE), "snapshot_every": (0, NON_NEGATIVE),
            "optimizer": (None, lambda v: v)}
 OPTIMIZER = {"step_size": (0.01, positive(float)), "beta1": (0.9, positive(float, 0, True, 1)),

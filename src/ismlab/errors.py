@@ -9,6 +9,11 @@ class UnknownLabelError(KeyError):
     """Raised when a conditioning label is not registered with the oracle."""
 
 
+class DecompositionError(ArithmeticError):
+    """Raised when the multi-step bias residual and its telescoping series
+    disagree by more than the check allows, or by NaN."""
+
+
 class NumericalError(ValueError, RuntimeError):
     """Raised when a computation meets or produces a non-finite value.
 

@@ -374,9 +374,12 @@ def run_interval_sweep(spec: ExperimentSpec) -> Report:
 def _median_crossing(crossings: dict[tuple[int, str], Optional[int]],
                      objective: str) -> Optional[float]:
     """Median first crossing of an objective's runs, a run that never crossed
-    counting as infinite; None when the median is not finite."""
-    median = float(np.median([math.inf if c is None else c
-                              for (seed, obj), c in crossings.items() if obj == objective]))
+    counting as infinite; None when the median is not finite. np.median's
+    value, without the numpy.ma import it makes for float input."""
+    runs = sorted(math.inf if c is None else c
+                  for (seed, obj), c in crossings.items() if obj == objective)
+    n = len(runs)  # for odd n the two middle values are one, and (a + a) / 2 == a
+    median = (float(runs[(n - 1) // 2]) + float(runs[n // 2])) / 2
     return median if math.isfinite(median) else None
 
 
@@ -412,14 +415,9 @@ def run_race(spec: ExperimentSpec) -> Report:
 # ---------------------------------------------------------------------------
 
 def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
-    """Central finite differences of a scalar function of a flat vector."""
-    g = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        hi, lo = x.copy(), x.copy()
-        hi[i] += step
-        lo[i] -= step
-        g[i] = (f(hi) - f(lo)) / (2.0 * step)
-    return g
+    """Central finite differences at a flat vector of f, which maps rows to one value each."""
+    d = step * np.eye(x.shape[0])
+    return (f(x + d) - f(x - d)) / (2.0 * step)
 
 
 def score_fd_check(oracle: MixtureOracle, schedule: NoiseSchedule, seed: int = 0) -> float:
@@ -455,9 +453,9 @@ def renderer_fd_check(seed: int = 0) -> float:
 
         def loss(p, gen=gen, view=view, grad_img=grad_img):
             gen.set_params(p)
-            return float(grad_img @ gen.render(view))
+            return grad_img @ gen.render(view)
 
-        fd = fd_gradient(loss, params, 1e-4)
+        fd = fd_gradient(lambda rows: np.array([loss(p) for p in rows]), params, 1e-4)
         floor = 1e-6 * max(1.0, float(np.abs(fd).max()))
         rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), floor)
         errs.append(float(rel.max()))

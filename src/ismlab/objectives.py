@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DecompositionError
 from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule
 from .trajectory import (
@@ -154,13 +154,15 @@ class _IntervalPieces:
 
     def bias(self) -> np.ndarray:
         """(x0 - x0_tilde) - gamma(t) * interval, the residual separating the
-        multi-step objective from the interval score; raises ArithmeticError if
-        it and the telescoping series disagree by more than 1e-9 or by NaN (a
-        broken trajectory invariant)."""
-        residual = (self.x0 - self.x0_tilde) - self.schedule.nsr[self.grid[-1]] * self.interval
+        multi-step objective from the interval score; raises DecompositionError
+        if it and the telescoping series disagree by more than 1e-9 or by NaN (a
+        broken trajectory invariant, or a schedule too steep for doubles)."""
+        t, s = self.grid[-1], self.grid[-2]
+        residual = (self.x0 - self.x0_tilde) - self.schedule.nsr[t] * self.interval
         gap = float(np.linalg.norm(residual - self.series))
         if not gap <= 1e-9:
-            raise ArithmeticError(f"bias residual and series evaluation disagree by {gap:.3e}")
+            raise DecompositionError(f"bias residual and series evaluation disagree by "
+                                     f"{gap:.3e} at t={t}, delta_T={t - s}")
         return residual
 
     def decomposition(self) -> float:
@@ -200,7 +202,8 @@ def naive_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     estimate), with inversion and denoising at the same stride.
 
     delta_t = t collapses to a single interval, where this equals
-    omega(t) * interval score exactly. Costs about 2 * (t / delta_t) oracle
-    evaluations, which is what the interval objective avoids.
+    omega(t) * interval score exactly. Costs ceil(t / delta_t) * (1 + g)
+    oracle evaluations per row, g = 1 guided branch at scale 0 or 1 and 2
+    otherwise, which is what the interval objective avoids.
     """
     return interval_pieces(oracle, schedule, x0, t, delta_t, g).naive()

@@ -215,10 +215,11 @@ class MixtureOracle:
         """Classifier-free-guided prediction.
 
         scale = 1 returns the positive branch and scale = 0 the negative
-        branch exactly (single evaluation, no float recombination).
+        branch exactly (single evaluation, no float recombination). Both
+        labels are checked before any branch is counted.
         """
-        self._select(g.positive)
-        self._select(g.negative)
+        # the branch evaluated first checks its own label: look up the other
+        self._select(g.negative if g.scale == 1.0 else g.positive)
         if g.scale == 1.0:
             return self.eps_predict(schedule, x, t, g.positive)
         if g.scale == 0.0:

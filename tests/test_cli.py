@@ -1,6 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import re
+import signal
+import subprocess
+import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -81,6 +89,40 @@ def test_unwritable_out_is_a_one_line_output_error(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith(f"output error: {out}: ") and err.count("\n") == 1
     assert blocker.read_text() == ""
+
+
+def test_steep_eta_sweep_is_a_one_line_check_failure(tmp_path, capsys, monkeypatch):
+    """A valid schedule steep enough that double precision cannot hold the
+    multi-step estimate to 1e-9 (alpha_bar_T about 1e-46) fails eta-sweep's
+    decomposition check: exit 2, one stderr line naming the cell, no
+    report.json. Other arithmetic errors are not caught."""
+    cfg = tweak_config(tmp_path, "eta_sweep.json",
+                       **{"schedule.beta_start": 0.1, "schedule.beta_end": 0.1})
+    out = tmp_path / "o"
+    assert main(["eta-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"check failed: bias residual and series evaluation disagree by "
+                        r"\S+ at t=\d+, delta_T=\d+\n", err), err
+    assert not (out / "report.json").exists()
+    monkeypatch.setitem(cli.RUNNERS, "eta-sweep", lambda spec: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["eta-sweep", "--config", str(cfg), "--out", str(out)])
+
+
+def test_race_median_imports_no_numpy_ma(tmp_path):
+    """A race in which a run never crosses takes the median of float values,
+    for which np.median imports numpy.ma; the race's own median does not."""
+    cfg = tweak_config(tmp_path, "race.json", **{"distill.iterations": 20})
+    out = tmp_path / "o"
+    code = ("import sys; from ismlab.cli import main; "
+            f"assert main(['race', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0; "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert None in json.loads((out / "report.json").read_text())["crossings"].values()
 
 
 def test_config_error_exits_one(tmp_path, capsys):
@@ -360,6 +402,8 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("distill_splats.json", "distill", "jitter.zoom_min", 1e-7),
     ("quality.json", "quality", "experiment.start_points", 2 ** 23),
     ("consistency.json", "consistency", "experiment.noise_draws", 2 ** 23),
+    ("distill_identity.json", "distill", "distill.iterations", 1e300),
+    ("race.json", "race", "distill.view_batch", 1e300),
 ])
 def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     """A wrong-typed or out-of-range value, an unknown guidance label or
@@ -368,8 +412,8 @@ def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     is not truncated, a bool not read as a number, NaN not accepted, and a
     size numpy cannot allocate is refused before allocation, as is a value
     too large to square, a schedule whose alpha_bar_T underflows to 0,
-    weights whose sum overflows, a color outside [0, 1] and a zoom too small
-    to solve a view for."""
+    weights whose sum overflows, a color outside [0, 1], a zoom too small
+    to solve a view for and a run size that would never end."""
     cfg = tweak_config(tmp_path, name, **{key: value})
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
@@ -574,3 +618,63 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER
     assert len(rows) - 1 < 5
+
+
+def leaf_paths(node, prefix=()):
+    """Every key path to a value inside a JSON value that is not an object or a list."""
+    if not isinstance(node, (dict, list)):
+        yield prefix
+        return
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from leaf_paths(value, prefix + (key,))
+
+
+# (config name, key path, value): -1, 0, 2.5 and 1e300 at every leaf key path
+# of every shipped config, 1,092 cases taking about 14 s in all
+RUN_PROBE = [(p.name, keys, value) for p in sorted(CONFIGS.glob("*.json"))
+             for keys in leaf_paths(load_json(p)) for value in (-1, 0, 2.5, 1e300)]
+
+
+class Hung(Exception):
+    """A probed run outlived its alarm (not an OSError, which main would catch)."""
+
+
+def hung(signum, frame):
+    raise Hung()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(RUN_PROBE))
+@example(case=("race.json", ("distill", "iterations"), 1e300))
+@example(case=("race.json", ("distill", "view_batch"), 1e300))
+def test_every_accepted_value_runs_or_fails_in_one_line(case):
+    """A sample of the run probe: the config with the value at the key path,
+    run in process through the config's kind with distill.iterations capped at
+    5 unless it is the probed key, ends within its own 20 s alarm and raises
+    no RuntimeWarning: it exits 0 with nothing on stderr, or 1, 2 or 3 with
+    one stderr line and no traceback."""
+    name, keys, value = case
+    cfg = load_json(CONFIGS / name)
+    if "distill" in cfg:
+        cfg["distill"]["iterations"] = min(cfg["distill"].get("iterations", 1000), 5)
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    kind = "distill" if name.startswith("distill") else name.split(".")[0].replace("_", "-")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(cfg))
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([kind, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    err = err.getvalue()
+    assert (code, err) == (0, "") or code in (1, 2, 3) and err.count("\n") == 1, \
+        f"exit {code}, stderr {err!r}"

@@ -1,9 +1,12 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ismlab.config import load_json
 from ismlab.errors import ConfigError
@@ -15,6 +18,7 @@ from ismlab.experiments import (
     QUALITY_CSV_HEADER,
     RACE_CSV_HEADER,
     RACE_SUMMARY_CSV_HEADER,
+    _median_crossing,
     build_experiment,
     run_consistency,
     run_eta_sweep,
@@ -172,6 +176,19 @@ def test_race_matched_streams(schedule):
     sds = [r[3] for r in curves if r[:2] == (3, "sds")]
     assert len(ism) == len(sds) == 51
     assert ism[0] == sds[0] == 1.0
+
+
+@given(st.lists(st.one_of(st.integers(0, 10 ** 6), st.none()), min_size=1, max_size=9),
+       st.lists(st.integers(0, 10 ** 6), max_size=3))
+def test_median_crossing_is_numpys_median(ism, sds):
+    """The race median, a run that never crossed (None) counting as infinite,
+    is float(np.median(...)) over that objective's runs, None when not finite."""
+    crossings = {**{(seed, "ism"): c for seed, c in enumerate(ism)},
+                 **{(seed, "sds"): c for seed, c in enumerate(sds)}}
+    median = float(np.median([math.inf if c is None else c for c in ism]))
+    got = _median_crossing(crossings, "ism")
+    assert got == (median if math.isfinite(median) else None)
+    assert got is None or type(got) is float
 
 
 def test_race_needs_two_seeds():

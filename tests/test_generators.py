@@ -160,12 +160,14 @@ def test_backward_matches_finite_differences():
         grad_img = rng.standard_normal(16 * 16)
         analytic = gen.backward(view, grad_img)
 
-        def loss(p):
+        def loss(rows):
             keep = gen.get_params()
-            gen.set_params(p)
-            val = float(grad_img @ gen.render(view))
+            vals = []
+            for p in rows:
+                gen.set_params(p)
+                vals.append(float(grad_img @ gen.render(view)))
             gen.set_params(keep)
-            return val
+            return np.array(vals)
 
         fd = fd_gradient(loss, gen.get_params(), 1e-4)
         floor = 1e-6 * max(1.0, float(np.abs(fd).max()))

@@ -134,6 +134,40 @@ def test_multistep_cost_scales_with_interval_count(mixture3, schedule, guide_a):
     assert report.oracle_calls == 12 + 2 * 12
 
 
+@st.composite
+def cost_cases(draw):
+    """(t, delta_t, delta_s, guidance, rows): delta_s fits below t - delta_t
+    whenever delta_t < t, and the scale is 0, 1 or another value."""
+    t = draw(st.integers(2, 1000))
+    dt = draw(st.integers(1, t))
+    ds = draw(st.integers(1, max(t - dt, 1)))
+    scale = draw(st.sampled_from([0.0, 1.0, 7.5]))
+    return t, dt, ds, GuidanceSpec(positive="r", scale=scale), draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cost_cases())
+def test_oracle_calls_follow_the_cost_model(schedule, case):
+    """The paper's cost unit in closed form, with g = 1 guided branch at scale
+    0 or 1 and g = 2 otherwise: B rows cost B * (ceil(s / delta_S) + 1 + g)
+    for ISM, B * g for SDS and B * ceil(t / delta_T) * (1 + g) for the naive
+    objective, each the change in the oracle's count of evaluated rows."""
+    t, dt, ds, g, b = case
+    o = MixtureOracle(means=[[1.0, 0.0], [-1.0, 0.0]], sigmas=[0.2, 0.2], weights=[0.5, 0.5],
+                      labels={"r": [0]})
+    x0 = np.linspace(-0.5, 0.5, 2 * b).reshape(b, 2)
+    branches = 1 if g.scale in (0.0, 1.0) else 2
+    runs = [(lambda: sds_gradient(o, schedule, x0, t, np.ones((b, 2)), g), b * branches),
+            (lambda: naive_gradient(o, schedule, x0, t, dt, g),
+             b * math.ceil(t / dt) * (1 + branches))]
+    if dt < t:
+        runs.append((lambda: ism_gradient(o, schedule, x0, t, dt, ds, g),
+                     b * (math.ceil((t - dt) / ds) + 1 + branches)))
+    for run, expected in runs:
+        before = o.eps_evals
+        assert run().oracle_calls == o.eps_evals - before == expected
+
+
 def test_single_interval_collapse(mixture3, schedule, guide_a):
     x0 = np.array([0.4, -0.3])
     t = 400

@@ -136,6 +136,14 @@ def test_unknown_label_raises(mixture3, schedule):
     g = GuidanceSpec(positive="a", negative="nope", scale=1.0)
     with pytest.raises(UnknownLabelError):
         mixture3.eps_guided(schedule, np.zeros(2), 10, g)
+    # an unknown label raises before any branch is counted, at every scale
+    for positive, negative, scale in [("nope", None, 0.0), ("nope", None, 7.5),
+                                      ("a", "nope", 1.0), ("a", "nope", 7.5)]:
+        g = GuidanceSpec(positive=positive, negative=negative, scale=scale)
+        before = mixture3.eps_evals
+        with pytest.raises(UnknownLabelError):
+            mixture3.eps_guided(schedule, np.zeros((3, 2)), 10, g)
+        assert mixture3.eps_evals == before, (positive, negative, scale)
 
 
 def test_non_finite_input_raises(mixture3, schedule):
