@@ -26,6 +26,6 @@ from .objectives import (
 )
 from .oracle import SIGMA_MIN, GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule, make_schedule
-from .trajectory import Trajectory, add_noise, pseudo_gt_single
+from .trajectory import Trajectory, hop
 
 __version__ = "0.1.0"

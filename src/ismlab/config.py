@@ -295,6 +295,8 @@ def build_distill(cfg: dict, guidance: GuidanceSpec | None = None,
     need(d["delta_T_end"] <= d["delta_T_start"] < d["t_min"],
          "distill.delta_T_end <= distill.delta_T_start < distill.t_min",
          d["delta_T_end"], d["delta_T_start"], d["t_min"])
+    need(d["iterations"] * d["view_batch"] < MAX_SIZE,
+         f"distill.iterations * distill.view_batch < {MAX_SIZE}", d["iterations"], d["view_batch"])
     return DistillConfig(
         delta_t_start=d.pop("delta_T_start"), delta_t_end=d.pop("delta_T_end"),
         delta_s=d.pop("delta_S"), guidance=guidance or build_guidance(cfg),

@@ -28,8 +28,17 @@ from .objectives import ism_gradient, naive_gradient, sds_gradient
 from .oracle import GuidanceSpec, Label, MixtureOracle
 from .schedule import NoiseSchedule
 
-OBJECTIVES = ("ism", "sds", "naive")
-
+# objective name -> its update direction at one view x0 of a step, a function
+# of (step state, oracle, schedule, config, x0, t, delta_t); sds draws its
+# noise from the step's noise stream, ism caps its stride at s = t - delta_t.
+OBJECTIVES = {
+    "ism": lambda state, oracle, schedule, cfg, x0, t, delta_t: ism_gradient(
+        oracle, schedule, x0, t, delta_t, min(cfg.delta_s, t - delta_t), cfg.guidance),
+    "sds": lambda state, oracle, schedule, cfg, x0, t, delta_t: sds_gradient(
+        oracle, schedule, x0, t, state.rng_noise.standard_normal(x0.shape[0]), cfg.guidance),
+    "naive": lambda state, oracle, schedule, cfg, x0, t, delta_t: naive_gradient(
+        oracle, schedule, x0, t, delta_t, cfg.guidance),
+}
 METRICS_CSV_HEADER = ("iter", "t", "delta_T", "grad_norm", "oracle_calls",
                       "loss_proxy", "nearest_mode_distance", "wall_time")
 
@@ -203,6 +212,9 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
     run; a non-finite point met by the oracle aborts it without a row. Both
     raise a NumericalError naming the iteration and timestep.
     """
+    objective = OBJECTIVES.get(cfg.objective)
+    if objective is None:
+        raise ConfigError(f"objective must be one of {tuple(OBJECTIVES)}, got {cfg.objective!r}")
     gen = state.generator
     t = int(state.rng_t.integers(cfg.t_min, cfg.t_max + 1))
     delta_t = current_interval(cfg, iter_index)
@@ -219,18 +231,7 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
         view = state.cview if canonical else sample_view(view_seed, cfg.jitter)
         x0 = entering if canonical else gen.render(view)
         try:
-            if cfg.objective == "sds":
-                eps = state.rng_noise.standard_normal(x0.shape[0])
-                report = sds_gradient(oracle, schedule, x0, t, eps, cfg.guidance)
-            elif cfg.objective == "ism":
-                # stride cannot exceed the inversion target s = t - delta_t
-                delta_s = min(cfg.delta_s, t - delta_t)
-                report = ism_gradient(oracle, schedule, x0, t, delta_t,
-                                      delta_s, cfg.guidance)
-            elif cfg.objective == "naive":
-                report = naive_gradient(oracle, schedule, x0, t, delta_t, cfg.guidance)
-            else:
-                raise ConfigError(f"objective must be one of {OBJECTIVES}, got {cfg.objective!r}")
+            report = objective(state, oracle, schedule, cfg, x0, t, delta_t)
         except NumericalError as exc:
             raise NumericalError(f"{exc} at iteration {iter_index}, t={t}") from exc
         grad_theta += gen.backward(view, report.grad_x0)

@@ -44,7 +44,7 @@ from .objectives import REPORT_CSV_HEADER, interval_pieces, ism_gradient, sds_gr
 from .oracle import GuidanceSpec, MixtureOracle
 from .ppm import write_ppm
 from .schedule import NoiseSchedule
-from .trajectory import add_noise, denoise_path, inversion_grid, invert_along, pseudo_gt_single
+from .trajectory import denoise_path, hop, inversion_grid, invert_along
 
 CONSISTENCY_CSV_HEADER = ("t", "sds_noise_variance", "ism_noise_variance")
 QUALITY_CSV_HEADER = ("t", "err_single", "err_multi", "oracle_calls_multi")
@@ -235,8 +235,8 @@ def run_consistency(spec: ExperimentSpec) -> Report:
 
     sds, ism = [], []  # per timestep, (K, D) targets
     for t in spec.t_values:
-        xt = add_noise(sch, x0, t, rng.standard_normal(views.shape))
-        sds.append(pseudo_gt_single(sch, xt, t, oracle.eps_guided(sch, xt, t, g)))
+        xt = hop(sch, x0, 0, t, rng.standard_normal(views.shape))
+        sds.append(hop(sch, xt, t, 0, oracle.eps_guided(sch, xt, t, g)))
         xt = invert_along(oracle, sch, views, inversion_grid(t, stride)).latents[-1]
         ism.append(denoise_path(oracle, sch, xt, t, stride, g).latents[-1])
     sds, ism = np.stack(sds), np.stack(ism)
@@ -288,7 +288,7 @@ def run_quality(spec: ExperimentSpec) -> Report:
         before = oracle.eps_evals
         deno = denoise_path(oracle, sch, xt, t, min(deno_stride, t), g)
         calls = (oracle.eps_evals - before) / len(starts)
-        single, multi = pseudo_gt_single(sch, xt, t, deno.eps_cache[0]), deno.latents[-1]
+        single, multi = hop(sch, xt, t, 0, deno.eps_cache[0]), deno.latents[-1]
         rows.append((t, float(np.mean(nearest_mode_distance(oracle, label, single))),
                      float(np.mean(nearest_mode_distance(oracle, label, multi))), calls))
     return Report({"kind": "quality", "rows": rows}, {"quality": (QUALITY_CSV_HEADER, rows)})

@@ -28,14 +28,7 @@ import numpy as np
 from .errors import ConfigError, DecompositionError
 from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule
-from .trajectory import (
-    Trajectory,
-    add_noise,
-    denoise_path,
-    descent_grid,
-    inversion_grid,
-    invert_along,
-)
+from .trajectory import Trajectory, _hop, denoise_path, descent_grid, inversion_grid, invert_along
 
 REPORT_CSV_HEADER = ("t", "s", "grad_norm", "oracle_calls", "objective")
 
@@ -66,13 +59,14 @@ def sds_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
                  eps, g: GuidanceSpec) -> GradientReport:
     """Noise-matching update: omega(t) * (guided prediction at the noised
     point minus the injected noise). Varies with the noise draw."""
+    t = schedule._check_t(t, 1)
     before = oracle.eps_evals
-    xt = add_noise(schedule, x0, t, eps)  # the one check of t
-    t = int(t)
+    eps = np.asarray(eps, dtype=float)
+    xt = _hop(schedule, np.asarray(x0, dtype=float), 0, t, eps)
     eps_pred = oracle.eps_guided(schedule, xt, t, g)
     return GradientReport(
         grad_x0=schedule.omega[t] * (eps_pred - eps),
-        pseudo_gt=(xt - schedule.s1mab[t] * eps_pred) / schedule.sab[t],  # as pseudo_gt_single
+        pseudo_gt=_hop(schedule, xt, t, 0, eps_pred),
         t=t,
         s=None,
         oracle_calls=oracle.eps_evals - before,

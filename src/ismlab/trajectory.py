@@ -1,18 +1,16 @@
-"""Deterministic and stochastic latent transport.
+"""Deterministic latent transport.
 
-Forward noising, the single-step clean estimate, deterministic inversion of a
-clean sample to a chosen noise level, and multi-step deterministic denoising.
-
-All deterministic moves are built from one hop primitive: given the latent x
-at timestep a and an epsilon-prediction e evaluated there, the latent at
-timestep b is
+Every move is one DDIM hop: given the latent x at timestep a and an
+epsilon-prediction e evaluated there, the latent at timestep b is
 
     x_b = sqrt(alpha_bar_b) * x0_hat + sqrt(1 - alpha_bar_b) * e,
     x0_hat = (x - sqrt(1 - alpha_bar_a) * e) / sqrt(alpha_bar_a).
 
-Inversion walks this upward with unconditional predictions; denoising walks it
-downward with guided predictions re-evaluated at each visited latent. Both are
-pure functions of their inputs: repeated calls are bitwise identical.
+Forward noising of a clean sample is the hop 0 -> t, and the single-step
+clean estimate the hop t -> 0. Inversion walks hops upward with unconditional
+predictions; denoising walks them downward with guided predictions
+re-evaluated at each visited latent. Both are pure functions of their inputs:
+repeated calls are bitwise identical.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .oracle import GuidanceSpec, Label, MixtureOracle
+from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule
 
 
@@ -47,48 +45,34 @@ class Trajectory:
             raise ValueError("trajectory lengths inconsistent")
 
 
-def add_noise(schedule: NoiseSchedule, x0, t: int, eps) -> np.ndarray:
-    """Forward-noise a clean sample: sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
-    t = schedule._check_t(t, 1)
-    x0 = np.asarray(x0, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    return schedule.sab[t] * x0 + schedule.s1mab[t] * eps
-
-
-def pseudo_gt_single(schedule: NoiseSchedule, xt, t: int, eps) -> np.ndarray:
-    """Single-step clean estimate; exact inverse of add_noise for matching eps."""
-    t = schedule._check_t(t, 1)
-    xt = np.asarray(xt, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    return (xt - schedule.s1mab[t] * eps) / schedule.sab[t]
-
-
 def hop(schedule: NoiseSchedule, x, t_from: int, t_to: int, eps) -> np.ndarray:
-    """One deterministic move t_from -> t_to with a fixed epsilon-prediction."""
+    """One deterministic move t_from -> t_to with a fixed epsilon-prediction:
+    forward noising from t_from = 0, the single-step clean estimate at t_to = 0.
+    The result is a new array, also for the hop 0 -> 0."""
     a = schedule._check_t(t_from, 0)
     b = schedule._check_t(t_to, 0)
-    return _hop(schedule, np.asarray(x, dtype=float), a, b, np.asarray(eps, dtype=float))
+    return _hop(schedule, np.array(x, dtype=float), a, b, np.asarray(eps, dtype=float))
 
 
 def _hop(schedule: NoiseSchedule, x: np.ndarray, a: int, b: int, eps: np.ndarray) -> np.ndarray:
     """The hop formula on float arrays at timesteps already checked; the array
-    comes first in each product, which skips a try of float.__mul__."""
-    x0_hat = (x - eps * schedule.s1mab[a]) / schedule.sab[a]
-    return x0_hat * schedule.sab[b] + eps * schedule.s1mab[b]
+    comes first in each product, which skips a try of float.__mul__. At the
+    clean level 0 (sqrt(alpha_bar) 1, sqrt(1 - alpha_bar) 0) the estimate is x
+    itself and a landing there is the estimate itself: no zero term is added,
+    which could flip a signed zero."""
+    x0_hat = (x - eps * schedule.s1mab[a]) / schedule.sab[a] if a else x
+    return x0_hat * schedule.sab[b] + eps * schedule.s1mab[b] if b else x0_hat
 
 
 def invert_along(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
-                 timesteps: Sequence[int], label: Label = None) -> Trajectory:
-    """Invert a clean sample along an explicit increasing timestep grid.
-
-    timesteps must start at 0; predictions are unconditional unless another
-    label is supplied.
-    """
+                 timesteps: Sequence[int]) -> Trajectory:
+    """Invert a clean sample along an explicit increasing timestep grid that
+    starts at 0; the walk is unconditional (every prediction has label None)."""
     steps = [int(t) for t in timesteps]
     if steps[0] != 0 or steps != sorted(set(steps)):
         raise ConfigError(f"timestep grid must be strictly increasing from 0, got {steps}")
     schedule._check_t(steps[-1], 1)
-    return _walk(schedule, x0, steps, oracle.eps_predict, label)
+    return _walk(schedule, x0, steps, oracle.eps_predict, None)
 
 
 def _walk(schedule: NoiseSchedule, x, nodes: list[int], predict, cond) -> Trajectory:
@@ -120,7 +104,7 @@ def denoise_path(oracle: MixtureOracle, schedule: NoiseSchedule, xt, t: int,
                  stride: int, g: GuidanceSpec) -> Trajectory:
     """Walk from (xt, t) down to timestep 0, re-evaluating the guided epsilon
     at every visited latent. The last latent is the multi-step clean estimate,
-    which is pseudo_gt_single's when stride = t."""
+    which is the single-step one, hop(schedule, xt, t, 0, eps), when stride = t."""
     t = schedule._check_t(t, 1)
     if not 1 <= stride <= t:
         raise ConfigError(f"need 1 <= stride <= t, got stride={stride}, t={t}")

@@ -225,15 +225,29 @@ def test_every_key_takes_a_value_unchanged_or_refuses_it_by_name(reads):
     builds, read unchanged and without a numpy overflow warning, or is a
     ConfigError naming its key; and the distill values DistillConfig.validate
     refused before the checks moved to the config builders are such a
-    ConfigError."""
+    ConfigError, as is a view count (2000 iterations times the batch) of
+    2^24 or more."""
     for name, text in sorted(TEXTS.items()):
         for keys in key_paths(json.loads(text)):
             for value in PROBE_VALUES:
                 probe(reads, name, keys, value)
     for key, value in [("distill.objective", "vsd"), ("distill.t_min", 100),
                        ("distill.t_max", 1200), ("distill.delta_T_end", 300),
-                       ("distill.view_batch", 0)]:
+                       ("distill.view_batch", 0), ("distill.view_batch", 2 ** 14)]:
         assert probe(reads, "distill_identity.json", key_path(key), value) is not None, key
+
+
+def test_view_count_is_bounded_below_max_size():
+    """distill.iterations * distill.view_batch, the views a run renders, is
+    below 2^24: both sizes near 2^24 are refused naming both keys, while one
+    iteration of the largest batch, or the largest run of one view, builds."""
+    def distill(iterations, view_batch):
+        return build_distill({"distill": {"iterations": iterations, "view_batch": view_batch}})
+    with pytest.raises(ConfigError, match=re.escape(
+            "need distill.iterations * distill.view_batch < 16777216, "
+            "got 16777215, 16777215")):
+        distill(2 ** 24 - 1, 2 ** 24 - 1)
+    assert distill(1, 2 ** 24 - 1).view_batch == distill(2 ** 24 - 1, 1).iterations == 2 ** 24 - 1
 
 
 @pytest.mark.parametrize("key, value", [

@@ -251,8 +251,9 @@ def test_metrics_csv_matches_the_astuple_writer_bitwise(tmp_path):
 def test_hand_built_config_with_an_unknown_objective_fails_loudly(bimodal, schedule):
     """config.build_distill refuses an unknown objective by its key; a
     DistillConfig built by hand reaches the step's dispatch, which refuses it
-    too instead of running another objective."""
+    too instead of running another objective, before any oracle evaluation."""
     gen = IdentityLatent([0.2, 0.1])
     with pytest.raises(ConfigError, match=r"objective must be one of \('ism', 'sds', 'naive'\), "
                                           r"got 'vsd'"):
         run_distillation(gen, bimodal, schedule, base_config(objective="vsd", iterations=1))
+    assert bimodal.eps_evals == 0

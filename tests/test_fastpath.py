@@ -50,13 +50,7 @@ from ismlab.objectives import (
     naive_gradient,
     sds_gradient,
 )
-from ismlab.trajectory import (
-    add_noise,
-    denoise_path,
-    hop,
-    invert_along,
-    pseudo_gt_single,
-)
+from ismlab.trajectory import denoise_path, hop, invert_along
 
 
 def _sa(sch, t):
@@ -99,17 +93,19 @@ def ref_eps_guided(o, sch, x, t, g):
     return eps_neg + g.scale * (eps_pos - eps_neg)
 
 
-def ref_hop(sch, x, a, b, eps):
-    x0_hat = (x - _s1(sch, a) * eps) / _sa(sch, a)
-    return _sa(sch, b) * x0_hat + _s1(sch, b) * eps
-
-
 def ref_add_noise(sch, x0, t, eps):
     return _sa(sch, t) * x0 + _s1(sch, t) * eps
 
 
 def ref_pseudo_gt_single(sch, xt, t, eps):
     return (xt - _s1(sch, t) * eps) / _sa(sch, t)
+
+
+def ref_hop(sch, x, a, b, eps):
+    """The single-step estimate at a noised forward to b; at the clean level
+    0 the estimate is x itself and a landing there is the estimate itself."""
+    x0_hat = ref_pseudo_gt_single(sch, x, a, eps) if a else x
+    return ref_add_noise(sch, x0_hat, b, eps) if b else x0_hat
 
 
 def ref_splat_forward(rows, background, view, pixels_last=True):
@@ -252,8 +248,8 @@ def test_fast_path_matches_reference_bitwise(o, sch, data):
     t_to = data.draw(st.integers(0, sch.num_steps))
     assert_same_bits(hop(sch, x, t, t_to, eps), ref_hop(sch, x, t, t_to, eps))
     if t >= 1:
-        assert_same_bits(add_noise(sch, x, t, eps), ref_add_noise(sch, x, t, eps))
-        assert_same_bits(pseudo_gt_single(sch, x, t, eps), ref_pseudo_gt_single(sch, x, t, eps))
+        assert_same_bits(hop(sch, x, 0, t, eps), ref_add_noise(sch, x, t, eps))
+        assert_same_bits(hop(sch, x, t, 0, eps), ref_pseudo_gt_single(sch, x, t, eps))
 
 
 def test_one_oracle_alternating_two_schedules(mixture3):
@@ -321,8 +317,8 @@ def test_negative_timestep_is_rejected_not_wrapped(mixture3, schedule):
                  lambda: mixture3.log_density(schedule, x, -1),
                  lambda: hop(schedule, x, -1, 5, x),
                  lambda: hop(schedule, x, 5, -1, x),
-                 lambda: add_noise(schedule, x, -1, x),
-                 lambda: pseudo_gt_single(schedule, x, -1, x)):
+                 lambda: hop(schedule, x, 0, -1, x),
+                 lambda: hop(schedule, x, -1, 0, x)):
         with pytest.raises(IndexError):
             call()
 
@@ -435,14 +431,39 @@ def test_step_bookkeeping_matches_numpy_bitwise(d, k, seed, data):
         assert_same_bits(adam.v, ref.v)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sch=schedules, b=st.integers(1, 8), d=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_single_step_hops_match_reference_on_signed_zero_rows(sch, b, d, seed, data):
+    """Forward noising, hop(0 -> t), and the single-step clean estimate,
+    hop(t -> 0), give the bits of the plain formulas on (B, D) rows with
+    signed zeros in the point and the prediction, and so does sds_gradient's
+    target. A -0.0 point under a -0.0 prediction is the case that adding a
+    zero term at the clean level would flip."""
+    rng = np.random.default_rng(seed)
+    t = data.draw(st.integers(1, sch.num_steps))
+    x = signed_vector(data, rng, b * d).reshape(b, d)
+    eps = signed_vector(data, rng, b * d).reshape(b, d)
+    zeros = np.array([-0.0, -0.0, 0.0, 0.0])
+    for p, e in ((x, eps), (zeros, zeros[::-1]), (zeros, zeros)):
+        assert_same_bits(hop(sch, p, 0, t, e), ref_add_noise(sch, p, t, e))
+        assert_same_bits(hop(sch, p, t, 0, e), ref_pseudo_gt_single(sch, p, t, e))
+
+    o = MixtureOracle(np.zeros((1, d)), [0.5], [1.0])
+    g = GuidanceSpec(positive=None, scale=1.0)
+    report = sds_gradient(o, sch, x, t, eps, g)
+    xt = ref_add_noise(sch, x, t, eps)
+    assert_same_bits(report.pseudo_gt,
+                     ref_pseudo_gt_single(sch, xt, t, o.eps_guided(sch, xt, t, g)))
+
+
 def test_checks_raise_as_when_every_hop_was_checked(mixture3, schedule):
     """A non-finite point and an out-of-range timestep raise the same error
     types and messages from the oracle, hop and the walks as when every hop
     of a walk was checked, and an out-of-range timestep the same from the
-    objectives and the single-step maps as when each function they call
-    re-checked it. hop never checked finiteness and still carries a
-    non-finite point through; a walk that makes a non-finite latent stops at
-    the next node."""
+    objectives as when each function they call re-checked it. hop never
+    checked finiteness and still carries a non-finite point through; a walk
+    that makes a non-finite latent stops at the next node."""
     x, bad = np.array([0.3, -0.4]), np.array([np.nan, 0.0])
     g = GuidanceSpec(positive="a", scale=7.5)
     nonfinite = (NumericalError, "non-finite input point")
@@ -467,8 +488,8 @@ def test_checks_raise_as_when_every_hop_was_checked(mixture3, schedule):
          (IndexError, "timestep 1001 outside [1, 1000]")),
         (lambda: denoise_path(mixture3, schedule, x, 0, 5, g),
          (IndexError, "timestep 0 outside [1, 1000]")),
-        (lambda: add_noise(schedule, x, 1001, x), (IndexError, "timestep 1001 outside [1, 1000]")),
-        (lambda: pseudo_gt_single(schedule, x, 0, x), (IndexError, "timestep 0 outside [1, 1000]")),
+        (lambda: hop(schedule, x, 0, 1001, x), (IndexError, "timestep 1001 outside [0, 1000]")),
+        (lambda: hop(schedule, x, 1001, 0, x), (IndexError, "timestep 1001 outside [0, 1000]")),
         (lambda: sds_gradient(mixture3, schedule, x, 0, x, g),
          (IndexError, "timestep 0 outside [1, 1000]")),
         (lambda: sds_gradient(mixture3, schedule, x, 1001, x, g),

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ismlab import SIGMA_MIN, ConfigError, GuidanceSpec, MixtureOracle, UnknownLabelError, make_schedule
+from ismlab import (
+    SIGMA_MIN,
+    ConfigError,
+    DecompositionError,
+    GuidanceSpec,
+    MixtureOracle,
+    UnknownLabelError,
+    interval_pieces,
+    make_schedule,
+)
 
 
 def fd_log_density_grad(oracle, schedule, x, t, label=None, step=1e-5):
@@ -84,6 +93,50 @@ def test_log_density_against_direct_sum(mixture3, schedule):
             total += np.longdouble(w) * np.exp(-(diff @ diff) / (2 * var)) / (2 * np.pi * var)
         assert mixture3.log_density(schedule, x, t) == pytest.approx(
             float(np.log(total)), rel=1e-12)
+
+
+# Bound on a float64 evaluation of the multi-step bias at a timestep with
+# gamma(t) >= 1, in units of gamma(t) * 2^-53 times the largest entry it
+# reads (the view and the walks' predictions): each evaluation rounds a few
+# terms of that size. Below gamma(t) = 1 the view's own size sets the scale.
+BIAS_ROUNDING_UNITS = 8
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("steep", [False, True])
+def test_bias_evaluations_match_long_double(mixture3, schedule, guide_a, steep):
+    """From one interval_pieces object's float64 caches, the residual
+    (x0 - x0_tilde) - gamma(t) * interval and the telescoping series are
+    recomputed in long double, gamma included; both float64 evaluations lie
+    within BIAS_ROUNDING_UNITS of it. On the steep schedule (constant beta
+    0.1) the two differ by more than bias()'s 1e-9 at large gamma(t), which
+    is the check's bound, not an error of the series."""
+    ld = np.longdouble
+    sch = make_schedule(1000, 0.1, 0.1) if steep else schedule
+    x0 = np.random.default_rng(3).normal(size=(4, 2))
+    raised = 0
+    for t in ((20, 100, 200, 300, 400) if steep else (300, 600, 1000)):
+        for delta_t in (t, t // 2, t // 5, t // 20):
+            p = interval_pieces(mixture3, sch, x0, t, delta_t, guide_a)
+            n = len(p.grid) - 1
+            gammas = [np.sqrt(1 - ld(sch.alpha_bar[tau])) / np.sqrt(ld(sch.alpha_bar[tau]))
+                      for tau in p.grid]
+            inv = [e.astype(ld) for e in p.inv.eps_cache]
+            deno = [e.astype(ld) for e in p.deno.eps_cache]
+            residual = (x0.astype(ld) - p.x0_tilde.astype(ld)) - gammas[-1] * (deno[0] - inv[-1])
+            series = sum(gammas[i] * (inv[i] - inv[i - 1]) for i in range(1, n)) \
+                - sum(gammas[j - 1] * (deno[n - j] - deno[n - j + 1]) for j in range(2, n + 1))
+            scale = max(np.abs(e).max() for e in (x0, *p.inv.eps_cache, *p.deno.eps_cache))
+            tol = BIAS_ROUNDING_UNITS * float(gammas[-1]) * 2.0 ** -53 * scale
+            float64_residual = (x0 - p.x0_tilde) - sch.nsr[t] * p.interval
+            assert float(np.abs(float64_residual - residual).max()) <= tol, (t, delta_t)
+            assert float(np.abs(p.series - series).max()) <= tol, (t, delta_t)
+            try:
+                assert np.array_equal(p.bias(), float64_residual)
+            except DecompositionError:
+                raised += 1
+    assert raised > 0 if steep else raised == 0
 
 
 def test_guided_scale_one_is_positive_branch(mixture3, schedule):

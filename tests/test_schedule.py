@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ismlab import ConfigError, add_noise, canonical_view, make_schedule, pseudo_gt_single
+from ismlab import ConfigError, canonical_view, hop, make_schedule
 
 # independent extended-precision cumulative product for the default ramp
 ALPHA_BAR_1000 = 0.0015789629305514414581
@@ -52,11 +52,14 @@ def test_timestep_bounds_raise(tiny_schedule):
     the timestep first, since a negative index would wrap."""
     assert len(tiny_schedule.nsr) == len(tiny_schedule.omega) == 3
     x = np.zeros(2)
-    for t in (3, -1, 0):
+    for t in (3, -1):
         with pytest.raises(IndexError):
-            add_noise(tiny_schedule, x, t, x)
+            hop(tiny_schedule, x, 0, t, x)
         with pytest.raises(IndexError):
-            pseudo_gt_single(tiny_schedule, x, t, x)
+            hop(tiny_schedule, x, t, 0, x)
+    # 0 is the clean level: a hop may start and end there, and 0 -> 0 copies x
+    same = hop(tiny_schedule, x, 0, 0, x)
+    assert np.array_equal(same, x) and same is not x
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -11,10 +11,8 @@ from ismlab import (
     MixtureOracle,
     NumericalError,
     Trajectory,
-    add_noise,
     ism_gradient,
     naive_gradient,
-    pseudo_gt_single,
     sds_gradient,
 )
 from ismlab.trajectory import denoise_path, descent_grid, hop, inversion_grid, invert_along
@@ -30,21 +28,22 @@ def replay_error(traj, schedule) -> float:
     return worst
 
 
-def test_add_noise_values(tiny_schedule):
-    got = add_noise(tiny_schedule, np.array([1.0, 0.0]), 2, np.array([0.0, 2.0]))
+def test_forward_noising_values(tiny_schedule):
+    """Forward noising is the hop up from the clean level 0."""
+    got = hop(tiny_schedule, np.array([1.0, 0.0]), 0, 2, np.array([0.0, 2.0]))
     assert got == pytest.approx([0.5, math.sqrt(3.0)], abs=1e-12)
-    noiseless = add_noise(tiny_schedule, np.array([1.0, 0.0]), 2, np.zeros(2))
+    noiseless = hop(tiny_schedule, np.array([1.0, 0.0]), 0, 2, np.zeros(2))
     assert noiseless == pytest.approx([0.5, 0.0], abs=1e-15)
-    basis = add_noise(tiny_schedule, np.zeros(2), 1, np.array([1.0, 0.0]))
+    basis = hop(tiny_schedule, np.zeros(2), 0, 1, np.array([1.0, 0.0]))
     assert basis == pytest.approx([math.sqrt(0.5), 0.0], abs=1e-15)
 
 
 def test_single_step_estimate_inverts_noising(tiny_schedule):
-    got = pseudo_gt_single(tiny_schedule, np.array([0.5, math.sqrt(3.0)]), 2,
-                           np.array([0.0, 2.0]))
+    """The single-step clean estimate is the hop down to the clean level 0."""
+    got = hop(tiny_schedule, np.array([0.5, math.sqrt(3.0)]), 2, 0, np.array([0.0, 2.0]))
     assert got == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert pseudo_gt_single(tiny_schedule, np.array([0.5, 0.0]), 2,
-                            np.zeros(2)) == pytest.approx([1.0, 0.0])
+    assert hop(tiny_schedule, np.array([0.5, 0.0]), 2, 0,
+               np.zeros(2)) == pytest.approx([1.0, 0.0])
 
 
 def test_noising_round_trip_exact(schedule):
@@ -54,7 +53,7 @@ def test_noising_round_trip_exact(schedule):
         x0 = rng.uniform(-3, 3, size=2)
         eps = rng.standard_normal(2)
         t = int(rng.integers(1, 1001))
-        back = pseudo_gt_single(schedule, add_noise(schedule, x0, t, eps), t, eps)
+        back = hop(schedule, hop(schedule, x0, 0, t, eps), t, 0, eps)
         worst = max(worst, float(np.abs(back - x0).max()))
     assert worst < 1e-12
 
@@ -142,7 +141,7 @@ def test_denoise_fixed_point(schedule):
 def test_one_hop_denoise_is_single_step_estimate(mixture3, schedule, guide_a):
     xt = np.array([1.3, -0.2])
     eps = mixture3.eps_guided(schedule, xt, 400, guide_a)
-    expected = pseudo_gt_single(schedule, xt, 400, eps)
+    expected = hop(schedule, xt, 400, 0, eps)
     got = denoise_path(mixture3, schedule, xt, 400, 400, guide_a).latents[-1]
     assert got == pytest.approx(expected, abs=1e-14)
 
@@ -289,8 +288,7 @@ def test_a_batch_is_its_rows(schedule, data):
     def walked(traj: Trajectory) -> list:
         return [*traj.latents, *traj.eps_cache]
 
-    rows_agree(lambda p: walked(invert_along(oracle, schedule, p, inversion_grid(t, stride),
-                                             label)))
+    rows_agree(lambda p: walked(invert_along(oracle, schedule, p, inversion_grid(t, stride))))
     rows_agree(lambda p: walked(denoise_path(oracle, schedule, p, t, stride, g)))
     delta_t = draw(st.integers(1, t - 1))
     delta_s = -(-(t - delta_t) // draw(st.integers(1, 8)))
