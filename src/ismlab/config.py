@@ -283,9 +283,8 @@ OPTIMIZER = {"step_size": (0.01, positive(float)), "beta1": (0.9, positive(float
              "beta2": (0.99, positive(float, 0, True, 1)), "eps_hat": (1e-8, positive(float))}
 
 
-def build_distill(cfg: dict, guidance: GuidanceSpec | None = None,
-                  jitter: ViewJitterSpec | None = None) -> DistillConfig:
-    """The distill section; the guidance and jitter are built from cfg unless given."""
+def build_distill(cfg: dict) -> DistillConfig:
+    """The distill section, with the guidance and jitter built from cfg."""
     d = read(cfg.get("distill"), DISTILL, "distill")
     if d["t_min"] is None:
         d["t_min"] = 20 + d["delta_T_start"]
@@ -299,6 +298,5 @@ def build_distill(cfg: dict, guidance: GuidanceSpec | None = None,
          f"distill.iterations * distill.view_batch < {MAX_SIZE}", d["iterations"], d["view_batch"])
     return DistillConfig(
         delta_t_start=d.pop("delta_T_start"), delta_t_end=d.pop("delta_T_end"),
-        delta_s=d.pop("delta_S"), guidance=guidance or build_guidance(cfg),
-        jitter=jitter or build_jitter(cfg),
+        delta_s=d.pop("delta_S"), guidance=build_guidance(cfg), jitter=build_jitter(cfg),
         optimizer=OptimConfig(**read(d.pop("optimizer"), OPTIMIZER, "distill.optimizer")), **d)

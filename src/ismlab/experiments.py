@@ -40,7 +40,7 @@ from .config import MAX_SIZE, NON_NEGATIVE, SIZE, need, nonempty, one_of, positi
 from .distill import DistillConfig, nearest_mode_distance, run_distillation, write_csv
 from .errors import ConfigError
 from .generators import ViewJitterSpec, canonical_view, random_scene
-from .objectives import REPORT_CSV_HEADER, interval_pieces, ism_gradient, sds_gradient
+from .objectives import interval_pieces, ism_gradient, sds_gradient
 from .oracle import GuidanceSpec, MixtureOracle
 from .ppm import write_ppm
 from .schedule import NoiseSchedule
@@ -50,6 +50,7 @@ CONSISTENCY_CSV_HEADER = ("t", "sds_noise_variance", "ism_noise_variance")
 QUALITY_CSV_HEADER = ("t", "err_single", "err_multi", "oracle_calls_multi")
 ETA_CSV_HEADER = ("t", "delta_T", "eta_norm", "interval_norm", "ratio",
                   "decomposition_residual", "naive_calls", "ism_calls")
+GRADIENTS_CSV_HEADER = ("t", "s", "grad_norm", "oracle_calls", "objective")
 INTERVAL_CSV_HEADER = ("delta_T", "delta_S", "final_mode_distance",
                        "oracle_calls", "wall_time")
 RACE_CSV_HEADER = ("seed", "objective", "iter", "mode_distance")
@@ -165,7 +166,7 @@ def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
         schedule, oracle, guidance, jitter=jitter,
         generator=(cfgmod.build_generator(cfg)
                    if "generator" in cfg or kind in GENERATOR_KINDS else None),
-        distill=(cfgmod.build_distill(cfg, guidance, jitter)
+        distill=(cfgmod.build_distill(cfg)
                  if "distill" in cfg or kind in DISTILL_KINDS else None),
         delta_t_values=e.pop("delta_T_values"), delta_s_values=e.pop("delta_S_values"), **e)
     for key, label in (("positive", guidance.positive), ("negative", guidance.negative)):
@@ -301,7 +302,9 @@ def run_quality(spec: ExperimentSpec) -> Report:
 def run_eta_sweep(spec: ExperimentSpec) -> Report:
     """Bias magnitude versus interval length, with cost accounting. The
     multi-step pieces of each (t, delta_T) cell are built once and give its
-    bias, decomposition residual and naive gradient."""
+    bias, decomposition residual and naive gradient. A cell's ratio is None
+    when its interval norm is 0, and its gradient rows (naive, then ism when
+    it ran) share s = t - delta_T."""
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
     x0 = spec.make_generator().render(canonical_view(jit.width, jit.height))
     delta_s = spec.delta_s_values[0]
@@ -316,19 +319,16 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
             # scaled interval score recovered from the exact decomposition
             interval_norm = float(np.linalg.norm(x0 - naive.pseudo_gt - bias))
             eta_norm = float(np.linalg.norm(bias))
-            ratio = eta_norm / interval_norm if interval_norm > 0 else math.inf
-            grad_rows.append(naive.csv_row("naive"))
-            if dt < t and delta_s <= t - dt:
-                ism = ism_gradient(oracle, sch, x0, t, dt, delta_s, g)
-                ism_calls = ism.oracle_calls
-                grad_rows.append(ism.csv_row("ism"))
-            else:
-                ism_calls = None
+            ratio = eta_norm / interval_norm if interval_norm > 0 else None
+            ism = (ism_gradient(oracle, sch, x0, t, dt, delta_s, g)
+                   if dt < t and delta_s <= t - dt else None)
+            grad_rows += [(t, t - dt, float(np.linalg.norm(r.grad_x0)), r.oracle_calls, name)
+                          for name, r in (("naive", naive), ("ism", ism)) if r is not None]
             rows.append((t, dt, eta_norm, interval_norm, ratio, residual,
-                         naive.oracle_calls, ism_calls))
+                         naive.oracle_calls, None if ism is None else ism.oracle_calls))
     return Report({"kind": "eta_sweep", "rows": rows},
                   {"eta_sweep": (ETA_CSV_HEADER, rows),
-                   "gradients": (REPORT_CSV_HEADER, grad_rows)})
+                   "gradients": (GRADIENTS_CSV_HEADER, grad_rows)})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule
 from .trajectory import Trajectory, _hop, denoise_path, descent_grid, inversion_grid, invert_along
 
-REPORT_CSV_HEADER = ("t", "s", "grad_norm", "oracle_calls", "objective")
-
 
 @dataclass(frozen=True, eq=False)
 class GradientReport:
@@ -39,20 +36,13 @@ class GradientReport:
 
     grad_x0 is the update direction with respect to the view, pseudo_gt the
     clean target it implicitly matches (grad_x0 is parallel to x0 - pseudo_gt
-    scaled by the loss weight over the noise-to-signal ratio), s the lower
-    interval endpoint for interval objectives, and oracle_calls the number of
-    epsilon-prediction evaluations consumed.
+    scaled by the loss weight over the noise-to-signal ratio), and oracle_calls
+    the number of epsilon-prediction evaluations consumed.
     """
 
     grad_x0: np.ndarray
     pseudo_gt: np.ndarray
-    t: int
-    s: Optional[int]
     oracle_calls: int
-
-    def csv_row(self, tag: str) -> tuple:
-        return (self.t, "" if self.s is None else self.s,
-                float(np.linalg.norm(self.grad_x0)), self.oracle_calls, tag)
 
 
 def sds_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
@@ -67,8 +57,6 @@ def sds_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     return GradientReport(
         grad_x0=schedule.omega[t] * (eps_pred - eps),
         pseudo_gt=_hop(schedule, xt, t, 0, eps_pred),
-        t=t,
-        s=None,
         oracle_calls=oracle.eps_evals - before,
     )
 
@@ -98,8 +86,6 @@ def ism_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     return GradientReport(
         grad_x0=schedule.omega[t] * interval,
         pseudo_gt=x0 - gam * interval,
-        t=t,
-        s=s,
         oracle_calls=oracle.eps_evals - before,
     )
 
@@ -144,7 +130,7 @@ class _IntervalPieces:
         t = self.grid[-1]
         w = self.schedule.omega[t] / self.schedule.nsr[t]
         return GradientReport(grad_x0=w * (self.x0 - self.x0_tilde), pseudo_gt=self.x0_tilde,
-                              t=t, s=self.grid[-2], oracle_calls=self.oracle_calls)
+                              oracle_calls=self.oracle_calls)
 
     def bias(self) -> np.ndarray:
         """(x0 - x0_tilde) - gamma(t) * interval, the residual separating the

@@ -180,6 +180,27 @@ def test_eta_sweep_outputs(tmp_path):
     assert (out / "gradients.csv").exists()
 
 
+def test_eta_sweep_ratio_of_a_zero_interval_is_null(tmp_path):
+    """An identity latent at the mean of a one-component oracle, unguided
+    extrapolation (scale 1): every cell's interval norm is 0, so its ratio is
+    JSON null and an empty CSV cell, never the non-JSON Infinity."""
+    cfg = tweak_config(tmp_path, "eta_sweep.json",
+                       **{"oracle.components": [{"weight": 1.0, "mean": [0.0, 0.0], "sigma": 0.3}],
+                          "oracle.labels": {"a": [0]}, "guidance.scale": 1.0,
+                          "generator.theta": [0.0, 0.0], "experiment.t_values": [200, 400],
+                          "experiment.delta_T_values": [50, 100]})
+    out = tmp_path / "out"
+    assert main(["eta-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    rows = json.loads((out / "report.json").read_text(), parse_constant=refuse)["rows"]
+    assert len(rows) == 4 and all(r[3] == 0.0 and r[4] is None for r in rows)
+    with open(out / "eta_sweep.csv") as fh:
+        assert [r["ratio"] for r in csv.DictReader(fh)] == [""] * 4
+
+
 def test_distill_kind_writes_metrics_and_frames(tmp_path):
     cfg = tweak_config(tmp_path, "distill_splats.json",
                        **{"distill.iterations": 30,

@@ -14,6 +14,7 @@ from ismlab.experiments import (
     CONSISTENCY_CSV_HEADER,
     ETA_CSV_HEADER,
     GRADCHECK_CSV_HEADER,
+    GRADIENTS_CSV_HEADER,
     INTERVAL_CSV_HEADER,
     QUALITY_CSV_HEADER,
     RACE_CSV_HEADER,
@@ -28,6 +29,8 @@ from ismlab.experiments import (
     run_race,
     write_report,
 )
+from ismlab.generators import canonical_view
+from ismlab.objectives import interval_pieces, ism_gradient, naive_gradient
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -134,6 +137,40 @@ def test_eta_sweep_identities_and_costs(tmp_path):
     grads = read_csv(tmp_path / "gradients.csv")
     assert grads[0] == ["t", "s", "grad_norm", "oracle_calls", "objective"]
     assert {r[4] for r in grads[1:]} <= {"naive", "ism"}
+
+
+def test_eta_sweep_gradient_rows_are_direct_objective_calls(tmp_path):
+    """Each gradients.csv row is one objective at its cell: s = t - delta_T
+    (the multi-step grid's node below t), the norm of a direct call to the
+    bit, the cell's calls, naive before ism; a cell whose ism interval is
+    empty (delta_T = t) or shorter than delta_S has the naive row only."""
+    spec = load_spec("eta_sweep.json", "eta-sweep",
+                     **{"experiment.t_values": [50, 100, 400],
+                        "experiment.delta_T_values": [25, 75, 100]})
+    report = run_eta_sweep(spec)
+    write_report(report, tmp_path)
+    grads = read_csv(tmp_path / "gradients.csv")
+    assert tuple(grads[0]) == GRADIENTS_CSV_HEADER
+    sch, oracle, g, ds = spec.schedule, spec.oracle, spec.guidance, spec.delta_s_values[0]
+    x0 = spec.make_generator().render(canonical_view(spec.jitter.width, spec.jitter.height))
+    expected = []
+    for t, dt, *_, naive_calls, ism_calls in report.summary["rows"]:
+        assert interval_pieces(oracle, sch, x0, t, dt, g).grid[-2] == t - dt
+        expected.append((t, t - dt, naive_gradient(oracle, sch, x0, t, dt, g), naive_calls,
+                         "naive"))
+        if ism_calls is not None:
+            expected.append((t, t - dt, ism_gradient(oracle, sch, x0, t, dt, ds, g), ism_calls,
+                             "ism"))
+    cells = [(r[0], r[1]) for r in report.summary["rows"]]
+    assert cells == [(50, 25), (100, 25), (100, 75), (100, 100),
+                     (400, 25), (400, 75), (400, 100)]
+    assert [r[7] is None for r in report.summary["rows"]] == [
+        True, False, True, True, False, False, False]
+    assert len(grads) - 1 == len(expected) == 11
+    for row, (t, s, direct, calls, name) in zip(grads[1:], expected):
+        assert (int(row[0]), int(row[1]), row[4]) == (t, s, name)
+        assert float(row[2]) == float(np.linalg.norm(direct.grad_x0))
+        assert int(row[3]) == calls == direct.oracle_calls
 
 
 def test_interval_sweep_costs_and_determinism(tmp_path):

@@ -16,7 +16,6 @@ from ismlab import (
     naive_gradient,
     sds_gradient,
 )
-from ismlab.objectives import REPORT_CSV_HEADER
 
 
 def test_sds_zero_at_fixed_point(point_oracle, schedule):
@@ -67,7 +66,6 @@ def test_interval_gradient_zero_at_fixed_point(point_oracle, schedule):
     mu = np.array([0.6, -0.3])
     report = ism_gradient(point_oracle, schedule, mu, 600, 50, 50, g)
     assert np.linalg.norm(report.grad_x0) < 1e-5
-    assert report.s == 550
 
 
 def test_interval_gradient_unconditional_collapse(bimodal, schedule):
@@ -249,16 +247,6 @@ def test_decomposition_identity_property(schedule, case):
     pieces = interval_pieces(o, schedule, x0, t, dt, g)
     assert pieces.decomposition() <= 1e-9
     pieces.bias()
-
-
-def test_gradient_report_rows(mixture3, schedule, guide_a):
-    report = ism_gradient(mixture3, schedule, np.array([0.2, 0.2]), 300, 50, 50, guide_a)
-    row = report.csv_row("ism")
-    assert len(row) == len(REPORT_CSV_HEADER)
-    assert row[0] == 300 and row[1] == 250 and row[4] == "ism"
-    sds = sds_gradient(mixture3, schedule, np.array([0.2, 0.2]), 300,
-                       np.zeros(2), guide_a)
-    assert sds.csv_row("sds")[1] == ""
 
 
 def test_precondition_errors(mixture3, schedule, guide_a):

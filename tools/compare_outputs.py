@@ -1,0 +1,118 @@
+"""Run the shipped configs in this checkout and another one, and compare outputs.
+
+    python tools/compare_outputs.py <other-checkout>
+
+Each tree runs the 11 (kind, config) pairs of RUNS with its own ``src`` and
+``configs``, one ``python -m ismlab.cli`` process per pair, in a temporary
+directory where both trees see the same relative config and ``--out`` paths.
+Every output file is compared byte for byte, and so are stdout, stderr and
+the exit code, except for wall time: the ``wall_time`` column of each CSV file
+and the wall-time entry (the last) of each ``interval_sweep`` report row are
+blanked first. Prints each difference and exits 1 if there is any, else
+prints a one-line count and exits 0. Needs only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+# (kind, config): the 8 shipped configs under their kinds, and the splat scene
+# under three more kinds that render a generator
+RUNS = (
+    ("consistency", "consistency.json"),
+    ("quality", "quality.json"),
+    ("eta-sweep", "eta_sweep.json"),
+    ("interval-sweep", "interval_sweep.json"),
+    ("race", "race.json"),
+    ("gradcheck", "gradcheck.json"),
+    ("distill", "distill_identity.json"),
+    ("distill", "distill_splats.json"),
+    ("consistency", "distill_splats.json"),
+    ("eta-sweep", "distill_splats.json"),
+    ("interval-sweep", "distill_splats.json"),
+)
+
+
+def run_tree(tree: Path, work: Path) -> None:
+    """Run every pair of RUNS with tree's package and configs; each run's
+    files go to work/<name>, and its stdout, stderr and exit code beside them."""
+    shutil.copytree(tree / "configs", work / "configs")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for kind, config in RUNS:
+        name = f"{kind}_{Path(config).stem}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ismlab.cli", kind, "--config", f"configs/{config}",
+             "--out", f"out/{name}"], cwd=work, env=env, capture_output=True)
+        streams = work / "streams" / name
+        streams.mkdir(parents=True)
+        (streams / "stdout").write_bytes(proc.stdout)
+        (streams / "stderr").write_bytes(proc.stderr)
+        (streams / "exit_code").write_text(f"{proc.returncode}\n")
+
+
+def normalized(path: Path) -> bytes:
+    """The file's bytes, with its wall-time values blanked."""
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        if rows and "wall_time" in rows[0]:
+            col = rows[0].index("wall_time")
+            for row in rows[1:]:
+                row[col] = ""
+            out = io.StringIO(newline="")
+            csv.writer(out).writerows(rows)
+            return out.getvalue().encode()
+    elif path.name == "report.json":
+        report = json.loads(data)
+        if report.get("kind") == "interval_sweep":
+            for row in report["rows"]:
+                row[-1] = None
+            return json.dumps(report, indent=2).encode()
+    return data
+
+
+def files(root: Path) -> dict[str, Path]:
+    return {p.relative_to(root).as_posix(): p for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def compare(a: Path, b: Path) -> tuple[int, list[str]]:
+    """The number of files compared, and a line per difference."""
+    fa, fb = files(a), files(b)
+    diffs = [f"{name}: only in {side}" for side, only in (("this tree", fa.keys() - fb.keys()),
+                                                         ("the other tree", fb.keys() - fa.keys()))
+             for name in sorted(only)]
+    for name in sorted(fa.keys() & fb.keys()):
+        if normalized(fa[name]) != normalized(fb[name]):
+            diffs.append(f"{name}: differs")
+    return len(fa.keys() | fb.keys()), diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="the other checkout's root directory")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        mine, theirs = Path(tmp) / "this", Path(tmp) / "other"
+        run_tree(HERE, mine)
+        run_tree(args.other.resolve(), theirs)
+        n, diffs = compare(mine, theirs)
+    for line in diffs:
+        print(line)
+    print(f"{len(RUNS)} runs, {n} files compared (configs, outputs and streams): "
+          f"{len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
