@@ -28,25 +28,19 @@ from . import config as cfgmod
 from . import experiments
 from .distill import run_distillation
 from .errors import ConfigError, DecompositionError, NumericalError
-from .experiments import ExperimentSpec, Report, build_experiment, final_frame, write_report
+from .experiments import ExperimentSpec, Report, build_experiment, write_report
 
 
 def _run_distill(spec: ExperimentSpec) -> Report:
-    """One distillation of the configured generator; its metrics.csv table and,
-    for image generators, the snapshots and the final canonical render as frames."""
-    gen = spec.make_generator()
+    """One distillation of the configured generator; its metrics.csv table and
+    the run's frames (snapshots and final render, for image generators)."""
     cfg = spec.distill
-    log = run_distillation(gen, spec.oracle, spec.schedule, cfg)
-    frames = {}
-    final = final_frame(gen, cfg.jitter)
-    if final is not None:
-        frames = {f"iter_{it:06d}": img.reshape(final.shape) for it, img in log.frames}
-        frames["final"] = final
+    log = run_distillation(spec.make_generator(), spec.oracle, spec.schedule, cfg)
     summary = {"kind": "distill", "objective": cfg.objective, "iterations": cfg.iterations,
-               "initial_mode_distance": log.initial_mode_distance,
+               "initial_mode_distance": log.curve[0],
                "final_mode_distance": log.final_mode_distance,
                "oracle_calls": log.total_oracle_calls()}
-    return Report(summary, {"metrics": log.metrics_table()}, frames)
+    return Report(summary, {"metrics": log.metrics_table()}, log.frames)
 
 
 RUNNERS = {**experiments.RUNNERS, "distill": _run_distill}

@@ -106,23 +106,24 @@ class LogRow:
 
 @dataclass
 class RunLog:
+    """A run's rows, final mode distance and, for an image generator, frames
+    (name -> (H, W, C) image): ``iter_%06d`` per snapshot, then ``final``."""
+
     rows: list[LogRow] = field(default_factory=list)
-    initial_mode_distance: float = math.nan
     final_mode_distance: float = math.nan
-    frames: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    frames: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def curve(self) -> list[float]:
+        """The mode distance entering each iteration, then the final one."""
+        return [r.mode_distance for r in self.rows] + [self.final_mode_distance]
 
     def total_oracle_calls(self) -> int:
         return sum(r.oracle_calls for r in self.rows)
 
     def first_crossing(self, threshold: float) -> Optional[int]:
-        """First iteration whose entering state is within threshold of a mode;
-        the final state counts as iteration len(rows)."""
-        for r in self.rows:
-            if r.mode_distance <= threshold:
-                return r.iter
-        if self.final_mode_distance <= threshold:
-            return len(self.rows)
-        return None
+        """First curve index within threshold of a mode (len(rows) is the final state)."""
+        return next((i for i, d in enumerate(self.curve) if d <= threshold), None)
 
     def metrics_table(self) -> tuple[tuple[str, ...], list[tuple]]:
         """metrics.csv's header and rows, a row's fields in declaration order."""
@@ -182,21 +183,17 @@ class DistillState:
     cview: View
 
 
-def init_state(generator, oracle: MixtureOracle, cfg: DistillConfig) -> DistillState:
+def init_state(generator, cfg: DistillConfig) -> DistillState:
     ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    cview = canonical_view(cfg.jitter.width, cfg.jitter.height)
-    log = RunLog()
-    log.initial_mode_distance = nearest_mode_distance(
-        oracle, cfg.guidance.positive, generator.render(cview))
     return DistillState(
         generator=generator,
         adam=AdamOptimizer(generator.n_params, cfg.optimizer),
         rng_t=np.random.default_rng(ss[0]),
         rng_view=np.random.default_rng(ss[1]),
         rng_noise=np.random.default_rng(ss[2]),
-        log=log,
+        log=RunLog(),
         started=time.perf_counter(),
-        cview=cview,
+        cview=canonical_view(cfg.jitter.width, cfg.jitter.height),
     )
 
 
@@ -248,9 +245,9 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))
 
-    if cfg.snapshot_every > 0 and gen.image_shape(cfg.jitter) is not None \
-            and (iter_index + 1) % cfg.snapshot_every == 0:
-        state.log.frames.append((iter_index + 1, gen.render(state.cview)))
+    if cfg.snapshot_every > 0 and (iter_index + 1) % cfg.snapshot_every == 0 \
+            and (shape := gen.image_shape(cfg.jitter)) is not None:
+        state.log.frames[f"iter_{iter_index + 1:06d}"] = gen.render(state.cview).reshape(shape)
     return row
 
 
@@ -263,7 +260,7 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
     and invalid-value warnings are the caller's to silence, as the CLI does
     for every kind.
     """
-    state = init_state(generator, oracle, cfg)
+    state = init_state(generator, cfg)
     try:
         for i in range(cfg.iterations):
             distill_step(state, oracle, schedule, cfg, i)
@@ -272,6 +269,8 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
                     f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_s}",)
         exc.log = state.log
         raise
-    state.log.final_mode_distance = nearest_mode_distance(
-        oracle, cfg.guidance.positive, generator.render(state.cview))
+    final = generator.render(state.cview)
+    state.log.final_mode_distance = nearest_mode_distance(oracle, cfg.guidance.positive, final)
+    if (shape := generator.image_shape(cfg.jitter)) is not None:
+        state.log.frames["final"] = final.reshape(shape)
     return state.log

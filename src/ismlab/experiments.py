@@ -130,18 +130,29 @@ def _rows_below_max_size(key: str):
                           getattr(s, key), s.oracle.dim)
 
 
+def _frames_have_1_or_3_channels(s) -> None:
+    """Check that an image generator's renders can be written as frames/*.ppm."""
+    shape = s.generator.image_shape(s.jitter)
+    need(shape is None or shape[2] in (1, 3), "generator.channels (generator.background's "
+         "length with generator.splats) of 1 or 3 to write frames", shape and shape[2])
+
+
 # kind -> checks of a built spec that hold for that kind only
 KIND_CHECKS = {
     "consistency": (_t_values_in_schedule, _rows_below_max_size("noise_draws"), lambda s: need(
         s.delta_s_values[0] <= min(s.t_values),
         "experiment.delta_S_values[0] <= every experiment.t_values entry for consistency",
-        s.delta_s_values[0], min(s.t_values))),
+        s.delta_s_values[0], min(s.t_values)), _frames_have_1_or_3_channels),
     "quality": (_t_values_in_schedule, _rows_below_max_size("start_points")),
-    "eta-sweep": (_t_values_in_schedule,),
+    "eta-sweep": (_t_values_in_schedule, lambda s: need(
+        min(s.delta_t_values) <= max(s.t_values),
+        "some experiment.delta_T_values entry <= some experiment.t_values entry for eta-sweep",
+        min(s.delta_t_values), max(s.t_values))),
     "interval-sweep": (lambda s: need(
         max(s.delta_t_values) < s.distill.t_min,
         "every experiment.delta_T_values entry < distill.t_min for interval-sweep",
-        max(s.delta_t_values), s.distill.t_min),),
+        max(s.delta_t_values), s.distill.t_min), _frames_have_1_or_3_channels),
+    "distill": (_frames_have_1_or_3_channels,),
     "race": (lambda s: need(len(set(s.seeds)) == len(s.seeds) >= 2,
                             "two or more distinct experiment.seeds for a race median", s.seeds),),
     "gradcheck": (lambda s: need(  # its cases draw t from [delta_T, T] with delta_T up to 100
@@ -194,15 +205,6 @@ def _variance(points: np.ndarray) -> np.ndarray:
     centered = np.mean(np.sum(d * d, axis=-1), axis=-1) \
         - np.sum(np.mean(d, axis=-2) ** 2, axis=-1)
     return np.maximum(centered, 0.0)
-
-
-def final_frame(gen, jitter: ViewJitterSpec) -> Optional[np.ndarray]:
-    """The generator's canonical render as an (H, W, C) image, or None for a
-    generator that has no image shape."""
-    shape = gen.image_shape(jitter)
-    if shape is None:
-        return None
-    return gen.render(canonical_view(jitter.width, jitter.height)).reshape(shape)
 
 
 def _montage(cells: np.ndarray, shape) -> np.ndarray:
@@ -358,9 +360,8 @@ def run_interval_sweep(spec: ExperimentSpec) -> Report:
             log = run_distillation(gen, spec.oracle, spec.schedule, cfg)
             wall = time.perf_counter() - started
             rows.append((dt, ds, log.final_mode_distance, log.total_oracle_calls(), wall))
-            frame = final_frame(gen, cfg.jitter)
-            if frame is not None:
-                frames[f"final_dT{dt}_dS{ds}"] = frame
+            if "final" in log.frames:
+                frames[f"final_dT{dt}_dS{ds}"] = log.frames["final"]
     summary = {"kind": "interval_sweep", "rows": rows,
                "spread_over_delta_T": _axis_spread(rows, 1),
                "spread_over_delta_S": _axis_spread(rows, 0)}
@@ -390,10 +391,8 @@ def run_race(spec: ExperimentSpec) -> Report:
     for seed in spec.seeds:
         for objective in ("ism", "sds"):
             cfg = replace(spec.distill, objective=objective, seed=seed)
-            gen = spec.make_generator()
-            log = run_distillation(gen, spec.oracle, spec.schedule, cfg)
-            curve = [r.mode_distance for r in log.rows]  # entering each iteration
-            curves[(seed, objective)] = curve + [log.final_mode_distance]
+            log = run_distillation(spec.make_generator(), spec.oracle, spec.schedule, cfg)
+            curves[(seed, objective)] = log.curve
             crossings[(seed, objective)] = log.first_crossing(spec.threshold)
     summary = {
         "kind": "race",

@@ -160,6 +160,17 @@ def test_render_size_other_than_oracle_dim_is_a_one_line_config_error(
         f"config error: need {rendered} == the oracle's dimension, got {size}, {dim}"]
 
 
+def test_eta_sweep_without_a_runnable_cell_is_a_one_line_config_error(tmp_path, capsys):
+    cfg = tweak_config(tmp_path, "eta_sweep.json",
+                       **{"experiment.t_values": [200], "experiment.delta_T_values": [900]})
+    out = tmp_path / "o"
+    assert main(["eta-sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: need some experiment.delta_T_values entry <= some experiment.t_values "
+        "entry for eta-sweep, got 900, 200"]
+    assert not out.exists()
+
+
 def test_template_sigma_too_large_to_square_gives_the_flat_template(tmp_path):
     flat = gaussian_blob_template(16, 16, 1, (0.45, 0.0), 1e300, 0.9)
     assert flat.tobytes() == np.full(256, 0.9).tobytes()
@@ -214,6 +225,20 @@ def test_distill_kind_writes_metrics_and_frames(tmp_path):
     assert "iter_000010.ppm" in frames
     report = json.loads((out / "report.json").read_text())
     assert report["iterations"] == 30
+
+
+@pytest.mark.parametrize("iterations", [0, 3])
+def test_initial_mode_distance_is_the_first_metrics_distance(tmp_path, iterations):
+    cfg = tweak_config(tmp_path, "distill_splats.json",
+                       **{"distill.iterations": iterations, "generator.n_splats": 4})
+    out = tmp_path / "out"
+    assert main(["distill", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    with open(out / "metrics.csv") as fh:
+        curve = [float(r["nearest_mode_distance"]) for r in csv.DictReader(fh)]
+    assert len(curve) == iterations
+    curve.append(report["final_mode_distance"])
+    assert report["initial_mode_distance"] == curve[0]
 
 
 def test_distill_identity_has_no_frames(tmp_path):
@@ -349,6 +374,36 @@ def test_bad_generator_section_exits_one(tmp_path, capsys, generator, key):
     assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+TWO_CHANNELS = {"generator.channels": 2, "distill.iterations": 3,
+                "oracle.components[0].mean.channels": 2, "oracle.components[1].mean.channels": 2}
+
+
+@pytest.mark.parametrize("kind", ["distill", "consistency", "interval-sweep"])
+@pytest.mark.parametrize("explicit", [False, True])
+def test_frames_of_other_than_1_or_3_channels_are_a_one_line_config_error(
+        tmp_path, capsys, kind, explicit):
+    """The kinds that write frames refuse a 2-channel image before creating --out."""
+    splats = {"generator.splats": [dict(SPLAT, color=[0.5, 0.5])],
+              "generator.background": [0.1, 0.2]} if explicit else {}
+    cfg = tweak_config(tmp_path, "distill_splats.json", **TWO_CHANNELS, **splats)
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: need generator.channels (generator.background's length with "
+        "generator.splats) of 1 or 3 to write frames, got 2"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, tweaks", [
+    ("race", {"experiment.seeds": [0, 1]}),
+    ("eta-sweep", {"experiment.t_values": [200], "experiment.delta_T_values": [50]})])
+def test_kinds_that_write_no_frames_accept_2_channels(tmp_path, kind, tweaks):
+    cfg = tweak_config(tmp_path, "distill_splats.json", **TWO_CHANNELS, **tweaks)
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+    assert not (out / "frames").exists()
 
 
 def test_splat_distill_matches_recorded_reference(tmp_path):

@@ -16,6 +16,7 @@ from ismlab import (
     OptimConfig,
     RunLog,
     ViewJitterSpec,
+    canonical_view,
     nearest_mode_distance,
     run_distillation,
 )
@@ -26,6 +27,7 @@ from ismlab.distill import (
     distill_step,
     init_state,
 )
+from ismlab.generators import random_scene
 
 
 def base_config(**overrides):
@@ -91,8 +93,8 @@ def test_fixed_point_run_is_stationary(schedule):
 def test_view_batch_accumulates_linearly(bimodal, schedule):
     gen1 = IdentityLatent([0.2, 0.1])
     gen2 = IdentityLatent([0.2, 0.1])
-    state1 = init_state(gen1, bimodal, base_config(view_batch=1))
-    state2 = init_state(gen2, bimodal, base_config(view_batch=2))
+    state1 = init_state(gen1, base_config(view_batch=1))
+    state2 = init_state(gen2, base_config(view_batch=2))
     row1 = distill_step(state1, bimodal, schedule, base_config(view_batch=1), 0)
     row2 = distill_step(state2, bimodal, schedule, base_config(view_batch=2), 0)
     assert row2.t == row1.t
@@ -106,7 +108,7 @@ def test_view_stream_draws_one_seed_per_view(bimodal, schedule, view_batch, jitt
     """Every view draws one seed from the view substream, the canonical view
     of a zero jitter spec included, so matched runs keep sharing the stream."""
     cfg = base_config(view_batch=view_batch, jitter=jitter)
-    state = init_state(IdentityLatent([0.2, 0.1]), bimodal, cfg)
+    state = init_state(IdentityLatent([0.2, 0.1]), cfg)
     steps = 5
     for i in range(steps):
         distill_step(state, bimodal, schedule, cfg, i)
@@ -167,6 +169,45 @@ def test_first_crossing_semantics(bimodal, schedule):
     closest = min(r.mode_distance for r in log.rows)
     only_final = RunLog(rows=log.rows, final_mode_distance=closest / 2)
     assert only_final.first_crossing(closest / 2) == len(log.rows)
+
+
+def test_curve_is_the_entering_distances_then_the_final_one(bimodal, schedule):
+    log = run_distillation(IdentityLatent([0.0, 0.0]), bimodal, schedule,
+                           base_config(iterations=5, snapshot_every=2))
+    assert log.curve == [r.mode_distance for r in log.rows] + [log.final_mode_distance]
+    assert log.frames == {}  # a latent is not an image
+    empty = run_distillation(IdentityLatent([0.0, 0.0]), bimodal, schedule,
+                             base_config(iterations=0))
+    assert empty.curve == [nearest_mode_distance(bimodal, "right", [0.0, 0.0])]
+    assert empty.first_crossing(empty.curve[0]) == 0
+
+
+def image_run(iterations, snapshot_every):
+    """A 6x5 one-channel splat scene, an oracle over its renders, and a
+    two-view config with zero jitter, so every render is of the canonical view."""
+    rng = np.random.default_rng(4)
+    oracle = MixtureOracle(means=rng.uniform(0.0, 1.0, (2, 30)), sigmas=[0.2, 0.2],
+                           weights=[0.5, 0.5], labels={"a": [0], "right": [1]})
+    cfg = base_config(iterations=iterations, snapshot_every=snapshot_every, view_batch=2,
+                      jitter=ViewJitterSpec(width=6, height=5))
+    return random_scene(4, 1, seed=2, background=[0.3]), oracle, cfg
+
+
+@pytest.mark.parametrize("iterations, snapshot_every, snapshots", [
+    (0, 0, []), (0, 2, []), (5, 0, []), (6, 2, [2, 4, 6]), (7, 3, [3, 6])])
+def test_a_run_renders_once_per_iteration_and_snapshot_and_once_at_the_end(
+        schedule, iterations, snapshot_every, snapshots):
+    gen, oracle, cfg = image_run(iterations, snapshot_every)
+    views, render = [], gen.render
+    gen.render = lambda view: (views.append(view), render(view))[1]
+    log = run_distillation(gen, oracle, schedule, cfg)
+    assert len(views) == iterations + len(snapshots) + 1
+    assert all(view is views[0] for view in views)
+    assert list(log.frames) == [f"iter_{k:06d}" for k in snapshots] + ["final"]
+    assert all(frame.shape == (5, 6, 1) for frame in log.frames.values())
+    final = render(canonical_view(6, 5)).reshape(5, 6, 1)
+    assert log.frames["final"].tobytes() == final.tobytes()
+    assert log.curve[-1] == nearest_mode_distance(oracle, "right", final.ravel())
 
 
 def test_non_finite_gradient_aborts(bimodal, schedule):

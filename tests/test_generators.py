@@ -333,7 +333,7 @@ def test_jittered_view_batch_step_sums_fresh_backward_calls(schedule):
                         guidance=GuidanceSpec(positive="a", scale=7.5),
                         view_batch=2, jitter=spec, seed=5)
     gen = random_scene(4, 1, seed=2, background=[0.3])
-    state = init_state(gen, oracle, cfg)
+    state = init_state(gen, cfg)
     before = fresh_copy(gen)
     calls, steps = [], []
     backward, adam_step = gen.backward, state.adam.step

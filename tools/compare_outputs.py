@@ -2,9 +2,11 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 11 (kind, config) pairs of RUNS with its own ``src`` and
-``configs``, one ``python -m ismlab.cli`` process per pair, in a temporary
-directory where both trees see the same relative config and ``--out`` paths.
+Each tree runs the 14 runs of RUNS with its own ``src`` and ``configs``, one
+``python -m ismlab.cli`` process per run, in a temporary directory where both
+trees see the same relative config and ``--out`` paths. A run with overrides
+reads a copy of its config with those dotted keys set; the three such runs
+fail, with exit codes 3, 2 and 1.
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
 and the wall-time entry (the last) of each ``interval_sweep`` report row are
@@ -27,32 +29,56 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# (kind, config): the 8 shipped configs under their kinds, and the splat scene
-# under three more kinds that render a generator
+# (kind, config, overrides): the 8 shipped configs under their kinds, the
+# splat scene under three more kinds that render a generator, then three
+# failing runs: a numerical error that leaves a partial metrics.csv (exit 3),
+# a failed decomposition check on a steep schedule (exit 2) and an unknown
+# key (exit 1)
 RUNS = (
-    ("consistency", "consistency.json"),
-    ("quality", "quality.json"),
-    ("eta-sweep", "eta_sweep.json"),
-    ("interval-sweep", "interval_sweep.json"),
-    ("race", "race.json"),
-    ("gradcheck", "gradcheck.json"),
-    ("distill", "distill_identity.json"),
-    ("distill", "distill_splats.json"),
-    ("consistency", "distill_splats.json"),
-    ("eta-sweep", "distill_splats.json"),
-    ("interval-sweep", "distill_splats.json"),
+    ("consistency", "consistency.json", {}),
+    ("quality", "quality.json", {}),
+    ("eta-sweep", "eta_sweep.json", {}),
+    ("interval-sweep", "interval_sweep.json", {}),
+    ("race", "race.json", {}),
+    ("gradcheck", "gradcheck.json", {}),
+    ("distill", "distill_identity.json", {}),
+    ("distill", "distill_splats.json", {}),
+    ("consistency", "distill_splats.json", {}),
+    ("eta-sweep", "distill_splats.json", {}),
+    ("interval-sweep", "distill_splats.json", {}),
+    ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}),
+    ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
+    ("race", "race.json", {"distill.unknown_key": 1}),
 )
 
 
+def overridden(config: Path, overrides: dict) -> Path:
+    """A copy of config beside it with each dotted key of overrides set; its
+    name ends in the first key's last part."""
+    cfg = json.loads(config.read_text())
+    for key, value in overrides.items():
+        *sections, last = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[last] = value
+    path = config.with_stem(f"{config.stem}_{next(iter(overrides)).rsplit('.', 1)[-1]}")
+    path.write_text(json.dumps(cfg, indent=2))
+    return path
+
+
 def run_tree(tree: Path, work: Path) -> None:
-    """Run every pair of RUNS with tree's package and configs; each run's
+    """Run every entry of RUNS with tree's package and configs; each run's
     files go to work/<name>, and its stdout, stderr and exit code beside them."""
     shutil.copytree(tree / "configs", work / "configs")
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    for kind, config in RUNS:
-        name = f"{kind}_{Path(config).stem}"
+    for kind, config, overrides in RUNS:
+        config = Path("configs", config)
+        if overrides:
+            config = overridden(work / config, overrides).relative_to(work)
+        name = f"{kind}_{config.stem}"
         proc = subprocess.run(
-            [sys.executable, "-m", "ismlab.cli", kind, "--config", f"configs/{config}",
+            [sys.executable, "-m", "ismlab.cli", kind, "--config", config.as_posix(),
              "--out", f"out/{name}"], cwd=work, env=env, capture_output=True)
         streams = work / "streams" / name
         streams.mkdir(parents=True)
