@@ -199,12 +199,12 @@ def init_state(generator, cfg: DistillConfig) -> DistillState:
 
 def distill_step(state: DistillState, oracle: MixtureOracle,
                  schedule: NoiseSchedule, cfg: DistillConfig,
-                 iter_index: int) -> LogRow:
-    """One optimisation step; appends and returns its log row.
+                 iter_index: int, entering: np.ndarray) -> LogRow:
+    """One optimisation step from entering, the canonical render of its
+    parameters; appends and returns its log row.
 
-    The logged mode distance is that of the canonical render *entering* the
-    step, so row 0 reflects the initial parameters. With zero jitter every
-    view is the canonical one and that render is also each view's x0. A
+    It logs entering's mode distance (row 0: the initial parameters'); with
+    zero jitter entering is every view's x0, which objectives only read. A
     non-finite accumulated gradient appends a diagnostic row and aborts the
     run; a non-finite point met by the oracle aborts it without a row. Both
     raise a NumericalError naming the iteration and timestep.
@@ -215,7 +215,6 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
     gen = state.generator
     t = int(state.rng_t.integers(cfg.t_min, cfg.t_max + 1))
     delta_t = current_interval(cfg, iter_index)
-    entering = gen.render(state.cview)
     entering_distance = nearest_mode_distance(oracle, cfg.guidance.positive, entering)
     canonical = cfg.jitter.is_canonical
 
@@ -244,10 +243,6 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
         raise NumericalError(f"non-finite gradient at iteration {iter_index}, t={t}")
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))
-
-    if cfg.snapshot_every > 0 and (iter_index + 1) % cfg.snapshot_every == 0 \
-            and (shape := gen.image_shape(cfg.jitter)) is not None:
-        state.log.frames[f"iter_{iter_index + 1:06d}"] = gen.render(state.cview).reshape(shape)
     return row
 
 
@@ -255,22 +250,28 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
                      cfg: DistillConfig) -> RunLog:
     """Execute a full run; metrics are a pure function of (config, seed).
 
-    A NumericalError carries the rows logged up to the failure as ``log``
-    and names the run (objective, seed, interval, stride). numpy's overflow
-    and invalid-value warnings are the caller's to silence, as the CLI does
-    for every kind.
+    Each parameter state is rendered once on the canonical view; that render
+    enters the step from it and is the state's snapshot, if any, or final. A
+    NumericalError carries the rows logged up to the failure as ``log`` and
+    names the run (objective, seed, interval, stride). numpy's overflow and
+    invalid-value warnings are the caller's to silence, as the CLI does for
+    every kind.
     """
     state = init_state(generator, cfg)
+    shape = generator.image_shape(cfg.jitter)
     try:
-        for i in range(cfg.iterations):
-            distill_step(state, oracle, schedule, cfg, i)
+        for i in range(cfg.iterations + 1):
+            render = generator.render(state.cview)
+            if shape is not None and i and cfg.snapshot_every and not i % cfg.snapshot_every:
+                state.log.frames[f"iter_{i:06d}"] = render.reshape(shape)
+            if i < cfg.iterations:
+                distill_step(state, oracle, schedule, cfg, i, render)
     except NumericalError as exc:
         exc.args = (f"{exc} of the {cfg.objective} run with seed={cfg.seed}, "
                     f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_s}",)
         exc.log = state.log
         raise
-    final = generator.render(state.cview)
-    state.log.final_mode_distance = nearest_mode_distance(oracle, cfg.guidance.positive, final)
-    if (shape := generator.image_shape(cfg.jitter)) is not None:
-        state.log.frames["final"] = final.reshape(shape)
+    state.log.final_mode_distance = nearest_mode_distance(oracle, cfg.guidance.positive, render)
+    if shape is not None:
+        state.log.frames["final"] = render.reshape(shape)
     return state.log

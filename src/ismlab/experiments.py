@@ -354,7 +354,7 @@ def run_interval_sweep(spec: ExperimentSpec) -> Report:
     for dt in spec.delta_t_values:
         for ds in spec.delta_s_values:
             cfg = replace(spec.distill, delta_t_start=dt, delta_t_end=dt,
-                          delta_s=ds, seed=spec.seeds[0])
+                          delta_s=ds, seed=spec.seeds[0], snapshot_every=0)
             gen = spec.make_generator()
             started = time.perf_counter()
             log = run_distillation(gen, spec.oracle, spec.schedule, cfg)
@@ -390,7 +390,7 @@ def run_race(spec: ExperimentSpec) -> Report:
     curves, crossings = {}, {}
     for seed in spec.seeds:
         for objective in ("ism", "sds"):
-            cfg = replace(spec.distill, objective=objective, seed=seed)
+            cfg = replace(spec.distill, objective=objective, seed=seed, snapshot_every=0)
             log = run_distillation(spec.make_generator(), spec.oracle, spec.schedule, cfg)
             curves[(seed, objective)] = log.curve
             crossings[(seed, objective)] = log.first_crossing(spec.threshold)

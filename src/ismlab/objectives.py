@@ -169,9 +169,6 @@ def interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     grid = descent_grid(t, delta_t)
     inv = invert_along(oracle, schedule, x0, grid)
     deno = denoise_path(oracle, schedule, inv.latents[-1], t, delta_t, g)
-    if deno.timesteps != tuple(reversed(grid)):
-        raise RuntimeError(f"denoising nodes {deno.timesteps} do not retrace the "
-                           f"inversion grid {grid}")
     return _IntervalPieces(schedule=schedule, x0=x0, grid=tuple(grid), inv=inv, deno=deno,
                            oracle_calls=oracle.eps_evals - before)
 

@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -95,8 +95,8 @@ def test_view_batch_accumulates_linearly(bimodal, schedule):
     gen2 = IdentityLatent([0.2, 0.1])
     state1 = init_state(gen1, base_config(view_batch=1))
     state2 = init_state(gen2, base_config(view_batch=2))
-    row1 = distill_step(state1, bimodal, schedule, base_config(view_batch=1), 0)
-    row2 = distill_step(state2, bimodal, schedule, base_config(view_batch=2), 0)
+    row1 = distill_step(state1, bimodal, schedule, base_config(view_batch=1), 0, gen1.render())
+    row2 = distill_step(state2, bimodal, schedule, base_config(view_batch=2), 0, gen2.render())
     assert row2.t == row1.t
     assert row2.grad_norm == pytest.approx(2 * row1.grad_norm, rel=1e-12)
 
@@ -111,7 +111,7 @@ def test_view_stream_draws_one_seed_per_view(bimodal, schedule, view_batch, jitt
     state = init_state(IdentityLatent([0.2, 0.1]), cfg)
     steps = 5
     for i in range(steps):
-        distill_step(state, bimodal, schedule, cfg, i)
+        distill_step(state, bimodal, schedule, cfg, i, state.generator.render())
     fresh = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
     expected = fresh.integers(0, 2 ** 63 - 1, size=steps * view_batch + 1)[-1]
     assert state.rng_view.integers(0, 2 ** 63 - 1) == expected
@@ -195,19 +195,45 @@ def image_run(iterations, snapshot_every):
 
 @pytest.mark.parametrize("iterations, snapshot_every, snapshots", [
     (0, 0, []), (0, 2, []), (5, 0, []), (6, 2, [2, 4, 6]), (7, 3, [3, 6])])
-def test_a_run_renders_once_per_iteration_and_snapshot_and_once_at_the_end(
+def test_a_run_renders_each_state_once_on_the_canonical_view(
         schedule, iterations, snapshot_every, snapshots):
     gen, oracle, cfg = image_run(iterations, snapshot_every)
     views, render = [], gen.render
     gen.render = lambda view: (views.append(view), render(view))[1]
     log = run_distillation(gen, oracle, schedule, cfg)
-    assert len(views) == iterations + len(snapshots) + 1
+    assert len(views) == iterations + 1
     assert all(view is views[0] for view in views)
     assert list(log.frames) == [f"iter_{k:06d}" for k in snapshots] + ["final"]
     assert all(frame.shape == (5, 6, 1) for frame in log.frames.values())
     final = render(canonical_view(6, 5)).reshape(5, 6, 1)
     assert log.frames["final"].tobytes() == final.tobytes()
     assert log.curve[-1] == nearest_mode_distance(oracle, "right", final.ravel())
+
+
+@pytest.mark.parametrize("jitter", [{}, {"rotation_max": 0.3, "shift_max": 0.1}],
+                         ids=["canonical", "jittered"])
+def test_each_snapshot_is_the_final_frame_of_the_run_stopped_there(schedule, jitter):
+    """Snapshot iter_<k> is the canonical render of the state entering
+    iteration k: bitwise the final frame, and its distance the final one, of
+    the same run for k iterations (a constant interval makes that run a prefix
+    of the longer one). Each state is rendered once on the canonical view, and
+    a jittered run renders its view_batch views per iteration besides."""
+    gen, oracle, cfg = image_run(6, 2)
+    cfg = replace(cfg, delta_t_start=100, delta_t_end=100,
+                  jitter=ViewJitterSpec(width=6, height=5, **jitter))
+    views, render = [], gen.render
+    gen.render = lambda view: (views.append(view), render(view))[1]
+    log = run_distillation(gen, oracle, schedule, cfg)
+    cview = canonical_view(6, 5).affine
+    assert sum(np.array_equal(view.affine, cview) for view in views) == 7
+    assert len(views) == 7 + (0 if cfg.jitter.is_canonical else 6 * cfg.view_batch)
+    assert list(log.frames) == ["iter_000002", "iter_000004", "iter_000006", "final"]
+    for k in (2, 4, 6):
+        short = run_distillation(image_run(k, 0)[0], oracle, schedule,
+                                 replace(cfg, iterations=k, snapshot_every=0))
+        assert list(short.frames) == ["final"]
+        assert log.frames[f"iter_{k:06d}"].tobytes() == short.frames["final"].tobytes()
+        assert log.curve[k] == short.curve[-1]
 
 
 def test_non_finite_gradient_aborts(bimodal, schedule):

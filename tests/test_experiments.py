@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ismlab import experiments
 from ismlab.config import load_json
 from ismlab.errors import ConfigError
 from ismlab.experiments import (
@@ -186,6 +187,27 @@ def test_interval_sweep_costs_and_determinism(tmp_path):
     write_report(report, tmp_path)
     rows = read_csv(tmp_path / "interval_sweep.csv")
     assert tuple(rows[0]) == INTERVAL_CSV_HEADER
+
+
+def test_interval_sweep_takes_no_snapshots(monkeypatch):
+    """A sweep writes each cell's final frame only, so its runs snapshot nothing
+    even when the spec's distill section asks for snapshots."""
+    spec = load_spec("distill_splats.json", "interval-sweep",
+                     **{"distill.iterations": 4, "distill.snapshot_every": 2,
+                        "generator.n_splats": 4, "experiment.delta_T_values": [50],
+                        "experiment.delta_S_values": [50, 100]})
+    assert spec.distill.snapshot_every == 2
+    runs, run = [], experiments.run_distillation
+
+    def recorded(gen, oracle, schedule, cfg):
+        runs.append((cfg, run(gen, oracle, schedule, cfg)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(experiments, "run_distillation", recorded)
+    report = run_interval_sweep(spec)
+    assert len(runs) == 2
+    assert all(cfg.snapshot_every == 0 and set(log.frames) == {"final"} for cfg, log in runs)
+    assert set(report.frames) == {"final_dT50_dS50", "final_dT50_dS100"}
 
 
 def test_race_self_consistency(tmp_path):

@@ -339,7 +339,7 @@ def test_jittered_view_batch_step_sums_fresh_backward_calls(schedule):
     backward, adam_step = gen.backward, state.adam.step
     gen.backward = lambda view, g: (calls.append((view, g)), backward(view, g))[1]
     state.adam.step = lambda params, grad: (steps.append(grad), adam_step(params, grad))[1]
-    distill_step(state, oracle, schedule, cfg, 0)
+    distill_step(state, oracle, schedule, cfg, 0, gen.render(state.cview))
     assert len(calls) == 2 and calls[0][0] is not calls[1][0]
     assert not any(np.array_equal(view.affine, state.cview.affine) for view, _ in calls)
     want = np.zeros(gen.n_params)

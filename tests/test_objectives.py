@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ismlab import objectives
 from ismlab import (
     ConfigError,
+    DecompositionError,
     GuidanceSpec,
     MixtureOracle,
     interval_pieces,
@@ -261,16 +262,22 @@ def test_precondition_errors(mixture3, schedule, guide_a):
         sds_gradient(mixture3, schedule, x0, 0, np.zeros(2), guide_a)
 
 
-def test_interval_pieces_rejects_mismatched_grids(monkeypatch, mixture3, schedule, guide_a):
+def test_a_denoising_walk_off_the_inversion_grid_fails_the_series_check(
+        monkeypatch, mixture3, schedule, guide_a):
+    """The series telescopes only over shared nodes: a denoising walk with as
+    many nodes as the inversion grid but other timesteps (stride 51 from 300,
+    against 50) makes bias() raise."""
     real = objectives.denoise_path
 
-    def skewed(*args):
-        path = real(*args)
-        return dataclasses.replace(path, timesteps=path.timesteps[:-2] + (1, 0))
+    def skewed(oracle, schedule, xt, t, stride, g):
+        return real(oracle, schedule, xt, t, stride + 1, g)
 
     monkeypatch.setattr(objectives, "denoise_path", skewed)
-    with pytest.raises(RuntimeError, match="inversion grid"):
-        interval_pieces(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a).decomposition()
+    pieces = interval_pieces(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a)
+    assert len(pieces.deno.timesteps) == len(pieces.grid)
+    assert pieces.deno.timesteps != tuple(reversed(pieces.grid))
+    with pytest.raises(DecompositionError, match="disagree"):
+        pieces.bias()
 
 
 def test_bias_raises_on_a_nan_gap(mixture3, schedule, guide_a):
