@@ -93,41 +93,31 @@ class DistillConfig:
 
 
 @dataclass
-class LogRow:
-    iter: int
-    t: int
-    delta_t: int
-    grad_norm: float
-    oracle_calls: int
-    loss_proxy: float
-    mode_distance: float
-    wall_time: float
-
-
-@dataclass
 class RunLog:
-    """A run's rows, final mode distance and, for an image generator, frames
-    (name -> (H, W, C) image): ``iter_%06d`` per snapshot, then ``final``."""
+    """A run's metrics.csv columns (header name -> one entry per iteration),
+    final mode distance and, for an image generator, frames (name -> (H, W, C)
+    image): ``iter_%06d`` per snapshot, then ``final``."""
 
-    rows: list[LogRow] = field(default_factory=list)
+    columns: dict[str, list] = field(
+        default_factory=lambda: {name: [] for name in METRICS_CSV_HEADER})
     final_mode_distance: float = math.nan
     frames: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def curve(self) -> list[float]:
         """The mode distance entering each iteration, then the final one."""
-        return [r.mode_distance for r in self.rows] + [self.final_mode_distance]
+        return self.columns["nearest_mode_distance"] + [self.final_mode_distance]
 
     def total_oracle_calls(self) -> int:
-        return sum(r.oracle_calls for r in self.rows)
+        return sum(self.columns["oracle_calls"])
 
     def first_crossing(self, threshold: float) -> Optional[int]:
-        """First curve index within threshold of a mode (len(rows) is the final state)."""
+        """First curve index within threshold of a mode (iterations is the final state)."""
         return next((i for i, d in enumerate(self.curve) if d <= threshold), None)
 
     def metrics_table(self) -> tuple[tuple[str, ...], list[tuple]]:
-        """metrics.csv's header and rows, a row's fields in declaration order."""
-        return METRICS_CSV_HEADER, [tuple(vars(r).values()) for r in self.rows]
+        """metrics.csv's header and rows."""
+        return METRICS_CSV_HEADER, list(zip(*self.columns.values()))
 
     def write_metrics_csv(self, path) -> None:
         write_csv(path, *self.metrics_table())
@@ -199,9 +189,9 @@ def init_state(generator, cfg: DistillConfig) -> DistillState:
 
 def distill_step(state: DistillState, oracle: MixtureOracle,
                  schedule: NoiseSchedule, cfg: DistillConfig,
-                 iter_index: int, entering: np.ndarray) -> LogRow:
+                 iter_index: int, entering: np.ndarray) -> None:
     """One optimisation step from entering, the canonical render of its
-    parameters; appends and returns its log row.
+    parameters; appends one entry to each column of the run's log.
 
     It logs entering's mode distance (row 0: the initial parameters'); with
     zero jitter entering is every view's x0, which objectives only read. A
@@ -235,15 +225,15 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
         loss_proxy += float(squared_distances(x0, report.pseudo_gt))
     loss_proxy /= cfg.view_batch
 
-    row = LogRow(iter=iter_index, t=t, delta_t=delta_t, grad_norm=norm(grad_theta),
-                 oracle_calls=calls, loss_proxy=loss_proxy, mode_distance=entering_distance,
-                 wall_time=time.perf_counter() - state.started)
-    state.log.rows.append(row)
-    if not math.isfinite(row.grad_norm) and not np.logical_and.reduce(np.isfinite(grad_theta)):
+    grad_norm = norm(grad_theta)
+    row = (iter_index, t, delta_t, grad_norm, calls, loss_proxy, entering_distance,
+           time.perf_counter() - state.started)  # in METRICS_CSV_HEADER's order
+    for column, value in zip(state.log.columns.values(), row):
+        column.append(value)
+    if not math.isfinite(grad_norm) and not np.logical_and.reduce(np.isfinite(grad_theta)):
         raise NumericalError(f"non-finite gradient at iteration {iter_index}, t={t}")
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))
-    return row
 
 
 def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
@@ -252,7 +242,7 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
 
     Each parameter state is rendered once on the canonical view; that render
     enters the step from it and is the state's snapshot, if any, or final. A
-    NumericalError carries the rows logged up to the failure as ``log`` and
+    NumericalError carries the columns logged up to the failure as ``log`` and
     names the run (objective, seed, interval, stride). numpy's overflow and
     invalid-value warnings are the caller's to silence, as the CLI does for
     every kind.

@@ -1,9 +1,11 @@
 import csv
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ismlab import (
     AdamOptimizer,
@@ -22,7 +24,6 @@ from ismlab import (
 )
 from ismlab.distill import (
     METRICS_CSV_HEADER,
-    LogRow,
     current_interval,
     distill_step,
     init_state,
@@ -84,9 +85,9 @@ def test_fixed_point_run_is_stationary(schedule):
     gen = IdentityLatent([0.6, -0.3])
     log = run_distillation(gen, oracle, schedule, cfg)
     assert np.linalg.norm(gen.get_params() - np.array([0.6, -0.3])) < 1e-3
-    assert all(r.grad_norm < 1e-4 for r in log.rows)
+    assert all(g < 1e-4 for g in log.columns["grad_norm"])
     # the very first update moves the parameters by far less than a full step
-    first_move = np.abs(log.rows[0].grad_norm)
+    first_move = np.abs(log.columns["grad_norm"][0])
     assert first_move < cfg.optimizer.step_size * 1e-4
 
 
@@ -95,10 +96,11 @@ def test_view_batch_accumulates_linearly(bimodal, schedule):
     gen2 = IdentityLatent([0.2, 0.1])
     state1 = init_state(gen1, base_config(view_batch=1))
     state2 = init_state(gen2, base_config(view_batch=2))
-    row1 = distill_step(state1, bimodal, schedule, base_config(view_batch=1), 0, gen1.render())
-    row2 = distill_step(state2, bimodal, schedule, base_config(view_batch=2), 0, gen2.render())
-    assert row2.t == row1.t
-    assert row2.grad_norm == pytest.approx(2 * row1.grad_norm, rel=1e-12)
+    distill_step(state1, bimodal, schedule, base_config(view_batch=1), 0, gen1.render())
+    distill_step(state2, bimodal, schedule, base_config(view_batch=2), 0, gen2.render())
+    one, two = state1.log.columns, state2.log.columns
+    assert two["t"] == one["t"]
+    assert two["grad_norm"][0] == pytest.approx(2 * one["grad_norm"][0], rel=1e-12)
 
 
 @pytest.mark.parametrize("view_batch", [1, 2])
@@ -120,7 +122,7 @@ def test_view_stream_draws_one_seed_per_view(bimodal, schedule, view_batch, jitt
 def test_zero_iterations_leaves_parameters(bimodal, schedule):
     gen = IdentityLatent([0.3, 0.3])
     log = run_distillation(gen, bimodal, schedule, base_config(iterations=0))
-    assert log.rows == []
+    assert all(column == [] for column in log.columns.values())
     assert np.array_equal(gen.get_params(), [0.3, 0.3])
 
 
@@ -130,8 +132,8 @@ def test_runs_are_reproducible(bimodal, schedule):
         gens.append(IdentityLatent([0.0, 0.0]))
         logs.append(run_distillation(gens[-1], bimodal, schedule, base_config(objective="sds")))
     a, b = logs
-    assert [r.t for r in a.rows] == [r.t for r in b.rows]
-    assert [r.grad_norm for r in a.rows] == [r.grad_norm for r in b.rows]
+    assert a.columns["t"] == b.columns["t"]
+    assert a.columns["grad_norm"] == b.columns["grad_norm"]
     assert np.array_equal(gens[0].get_params(), gens[1].get_params())
 
 
@@ -141,13 +143,13 @@ def test_matched_seeds_share_timesteps(bimodal, schedule):
         gen = IdentityLatent([0.0, 0.0])
         logs[objective] = run_distillation(gen, bimodal, schedule,
                                            base_config(objective=objective))
-    assert [r.t for r in logs["ism"].rows] == [r.t for r in logs["sds"].rows]
+    assert logs["ism"].columns["t"] == logs["sds"].columns["t"]
 
 
 def test_logged_interval_anneals(bimodal, schedule):
     gen = IdentityLatent([0.1, 0.1])
     log = run_distillation(gen, bimodal, schedule, base_config(iterations=30))
-    deltas = [r.delta_t for r in log.rows]
+    deltas = log.columns["delta_T"]
     assert deltas[0] == 200 and deltas[-1] == 50
     assert all(b <= a for a, b in zip(deltas, deltas[1:]))
 
@@ -155,7 +157,7 @@ def test_logged_interval_anneals(bimodal, schedule):
 def test_wall_time_non_decreasing(bimodal, schedule):
     gen = IdentityLatent([0.1, 0.1])
     log = run_distillation(gen, bimodal, schedule, base_config(iterations=10))
-    times = [r.wall_time for r in log.rows]
+    times = log.columns["wall_time"]
     assert all(b >= a for a, b in zip(times, times[1:]))
 
 
@@ -166,15 +168,15 @@ def test_first_crossing_semantics(bimodal, schedule):
     assert log.first_crossing(10.0) == 0
     assert log.first_crossing(-1.0) is None
     # a final state closer than every entering state is the only crossing below them
-    closest = min(r.mode_distance for r in log.rows)
-    only_final = RunLog(rows=log.rows, final_mode_distance=closest / 2)
-    assert only_final.first_crossing(closest / 2) == len(log.rows)
+    closest = min(log.columns["nearest_mode_distance"])
+    only_final = RunLog(columns=log.columns, final_mode_distance=closest / 2)
+    assert only_final.first_crossing(closest / 2) == len(log.columns["iter"])
 
 
 def test_curve_is_the_entering_distances_then_the_final_one(bimodal, schedule):
     log = run_distillation(IdentityLatent([0.0, 0.0]), bimodal, schedule,
                            base_config(iterations=5, snapshot_every=2))
-    assert log.curve == [r.mode_distance for r in log.rows] + [log.final_mode_distance]
+    assert log.curve == log.columns["nearest_mode_distance"] + [log.final_mode_distance]
     assert log.frames == {}  # a latent is not an image
     empty = run_distillation(IdentityLatent([0.0, 0.0]), bimodal, schedule,
                              base_config(iterations=0))
@@ -261,7 +263,7 @@ def test_finite_gradient_whose_norm_overflows_is_accepted(bimodal, schedule):
     with np.errstate(over="ignore"):  # as the CLI runs it: the norm reports the overflow
         log = run_distillation(HugeGenerator([0.1, 0.1]), bimodal, schedule,
                                base_config(iterations=1))
-        assert log.rows[0].grad_norm == math.inf
+        assert log.columns["grad_norm"][0] == math.inf
         gen = HugeGenerator([0.1, 0.1])
         gen.fill = np.nan
         with pytest.raises(NumericalError, match="non-finite gradient at iteration 0"):
@@ -277,7 +279,7 @@ def test_numerical_error_carries_logged_rows(bimodal, schedule):
     with pytest.raises(NumericalError) as info:
         run_distillation(gen, bimodal, schedule, base_config(iterations=3))
     # the diagnostic row of the failing iteration is logged before the abort
-    assert [r.iter for r in info.value.log.rows] == [0]
+    assert info.value.log.columns["iter"] == [0]
 
 
 def test_metrics_csv_schema(tmp_path, bimodal, schedule):
@@ -291,28 +293,71 @@ def test_metrics_csv_schema(tmp_path, bimodal, schedule):
     assert len(rows) == 5
 
 
-def test_metrics_csv_matches_the_astuple_writer_bitwise(tmp_path):
-    """Rows written field by field, without dataclasses.astuple's deep copy,
-    give the same bytes: csv writes the same objects either way."""
-    rng = np.random.default_rng(8)
-    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
-    log = RunLog()
-    for i in range(300):
-        floats = [float(v) for v in rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4)]
-        floats[int(rng.integers(4))] = specials[i % len(specials)]
-        if i % 3 == 0:
-            floats[int(rng.integers(4))] = np.float64(floats[0])
-        calls = int(rng.integers(0, 50)) if i % 2 else np.int64(rng.integers(0, 50))
-        log.rows.append(LogRow(iter=i, t=int(rng.integers(1, 1001)),
-                               delta_t=int(rng.integers(1, 200)), grad_norm=floats[0],
-                               oracle_calls=calls, loss_proxy=floats[1],
-                               mode_distance=floats[2], wall_time=floats[3]))
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+metric_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+metric_floats = st.one_of(metric_floats, metric_floats.map(np.float64))
+metric_ints = st.integers(0, 50)
+metric_rows = st.tuples(st.integers(0, 2 ** 24), st.integers(1, 1000), st.integers(1, 200),
+                        metric_floats, st.one_of(metric_ints, metric_ints.map(np.int64)),
+                        metric_floats, metric_floats, metric_floats)
+# 300 rows through every special float, in every float column, as plain and numpy scalars
+SPECIAL_ROWS = [(i, 1 + i % 1000, 1 + i % 200, f, np.int64(i % 50) if i % 2 else i % 50,
+                 np.float64(f), SPECIAL_FLOATS[(i + 3) % 7], np.float64(SPECIAL_FLOATS[i // 7 % 7]))
+                for i, f in enumerate(SPECIAL_FLOATS[i % 7] for i in range(300))]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(metric_rows, max_size=300), final=metric_floats, threshold=st.floats())
+@example(rows=SPECIAL_ROWS, final=math.nan, threshold=0.0)
+def test_the_record_is_its_rows_columns(tmp_path, rows, final, threshold):
+    """A record holding the columns of some rows writes metrics.csv as
+    csv.writer writes those rows, and reads its curve, first crossing and
+    oracle calls from them; numpy scalars and special floats included."""
+    log = RunLog(columns={name: [row[k] for row in rows]
+                          for k, name in enumerate(METRICS_CSV_HEADER)},
+                 final_mode_distance=final)
     log.write_metrics_csv(tmp_path / "metrics.csv")
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_CSV_HEADER)
-        writer.writerows(astuple(r) for r in log.rows)
+        writer.writerows(rows)
     assert (tmp_path / "metrics.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    curve = [row[6] for row in rows] + [final]
+    assert log.curve == curve  # the same objects, so a NaN entry equals itself
+    assert log.first_crossing(threshold) == min(
+        (i for i, d in enumerate(curve) if d <= threshold), default=None)
+    assert log.total_oracle_calls() == sum(row[4] for row in rows)
+
+
+def test_a_failed_run_keeps_the_rows_of_the_run_stopped_before_it(bimodal, schedule):
+    """A gradient that turns infinite at iteration 2 leaves three entries in
+    every column: its diagnostic row after the two rows, bit for bit apart
+    from wall time, of the same run for 2 iterations (a constant interval
+    makes that run a prefix of the longer one)."""
+    class FailsOnThirdBackward(IdentityLatent):
+        backwards = 0
+
+        def backward(self, view, grad_output):
+            self.backwards += 1
+            grad = super().backward(view, grad_output)
+            return grad if self.backwards < 3 else np.full_like(grad, np.inf)
+
+    cfg = base_config(iterations=5, delta_t_start=100, delta_t_end=100)
+    with pytest.raises(NumericalError, match="non-finite gradient at iteration 2") as info:
+        run_distillation(FailsOnThirdBackward([0.1, 0.1]), bimodal, schedule, cfg)
+    log = info.value.log
+    assert [len(column) for column in log.columns.values()] == [3] * len(METRICS_CSV_HEADER)
+    assert log.columns["grad_norm"][2] == math.inf
+    short = run_distillation(IdentityLatent([0.1, 0.1]), bimodal, schedule,
+                             replace(cfg, iterations=2))
+    wall = METRICS_CSV_HEADER.index("wall_time")
+
+    def bits(rows):
+        return [[np.float64(v).tobytes() for k, v in enumerate(row) if k != wall]
+                for row in rows]
+
+    assert bits(log.metrics_table()[1][:2]) == bits(short.metrics_table()[1])
 
 
 def test_hand_built_config_with_an_unknown_objective_fails_loudly(bimodal, schedule):
