@@ -212,8 +212,9 @@ def build_guidance(cfg: dict) -> GuidanceSpec:
 
 
 VIEW = {"width": (16, SIZE), "height": (16, SIZE)}
-JITTER = {"rotation_max": (0.0, positive(float, 0, True)), "zoom_min": (1.0, positive(float)),
-          "zoom_max": (1.0, positive(float)), "shift_max": (0.0, positive(float, 0, True))}
+JITTER_RANGE = positive(float, 0, True, 2.0 ** 1023)  # rng.uniform(-r, r) needs a finite 2 * r
+JITTER = {"rotation_max": (0.0, JITTER_RANGE), "zoom_min": (1.0, positive(float)),
+          "zoom_max": (1.0, positive(float)), "shift_max": (0.0, JITTER_RANGE)}
 
 
 def build_jitter(cfg: dict) -> ViewJitterSpec:

@@ -317,7 +317,7 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
             if dt > t:
                 continue
             pieces = interval_pieces(oracle, sch, x0, t, dt, g)
-            bias, residual, naive = pieces.bias(), pieces.decomposition(), pieces.naive()
+            bias, residual, naive = pieces.bias(), pieces.gap, pieces.naive()
             # scaled interval score recovered from the exact decomposition
             interval_norm = float(np.linalg.norm(x0 - naive.pseudo_gt - bias))
             eta_norm = float(np.linalg.norm(bias))
@@ -480,14 +480,14 @@ def gradient_forms_check(oracle: MixtureOracle, schedule: NoiseSchedule,
 
 def decomposition_sweep_check(oracle: MixtureOracle, schedule: NoiseSchedule,
                               g: GuidanceSpec, seed: int = 0) -> float:
-    """Max interval_pieces decomposition residual over 50 random (x0, t, interval)."""
+    """Max interval_pieces gap over 50 random (x0, t, interval)."""
     rng = np.random.default_rng(seed)
     errs = []
     for _ in range(50):
         x0 = rng.uniform(-2.0, 2.0, size=oracle.dim)
         dt = int(rng.choice([10, 25, 50, 100]))
         t = int(rng.integers(dt, min(950, schedule.num_steps) + 1))
-        errs.append(interval_pieces(oracle, schedule, x0, t, dt, g).decomposition())
+        errs.append(interval_pieces(oracle, schedule, x0, t, dt, g).gap)
     return float(np.max(errs))
 
 

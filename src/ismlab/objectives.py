@@ -11,10 +11,10 @@ Three objectives produce an update direction for a rendered view x0:
     stride, matching x0 against the multi-step clean estimate. Expensive; its
     gap from the pure interval score is the multistep bias series.
 
-The bias admits two independent evaluations (a residual and an explicit
-telescoping series over the shared inversion/denoising grid); their agreement
-is the machine-checkable form of the decomposition underlying the interval
-objective, exposed as interval_pieces(...).decomposition().
+The multi-step direction is the interval score plus a telescoping bias series
+over the shared inversion/denoising grid; the norm by which that identity
+fails, interval_pieces(...).gap, is its machine-checkable form, and bias()
+raises when it exceeds 1e-9.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def ism_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
 @dataclass(frozen=True, eq=False)
 class _IntervalPieces:
     """Shared intermediates of the multi-step objective on the common grid, as
-    interval_pieces walks them; naive, bias and decomposition read them."""
+    interval_pieces walks them; naive, gap and bias read them."""
 
     schedule: NoiseSchedule
     x0: np.ndarray
@@ -132,26 +132,24 @@ class _IntervalPieces:
         return GradientReport(grad_x0=w * (self.x0 - self.x0_tilde), pseudo_gt=self.x0_tilde,
                               oracle_calls=self.oracle_calls)
 
-    def bias(self) -> np.ndarray:
-        """(x0 - x0_tilde) - gamma(t) * interval, the residual separating the
-        multi-step objective from the interval score; raises DecompositionError
-        if it and the telescoping series disagree by more than 1e-9 or by NaN (a
-        broken trajectory invariant, or a schedule too steep for doubles)."""
-        t, s = self.grid[-1], self.grid[-2]
-        residual = (self.x0 - self.x0_tilde) - self.schedule.nsr[t] * self.interval
-        gap = float(np.linalg.norm(residual - self.series))
-        if not gap <= 1e-9:
-            raise DecompositionError(f"bias residual and series evaluation disagree by "
-                                     f"{gap:.3e} at t={t}, delta_T={t - s}")
-        return residual
-
-    def decomposition(self) -> float:
+    @cached_property
+    def gap(self) -> float:
         """Norm of (x0 - x0_tilde) - (gamma(t) * interval + series), the identity
         that the multi-step direction is the interval score plus the telescoping
         bias; below 1e-9 in double precision for all valid inputs."""
-        lhs = self.x0 - self.x0_tilde
         rhs = self.schedule.nsr[self.grid[-1]] * self.interval + self.series
-        return float(np.linalg.norm(lhs - rhs))
+        return float(np.linalg.norm((self.x0 - self.x0_tilde) - rhs))
+
+    def bias(self) -> np.ndarray:
+        """(x0 - x0_tilde) - gamma(t) * interval, the residual separating the
+        multi-step objective from the interval score; raises DecompositionError
+        if gap exceeds 1e-9 or is NaN (a broken trajectory invariant, or a
+        schedule too steep for doubles)."""
+        t, s = self.grid[-1], self.grid[-2]
+        if not self.gap <= 1e-9:
+            raise DecompositionError(f"bias residual and series evaluation disagree by "
+                                     f"{self.gap:.3e} at t={t}, delta_T={t - s}")
+        return (self.x0 - self.x0_tilde) - self.schedule.nsr[t] * self.interval
 
 
 def interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,

@@ -27,22 +27,17 @@ from .schedule import NoiseSchedule
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A deterministic walk over a timestep grid: the visited timesteps
-    (ascending for an inversion, descending for a denoising walk), the latent
-    at each, and the epsilon-prediction evaluated at each node that was
+    """A deterministic walk over a timestep grid that its caller holds
+    (ascending for an inversion, descending for a denoising walk): the latent
+    at each node, and the epsilon-prediction evaluated at each node that was
     stepped away from.
 
-    eps_cache[i] was evaluated at (latents[i], timesteps[i]) and produced
+    eps_cache[i] was evaluated at latents[i] and the i-th node, and produced
     latents[i + 1]; callers read the final entries without re-evaluation.
     """
 
-    timesteps: tuple[int, ...]
     latents: tuple[np.ndarray, ...]
     eps_cache: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.timesteps) != len(self.latents) or len(self.eps_cache) != len(self.latents) - 1:
-            raise ValueError("trajectory lengths inconsistent")
 
 
 def hop(schedule: NoiseSchedule, x, t_from: int, t_to: int, eps) -> np.ndarray:
@@ -86,7 +81,7 @@ def _walk(schedule: NoiseSchedule, x, nodes: list[int], predict, cond) -> Trajec
         x = _hop(schedule, x, a, b, eps)
         cache.append(eps)
         latents.append(x)
-    return Trajectory(tuple(nodes), tuple(latents), tuple(cache))
+    return Trajectory(tuple(latents), tuple(cache))
 
 
 def inversion_grid(t: int, stride: int) -> list[int]:

@@ -171,6 +171,20 @@ def test_eta_sweep_without_a_runnable_cell_is_a_one_line_config_error(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, code", [("jitter.rotation_max", 0), ("jitter.shift_max", 3)])
+def test_largest_jitter_range_runs_to_its_end(tmp_path, capsys, key, code):
+    """The largest range below 2^1023 is accepted: a rotation that large
+    runs, and a shift that large moves the scene out of any finite render,
+    a one-line numerical error."""
+    cfg = tweak_config(tmp_path, "distill_splats.json",
+                       **{key: math.nextafter(2 ** 1023, 0), "distill.iterations": 5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.startswith("numerical error: ") and err.count("\n") == 1
+
+
 def test_template_sigma_too_large_to_square_gives_the_flat_template(tmp_path):
     flat = gaussian_blob_template(16, 16, 1, (0.45, 0.0), 1e300, 0.9)
     assert flat.tobytes() == np.full(256, 0.9).tobytes()
@@ -480,6 +494,10 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("consistency.json", "consistency", "experiment.noise_draws", 2 ** 23),
     ("distill_identity.json", "distill", "distill.iterations", 1e300),
     ("race.json", "race", "distill.view_batch", 1e300),
+    ("distill_splats.json", "distill", "jitter.rotation_max", 2.0 ** 1023),
+    ("distill_splats.json", "race", "jitter.rotation_max", 1e308),
+    ("distill_splats.json", "interval-sweep", "jitter.shift_max", 2.0 ** 1023),
+    ("distill_splats.json", "distill", "jitter.shift_max", 1e308),
 ])
 def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     """A wrong-typed or out-of-range value, an unknown guidance label or
@@ -489,7 +507,8 @@ def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     size numpy cannot allocate is refused before allocation, as is a value
     too large to square, a schedule whose alpha_bar_T underflows to 0,
     weights whose sum overflows, a color outside [0, 1], a zoom too small
-    to solve a view for and a run size that would never end."""
+    to solve a view for, a run size that would never end and a jitter range
+    whose width 2 * r, drawn from by rng.uniform(-r, r), overflows."""
     cfg = tweak_config(tmp_path, name, **{key: value})
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,18 @@ from ismlab import (
     DecompositionError,
     GuidanceSpec,
     MixtureOracle,
+    hop,
     interval_pieces,
     ism_gradient,
+    make_schedule,
     naive_gradient,
     sds_gradient,
 )
+
+# constant beta 0.1: gamma(t) passes 3e6 at t = 284 and 1e9 at t = 394, so the
+# gap of a double-precision multi-step estimate, which grows as gamma(t) * 2^-53,
+# often exceeds 1e-9
+STEEP = make_schedule(1000, 0.1, 0.1)
 
 
 def test_sds_zero_at_fixed_point(point_oracle, schedule):
@@ -172,7 +180,7 @@ def test_single_interval_collapse(mixture3, schedule, guide_a):
     t = 400
     pieces = interval_pieces(mixture3, schedule, x0, t, t, guide_a)
     assert np.linalg.norm(pieces.bias()) < 1e-12
-    assert pieces.decomposition() < 1e-12
+    assert pieces.gap < 1e-12
     # the update equals the loss weight times the interval score exactly
     report = naive_gradient(mixture3, schedule, x0, t, t, guide_a)
     xt = schedule.sab[t] * x0
@@ -202,7 +210,7 @@ def test_bias_residual_matches_series(mixture3, schedule, guide_a):
         t = int(rng.integers(dt, 951))
         pieces = interval_pieces(mixture3, schedule, x0, t, dt, guide_a)
         assert np.isfinite(pieces.bias()).all()
-        assert pieces.decomposition() < 1e-9
+        assert pieces.gap < 1e-9
 
 
 def test_decomposition_sweep(mixture3, schedule, guide_a):
@@ -212,7 +220,7 @@ def test_decomposition_sweep(mixture3, schedule, guide_a):
         x0 = rng.uniform(-2, 2, size=2)
         dt = int(rng.choice([10, 25, 50, 100]))
         t = int(rng.integers(dt, 951))
-        worst = max(worst, interval_pieces(mixture3, schedule, x0, t, dt, guide_a).decomposition())
+        worst = max(worst, interval_pieces(mixture3, schedule, x0, t, dt, guide_a).gap)
     assert worst < 1e-9
 
 
@@ -243,11 +251,25 @@ def decomposition_cases(draw):
 @given(case=decomposition_cases())
 def test_decomposition_identity_property(schedule, case):
     # the multi-step direction is the interval score plus the telescoping
-    # bias series; bias() raises if its two evaluations disagree
+    # bias series; gap is the norm of the identity's failure, evaluated once
+    # in that summation order, and bias() raises exactly when it is not
+    # within 1e-9. On a steep schedule both outcomes occur.
     o, x0, t, dt, g = case
-    pieces = interval_pieces(o, schedule, x0, t, dt, g)
-    assert pieces.decomposition() <= 1e-9
-    pieces.bias()
+    for sch in (schedule, STEEP):
+        pieces = interval_pieces(o, sch, x0, t, dt, g)
+        assert "gap" not in vars(pieces)
+        gap = pieces.gap
+        lhs = x0 - pieces.x0_tilde
+        assert gap == float(np.linalg.norm(lhs - (sch.nsr[t] * pieces.interval + pieces.series)))
+        if sch is schedule:
+            assert gap <= 1e-9
+        if gap <= 1e-9:
+            assert np.array_equal(pieces.bias(), lhs - sch.nsr[t] * pieces.interval)
+        else:
+            message = re.escape(f"disagree by {gap:.3e} at t={t}, ")
+            with pytest.raises(DecompositionError, match=message):
+                pieces.bias()
+        assert pieces.gap is gap
 
 
 def test_precondition_errors(mixture3, schedule, guide_a):
@@ -274,8 +296,11 @@ def test_a_denoising_walk_off_the_inversion_grid_fails_the_series_check(
 
     monkeypatch.setattr(objectives, "denoise_path", skewed)
     pieces = interval_pieces(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a)
-    assert len(pieces.deno.timesteps) == len(pieces.grid)
-    assert pieces.deno.timesteps != tuple(reversed(pieces.grid))
+    deno, nodes = pieces.deno, pieces.grid[::-1]
+    assert len(deno.latents) == len(pieces.grid)
+    # its first hop, 300 -> 249, is not the grid's 300 -> 250
+    assert not np.array_equal(hop(schedule, deno.latents[0], *nodes[:2], deno.eps_cache[0]),
+                              deno.latents[1])
     with pytest.raises(DecompositionError, match="disagree"):
         pieces.bias()
 
@@ -292,13 +317,17 @@ def test_bias_raises_on_a_nan_gap(mixture3, schedule, guide_a):
 
 
 def test_interval_pieces_evaluate_the_series_once(mixture3, schedule, guide_a):
-    """The pieces hold their schedule; bias and decomposition read one
-    telescoping series and give what a second walk's pieces give."""
+    """The pieces hold their schedule; gap and bias read one telescoping
+    series and give what a second walk's pieces give, and bias reads the
+    cached gap."""
     x0 = np.array([0.3, -0.2])
     pieces = interval_pieces(mixture3, schedule, x0, 300, 40, guide_a)
     again = interval_pieces(mixture3, schedule, x0, 300, 40, guide_a)
     bias = pieces.bias()
     series = pieces.series
-    assert pieces.decomposition() == again.decomposition()
+    assert pieces.gap == again.gap
     assert pieces.series is series
     assert np.array_equal(bias, again.bias())
+    vars(again)["gap"] = math.nan
+    with pytest.raises(DecompositionError, match="disagree by nan"):
+        again.bias()

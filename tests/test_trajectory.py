@@ -18,12 +18,12 @@ from ismlab import (
 from ismlab.trajectory import denoise_path, descent_grid, hop, inversion_grid, invert_along
 
 
-def replay_error(traj, schedule) -> float:
-    """Max deviation of stored latents from re-applying the hop recursion."""
+def replay_error(traj, nodes, schedule) -> float:
+    """Max deviation of stored latents from re-applying the hop recursion
+    along the given nodes."""
     worst = 0.0
     for i in range(len(traj.eps_cache)):
-        nxt = hop(schedule, traj.latents[i], traj.timesteps[i],
-                  traj.timesteps[i + 1], traj.eps_cache[i])
+        nxt = hop(schedule, traj.latents[i], nodes[i], nodes[i + 1], traj.eps_cache[i])
         worst = max(worst, float(np.abs(nxt - traj.latents[i + 1]).max()))
     return worst
 
@@ -92,13 +92,16 @@ def test_walks_match_reference_loops(mixture3, schedule, guide_a):
         up = invert_along(mixture3, schedule, x, inversion_grid(t, stride))
         ref = reference_walk(schedule, x, t, -stride,
                              lambda y, a: mixture3.eps_predict(schedule, y, a))
-        assert up.timesteps == ref[0] == tuple(inversion_grid(t, stride))
+        assert ref[0] == tuple(inversion_grid(t, stride))
+        assert replay_error(up, ref[0], schedule) == 0.0 and len(up.eps_cache) == len(ref[0]) - 1
         assert all(np.array_equal(a, b) for a, b in zip(up.latents, ref[1], strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(up.eps_cache, ref[2], strict=True))
         down = denoise_path(mixture3, schedule, x, t, stride, guide_a)
         ref = reference_walk(schedule, x, t, stride,
                              lambda y, a: mixture3.eps_guided(schedule, y, a, guide_a))
-        assert down.timesteps == ref[0] == tuple(descent_grid(t, stride))[::-1]
+        assert ref[0] == tuple(descent_grid(t, stride))[::-1]
+        assert replay_error(down, ref[0], schedule) == 0.0
+        assert len(down.eps_cache) == len(ref[0]) - 1
         assert all(np.array_equal(a, b) for a, b in zip(down.latents, ref[1], strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(down.eps_cache, ref[2], strict=True))
 
@@ -106,7 +109,7 @@ def test_walks_match_reference_loops(mixture3, schedule, guide_a):
 def test_single_hop_inversion_scales_input(mixture3, schedule):
     x0 = np.array([0.4, -0.7])
     traj = invert_along(mixture3, schedule, x0, inversion_grid(150, 150))
-    assert traj.timesteps == (0, 150)
+    assert replay_error(traj, (0, 150), schedule) == 0.0 and len(traj.eps_cache) == 1
     # prediction at the clean boundary is zero, so one hop just rescales
     assert np.array_equal(traj.latents[1], schedule.sab[150] * x0)
 
@@ -114,7 +117,7 @@ def test_single_hop_inversion_scales_input(mixture3, schedule):
 def test_inversion_stays_on_mode(point_oracle, schedule):
     mu = np.array([0.6, -0.3])
     traj = invert_along(point_oracle, schedule, mu, inversion_grid(600, 200))
-    for t, x in zip(traj.timesteps, traj.latents):
+    for t, x in zip(inversion_grid(600, 200), traj.latents, strict=True):
         assert np.abs(x - schedule.sab[t] * mu).max() < 1e-6
 
 
@@ -192,19 +195,16 @@ def test_transport_is_deterministic(mixture3, schedule, guide_a):
 
 
 def test_replay_detects_tampering(mixture3, schedule):
-    traj = invert_along(mixture3, schedule, np.array([0.4, 0.4]), inversion_grid(300, 100))
-    assert replay_error(traj, schedule) == 0.0
-    bad = Trajectory(
-        traj.timesteps,
-        traj.latents[:-1] + (traj.latents[-1] + 1e-3,),
-        traj.eps_cache,
-    )
-    assert replay_error(bad, schedule) > 1e-4
+    nodes = inversion_grid(300, 100)
+    traj = invert_along(mixture3, schedule, np.array([0.4, 0.4]), nodes)
+    assert replay_error(traj, nodes, schedule) == 0.0
+    bad = Trajectory(traj.latents[:-1] + (traj.latents[-1] + 1e-3,), traj.eps_cache)
+    assert replay_error(bad, nodes, schedule) > 1e-4
 
 
 def test_denoise_path_grid_matches_descent(mixture3, schedule, guide_a):
     path = denoise_path(mixture3, schedule, np.array([0.9, 0.2]), 450, 200, guide_a)
-    assert path.timesteps == (450, 250, 50, 0)
+    assert replay_error(path, (450, 250, 50, 0), schedule) == 0.0
     assert len(path.eps_cache) == 3
 
 
@@ -212,11 +212,9 @@ def test_inversion_and_denoising_share_one_type(mixture3, schedule, guide_a):
     up = invert_along(mixture3, schedule, np.array([0.1, 0.2]), inversion_grid(400, 100))
     down = denoise_path(mixture3, schedule, up.latents[-1], 400, 100, guide_a)
     assert type(up) is Trajectory and type(down) is Trajectory
-    assert up.timesteps == (0, 100, 200, 300, 400)
-    assert down.timesteps == up.timesteps[::-1]
-    assert replay_error(up, schedule) == 0.0 and replay_error(down, schedule) == 0.0
-    with pytest.raises(ValueError, match="inconsistent"):
-        Trajectory(up.timesteps, up.latents, up.eps_cache[:-1])
+    nodes = (0, 100, 200, 300, 400)
+    assert replay_error(up, nodes, schedule) == 0.0 and len(up.eps_cache) == 4
+    assert replay_error(down, nodes[::-1], schedule) == 0.0 and len(down.eps_cache) == 4
 
 
 def test_bad_arguments_raise(mixture3, schedule):

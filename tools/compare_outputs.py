@@ -2,11 +2,11 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 16 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs the 17 runs of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
 reads a copy of its config with those dotted keys set; the first two such
-runs succeed, and the other three fail with exit codes 3, 2 and 1.
+runs succeed, and the other four fail with exit codes 3, 2, 2 and 1.
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
 and the wall-time entry (the last) of each ``interval_sweep`` report row are
@@ -32,9 +32,11 @@ HERE = Path(__file__).resolve().parent.parent
 # (kind, config, overrides): the 8 shipped configs under their kinds, the
 # splat scene under three more kinds that render a generator, a short jittered
 # splat run whose last snapshot is its final state, a race too short for any
-# run to cross its threshold, then three failing runs: a numerical error that
+# run to cross its threshold, then four failing runs: a numerical error that
 # leaves a partial metrics.csv (exit 3), a failed decomposition check on a
-# steep schedule (exit 2) and an unknown key (exit 1)
+# steep schedule (exit 2), the decomposition gradcheck on that schedule, whose
+# reported error differs between the identity's two summation orders (exit 2),
+# and an unknown key (exit 1)
 RUNS = (
     ("consistency", "consistency.json", {}),
     ("quality", "quality.json", {}),
@@ -52,6 +54,7 @@ RUNS = (
     ("race", "race.json", {"distill.iterations": 20}),
     ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}),
     ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
+    ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
     ("race", "race.json", {"distill.unknown_key": 1}),
 )
 
