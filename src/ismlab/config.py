@@ -145,19 +145,16 @@ def build_schedule(cfg: dict) -> NoiseSchedule:
 
 def gaussian_blob_template(width: int, height: int, channels: int,
                            center, sigma: float, peak: float) -> np.ndarray:
-    """Flat image of an isotropic blob over the canonical [-1, 1]^2 square;
-    used to define image-space mixture components from compact configs.
-    A sigma too large to square (above about 1.3e154) gives the flat limit,
-    every pixel peak."""
+    """Flat image of an isotropic blob over the canonical [-1, 1]^2 square, for
+    image-space mixture components; one formula for every sigma > 0. A square
+    that overflows (sigma above about 1.3e154) gives the flat limit, every pixel
+    peak; one that underflows, the point limit: peak at a pixel on the center, else 0."""
     xs = (np.arange(width) + 0.5) / width * 2.0 - 1.0
     ys = (np.arange(height) + 0.5) / height * 2.0 - 1.0
     gx, gy = np.meshgrid(xs, ys)
     d2 = (gx - center[0]) ** 2 + (gy - center[1]) ** 2
-    try:
-        var = sigma ** 2
-    except OverflowError:
-        var = math.inf
-    img = peak * np.exp(-0.5 * d2 / var)
+    with np.errstate(over="ignore"):  # an infinite square or quotient is the limit above
+        img = peak * np.exp(-0.5 * d2 / max(np.float64(sigma) ** 2, 5e-324))
     return np.repeat(img.ravel()[:, None], channels, axis=1).ravel()
 
 

@@ -151,10 +151,7 @@ class MixtureOracle:
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
         if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise NumericalError("non-finite input point")
-        t = int(t)
-        if not 0 <= t <= schedule.num_steps:
-            raise IndexError(f"timestep {t} outside [0, {schedule.num_steps}]")
-        return x, t, self._select(label)
+        return x, schedule._check_t(t, 0), self._select(label)
 
     def _consts(self, schedule: NoiseSchedule, t: int, terms: _LabelTerms):
         """K-vectors at a checked timestep, memoised by its noise level, from

@@ -185,14 +185,50 @@ def test_largest_jitter_range_runs_to_its_end(tmp_path, capsys, key, code):
     assert err == "" if code == 0 else err.startswith("numerical error: ") and err.count("\n") == 1
 
 
-def test_template_sigma_too_large_to_square_gives_the_flat_template(tmp_path):
-    flat = gaussian_blob_template(16, 16, 1, (0.45, 0.0), 1e300, 0.9)
-    assert flat.tobytes() == np.full(256, 0.9).tobytes()
+FLAT = np.full(256, 0.9)
+POINT = np.where(np.arange(256) == 136, 0.9, 0.0)  # 136: the pixel centred on (0.0625, 0.0625)
+
+
+@pytest.mark.parametrize("sigma, center, expected", [
+    (1e300, (0.45, 0.0), FLAT),  # the square overflows
+    (1e-300, (0.0625, 0.0625), POINT),  # the square underflows to 0
+    (5e-324, (0.0625, 0.0625), POINT),
+    (1e-160, (0.0625, 0.0625), POINT),  # a subnormal square
+    (1e-160, (0.45, 0.0), np.zeros(256)),  # no pixel on the center
+    (1e-100, (1e100, 0.0), np.zeros(256)),  # every quotient overflows
+], ids=["flat", "point", "point-5e-324", "point-subnormal", "off-center", "far-center"])
+def test_template_sigma_at_either_limit_gives_the_limit_template(tmp_path, capsys, sigma,
+                                                                  center, expected):
+    """A width too large to square gives the flat template, one whose square
+    is 0 or subnormal the point template, bit for bit; each builds and runs
+    without a RuntimeWarning."""
+    template = gaussian_blob_template(16, 16, 1, center, sigma, 0.9)
+    assert template.tobytes() == expected.tobytes()
     blob = {"template": "gaussian_blob", "center": [0.45, 0.0]}
     cfg = tweak_config(tmp_path, "distill_splats.json",
                        **{"distill.iterations": 3, "oracle.components": [
-                           {"mean": {**blob, "sigma": 1e300}}, {"mean": blob}]})
-    assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+                           {"mean": {**blob, "center": list(center), "sigma": sigma}},
+                           {"mean": blob}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigma=st.floats(2.0 ** -511, 1.3e154),
+       center=st.lists(st.floats(-1, 1), min_size=2, max_size=2),
+       peak=st.floats(-1e3, 1e3))
+def test_template_is_one_formula_between_the_limits(sigma, center, peak):
+    """Where sigma squares to a normal double, the template is
+    peak * exp(-0.5 * d2 / sigma ** 2) bit for bit, an overflowing quotient
+    taken as its limit."""
+    xs = (np.arange(16) + 0.5) / 16 * 2.0 - 1.0
+    d2 = (xs[None, :] - center[0]) ** 2 + (xs[:, None] - center[1]) ** 2
+    with np.errstate(over="ignore"):
+        expected = peak * np.exp(-0.5 * d2 / sigma ** 2)
+    template = gaussian_blob_template(16, 16, 1, center, sigma, peak)
+    assert template.tobytes() == expected.ravel().tobytes()
 
 
 def test_eta_sweep_outputs(tmp_path):
@@ -724,10 +760,10 @@ def leaf_paths(node, prefix=()):
         yield from leaf_paths(value, prefix + (key,))
 
 
-# (config name, key path, value): -1, 0, 2.5 and 1e300 at every leaf key path
-# of every shipped config, 1,092 cases taking about 14 s in all
+# (config name, key path, value): -1, 0, 2.5, 1e300 and 1e-300 at every leaf key
+# path of every shipped config, 1,365 cases taking about 14 s in all
 RUN_PROBE = [(p.name, keys, value) for p in sorted(CONFIGS.glob("*.json"))
-             for keys in leaf_paths(load_json(p)) for value in (-1, 0, 2.5, 1e300)]
+             for keys in leaf_paths(load_json(p)) for value in (-1, 0, 2.5, 1e300, 1e-300)]
 
 
 class Hung(Exception):
@@ -738,10 +774,11 @@ def hung(signum, frame):
     raise Hung()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=375, deadline=None)
 @given(case=st.sampled_from(RUN_PROBE))
 @example(case=("race.json", ("distill", "iterations"), 1e300))
 @example(case=("race.json", ("distill", "view_batch"), 1e300))
+@example(case=("distill_splats.json", ("oracle", "components", 0, "mean", "sigma"), 1e-300))
 def test_every_accepted_value_runs_or_fails_in_one_line(case):
     """A sample of the run probe: the config with the value at the key path,
     run in process through the config's kind with distill.iterations capped at

@@ -2,11 +2,12 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 17 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs the 18 runs of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
-reads a copy of its config with those dotted keys set; the first two such
-runs succeed, and the other four fail with exit codes 3, 2, 2 and 1.
+reads a copy of its config with those keys set (dotted, ``[i]`` indexing a
+list); the first three such runs succeed, and the other four fail with exit
+codes 3, 2, 2 and 1.
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
 and the wall-time entry (the last) of each ``interval_sweep`` report row are
@@ -32,11 +33,12 @@ HERE = Path(__file__).resolve().parent.parent
 # (kind, config, overrides): the 8 shipped configs under their kinds, the
 # splat scene under three more kinds that render a generator, a short jittered
 # splat run whose last snapshot is its final state, a race too short for any
-# run to cross its threshold, then four failing runs: a numerical error that
-# leaves a partial metrics.csv (exit 3), a failed decomposition check on a
-# steep schedule (exit 2), the decomposition gradcheck on that schedule, whose
-# reported error differs between the identity's two summation orders (exit 2),
-# and an unknown key (exit 1)
+# run to cross its threshold, a splat run toward a point template (a blob width
+# whose square underflows, centred on a pixel), then four failing runs: a
+# numerical error that leaves a partial metrics.csv (exit 3), a failed
+# decomposition check on a steep schedule (exit 2), the decomposition gradcheck
+# on that schedule, whose reported error differs between the identity's two
+# summation orders (exit 2), and an unknown key (exit 1)
 RUNS = (
     ("consistency", "consistency.json", {}),
     ("quality", "quality.json", {}),
@@ -52,6 +54,9 @@ RUNS = (
     ("distill", "distill_splats.json",
      {"jitter.rotation_max": 0.3, "distill.iterations": 60, "distill.snapshot_every": 20}),
     ("race", "race.json", {"distill.iterations": 20}),
+    ("distill", "distill_splats.json",
+     {"oracle.components[0].mean.sigma": 1e-300,
+      "oracle.components[0].mean.center": [0.0625, 0.0625], "distill.iterations": 20}),
     ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}),
     ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
     ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
@@ -60,14 +65,14 @@ RUNS = (
 
 
 def overridden(config: Path, overrides: dict) -> Path:
-    """A copy of config beside it with each dotted key of overrides set; its
-    name ends in the first key's last part."""
+    """A copy of config beside it with each key of overrides set; its name
+    ends in the first key's last part."""
     cfg = json.loads(config.read_text())
     for key, value in overrides.items():
-        *sections, last = key.split(".")
+        *sections, last = key.replace("[", ".").replace("]", "").split(".")
         node = cfg
         for section in sections:
-            node = node.setdefault(section, {})
+            node = node[int(section)] if section.isdigit() else node.setdefault(section, {})
         node[last] = value
     path = config.with_stem(f"{config.stem}_{next(iter(overrides)).rsplit('.', 1)[-1]}")
     path.write_text(json.dumps(cfg, indent=2))
