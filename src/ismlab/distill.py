@@ -30,10 +30,10 @@ from .schedule import NoiseSchedule
 
 # objective name -> its update direction at one view x0 of a step, a function
 # of (step state, oracle, schedule, config, x0, t, delta_t); sds draws its
-# noise from the step's noise stream, ism caps its stride at s = t - delta_t.
+# noise from the step's noise stream.
 OBJECTIVES = {
     "ism": lambda state, oracle, schedule, cfg, x0, t, delta_t: ism_gradient(
-        oracle, schedule, x0, t, delta_t, min(cfg.delta_s, t - delta_t), cfg.guidance),
+        oracle, schedule, x0, t, delta_t, cfg.delta_s, cfg.guidance),
     "sds": lambda state, oracle, schedule, cfg, x0, t, delta_t: sds_gradient(
         oracle, schedule, x0, t, state.rng_noise.standard_normal(x0.shape[0]), cfg.guidance),
     "naive": lambda state, oracle, schedule, cfg, x0, t, delta_t: naive_gradient(

@@ -65,19 +65,18 @@ def ism_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
                  delta_t: int, delta_s: int, g: GuidanceSpec) -> GradientReport:
     """Interval-score update along a deterministic inversion trajectory.
 
-    Inverts x0 to s = t - delta_t with stride delta_s, hops once s -> t, and
-    returns omega(t) * (guided eps at (x_t, t) - unconditional eps at
-    (x_s, s)), the latter read from the inversion cache rather than
-    re-evaluated. Pure in its inputs: repeat calls are bitwise identical.
+    Inverts x0 to s = t - delta_t with stride delta_s (one hop when
+    delta_s >= s), hops once s -> t, and returns omega(t) * (guided eps at
+    (x_t, t) - unconditional eps at (x_s, s)), the latter read from the
+    inversion cache rather than re-evaluated. Pure in its inputs: repeat
+    calls are bitwise identical.
     """
     t = schedule._check_t(t, 1)
-    if not 1 <= delta_t < t:
-        raise ConfigError(f"need 1 <= delta_t < t, got delta_t={delta_t}, t={t}")
-    s = t - delta_t
-    if not 1 <= delta_s <= s:
-        raise ConfigError(f"need 1 <= delta_s <= t - delta_t, got delta_s={delta_s}")
+    if not 1 <= delta_t < t or not delta_s >= 1:
+        raise ConfigError(f"need 1 <= delta_t < t and delta_s >= 1, got delta_t={delta_t}, "
+                          f"t={t}, delta_s={delta_s}")
     before = oracle.eps_evals
-    grid = inversion_grid(s, delta_s) + [t]
+    grid = inversion_grid(t - delta_t, delta_s) + [t]
     traj = invert_along(oracle, schedule, x0, grid)
     eps_s = traj.eps_cache[-1]  # unconditional prediction at (x_s, s)
     eps_t = oracle.eps_guided(schedule, traj.latents[-1], t, g)
@@ -155,10 +154,11 @@ class _IntervalPieces:
 def interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
                     delta_t: int, g: GuidanceSpec) -> _IntervalPieces:
     """Invert x0 up to t and denoise back to 0 with stride delta_t on one grid,
-    keeping both walks for the multi-step decomposition."""
+    keeping both walks for the multi-step decomposition; delta_t >= t is the
+    one interval [0, t]."""
     t = schedule._check_t(t, 1)
-    if not 1 <= delta_t <= t:
-        raise ConfigError(f"need 1 <= delta_t <= t, got delta_t={delta_t}, t={t}")
+    if not delta_t >= 1:
+        raise ConfigError(f"need delta_t >= 1, got delta_t={delta_t}")
     before = oracle.eps_evals
 
     # Inversion and denoising must share nodes for the bias series to
@@ -176,7 +176,7 @@ def naive_gradient(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,
     """Multi-step matching update: omega(t)/gamma(t) * (x0 - multi-step clean
     estimate), with inversion and denoising at the same stride.
 
-    delta_t = t collapses to a single interval, where this equals
+    delta_t >= t collapses to a single interval, where this equals
     omega(t) * interval score exactly. Costs ceil(t / delta_t) * (1 + g)
     oracle evaluations per row, g = 1 guided branch at scale 0 or 1 and 2
     otherwise, which is what the interval objective avoids.

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ismlab import cli
+from ismlab import cli, experiments
 from ismlab.cli import main
 from ismlab.config import (
     build_generator,
@@ -515,7 +515,7 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("race.json", "race", "experiment.seeds", [3]),
     ("race.json", "race", "experiment.seeds", [0, 0]),
     ("interval_sweep.json", "interval-sweep", "experiment.delta_T_values", [10, 5000]),
-    ("gradcheck.json", "gradcheck", "schedule.T", 50),
+    ("gradcheck.json", "gradcheck", "experiment.checks", {"score_fd": 1}),
     ("distill_identity.json", "distill", "schedule.beta_end", 0.99),
     ("distill_identity.json", "distill", "oracle.components",
      [{"weight": 1e308, "mean": [1.0, 0.0]}, {"weight": 1e308, "mean": [-1.0, 0.0]}]),
@@ -534,6 +534,7 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("distill_splats.json", "race", "jitter.rotation_max", 1e308),
     ("distill_splats.json", "interval-sweep", "jitter.shift_max", 2.0 ** 1023),
     ("distill_splats.json", "distill", "jitter.shift_max", 1e308),
+    ("gradcheck.json", "gradcheck", "experiment.checks", "score_fd"),
 ])
 def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     """A wrong-typed or out-of-range value, an unknown guidance label or
@@ -690,13 +691,38 @@ def test_negative_seed_or_no_start_points_is_a_one_line_config_error(
         f"config error: bad value for config key {key}: must be a finite int {bound}, got {bad!r}"]
 
 
-def test_consistency_stride_above_a_timestep_is_a_one_line_config_error(tmp_path, capsys):
-    cfg = tweak_config(tmp_path, "consistency.json",
-                       **{"experiment.t_values": [100, 30], "experiment.delta_S_values": [50]})
-    assert main(["consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "config error: need experiment.delta_S_values[0] <= every experiment.t_values entry "
-        "for consistency, got 50, 30"]
+def test_consistency_stride_above_a_timestep_is_the_one_hop_walk(tmp_path, capsys,
+                                                                  monkeypatch):
+    """delta_S above a t_values entry runs: at that t the ISM targets are
+    the stride-t walk's, bit for bit."""
+    real, targets = experiments.denoise_path, {}
+
+    def spy(oracle, schedule, xt, t, stride, g):
+        traj = real(oracle, schedule, xt, t, stride, g)
+        targets[t, stride] = traj.latents[-1]
+        return traj
+
+    monkeypatch.setattr(experiments, "denoise_path", spy)
+    for t_values, stride in (([100, 30], 50), ([30], 30)):
+        cfg = tweak_config(tmp_path, "consistency.json", **{
+            "experiment.t_values": t_values, "experiment.delta_S_values": [stride]})
+        assert main(["consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    assert targets[30, 50].tobytes() == targets[30, 30].tobytes()
+
+
+@pytest.mark.parametrize("T", [50, 2])
+def test_gradcheck_runs_on_a_schedule_shorter_than_its_intervals(tmp_path, T):
+    """The decomposition check's intervals (up to 100) may exceed every
+    timestep; an interval above t is the one hop [0, t], so all four checks
+    run and pass."""
+    cfg = tweak_config(tmp_path, "gradcheck.json", **{"schedule.T": T})
+    out = tmp_path / "out"
+    assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [(r["check"], r["passed"]) for r in rows] == [
+        ("score_fd", True), ("renderer_fd", True), ("gradient_forms", True),
+        ("decomposition", True)]
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))

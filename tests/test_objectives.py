@@ -272,16 +272,55 @@ def test_decomposition_identity_property(schedule, case):
         assert pieces.gap is gap
 
 
+def same_report(got, want) -> bool:
+    """Two gradient reports agree bit for bit, oracle calls included."""
+    return (got.grad_x0.tobytes() == want.grad_x0.tobytes()
+            and got.pseudo_gt.tobytes() == want.pseudo_gt.tobytes()
+            and got.oracle_calls == want.oracle_calls)
+
+
 def test_precondition_errors(mixture3, schedule, guide_a):
-    x0 = np.zeros(2)
+    """An interval reaching t, a zero stride and t = 0 are refused; a stride
+    above its span (delta_S above s = t - delta_T, delta_T above t) is the
+    one-hop walk of the stride equal to the span, bit for bit."""
+    x0 = np.array([0.3, -0.2])
     with pytest.raises(ConfigError):
         ism_gradient(mixture3, schedule, x0, 100, 100, 10, guide_a)
     with pytest.raises(ConfigError):
-        ism_gradient(mixture3, schedule, x0, 100, 50, 60, guide_a)
+        ism_gradient(mixture3, schedule, x0, 100, 50, 0, guide_a)
     with pytest.raises(ConfigError):
-        naive_gradient(mixture3, schedule, x0, 100, 101, guide_a)
+        naive_gradient(mixture3, schedule, x0, 100, 0, guide_a)
     with pytest.raises(IndexError):
         sds_gradient(mixture3, schedule, x0, 0, np.zeros(2), guide_a)
+    assert same_report(ism_gradient(mixture3, schedule, x0, 100, 50, 60, guide_a),
+                       ism_gradient(mixture3, schedule, x0, 100, 50, 50, guide_a))
+    assert same_report(naive_gradient(mixture3, schedule, x0, 100, 101, guide_a),
+                       naive_gradient(mixture3, schedule, x0, 100, 100, guide_a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.integers(2, 1000), over=st.integers(1, 2000), data=st.data())
+def test_a_stride_above_its_span_is_the_stride_of_the_span(schedule, t, over, data):
+    """For the interval and multi-step objectives and the multi-step pieces,
+    a stride longer than the walk it strides (delta_S past s = t - delta_T,
+    delta_T past t) gives, bit for bit, what the stride equal to the walk
+    gives: one hop, the same latents, caches, directions and oracle calls."""
+    o = MixtureOracle(means=[[1.0, 0.0], [-0.5, 0.8]], sigmas=[0.3, 0.2], weights=[0.6, 0.4],
+                      labels={"a": [0]})
+    g = GuidanceSpec(positive="a", scale=7.5)
+    x0 = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=2, max_size=2)))
+    dt = data.draw(st.integers(1, t - 1))
+    s = t - dt
+    assert same_report(ism_gradient(o, schedule, x0, t, dt, s + over, g),
+                       ism_gradient(o, schedule, x0, t, dt, s, g))
+    assert same_report(naive_gradient(o, schedule, x0, t, t + over, g),
+                       naive_gradient(o, schedule, x0, t, t, g))
+    above, at = (interval_pieces(o, schedule, x0, t, k, g) for k in (t + over, t))
+    assert above.grid == at.grid == (0, t) and above.oracle_calls == at.oracle_calls
+    for got, want in ((above.inv, at.inv), (above.deno, at.deno)):
+        assert ([x.tobytes() for x in got.latents + got.eps_cache]
+                == [x.tobytes() for x in want.latents + want.eps_cache])
+    assert above.bias().tobytes() == at.bias().tobytes()
 
 
 def test_a_denoising_walk_off_the_inversion_grid_fails_the_series_check(

@@ -218,16 +218,19 @@ def test_inversion_and_denoising_share_one_type(mixture3, schedule, guide_a):
 
 
 def test_bad_arguments_raise(mixture3, schedule):
-    """A grid that repeats a node (a zero stride) and a denoising stride
-    outside [1, t] are config errors; a stride above t only shortens an
-    inversion grid to one hop."""
-    x0 = np.zeros(2)
+    """A grid that repeats a node (a zero stride), one not from 0 or not
+    increasing, and a denoising stride of 0 are config errors; a stride above
+    t makes either walk the one hop [0, t], the stride-t walk bit for bit."""
+    x0 = np.array([0.4, -0.3])
     g = GuidanceSpec(positive=None, scale=1.0)
     with pytest.raises(ConfigError):
         invert_along(mixture3, schedule, x0, [0, 0, 100])
-    assert inversion_grid(100, 101) == [0, 100]
-    with pytest.raises(ConfigError):
-        denoise_path(mixture3, schedule, x0, 100, 101, g)
+    assert inversion_grid(100, 101) == inversion_grid(100, 100) == [0, 100]
+    assert descent_grid(100, 101) == descent_grid(100, 100) == [0, 100]
+    above, at = (denoise_path(mixture3, schedule, x0, 100, k, g) for k in (101, 100))
+    assert len(above.latents) == 2
+    for got, want in ((above.latents, at.latents), (above.eps_cache, at.eps_cache)):
+        assert len(got) == len(want) and all(map(same_bits, got, want))
     with pytest.raises(ConfigError):
         denoise_path(mixture3, schedule, x0, 100, 0, g)
     with pytest.raises(ConfigError):

@@ -2,11 +2,11 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 18 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs the 20 runs of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
 reads a copy of its config with those keys set (dotted, ``[i]`` indexing a
-list); the first three such runs succeed, and the other four fail with exit
+list); the first five such runs succeed, and the other four fail with exit
 codes 3, 2, 2 and 1.
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
@@ -34,11 +34,14 @@ HERE = Path(__file__).resolve().parent.parent
 # splat scene under three more kinds that render a generator, a short jittered
 # splat run whose last snapshot is its final state, a race too short for any
 # run to cross its threshold, a splat run toward a point template (a blob width
-# whose square underflows, centred on a pixel), then four failing runs: a
-# numerical error that leaves a partial metrics.csv (exit 3), a failed
-# decomposition check on a steep schedule (exit 2), the decomposition gradcheck
-# on that schedule, whose reported error differs between the identity's two
-# summation orders (exit 2), and an unknown key (exit 1)
+# whose square underflows, centred on a pixel), a consistency stride above its
+# first two timesteps and the gradchecks on a schedule shorter than the
+# decomposition check's longest interval (both strides past their walk are one
+# hop), then four failing runs: a numerical error that leaves a partial
+# metrics.csv (exit 3), a failed decomposition check on a steep schedule (exit
+# 2), the decomposition gradcheck on that schedule, whose reported error
+# differs between the identity's two summation orders (exit 2), and an unknown
+# key (exit 1)
 RUNS = (
     ("consistency", "consistency.json", {}),
     ("quality", "quality.json", {}),
@@ -57,6 +60,8 @@ RUNS = (
     ("distill", "distill_splats.json",
      {"oracle.components[0].mean.sigma": 1e-300,
       "oracle.components[0].mean.center": [0.0625, 0.0625], "distill.iterations": 20}),
+    ("consistency", "consistency.json", {"experiment.delta_S_values": [400]}),
+    ("gradcheck", "gradcheck.json", {"schedule.T": 50}),
     ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}),
     ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
     ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
