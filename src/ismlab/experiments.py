@@ -158,8 +158,9 @@ KIND_CHECKS = {
 
 def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     """The spec of a config, an object of SECTIONS. Every section present is
-    built, whatever the kind, and so are the generator and distill sections
-    the kind needs. EXPERIMENT keys other than the delta_ ones are spec fields
+    built once, whatever the kind, and so are the generator and distill
+    sections the kind needs; a built distill section holds the spec's guidance
+    and jitter. EXPERIMENT keys other than the delta_ ones are spec fields
     of the same name. Guidance labels must be oracle labels, a rendering kind's
     render must have the oracle's dimension, and KIND_CHECKS must pass."""
     if not isinstance(cfg, dict):
@@ -167,13 +168,13 @@ def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     read(cfg, cfgmod.SECTIONS, "")
     e = read(cfg.get("experiment"), EXPERIMENT, "experiment")
     schedule, oracle = cfgmod.build_schedule(cfg), cfgmod.build_oracle(cfg)
-    guidance, jitter = cfgmod.build_guidance(cfg), cfgmod.build_jitter(cfg)
+    generator = (cfgmod.build_generator(cfg)
+                 if "generator" in cfg or kind in GENERATOR_KINDS else None)
+    distill = cfgmod.build_distill(cfg) if "distill" in cfg or kind in DISTILL_KINDS else None
+    guidance, jitter = ((distill.guidance, distill.jitter) if distill is not None
+                        else (cfgmod.build_guidance(cfg), cfgmod.build_jitter(cfg)))
     spec = ExperimentSpec(
-        schedule, oracle, guidance, jitter=jitter,
-        generator=(cfgmod.build_generator(cfg)
-                   if "generator" in cfg or kind in GENERATOR_KINDS else None),
-        distill=(cfgmod.build_distill(cfg)
-                 if "distill" in cfg or kind in DISTILL_KINDS else None),
+        schedule, oracle, guidance, jitter=jitter, generator=generator, distill=distill,
         delta_t_values=e.pop("delta_T_values"), delta_s_values=e.pop("delta_S_values"), **e)
     for key, label in (("positive", guidance.positive), ("negative", guidance.negative)):
         if label not in (None, *oracle.labels):
@@ -299,8 +300,9 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
     """Bias magnitude versus interval length, with cost accounting. The
     multi-step pieces of each (t, delta_T) cell are built once and give its
     bias, decomposition residual and naive gradient. A cell's ratio is None
-    when its interval norm is 0, and its gradient rows (naive, then ism when
-    it ran) share s = t - delta_T."""
+    when its interval norm is 0, and its gradient rows (naive, then ism
+    unless delta_T = t) share s = t - delta_T; a stride at least t - delta_T
+    inverts to s in one hop."""
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
     x0 = spec.make_generator().render(canonical_view(jit.width, jit.height))
     delta_s = spec.delta_s_values[0]
@@ -316,8 +318,7 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
             interval_norm = float(np.linalg.norm(x0 - naive.pseudo_gt - bias))
             eta_norm = float(np.linalg.norm(bias))
             ratio = eta_norm / interval_norm if interval_norm > 0 else None
-            ism = (ism_gradient(oracle, sch, x0, t, dt, delta_s, g)
-                   if dt < t and delta_s <= t - dt else None)
+            ism = ism_gradient(oracle, sch, x0, t, dt, delta_s, g) if dt < t else None
             grad_rows += [(t, t - dt, float(np.linalg.norm(r.grad_x0)), r.oracle_calls, name)
                           for name, r in (("naive", naive), ("ism", ism)) if r is not None]
             rows.append((t, dt, eta_norm, interval_norm, ratio, residual,

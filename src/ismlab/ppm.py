@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
-
-# magic, width, height, maxval, then exactly one whitespace byte before the body
-_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -24,17 +19,3 @@ def write_ppm(path, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
         fh.write(data.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read back a P5/P6 pixmap written by write_ppm as (H, W, C) floats."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header = _HEADER.match(raw)
-    if header is None:
-        raise ValueError(f"unsupported pixmap header {raw[:16]!r}")
-    magic = header.group(1)
-    w, h, maxval = (int(v) for v in header.group(2, 3, 4))
-    c = 1 if magic == b"P5" else 3
-    data = np.frombuffer(raw[header.end():header.end() + w * h * c], dtype=np.uint8)
-    return data.reshape(h, w, c).astype(float) / maxval

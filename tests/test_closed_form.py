@@ -1,0 +1,143 @@
+"""The affine case in closed form: a judge of the transport's values.
+
+A one-component oracle (mean mu, standard deviation sigma) predicts
+
+    eps(x, a) = c_a * (x - sqrt(ab_a) * mu),  c_a = sqrt(1 - ab_a) / v_a,
+    v_a = ab_a * sigma^2 + 1 - ab_a,
+
+which is affine in x, so one DDIM hop a -> b scales the offset
+y = x - sqrt(ab_a) * mu from the noised mean by
+
+    k(a, b) = (sqrt(ab_a * ab_b) * sigma^2 + sqrt((1 - ab_a) * (1 - ab_b))) / v_a,
+
+and every walk and objective is a product of such factors. Here they are
+evaluated in long double from the schedule's alpha_bar, without the hop
+formula or the oracle's score, and the float64 results must lie within stated
+units of 2^-53 of them. Both guidance branches select the one component, so
+the guided prediction is the unconditional one exactly.
+"""
+
+import numpy as np
+import pytest
+
+from ismlab import GuidanceSpec, MixtureOracle, ism_gradient, make_schedule, naive_gradient
+from ismlab.trajectory import denoise_path, descent_grid, inversion_grid, invert_along
+
+pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                                reason="np.longdouble is no wider than float64 here")
+
+ld = np.longdouble
+UNIT = ld(2.0) ** -53
+# Bound on a float64 walk's error at any node, per hop, in units of UNIT times
+# the walk's scale (closed_walk): one hop and the prediction it uses round
+# about eight terms, each no larger than that scale.
+HOP_UNITS = 8
+SCHEDULES = {"default": make_schedule(1000), "steep": make_schedule(1000, 0.1, 0.1)}
+SIGMAS = (1e-4, 0.05, 0.3, 1.0, 3.0)
+GUIDANCE = GuidanceSpec(positive="m", scale=7.5)
+
+
+def one_component(sigma: float, seed: int) -> MixtureOracle:
+    mu = np.random.default_rng(seed).normal(size=3)
+    return MixtureOracle([mu], [sigma], [1.0], labels={"m": [0]})
+
+
+class Affine:
+    """The closed form of one component's transport under a schedule."""
+
+    def __init__(self, oracle: MixtureOracle, schedule):
+        ab = schedule.alpha_bar.astype(ld)
+        self.sab, self.s1 = np.sqrt(ab), np.sqrt(1 - ab)
+        self.sig2 = ld(oracle.sigmas[0]) ** 2
+        self.v = ab * self.sig2 + (1 - ab)
+        self.mu = oracle.means[0].astype(ld)
+
+    def eps(self, x, a: int):
+        return self.s1[a] / self.v[a] * (x - self.sab[a] * self.mu)
+
+    def walk(self, x, nodes):
+        """The latents of the walk from x along nodes, its gain (the product
+        of its factors k) and its scale: the largest of |x_a|,
+        |sqrt(ab_a) * mu| and |sqrt(1 - ab_a) * eps_a| over sqrt(ab_a) at each
+        node a it leaves, and of |x_b| at each node it reaches."""
+        sab, s1, v = self.sab, self.s1, self.v
+        latents, gain, scale = [np.asarray(x, dtype=ld)], ld(1), ld(0)
+        y = latents[0] - sab[nodes[0]] * self.mu
+        for a, b in zip(nodes, nodes[1:]):
+            terms = (latents[-1], sab[a] * self.mu, s1[a] * self.eps(latents[-1], a))
+            scale = max(scale, *(np.abs(term).max() / sab[a] for term in terms))
+            k = (sab[a] * sab[b] * self.sig2 + s1[a] * s1[b]) / v[a]
+            y, gain = y * k, gain * k
+            latents.append(sab[b] * self.mu + y)
+            scale = max(scale, np.abs(latents[-1]).max())
+        return latents, abs(gain), scale
+
+
+def error(got, exact) -> ld:
+    return np.abs(np.asarray(got, dtype=ld) - exact).max()
+
+
+def cases(seed: int, count: int):
+    """(t, stride, offset) draws, and the longest walk of a unit stride."""
+    rng = np.random.default_rng(seed)
+    yield 1000, 1, 1.0
+    for _ in range(count):
+        t = int(rng.integers(2, 1001))
+        yield t, int(rng.integers(1, t + 1)), float(rng.choice([1e-3, 0.1, 1.0, 10.0]))
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_walks_match_the_affine_closed_form(name, sigma):
+    """Every latent of invert_along from a view and of denoise_path from a
+    noised latent lies within HOP_UNITS per hop of the closed form."""
+    schedule, oracle = SCHEDULES[name], one_component(sigma, 0)
+    affine = Affine(oracle, schedule)
+    rng = np.random.default_rng(1)
+    for t, stride, offset in cases(2, 12):
+        x0 = oracle.means[0] + offset * rng.normal(size=3)
+        nodes = inversion_grid(t, stride)
+        latents, _, scale = affine.walk(x0, nodes)
+        got = invert_along(oracle, schedule, x0, nodes).latents
+        bound = HOP_UNITS * (len(nodes) - 1) * UNIT * scale
+        assert max(map(error, got, latents)) <= bound, (t, stride, offset)
+
+        xt = schedule.sab[t] * oracle.means[0] + offset * rng.normal(size=3)
+        nodes = descent_grid(t, stride)[::-1]
+        latents, _, scale = affine.walk(xt, nodes)
+        got = denoise_path(oracle, schedule, xt, t, stride, GUIDANCE).latents
+        bound = HOP_UNITS * (len(nodes) - 1) * UNIT * scale
+        assert max(map(error, got, latents)) <= bound, (t, stride, offset)
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_objective_gradients_match_the_affine_closed_form(name, sigma):
+    """The ism and naive grad_x0 lie within the closed form's error budget: a
+    prediction's error is c_a times its latent's, and the naive direction's
+    clean estimate carries the inversion's error through the denoising gain."""
+    schedule, oracle = SCHEDULES[name], one_component(sigma, 3)
+    affine = Affine(oracle, schedule)
+    rng = np.random.default_rng(4)
+    for t, stride, offset in cases(5, 12):
+        x0 = oracle.means[0] + offset * rng.normal(size=3)
+        dt = int(rng.integers(1, t))
+        nodes = inversion_grid(t - dt, stride) + [t]
+        (*_, x_s, x_t), _, scale = affine.walk(x0, nodes)
+        s = t - dt
+        omega = ld(schedule.omega[t])
+        exact = omega * (affine.eps(x_t, t) - affine.eps(x_s, s))
+        c = affine.s1[[s, t]] / affine.v[[s, t]]
+        bound = omega * c.sum() * HOP_UNITS * len(nodes) * UNIT * scale
+        got = ism_gradient(oracle, schedule, x0, t, dt, stride, GUIDANCE).grad_x0
+        assert error(got, exact) <= bound, (t, dt, stride, offset)
+
+        nodes = descent_grid(t, stride)
+        up, _, up_scale = affine.walk(x0, nodes)
+        down, gain, down_scale = affine.walk(up[-1], nodes[::-1])
+        weight = omega * affine.sab[t] / affine.s1[t]
+        exact = weight * (x0.astype(ld) - down[-1])
+        hops = len(nodes) - 1
+        bound = weight * HOP_UNITS * UNIT * (gain * hops * up_scale + (hops + 1) * down_scale)
+        got = naive_gradient(oracle, schedule, x0, t, stride, GUIDANCE).grad_x0
+        assert error(got, exact) <= bound, (t, stride, offset)

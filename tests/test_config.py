@@ -18,6 +18,7 @@ from ismlab import (
     experiments,
     make_schedule,
 )
+from ismlab.cli import RUNNERS
 from ismlab.config import (
     build_distill,
     build_generator,
@@ -336,6 +337,35 @@ def test_guidance_label_must_be_an_oracle_label(key, value):
     cfg["guidance"][key] = value
     with pytest.raises(ConfigError, match=f"guidance.{key} is not null or an oracle label"):
         build_experiment(cfg, "race")
+
+
+def test_a_spec_builds_guidance_view_and_jitter_once(monkeypatch):
+    """Every shipped config under every kind it builds for reads the
+    guidance, view and jitter sections once each. A spec with a distill
+    section holds its guidance and jitter; one without builds both itself."""
+    paths = []
+    def counting(section, table, path, original=config.read):
+        paths.append(path)
+        return original(section, table, path)
+    monkeypatch.setattr(config, "read", counting)
+    built = set()
+    for name, text in sorted(TEXTS.items()):
+        for kind in RUNNERS:
+            paths.clear()
+            try:
+                spec = build_experiment(json.loads(text), kind)
+            except ConfigError:
+                continue
+            assert [paths.count(p) for p in ("guidance", "view", "jitter")] == [1, 1, 1], \
+                (name, kind)
+            if spec.distill is not None:
+                assert spec.guidance is spec.distill.guidance, (name, kind)
+                assert spec.jitter is spec.distill.jitter, (name, kind)
+            else:
+                assert spec.guidance == build_guidance(json.loads(text)), (name, kind)
+            built.add((kind, spec.distill is not None))
+    assert {(kind, True) for kind in experiments.DISTILL_KINDS} <= built
+    assert ("quality", False) in built
 
 
 def test_every_table_key_is_documented():

@@ -144,7 +144,8 @@ def test_eta_sweep_gradient_rows_are_direct_objective_calls(tmp_path):
     """Each gradients.csv row is one objective at its cell: s = t - delta_T
     (the multi-step grid's node below t), the norm of a direct call to the
     bit, the cell's calls, naive before ism; a cell whose ism interval is
-    empty (delta_T = t) or shorter than delta_S has the naive row only."""
+    empty (delta_T = t) has the naive row only, and one whose s is below
+    delta_S inverts to s in one hop."""
     spec = load_spec("eta_sweep.json", "eta-sweep",
                      **{"experiment.t_values": [50, 100, 400],
                         "experiment.delta_T_values": [25, 75, 100]})
@@ -166,8 +167,8 @@ def test_eta_sweep_gradient_rows_are_direct_objective_calls(tmp_path):
     assert cells == [(50, 25), (100, 25), (100, 75), (100, 100),
                      (400, 25), (400, 75), (400, 100)]
     assert [r[7] is None for r in report.summary["rows"]] == [
-        True, False, True, True, False, False, False]
-    assert len(grads) - 1 == len(expected) == 11
+        False, False, False, True, False, False, False]
+    assert len(grads) - 1 == len(expected) == 13
     for row, (t, s, direct, calls, name) in zip(grads[1:], expected):
         assert (int(row[0]), int(row[1]), row[4]) == (t, s, name)
         assert float(row[2]) == float(np.linalg.norm(direct.grad_x0))
