@@ -19,6 +19,7 @@ the rows the failing distillation logged).
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ def _run_distill(spec: ExperimentSpec) -> Report:
     """One distillation of the configured generator; its metrics.csv table and
     the run's frames (snapshots and final render, for image generators)."""
     cfg = spec.distill
-    log = run_distillation(spec.make_generator(), spec.oracle, spec.schedule, cfg)
+    log = run_distillation(copy.deepcopy(spec.generator), spec.oracle, spec.schedule, cfg)
     summary = {"kind": "distill", "objective": cfg.objective, "iterations": cfg.iterations,
                "initial_mode_distance": log.curve[0],
                "final_mode_distance": log.final_mode_distance,

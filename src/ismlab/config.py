@@ -185,6 +185,8 @@ def build_oracle(cfg: dict) -> MixtureOracle:
                  blob["width"], blob["height"], blob["channels"])
             mean = gaussian_blob_template(**blob)
         dim = dim or mean.shape[0]
+        need(len(o["components"]) * dim < MAX_SIZE, "len(oracle.components) * the oracle's "
+             f"dimension < {MAX_SIZE}", len(o["components"]), dim)
         if mean.shape[0] != dim:
             raise ConfigError(f"{path}.mean has length {mean.shape[0]} but {first} gives {dim}")
         means.append(mean)

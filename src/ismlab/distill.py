@@ -91,6 +91,11 @@ class DistillConfig:
     jitter: ViewJitterSpec = ViewJitterSpec()
     snapshot_every: int = 0
 
+    def __post_init__(self):
+        if self.objective not in OBJECTIVES:
+            raise ConfigError(f"objective must be one of {tuple(OBJECTIVES)}, "
+                              f"got {self.objective!r}")
+
 
 @dataclass
 class RunLog:
@@ -199,9 +204,6 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
     run; a non-finite point met by the oracle aborts it without a row. Both
     raise a NumericalError naming the iteration and timestep.
     """
-    objective = OBJECTIVES.get(cfg.objective)
-    if objective is None:
-        raise ConfigError(f"objective must be one of {tuple(OBJECTIVES)}, got {cfg.objective!r}")
     gen = state.generator
     t = int(state.rng_t.integers(cfg.t_min, cfg.t_max + 1))
     delta_t = current_interval(cfg, iter_index)
@@ -217,7 +219,7 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
         view = state.cview if canonical else sample_view(view_seed, cfg.jitter)
         x0 = entering if canonical else gen.render(view)
         try:
-            report = objective(state, oracle, schedule, cfg, x0, t, delta_t)
+            report = OBJECTIVES[cfg.objective](state, oracle, schedule, cfg, x0, t, delta_t)
         except NumericalError as exc:
             raise NumericalError(f"{exc} at iteration {iter_index}, t={t}") from exc
         grad_theta += gen.backward(view, report.grad_x0)

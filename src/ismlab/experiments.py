@@ -65,7 +65,6 @@ GRADCHECKS = {  # name -> (its max error for an ExperimentSpec, tolerance)
     "decomposition": (lambda s: decomposition_sweep_check(
         s.oracle, s.schedule, s.guidance, seed=s.seeds[0]), 1e-9),
 }
-DEFAULT_CHECKS = tuple(GRADCHECKS)
 # The kinds that render a generator, and those that run distillations.
 GENERATOR_KINDS = ("consistency", "eta-sweep", "interval-sweep", "race", "distill")
 DISTILL_KINDS = ("interval-sweep", "race", "distill")
@@ -84,9 +83,8 @@ class Report:
 
 @dataclass
 class ExperimentSpec:
-    """Parsed experiment configuration; see docs/config.md for the JSON form.
-    ``generator`` is the built generator (None for a kind that renders none
-    and a config without a generator section)."""
+    """Parsed experiment configuration (docs/config.md; EXPERIMENT declares the defaults);
+    ``generator`` is None for a kind that renders none and a config without one."""
 
     schedule: NoiseSchedule
     oracle: MixtureOracle
@@ -94,18 +92,14 @@ class ExperimentSpec:
     t_values: Sequence[int]
     delta_t_values: Sequence[int]
     delta_s_values: Sequence[int]
-    jitter: ViewJitterSpec = ViewJitterSpec()
-    generator: object = None
-    noise_draws: int = 8
-    seeds: Sequence[int] = field(default_factory=lambda: [0])
-    threshold: float = 0.2
-    start_points: int = 20
-    distill: Optional[DistillConfig] = None
-    checks: Sequence[str] = DEFAULT_CHECKS
-
-    def make_generator(self):
-        """A fresh copy of the built generator, for one run."""
-        return copy.deepcopy(self.generator)
+    jitter: ViewJitterSpec
+    generator: object
+    noise_draws: int
+    seeds: Sequence[int]
+    threshold: float
+    start_points: int
+    distill: Optional[DistillConfig]
+    checks: Sequence[str]
 
 
 EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty(positive(int, -math.inf))),
@@ -114,7 +108,7 @@ EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty(positive(int, -ma
               "seeds": ((0,), nonempty(NON_NEGATIVE)),
               "noise_draws": (8, positive(int, 2, True, MAX_SIZE)),
               "threshold": (0.2, positive(float, 0, True)), "start_points": (20, SIZE),
-              "checks": (DEFAULT_CHECKS, lambda v: DEFAULT_CHECKS if v is None
+              "checks": (tuple(GRADCHECKS), lambda v: tuple(GRADCHECKS) if v is None
                          else nonempty(one_of(*GRADCHECKS), 0)(v))}
 
 
@@ -123,11 +117,11 @@ def _t_values_in_schedule(s) -> None:
          "every experiment.t_values entry in [1, schedule.T]", s.t_values, s.schedule.num_steps)
 
 
-def _rows_below_max_size(key: str):
-    """Check that experiment.<key> rows of the oracle's dimension fit below MAX_SIZE."""
-    return lambda s: need(getattr(s, key) * s.oracle.dim < MAX_SIZE,
-                          f"experiment.{key} * the oracle's dimension < {MAX_SIZE}",
-                          getattr(s, key), s.oracle.dim)
+def _rows_below_max_size(rows: str, count):
+    """Check that count(spec) rows times the oracle's (K, D) means fit below MAX_SIZE."""
+    return lambda s: need(count(s) * s.oracle.means.size < MAX_SIZE, f"{rows} * len(oracle."
+                          f"components) * the oracle's dimension < {MAX_SIZE}",
+                          count(s), *s.oracle.means.shape)
 
 
 def _frames_have_1_or_3_channels(s) -> None:
@@ -139,9 +133,13 @@ def _frames_have_1_or_3_channels(s) -> None:
 
 # kind -> checks of a built spec that hold for that kind only
 KIND_CHECKS = {
-    "consistency": (_t_values_in_schedule, _rows_below_max_size("noise_draws"),
-                    _frames_have_1_or_3_channels),
-    "quality": (_t_values_in_schedule, _rows_below_max_size("start_points")),
+    "consistency": (_t_values_in_schedule, _rows_below_max_size(
+        "len(experiment.t_values) * experiment.noise_draws",  # every t's targets are kept
+        lambda s: len(s.t_values) * s.noise_draws), _frames_have_1_or_3_channels),
+    "quality": (_t_values_in_schedule, _rows_below_max_size("experiment.start_points",
+                                                            lambda s: s.start_points)),
+    "gradcheck": (_rows_below_max_size("score_fd in experiment.checks: the oracle's dimension",
+                                       lambda s: s.oracle.dim * ("score_fd" in s.checks)),),
     "eta-sweep": (_t_values_in_schedule, lambda s: need(
         min(s.delta_t_values) <= max(s.t_values),
         "some experiment.delta_T_values entry <= some experiment.t_values entry for eta-sweep",
@@ -157,12 +155,12 @@ KIND_CHECKS = {
 
 
 def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
-    """The spec of a config, an object of SECTIONS. Every section present is
-    built once, whatever the kind, and so are the generator and distill
-    sections the kind needs; a built distill section holds the spec's guidance
-    and jitter. EXPERIMENT keys other than the delta_ ones are spec fields
-    of the same name. Guidance labels must be oracle labels, a rendering kind's
-    render must have the oracle's dimension, and KIND_CHECKS must pass."""
+    """The spec of a config, an object of SECTIONS. Every section present is built
+    once, whatever the kind, and so are the generator and distill sections the kind
+    needs; a built distill section holds the spec's guidance and jitter. EXPERIMENT
+    keys other than the delta_ ones are spec fields of the same name. Guidance labels
+    must be oracle labels, a rendering kind's render must have the oracle's dimension
+    and its splat planes fewer than MAX_SIZE values, and KIND_CHECKS must pass."""
     if not isinstance(cfg, dict):
         raise ConfigError("the top level of a config must be an object")
     read(cfg, cfgmod.SECTIONS, "")
@@ -185,6 +183,11 @@ def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
         need(size == oracle.dim, ("view.width * view.height * generator.channels" if shape
                                   else "len(generator.theta)") + " == the oracle's dimension",
              size, oracle.dim)
+        if shape:  # a render forms (splats, 2, pixels) planes, a backward (splats, pixels * C)
+            n = spec.generator.n_params // (6 + shape[2])  # 6 + C values per splat, then C
+            need(n * size // shape[2] * max(2, shape[2]) < MAX_SIZE, "generator.n_splats (len("
+                 "generator.splats)) * view.height * view.width * max(2, generator.channels) "
+                 f"< {MAX_SIZE}", n, *shape)
     for check in KIND_CHECKS.get(kind, ()):
         check(spec)
     return spec
@@ -220,22 +223,20 @@ def _montage(cells: np.ndarray, shape) -> np.ndarray:
 def run_consistency(spec: ExperimentSpec) -> Report:
     """Spread of clean targets for a fixed view.
 
-    The stochastic branch draws K noise vectors per timestep and estimates
-    the clean target in one step from each noised latent; the deterministic
+    The stochastic branch draws K noise vectors per timestep and takes the
+    SDS pseudo-target (single-step clean estimate) of each; the deterministic
     branch inverts the view and denoises multi-step, K copies of it in one
     walk to demonstrate (rather than assume) zero spread.
     """
     stride = spec.delta_s_values[0]
-    gen = spec.make_generator()
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
-    x0 = gen.render(canonical_view(jit.width, jit.height))
+    x0 = spec.generator.render(canonical_view(jit.width, jit.height))
     views = np.tile(x0, (spec.noise_draws, 1))
     rng = np.random.default_rng(spec.seeds[0])
 
     sds, ism = [], []  # per timestep, (K, D) targets
     for t in spec.t_values:
-        xt = hop(sch, x0, 0, t, rng.standard_normal(views.shape))
-        sds.append(hop(sch, xt, t, 0, oracle.eps_guided(sch, xt, t, g)))
+        sds.append(sds_gradient(oracle, sch, x0, t, rng.standard_normal(views.shape), g).pseudo_gt)
         xt = invert_along(oracle, sch, views, inversion_grid(t, stride)).latents[-1]
         ism.append(denoise_path(oracle, sch, xt, t, stride, g).latents[-1])
     sds, ism = np.stack(sds), np.stack(ism)
@@ -254,7 +255,7 @@ def run_consistency(spec: ExperimentSpec) -> Report:
     rows = zip(summary["t_values"], summary["sds_noise_variance"], summary["ism_noise_variance"])
     report = Report(summary, {"consistency": (CONSISTENCY_CSV_HEADER, list(rows))})
 
-    shape = gen.image_shape(jit)
+    shape = spec.generator.image_shape(jit)
     if shape is not None:
         report.frames["sds_pseudo_gt_grid"] = _montage(sds, shape)
         report.frames["ism_pseudo_gt_grid"] = _montage(ism[:, :1], shape)
@@ -304,7 +305,7 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
     unless delta_T = t) share s = t - delta_T; a stride at least t - delta_T
     inverts to s in one hop."""
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
-    x0 = spec.make_generator().render(canonical_view(jit.width, jit.height))
+    x0 = spec.generator.render(canonical_view(jit.width, jit.height))
     delta_s = spec.delta_s_values[0]
 
     rows, grad_rows = [], []
@@ -314,8 +315,7 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
                 continue
             pieces = interval_pieces(oracle, sch, x0, t, dt, g)
             bias, residual, naive = pieces.bias(), pieces.gap, pieces.naive()
-            # scaled interval score recovered from the exact decomposition
-            interval_norm = float(np.linalg.norm(x0 - naive.pseudo_gt - bias))
+            interval_norm = float(np.linalg.norm(sch.nsr[t] * pieces.interval))
             eta_norm = float(np.linalg.norm(bias))
             ratio = eta_norm / interval_norm if interval_norm > 0 else None
             ism = ism_gradient(oracle, sch, x0, t, dt, delta_s, g) if dt < t else None
@@ -350,9 +350,8 @@ def run_interval_sweep(spec: ExperimentSpec) -> Report:
         for ds in spec.delta_s_values:
             cfg = replace(spec.distill, delta_t_start=dt, delta_t_end=dt,
                           delta_s=ds, seed=spec.seeds[0], snapshot_every=0)
-            gen = spec.make_generator()
             started = time.perf_counter()
-            log = run_distillation(gen, spec.oracle, spec.schedule, cfg)
+            log = run_distillation(copy.deepcopy(spec.generator), spec.oracle, spec.schedule, cfg)
             wall = time.perf_counter() - started
             rows.append((dt, ds, log.final_mode_distance, log.total_oracle_calls(), wall))
             if "final" in log.frames:
@@ -386,7 +385,7 @@ def run_race(spec: ExperimentSpec) -> Report:
     for seed in spec.seeds:
         for objective in ("ism", "sds"):
             cfg = replace(spec.distill, objective=objective, seed=seed, snapshot_every=0)
-            log = run_distillation(spec.make_generator(), spec.oracle, spec.schedule, cfg)
+            log = run_distillation(copy.deepcopy(spec.generator), spec.oracle, spec.schedule, cfg)
             curves[(seed, objective)] = log.curve
             crossings[(seed, objective)] = log.first_crossing(spec.threshold)
     summary = {

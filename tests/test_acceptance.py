@@ -159,9 +159,9 @@ def test_criterion_5_consistency_finding(default_schedule):
     spec = ExperimentSpec(
         schedule=default_schedule, oracle=oracle,
         guidance=GuidanceSpec(positive="right", scale=7.5),
-        generator=IdentityLatent([0.0, 0.0]),
-        t_values=[100, 300, 500, 700, 900], delta_t_values=[50],
-        delta_s_values=[50], noise_draws=32, seeds=[0])
+        t_values=[100, 300, 500, 700, 900], delta_t_values=[50], delta_s_values=[50],
+        jitter=ViewJitterSpec(), generator=IdentityLatent([0.0, 0.0]), noise_draws=32,
+        seeds=[0], threshold=0.2, start_points=20, distill=None, checks=())
     rep = run_consistency(spec).summary
     ism_zero = all(v == 0.0 for v in rep["ism_noise_variance"])
     sds_var_700 = rep["sds_noise_variance"][rep["t_values"].index(700)]
@@ -181,8 +181,9 @@ def test_criterion_6_quality_finding(default_schedule):
     spec = ExperimentSpec(
         schedule=default_schedule, oracle=oracle,
         guidance=GuidanceSpec(positive=None, scale=1.0),
-        t_values=[900], delta_t_values=[50],
-        delta_s_values=[50], start_points=20, seeds=[1])
+        t_values=[900], delta_t_values=[50], delta_s_values=[50],
+        jitter=ViewJitterSpec(), generator=None, noise_draws=8, seeds=[1], threshold=0.2,
+        start_points=20, distill=None, checks=())
     rep = run_quality(spec)
     (_, err_single, err_multi, _), = rep.summary["rows"]
     elapsed = time.perf_counter() - t0

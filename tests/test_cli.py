@@ -495,6 +495,10 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     assert "config error" in err and key in err
 
 
+BLOB_256, BLOB_64 = ({"mean": {"template": "gaussian_blob", "width": w, "height": w}}
+                     for w in (256, 64))
+
+
 @pytest.mark.parametrize("name, kind, key, value", [
     ("race.json", "race", "distill.iterations", "many"),
     ("distill_splats.json", "distill", "guidance.negative", ["left"]),
@@ -537,6 +541,11 @@ def test_misspelled_key_exits_one(tmp_path, capsys, name, kind, key):
     ("distill_splats.json", "interval-sweep", "jitter.shift_max", 2.0 ** 1023),
     ("distill_splats.json", "distill", "jitter.shift_max", 1e308),
     ("gradcheck.json", "gradcheck", "experiment.checks", "score_fd"),
+    ("distill_splats.json", "distill", "oracle.components", [BLOB_256] * 300),
+    ("consistency.json", "consistency", "experiment.noise_draws", 2 ** 21),
+    ("quality.json", "quality", "experiment.start_points", 2 ** 22),
+    ("distill_splats.json", "gradcheck", "oracle.components", [BLOB_64] * 2),
+    ("distill_splats.json", "distill", "generator.n_splats", 2 ** 15),
 ])
 def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     """A wrong-typed or out-of-range value, an unknown guidance label or
@@ -546,8 +555,10 @@ def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     size numpy cannot allocate is refused before allocation, as is a value
     too large to square, a schedule whose alpha_bar_T underflows to 0,
     weights whose sum overflows, a color outside [0, 1], a zoom too small
-    to solve a view for, a run size that would never end and a jitter range
-    whose width 2 * r, drawn from by rng.uniform(-r, r), overflows."""
+    to solve a view for, a run size that would never end, a jitter range
+    whose width 2 * r, drawn from by rng.uniform(-r, r), overflows, and runs
+    whose (rows, K, D) oracle arrays, score_fd's (D, K, D) ones or splat
+    planes would hold 2^24 values or more."""
     cfg = tweak_config(tmp_path, name, **{key: value})
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:

@@ -20,7 +20,15 @@ the guided prediction is the unconditional one exactly.
 import numpy as np
 import pytest
 
-from ismlab import GuidanceSpec, MixtureOracle, ism_gradient, make_schedule, naive_gradient
+from ismlab import (
+    GuidanceSpec,
+    MixtureOracle,
+    interval_pieces,
+    ism_gradient,
+    make_schedule,
+    naive_gradient,
+    sds_gradient,
+)
 from ismlab.trajectory import denoise_path, descent_grid, inversion_grid, invert_along
 
 pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
@@ -77,12 +85,12 @@ def error(got, exact) -> ld:
     return np.abs(np.asarray(got, dtype=ld) - exact).max()
 
 
-def cases(seed: int, count: int):
-    """(t, stride, offset) draws, and the longest walk of a unit stride."""
+def cases(seed: int, count: int, top: int = 1000):
+    """(t, stride, offset) draws with t <= top, and the longest walk of a unit stride."""
     rng = np.random.default_rng(seed)
-    yield 1000, 1, 1.0
+    yield top, 1, 1.0
     for _ in range(count):
-        t = int(rng.integers(2, 1001))
+        t = int(rng.integers(2, top + 1))
         yield t, int(rng.integers(1, t + 1)), float(rng.choice([1e-3, 0.1, 1.0, 10.0]))
 
 
@@ -141,3 +149,91 @@ def test_objective_gradients_match_the_affine_closed_form(name, sigma):
         bound = weight * HOP_UNITS * UNIT * (gain * hops * up_scale + (hops + 1) * down_scale)
         got = naive_gradient(oracle, schedule, x0, t, stride, GUIDANCE).grad_x0
         assert error(got, exact) <= bound, (t, stride, offset)
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_sds_gradient_matches_the_affine_closed_form(name, sigma):
+    """At a given eps, with x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps and e_t its
+    prediction, sds_gradient's pseudo_gt (x_t - sqrt(1 - ab_t) e_t) / sqrt(ab_t)
+    lies within HOP_UNITS for each of its two hops (noising, then the
+    single-step estimate) of the scale of the terms it divides by sqrt(ab_t),
+    and its grad_x0 omega(t) (e_t - eps) within HOP_UNITS of the prediction's
+    error, c_t times x_t's scale, and of the difference's terms."""
+    schedule, oracle = SCHEDULES[name], one_component(sigma, 6)
+    affine = Affine(oracle, schedule)
+    rng = np.random.default_rng(7)
+    for t, _, offset in cases(8, 12):
+        x0 = oracle.means[0] + offset * rng.normal(size=3)
+        eps = rng.normal(size=3)
+        sab, s1 = affine.sab[t], affine.s1[t]
+        x_t = sab * x0.astype(ld) + s1 * eps.astype(ld)
+        e_t = affine.eps(x_t, t)
+        pseudo_gt = (x_t - s1 * e_t) / sab
+        terms = (x0, sab * affine.mu, s1 * eps, x_t, s1 * e_t)
+        scale = max(np.abs(term).max() for term in terms) / sab
+        got = sds_gradient(oracle, schedule, x0, t, eps, GUIDANCE)
+        assert error(got.pseudo_gt, pseudo_gt) <= 2 * HOP_UNITS * UNIT * scale, (t, offset)
+        omega, c = ld(schedule.omega[t]), s1 / affine.v[t]
+        bound = omega * HOP_UNITS * UNIT * (c * sab * scale + np.abs(e_t).max()
+                                            + np.abs(eps).max())
+        assert error(got.grad_x0, omega * (e_t - eps)) <= bound, (t, offset)
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_ism_and_naive_pseudo_gt_match_the_affine_closed_form(name, sigma):
+    """ism's pseudo_gt x0 - gamma(t) * interval lies within gamma(t) times the
+    interval's budget (as for its grad_x0) plus HOP_UNITS of its two terms;
+    naive's, the multi-step clean estimate, within the budget of its two
+    walks (as for its grad_x0, without the weight)."""
+    schedule, oracle = SCHEDULES[name], one_component(sigma, 9)
+    affine = Affine(oracle, schedule)
+    rng = np.random.default_rng(10)
+    for t, stride, offset in cases(11, 12):
+        x0 = oracle.means[0] + offset * rng.normal(size=3)
+        dt = int(rng.integers(1, t))
+        s = t - dt
+        nodes = inversion_grid(s, stride) + [t]
+        (*_, x_s, x_t), _, scale = affine.walk(x0, nodes)
+        gamma = affine.s1[t] / affine.sab[t]
+        pseudo_gt = x0.astype(ld) - gamma * (affine.eps(x_t, t) - affine.eps(x_s, s))
+        c = affine.s1[[s, t]] / affine.v[[s, t]]
+        bound = HOP_UNITS * UNIT * (gamma * c.sum() * len(nodes) * scale
+                                    + np.abs(pseudo_gt).max() + np.abs(x0).max())
+        got = ism_gradient(oracle, schedule, x0, t, dt, stride, GUIDANCE).pseudo_gt
+        assert error(got, pseudo_gt) <= bound, (t, dt, stride, offset)
+
+        nodes = descent_grid(t, stride)
+        up, _, up_scale = affine.walk(x0, nodes)
+        down, gain, down_scale = affine.walk(up[-1], nodes[::-1])
+        hops = len(nodes) - 1
+        bound = HOP_UNITS * UNIT * (gain * hops * up_scale + (hops + 1) * down_scale)
+        got = naive_gradient(oracle, schedule, x0, t, stride, GUIDANCE).pseudo_gt
+        assert error(got, down[-1]) <= bound, (t, stride, offset)
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_interval_pieces_bias_matches_the_affine_closed_form(name, sigma):
+    """bias(), (x0 - x0_tilde) - gamma(t) * interval on the stride-delta_t
+    descent grid, lies within the naive estimate's budget plus gamma(t) times
+    the interval's. t stays where gamma(t) <= 1e5, so that bias()'s 1e-9
+    check of the identity holds in double precision."""
+    schedule, oracle = SCHEDULES[name], one_component(sigma, 12)
+    affine = Affine(oracle, schedule)
+    rng = np.random.default_rng(13)
+    top = max(t for t in range(2, 1001) if schedule.nsr[t] <= 1e5)
+    for t, dt, offset in cases(14, 12, top):
+        x0 = oracle.means[0] + offset * rng.normal(size=3)
+        nodes = descent_grid(t, dt)
+        up, _, up_scale = affine.walk(x0, nodes)
+        down, gain, down_scale = affine.walk(up[-1], nodes[::-1])
+        s, gamma = nodes[-2], affine.s1[t] / affine.sab[t]
+        bias = x0.astype(ld) - down[-1] - gamma * (affine.eps(up[-1], t) - affine.eps(up[-2], s))
+        c = affine.s1[[s, t]] / affine.v[[s, t]]
+        hops = len(nodes) - 1
+        bound = HOP_UNITS * UNIT * (gain * hops * up_scale + (hops + 1) * down_scale
+                                    + gamma * c.sum() * len(nodes) * up_scale)
+        got = interval_pieces(oracle, schedule, x0, t, dt, GUIDANCE).bias()
+        assert error(got, bias) <= bound, (t, dt, offset)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ismlab import experiments
+from ismlab import cli, experiments
 from ismlab.config import load_json
 from ismlab.errors import ConfigError
 from ismlab.experiments import (
@@ -154,7 +154,7 @@ def test_eta_sweep_gradient_rows_are_direct_objective_calls(tmp_path):
     grads = read_csv(tmp_path / "gradients.csv")
     assert tuple(grads[0]) == GRADIENTS_CSV_HEADER
     sch, oracle, g, ds = spec.schedule, spec.oracle, spec.guidance, spec.delta_s_values[0]
-    x0 = spec.make_generator().render(canonical_view(spec.jitter.width, spec.jitter.height))
+    x0 = spec.generator.render(canonical_view(spec.jitter.width, spec.jitter.height))
     expected = []
     for t, dt, *_, naive_calls, ism_calls in report.summary["rows"]:
         assert interval_pieces(oracle, sch, x0, t, dt, g).grid[-2] == t - dt
@@ -173,6 +173,44 @@ def test_eta_sweep_gradient_rows_are_direct_objective_calls(tmp_path):
         assert (int(row[0]), int(row[1]), row[4]) == (t, s, name)
         assert float(row[2]) == float(np.linalg.norm(direct.grad_x0))
         assert int(row[3]) == calls == direct.oracle_calls
+
+
+# A one-component oracle with the view at its mean, at scale 1: the interval
+# score of the delta_T = 50 cells is rounding dust (norms near 1e-17).
+DUST = {"oracle.components": [{"mean": [0.3, -0.2], "sigma": 0.3}],
+        "oracle.labels": {"m": [0]}, "guidance.positive": "m", "guidance.scale": 1.0,
+        "generator.theta": [0.3, -0.2], "experiment.t_values": [200, 400],
+        "experiment.delta_T_values": [50, 100]}
+
+
+def test_eta_sweep_interval_norm_is_the_scaled_interval():
+    """Each cell's interval_norm is the norm of gamma(t) times its pieces'
+    interval bit for bit, rounding dust included, and ratio divides eta_norm
+    by it."""
+    spec = load_spec("eta_sweep.json", "eta-sweep", **DUST)
+    sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
+    x0 = spec.generator.render(canonical_view(spec.jitter.width, spec.jitter.height))
+    rows = run_eta_sweep(spec).summary["rows"]
+    assert [r[:2] for r in rows] == [(200, 50), (200, 100), (400, 50), (400, 100)]
+    for t, dt, eta_norm, interval_norm, ratio, *_ in rows:
+        interval = interval_pieces(oracle, sch, x0, t, dt, g).interval
+        assert interval_norm == float(np.linalg.norm(sch.nsr[t] * interval)), (t, dt)
+        assert ratio == (eta_norm / interval_norm if interval_norm > 0 else None)
+    assert [r[3] > 0 for r in rows] == [True, False, True, False]
+
+
+@pytest.mark.parametrize("kind", sorted(cli.RUNNERS))
+def test_every_kind_leaves_the_built_generator_unchanged(kind):
+    """A kind that only renders spec.generator renders it as built and one
+    that distils optimises a copy per run, so its parameters keep their bits."""
+    spec = load_spec("distill_splats.json", kind,
+                     **{"distill.iterations": 3, "experiment.t_values": [200],
+                        "experiment.delta_T_values": [50], "experiment.noise_draws": 2,
+                        "experiment.seeds": [0, 1], "experiment.start_points": 2,
+                        "experiment.checks": ["gradient_forms"]})
+    before = spec.generator.get_params()
+    cli.RUNNERS[kind](spec)
+    assert spec.generator.get_params().tobytes() == before.tobytes()
 
 
 def test_interval_sweep_costs_and_determinism(tmp_path):

@@ -2,11 +2,11 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 21 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs the 22 runs of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
 reads a copy of its config with those keys set (dotted, ``[i]`` indexing a
-list); the first six such runs succeed, and the other four fail with exit
+list); the first seven such runs succeed, and the other four fail with exit
 codes 3, 2, 2 and 1.
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
@@ -38,11 +38,12 @@ HERE = Path(__file__).resolve().parent.parent
 # first two timesteps and the gradchecks on a schedule shorter than the
 # decomposition check's longest interval (both strides past their walk are one
 # hop), an eta-sweep whose (120, 100) cell inverts to s = 20, below its stride,
-# in one hop, then four failing runs: a numerical error that leaves a partial
-# metrics.csv (exit 3), a failed decomposition check on a steep schedule (exit
-# 2), the decomposition gradcheck on that schedule, whose reported error
-# differs between the identity's two summation orders (exit 2), and an unknown
-# key (exit 1)
+# in one hop, an eta-sweep on a one-component oracle with the view at its mean,
+# whose delta_T = 50 interval norms are rounding dust, then four failing runs:
+# a numerical error that leaves a partial metrics.csv (exit 3), a failed
+# decomposition check on a steep schedule (exit 2), the decomposition gradcheck
+# on that schedule, whose reported error differs between the identity's two
+# summation orders (exit 2), and an unknown key (exit 1)
 RUNS = (
     ("consistency", "consistency.json", {}),
     ("quality", "quality.json", {}),
@@ -65,6 +66,10 @@ RUNS = (
     ("gradcheck", "gradcheck.json", {"schedule.T": 50}),
     ("eta-sweep", "eta_sweep.json",
      {"experiment.t_values": [120, 400], "experiment.delta_T_values": [100]}),
+    ("eta-sweep", "eta_sweep.json",
+     {"oracle.components": [{"mean": [0.3, -0.2], "sigma": 0.3}], "oracle.labels": {"m": [0]},
+      "guidance.positive": "m", "guidance.scale": 1.0, "generator.theta": [0.3, -0.2],
+      "experiment.t_values": [200, 400], "experiment.delta_T_values": [50, 100]}),
     ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}),
     ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
     ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
