@@ -270,8 +270,8 @@ def build_generator(cfg: dict):
     return random_scene(n_splats=n, channels=c, seed=g["init_seed"], background=background)
 
 
-# DistillConfig fields by their own names, except the delta_ keys and the
-# optimizer (read with OPTIMIZER); t_min defaults to 20 + delta_T_start.
+# DistillConfig fields by their own names, the optimizer read with OPTIMIZER;
+# t_min defaults to 20 + delta_T_start.
 DISTILL = {"objective": ("ism", one_of(*OBJECTIVES)),
            "iterations": (1000, positive(int, 0, True, MAX_SIZE)),
            "t_min": (None, _optional(positive(int))), "t_max": (980, positive(int)),
@@ -297,6 +297,5 @@ def build_distill(cfg: dict) -> DistillConfig:
     need(d["iterations"] * d["view_batch"] < MAX_SIZE,
          f"distill.iterations * distill.view_batch < {MAX_SIZE}", d["iterations"], d["view_batch"])
     return DistillConfig(
-        delta_t_start=d.pop("delta_T_start"), delta_t_end=d.pop("delta_T_end"),
-        delta_s=d.pop("delta_S"), guidance=build_guidance(cfg), jitter=build_jitter(cfg),
+        guidance=build_guidance(cfg), jitter=build_jitter(cfg),
         optimizer=OptimConfig(**read(d.pop("optimizer"), OPTIMIZER, "distill.optimizer")), **d)

@@ -33,7 +33,7 @@ from .schedule import NoiseSchedule
 # noise from the step's noise stream.
 OBJECTIVES = {
     "ism": lambda state, oracle, schedule, cfg, x0, t, delta_t: ism_gradient(
-        oracle, schedule, x0, t, delta_t, cfg.delta_s, cfg.guidance),
+        oracle, schedule, x0, t, delta_t, cfg.delta_S, cfg.guidance),
     "sds": lambda state, oracle, schedule, cfg, x0, t, delta_t: sds_gradient(
         oracle, schedule, x0, t, state.rng_noise.standard_normal(x0.shape[0]), cfg.guidance),
     "naive": lambda state, oracle, schedule, cfg, x0, t, delta_t: naive_gradient(
@@ -75,21 +75,21 @@ class AdamOptimizer:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """One distillation run's settings (docs/config.md); build_distill checks them."""
+    """One run's settings by distill key (docs/config.md); build_distill checks them."""
 
     objective: str
     iterations: int
     t_min: int
     t_max: int
-    delta_t_start: int
-    delta_t_end: int
-    delta_s: int
+    delta_T_start: int
+    delta_T_end: int
+    delta_S: int
+    view_batch: int
+    seed: int
+    snapshot_every: int
+    optimizer: OptimConfig
     guidance: GuidanceSpec
-    view_batch: int = 1
-    optimizer: OptimConfig = OptimConfig()
-    seed: int = 0
-    jitter: ViewJitterSpec = ViewJitterSpec()
-    snapshot_every: int = 0
+    jitter: ViewJitterSpec
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -158,12 +158,12 @@ def nearest_mode_distance(oracle: MixtureOracle, label: Label, x) -> float | lis
 
 
 def current_interval(cfg: DistillConfig, iter_index: int) -> int:
-    """Interval length at an iteration: linear anneal from delta_t_start to
-    delta_t_end over the run (non-increasing when the end is smaller)."""
+    """Interval length at an iteration: linear anneal from delta_T_start to
+    delta_T_end over the run (non-increasing when the end is smaller)."""
     if cfg.iterations <= 1:
-        return cfg.delta_t_start
+        return cfg.delta_T_start
     frac = iter_index / (cfg.iterations - 1)
-    return int(round(cfg.delta_t_start + frac * (cfg.delta_t_end - cfg.delta_t_start)))
+    return int(round(cfg.delta_T_start + frac * (cfg.delta_T_end - cfg.delta_T_start)))
 
 
 @dataclass
@@ -260,7 +260,7 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
                 distill_step(state, oracle, schedule, cfg, i, render)
     except NumericalError as exc:
         exc.args = (f"{exc} of the {cfg.objective} run with seed={cfg.seed}, "
-                    f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_s}",)
+                    f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_S}",)
         exc.log = state.log
         raise
     state.log.final_mode_distance = nearest_mode_distance(oracle, cfg.guidance.positive, render)

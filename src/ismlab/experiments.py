@@ -90,8 +90,8 @@ class ExperimentSpec:
     oracle: MixtureOracle
     guidance: GuidanceSpec
     t_values: Sequence[int]
-    delta_t_values: Sequence[int]
-    delta_s_values: Sequence[int]
+    delta_T_values: Sequence[int]
+    delta_S_values: Sequence[int]
     jitter: ViewJitterSpec
     generator: object
     noise_draws: int
@@ -141,13 +141,13 @@ KIND_CHECKS = {
     "gradcheck": (_rows_below_max_size("score_fd in experiment.checks: the oracle's dimension",
                                        lambda s: s.oracle.dim * ("score_fd" in s.checks)),),
     "eta-sweep": (_t_values_in_schedule, lambda s: need(
-        min(s.delta_t_values) <= max(s.t_values),
+        min(s.delta_T_values) <= max(s.t_values),
         "some experiment.delta_T_values entry <= some experiment.t_values entry for eta-sweep",
-        min(s.delta_t_values), max(s.t_values))),
+        min(s.delta_T_values), max(s.t_values))),
     "interval-sweep": (lambda s: need(
-        max(s.delta_t_values) < s.distill.t_min,
+        max(s.delta_T_values) < s.distill.t_min,
         "every experiment.delta_T_values entry < distill.t_min for interval-sweep",
-        max(s.delta_t_values), s.distill.t_min), _frames_have_1_or_3_channels),
+        max(s.delta_T_values), s.distill.t_min), _frames_have_1_or_3_channels),
     "distill": (_frames_have_1_or_3_channels,),
     "race": (lambda s: need(len(set(s.seeds)) == len(s.seeds) >= 2,
                             "two or more distinct experiment.seeds for a race median", s.seeds),),
@@ -157,10 +157,10 @@ KIND_CHECKS = {
 def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     """The spec of a config, an object of SECTIONS. Every section present is built
     once, whatever the kind, and so are the generator and distill sections the kind
-    needs; a built distill section holds the spec's guidance and jitter. EXPERIMENT
-    keys other than the delta_ ones are spec fields of the same name. Guidance labels
-    must be oracle labels, a rendering kind's render must have the oracle's dimension
-    and its splat planes fewer than MAX_SIZE values, and KIND_CHECKS must pass."""
+    needs; a built distill section holds the spec's guidance and jitter. Each
+    EXPERIMENT key is a spec field of the same name. Guidance labels must be oracle
+    labels, a rendering kind's render must have the oracle's dimension and its
+    splat planes fewer than MAX_SIZE values, and KIND_CHECKS must pass."""
     if not isinstance(cfg, dict):
         raise ConfigError("the top level of a config must be an object")
     read(cfg, cfgmod.SECTIONS, "")
@@ -171,9 +171,8 @@ def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     distill = cfgmod.build_distill(cfg) if "distill" in cfg or kind in DISTILL_KINDS else None
     guidance, jitter = ((distill.guidance, distill.jitter) if distill is not None
                         else (cfgmod.build_guidance(cfg), cfgmod.build_jitter(cfg)))
-    spec = ExperimentSpec(
-        schedule, oracle, guidance, jitter=jitter, generator=generator, distill=distill,
-        delta_t_values=e.pop("delta_T_values"), delta_s_values=e.pop("delta_S_values"), **e)
+    spec = ExperimentSpec(schedule, oracle, guidance, jitter=jitter, generator=generator,
+                          distill=distill, **e)
     for key, label in (("positive", guidance.positive), ("negative", guidance.negative)):
         if label not in (None, *oracle.labels):
             raise ConfigError(f"guidance.{key} is not null or an oracle label: {label!r}")
@@ -228,7 +227,7 @@ def run_consistency(spec: ExperimentSpec) -> Report:
     branch inverts the view and denoises multi-step, K copies of it in one
     walk to demonstrate (rather than assume) zero spread.
     """
-    stride = spec.delta_s_values[0]
+    stride = spec.delta_S_values[0]
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
     x0 = spec.generator.render(canonical_view(jit.width, jit.height))
     views = np.tile(x0, (spec.noise_draws, 1))
@@ -278,14 +277,14 @@ def run_quality(spec: ExperimentSpec) -> Report:
     sch, oracle, g = spec.schedule, spec.oracle, spec.guidance
     rng = np.random.default_rng(spec.seeds[0])
     starts = oracle.sample(rng, spec.start_points)
-    inv_stride = spec.delta_s_values[0]
+    inv_stride = spec.delta_S_values[0]
     label = g.positive
 
     rows = []
     for t in spec.t_values:
         xt = invert_along(oracle, sch, starts, inversion_grid(t, inv_stride)).latents[-1]
         before = oracle.eps_evals
-        deno = denoise_path(oracle, sch, xt, t, spec.delta_t_values[0], g)
+        deno = denoise_path(oracle, sch, xt, t, spec.delta_T_values[0], g)
         calls = (oracle.eps_evals - before) / len(starts)
         single, multi = hop(sch, xt, t, 0, deno.eps_cache[0]), deno.latents[-1]
         rows.append((t, float(np.mean(nearest_mode_distance(oracle, label, single))),
@@ -306,11 +305,11 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
     inverts to s in one hop."""
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
     x0 = spec.generator.render(canonical_view(jit.width, jit.height))
-    delta_s = spec.delta_s_values[0]
+    delta_s = spec.delta_S_values[0]
 
     rows, grad_rows = [], []
     for t in spec.t_values:
-        for dt in spec.delta_t_values:
+        for dt in spec.delta_T_values:
             if dt > t:
                 continue
             pieces = interval_pieces(oracle, sch, x0, t, dt, g)
@@ -346,10 +345,10 @@ def _axis_spread(rows: list[tuple], held_col: int) -> dict[int, float]:
 def run_interval_sweep(spec: ExperimentSpec) -> Report:
     """Full distillation per (interval, stride) grid cell with a shared seed."""
     rows, frames = [], {}
-    for dt in spec.delta_t_values:
-        for ds in spec.delta_s_values:
-            cfg = replace(spec.distill, delta_t_start=dt, delta_t_end=dt,
-                          delta_s=ds, seed=spec.seeds[0], snapshot_every=0)
+    for dt in spec.delta_T_values:
+        for ds in spec.delta_S_values:
+            cfg = replace(spec.distill, delta_T_start=dt, delta_T_end=dt,
+                          delta_S=ds, seed=spec.seeds[0], snapshot_every=0)
             started = time.perf_counter()
             log = run_distillation(copy.deepcopy(spec.generator), spec.oracle, spec.schedule, cfg)
             wall = time.perf_counter() - started

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from ismlab import (
-    DistillConfig,
     GuidanceSpec,
     IdentityLatent,
     MixtureOracle,
@@ -24,7 +23,7 @@ from ismlab import (
     naive_gradient,
     run_distillation,
 )
-from ismlab.config import gaussian_blob_template
+from ismlab.config import build_distill, gaussian_blob_template
 from ismlab.experiments import (
     ExperimentSpec,
     decomposition_sweep_check,
@@ -70,15 +69,15 @@ def matched_runs():
     oracle = MixtureOracle(
         means=[[1.0, 0.0], [-1.0, 0.0]], sigmas=[0.05, 0.05],
         weights=[0.5, 0.5], labels={"right": [0], "left": [1]})
-    guidance = GuidanceSpec(positive="right", scale=7.5)
     logs = {}
     started = time.perf_counter()
     for seed in range(10):
         for objective in ("ism", "sds"):
-            cfg = DistillConfig(
-                objective=objective, iterations=2000, t_min=220, t_max=980,
-                delta_t_start=200, delta_t_end=50, delta_s=50,
-                guidance=guidance, seed=seed)
+            cfg = build_distill({
+                "distill": {"objective": objective, "iterations": 2000, "t_min": 220,
+                            "t_max": 980, "delta_T_start": 200, "delta_T_end": 50,
+                            "delta_S": 50, "seed": seed},
+                "guidance": {"positive": "right", "scale": 7.5}})
             gen = IdentityLatent([0.0, 0.0])
             logs[(seed, objective)] = run_distillation(gen, oracle, schedule, cfg)
     return logs, time.perf_counter() - started
@@ -159,7 +158,7 @@ def test_criterion_5_consistency_finding(default_schedule):
     spec = ExperimentSpec(
         schedule=default_schedule, oracle=oracle,
         guidance=GuidanceSpec(positive="right", scale=7.5),
-        t_values=[100, 300, 500, 700, 900], delta_t_values=[50], delta_s_values=[50],
+        t_values=[100, 300, 500, 700, 900], delta_T_values=[50], delta_S_values=[50],
         jitter=ViewJitterSpec(), generator=IdentityLatent([0.0, 0.0]), noise_draws=32,
         seeds=[0], threshold=0.2, start_points=20, distill=None, checks=())
     rep = run_consistency(spec).summary
@@ -181,7 +180,7 @@ def test_criterion_6_quality_finding(default_schedule):
     spec = ExperimentSpec(
         schedule=default_schedule, oracle=oracle,
         guidance=GuidanceSpec(positive=None, scale=1.0),
-        t_values=[900], delta_t_values=[50], delta_s_values=[50],
+        t_values=[900], delta_T_values=[50], delta_S_values=[50],
         jitter=ViewJitterSpec(), generator=None, noise_draws=8, seeds=[1], threshold=0.2,
         start_points=20, distill=None, checks=())
     rep = run_quality(spec)
@@ -244,11 +243,10 @@ def test_criterion_10_splat_distillation(default_schedule):
     right = gaussian_blob_template(16, 16, 1, (0.45, 0.0), 0.35, 0.9)
     oracle = MixtureOracle(means=[left, right], sigmas=[0.1, 0.1],
                            weights=[0.5, 0.5], labels={"left": [0], "right": [1]})
-    cfg = DistillConfig(
-        objective="ism", iterations=3000, t_min=150, t_max=500,
-        delta_t_start=100, delta_t_end=50, delta_s=50,
-        guidance=GuidanceSpec(positive="left", scale=3.0), seed=0,
-        jitter=ViewJitterSpec(width=16, height=16))
+    cfg = build_distill({
+        "distill": {"objective": "ism", "iterations": 3000, "t_min": 150, "t_max": 500,
+                    "delta_T_start": 100, "delta_T_end": 50, "delta_S": 50, "seed": 0},
+        "guidance": {"positive": "left", "scale": 3.0}, "view": {"width": 16, "height": 16}})
     gen = random_scene(32, 1, seed=0)
     run_distillation(gen, oracle, default_schedule, cfg)
     img = gen.render(canonical_view(16, 16))

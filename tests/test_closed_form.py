@@ -15,7 +15,15 @@ evaluated in long double from the schedule's alpha_bar, without the hop
 formula or the oracle's score, and the float64 results must lie within stated
 units of 2^-53 of them. Both guidance branches select the one component, so
 the guided prediction is the unconditional one exactly.
+
+The SDS moments need only that each guidance branch selects one component:
+the guided prediction is then affine in x whatever the oracle, and the SDS
+pseudo-target moves with the injected noise by a closed-form gain.
 """
+
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +37,8 @@ from ismlab import (
     naive_gradient,
     sds_gradient,
 )
+from ismlab.config import build_guidance, build_oracle
+from ismlab.experiments import build_experiment, run_consistency
 from ismlab.trajectory import denoise_path, descent_grid, inversion_grid, invert_along
 
 pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
@@ -237,3 +247,98 @@ def test_interval_pieces_bias_matches_the_affine_closed_form(name, sigma):
                                     + gamma * c.sum() * len(nodes) * up_scale)
         got = interval_pieces(oracle, schedule, x0, t, dt, GUIDANCE).bias()
         assert error(got, bias) <= bound, (t, dt, offset)
+
+
+def consistency_config() -> dict:
+    """configs/consistency.json with guidance.negative "left": each guidance
+    branch selects one component, so the guided prediction is affine in x."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "consistency.json"
+    cfg = json.loads(path.read_text())
+    cfg["guidance"]["negative"] = "left"
+    return cfg
+
+
+def sds_gain(oracle: MixtureOracle, schedule, g: GuidanceSpec, t: int) -> ld:
+    """k(t), the change of sds_gradient's pseudo_gt per unit of eps in the
+    affine case: the guided prediction's slope is A = sqrt(1 - ab_t) *
+    ((1 - scale) / v_neg + scale / v_pos), and pseudo_gt = (x_t - sqrt(1 -
+    ab_t) e_t) / sqrt(ab_t) with x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps, so
+    k = (1 - sqrt(1 - ab_t) A) sqrt(1 - ab_t) / sqrt(ab_t)."""
+    ab = ld(schedule.alpha_bar[t])
+    sab, s1 = np.sqrt(ab), np.sqrt(1 - ab)
+    v = {label: ab * ld(oracle.sigmas[oracle.labels[label][0]]) ** 2 + 1 - ab
+         for label in (g.positive, g.negative)}
+    slope = s1 * ((1 - ld(g.scale)) / v[g.negative] + ld(g.scale) / v[g.positive])
+    return (1 - s1 * slope) * s1 / sab
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_sds_pseudo_gt_moves_with_eps_by_the_affine_gain(name):
+    """With each guidance branch on one component, pseudo_gt at eps minus
+    pseudo_gt at 0 is k(t) * eps: within HOP_UNITS per hop (two per
+    evaluation) of the scale of the terms each evaluation divides by
+    sqrt(ab_t), the guided branches' terms included."""
+    cfg = consistency_config()
+    schedule, oracle, g = SCHEDULES[name], build_oracle(cfg), build_guidance(cfg)
+    affine = Affine(oracle, schedule)
+    gscale = ld(abs(g.scale))
+    rng = np.random.default_rng(15)
+    for t, _, offset in cases(16, 24):
+        x0 = oracle.means[0] + offset * rng.normal(size=2)
+        draws = (rng.normal(size=2), np.zeros(2))
+        sab, s1 = affine.sab[t], affine.s1[t]
+        scale = ld(0)
+        for eps in draws:
+            x_t = sab * x0.astype(ld) + s1 * eps.astype(ld)
+            terms = (x0, s1 * eps, x_t, gscale * x_t, *(gscale * sab * mu for mu in oracle.means))
+            scale = max(scale, max(np.abs(term).max() for term in terms) / sab)
+        got = [sds_gradient(oracle, schedule, x0, t, eps, g).pseudo_gt for eps in draws]
+        exact = sds_gain(oracle, schedule, g, t) * draws[0].astype(ld)
+        bound = 2 * 2 * HOP_UNITS * UNIT * scale
+        assert error(got[0].astype(ld) - got[1], exact) <= bound, (t, offset)
+
+
+def chi2_tails(x: float, half_dof: int) -> tuple[float, float]:
+    """P(X < x) and P(X > x) for X chi-squared with 2 * half_dof degrees of
+    freedom: the Poisson(x / 2) probabilities of at least, and of fewer
+    than, half_dof events."""
+    term, upper, lower = math.exp(-x / 2), 0.0, 0.0
+    for j in range(half_dof):
+        upper += term
+        term *= x / 2 / (j + 1)
+    j = half_dof
+    while lower + term > lower:
+        lower += term
+        j += 1
+        term *= x / 2 / j
+    return lower, upper
+
+
+def chi2_quantiles(p: float, half_dof: int) -> tuple[float, float]:
+    """The chi-squared values with p below and p above, by bisection."""
+    bounds = []
+    for tail in (0, 1):
+        lo, hi = 0.0, 8.0 * half_dof + 200.0
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if (chi2_tails(mid, half_dof)[tail] < p) == (tail == 0):
+                lo = mid
+            else:
+                hi = mid
+        bounds.append(lo)
+    return bounds[0], bounds[1]
+
+
+def test_consistency_sds_noise_variance_is_chi_squared():
+    """consistency's sds_noise_variance at a timestep is k(t)^2 times the
+    draws' mean squared deviation, which is chi-squared with D (N - 1)
+    degrees of freedom over N for N standard normal draws: at the shipped
+    32 draws and seed 0, each N * variance / k(t)^2 lies between the
+    chi-squared quantiles of 2 * 31 degrees of freedom with 1e-6 in each tail."""
+    spec = build_experiment(consistency_config(), "consistency")
+    assert spec.noise_draws == 32 and spec.seeds == [0] and spec.oracle.dim == 2
+    low, high = chi2_quantiles(1e-6, 31)
+    summary = run_consistency(spec).summary
+    for t, variance in zip(summary["t_values"], summary["sds_noise_variance"]):
+        k = float(sds_gain(spec.oracle, spec.schedule, spec.guidance, t))
+        assert low < 32 * variance / (k * k) < high, t

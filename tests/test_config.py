@@ -12,6 +12,7 @@ from ismlab import (
     DistillConfig,
     GuidanceSpec,
     IdentityLatent,
+    OptimConfig,
     SplatGenerator,
     ViewJitterSpec,
     config,
@@ -99,7 +100,7 @@ def test_generator_builders():
 def test_distill_defaults_follow_interval_start():
     cfg = build_distill({"distill": {"delta_T_start": 100}})
     assert cfg.t_min == 120
-    assert cfg.delta_t_start == 100
+    assert cfg.delta_T_start == 100
     assert cfg.guidance.scale == 7.5
 
 
@@ -400,13 +401,33 @@ def test_every_table_key_is_documented():
 
 def test_table_defaults_match_the_constructor_defaults():
     """A config that omits a key builds what the library constructors build
-    when the same argument is omitted; ExperimentSpec has no defaults of its
-    own, since EXPERIMENT declares the experiment keys' defaults."""
+    when the same argument is omitted; DistillConfig and ExperimentSpec have
+    no defaults of their own, since DISTILL and EXPERIMENT declare them."""
     assert np.array_equal(build_schedule({}).beta, make_schedule(1000).beta)
     assert build_jitter({}) == ViewJitterSpec()
     assert build_guidance({}) == GuidanceSpec(positive=None)
-    assert build_distill({}) == DistillConfig(
-        objective="ism", iterations=1000, t_min=220, t_max=980, delta_t_start=200,
-        delta_t_end=50, delta_s=50, guidance=GuidanceSpec(positive=None))
-    assert [f.name for f in fields(ExperimentSpec)
-            if f.default is not MISSING or f.default_factory is not MISSING] == []
+    assert build_distill({}).optimizer == OptimConfig()
+    for cls in (DistillConfig, ExperimentSpec):
+        assert [f.name for f in fields(cls)
+                if f.default is not MISSING or f.default_factory is not MISSING] == [], cls
+
+
+def test_section_keys_are_the_field_names():
+    """Every distill key but the optimizer, which becomes an OptimConfig, and
+    every experiment key is the field of the same name and holds the value as
+    read; the other fields are the sections the builders add."""
+    distill = {"objective": "sds", "iterations": 7, "t_min": 300, "t_max": 900,
+               "delta_T_start": 150, "delta_T_end": 40, "delta_S": 30, "view_batch": 2,
+               "seed": 3, "snapshot_every": 5}
+    experiment = {"t_values": [200], "delta_T_values": [20, 40], "delta_S_values": [10],
+                  "seeds": [4, 5], "noise_draws": 3, "threshold": 0.1, "start_points": 6,
+                  "checks": ["score_fd"]}
+    assert set(distill) == set(config.DISTILL) - {"optimizer"}
+    assert set(experiment) == set(EXPERIMENT)
+    spec = build_experiment({"oracle": {"components": [{"mean": [0.0, 0.0]}]},
+                             "distill": distill, "experiment": experiment}, "quality")
+    assert {key: getattr(spec.distill, key) for key in distill} == distill
+    assert {key: getattr(spec, key) for key in experiment} == experiment
+    assert {f.name for f in fields(DistillConfig)} == set(config.DISTILL) | {"guidance", "jitter"}
+    assert {f.name for f in fields(ExperimentSpec)} == set(EXPERIMENT) | {
+        "schedule", "oracle", "guidance", "jitter", "generator", "distill"}

@@ -22,6 +22,7 @@ from ismlab import (
     nearest_mode_distance,
     run_distillation,
 )
+from ismlab.config import build_distill
 from ismlab.distill import (
     METRICS_CSV_HEADER,
     current_interval,
@@ -31,20 +32,14 @@ from ismlab.distill import (
 from ismlab.generators import random_scene
 
 
+BASE_CONFIG = build_distill({
+    "distill": {"objective": "ism", "iterations": 20, "t_min": 220, "t_max": 600,
+                "delta_T_start": 200, "delta_T_end": 50, "delta_S": 50, "seed": 0},
+    "guidance": {"positive": "right", "scale": 7.5}})
+
+
 def base_config(**overrides):
-    defaults = dict(
-        objective="ism",
-        iterations=20,
-        t_min=220,
-        t_max=600,
-        delta_t_start=200,
-        delta_t_end=50,
-        delta_s=50,
-        guidance=GuidanceSpec(positive="right", scale=7.5),
-        seed=0,
-    )
-    defaults.update(overrides)
-    return DistillConfig(**defaults)
+    return replace(BASE_CONFIG, **overrides)
 
 
 def test_adam_converges_on_quadratic():
@@ -221,7 +216,7 @@ def test_each_snapshot_is_the_final_frame_of_the_run_stopped_there(schedule, jit
     of the longer one). Each state is rendered once on the canonical view, and
     a jittered run renders its view_batch views per iteration besides."""
     gen, oracle, cfg = image_run(6, 2)
-    cfg = replace(cfg, delta_t_start=100, delta_t_end=100,
+    cfg = replace(cfg, delta_T_start=100, delta_T_end=100,
                   jitter=ViewJitterSpec(width=6, height=5, **jitter))
     views, render = [], gen.render
     gen.render = lambda view: (views.append(view), render(view))[1]
@@ -343,7 +338,7 @@ def test_a_failed_run_keeps_the_rows_of_the_run_stopped_before_it(bimodal, sched
             grad = super().backward(view, grad_output)
             return grad if self.backwards < 3 else np.full_like(grad, np.inf)
 
-    cfg = base_config(iterations=5, delta_t_start=100, delta_t_end=100)
+    cfg = base_config(iterations=5, delta_T_start=100, delta_T_end=100)
     with pytest.raises(NumericalError, match="non-finite gradient at iteration 2") as info:
         run_distillation(FailsOnThirdBackward([0.1, 0.1]), bimodal, schedule, cfg)
     log = info.value.log
@@ -367,6 +362,6 @@ def test_hand_built_config_with_an_unknown_objective_fails_loudly():
     reach the step's dispatch with another objective."""
     unknown = r"objective must be one of \('ism', 'sds', 'naive'\), got 'vsd'"
     with pytest.raises(ConfigError, match=unknown):
-        base_config(objective="vsd")
+        DistillConfig(**{**vars(base_config()), "objective": "vsd"})
     with pytest.raises(ConfigError, match=unknown):
         replace(base_config(), objective="vsd")

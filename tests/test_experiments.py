@@ -153,7 +153,7 @@ def test_eta_sweep_gradient_rows_are_direct_objective_calls(tmp_path):
     write_report(report, tmp_path)
     grads = read_csv(tmp_path / "gradients.csv")
     assert tuple(grads[0]) == GRADIENTS_CSV_HEADER
-    sch, oracle, g, ds = spec.schedule, spec.oracle, spec.guidance, spec.delta_s_values[0]
+    sch, oracle, g, ds = spec.schedule, spec.oracle, spec.guidance, spec.delta_S_values[0]
     x0 = spec.generator.render(canonical_view(spec.jitter.width, spec.jitter.height))
     expected = []
     for t, dt, *_, naive_calls, ism_calls in report.summary["rows"]:

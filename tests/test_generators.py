@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from ismlab import (
     ConfigError,
-    DistillConfig,
-    GuidanceSpec,
     IdentityLatent,
     MixtureOracle,
     SplatGenerator,
@@ -16,6 +14,7 @@ from ismlab import (
     canonical_view,
     sample_view,
 )
+from ismlab.config import build_distill
 from ismlab.distill import distill_step, init_state
 from ismlab.experiments import fd_gradient
 from ismlab.generators import random_scene
@@ -324,14 +323,15 @@ def test_pixel_centers_are_solved_once_and_read_only():
 def test_jittered_view_batch_step_sums_fresh_backward_calls(schedule):
     """One distill_step over two jittered views accumulates, bit for bit, the
     sum of each view's backward on a generator that never rendered."""
-    spec = ViewJitterSpec(**WIDE_JITTER, width=6, height=5)
     rng = np.random.default_rng(4)
     oracle = MixtureOracle(means=rng.uniform(0.0, 1.0, (2, 30)), sigmas=[0.2, 0.2],
                            weights=[0.5, 0.5], labels={"a": [0], "b": [1]})
-    cfg = DistillConfig(objective="ism", iterations=1, t_min=220, t_max=600,
-                        delta_t_start=200, delta_t_end=50, delta_s=50,
-                        guidance=GuidanceSpec(positive="a", scale=7.5),
-                        view_batch=2, jitter=spec, seed=5)
+    cfg = build_distill({
+        "distill": {"objective": "ism", "iterations": 1, "t_min": 220, "t_max": 600,
+                    "delta_T_start": 200, "delta_T_end": 50, "delta_S": 50,
+                    "view_batch": 2, "seed": 5},
+        "guidance": {"positive": "a", "scale": 7.5}, "view": {"width": 6, "height": 5},
+        "jitter": WIDE_JITTER})
     gen = random_scene(4, 1, seed=2, background=[0.3])
     state = init_state(gen, cfg)
     before = fresh_copy(gen)

@@ -20,6 +20,7 @@ from ismlab import (
     naive_gradient,
     sds_gradient,
 )
+from ismlab.config import gaussian_blob_template
 
 # constant beta 0.1: gamma(t) passes 3e6 at t = 284 and 1e9 at t = 394, so the
 # gap of a double-precision multi-step estimate, which grows as gamma(t) * 2^-53,
@@ -370,3 +371,29 @@ def test_interval_pieces_evaluate_the_series_once(mixture3, schedule, guide_a):
     vars(again)["gap"] = math.nan
     with pytest.raises(DecompositionError, match="disagree by nan"):
         again.bias()
+
+
+# one-component, two-component and image-template oracles, each labelling "a"
+GRID_ORACLES = {
+    "one": MixtureOracle(means=[[0.6, -0.3]], sigmas=[0.2], weights=[1.0], labels={"a": [0]}),
+    "two": MixtureOracle(means=[[1.0, 0.0], [-0.5, 0.8]], sigmas=[0.3, 0.2],
+                         weights=[0.6, 0.4], labels={"a": [0]}),
+    "blob": MixtureOracle(
+        means=[gaussian_blob_template(8, 8, 1, (x, 0.0), 0.35, 0.9) for x in (-0.45, 0.45)],
+        sigmas=[0.1, 0.1], weights=[0.5, 0.5], labels={"a": [0]}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(GRID_ORACLES)), dt=st.integers(1, 500), data=st.data())
+def test_ism_on_the_multistep_grid_is_the_interval_score(schedule, name, dt, data):
+    """Where delta_S = delta_T and delta_T divides t, ISM's inversion grid is
+    the multi-step grid, so its direction is omega(t) times the pieces'
+    interval score bit for bit, on either schedule."""
+    o = GRID_ORACLES[name]
+    t = dt * data.draw(st.integers(2, 1000 // dt))
+    x0 = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(-2, 2, o.dim)
+    g = GuidanceSpec(positive="a", scale=data.draw(st.sampled_from([0.0, 1.0, 7.5])))
+    for sch in (schedule, STEEP):
+        want = sch.omega[t] * interval_pieces(o, sch, x0, t, dt, g).interval
+        assert ism_gradient(o, sch, x0, t, dt, dt, g).grad_x0.tobytes() == want.tobytes()
