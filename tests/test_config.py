@@ -406,7 +406,10 @@ def test_table_defaults_match_the_constructor_defaults():
     assert np.array_equal(build_schedule({}).beta, make_schedule(1000).beta)
     assert build_jitter({}) == ViewJitterSpec()
     assert build_guidance({}) == GuidanceSpec(positive=None)
-    assert build_distill({}).optimizer == OptimConfig()
+    assert build_distill({}) == DistillConfig(
+        objective="ism", iterations=1000, t_min=220, t_max=980, delta_T_start=200,
+        delta_T_end=50, delta_S=50, view_batch=1, seed=0, snapshot_every=0,
+        optimizer=OptimConfig(), guidance=GuidanceSpec(positive=None), jitter=ViewJitterSpec())
     for cls in (DistillConfig, ExperimentSpec):
         assert [f.name for f in fields(cls)
                 if f.default is not MISSING or f.default_factory is not MISSING] == [], cls
