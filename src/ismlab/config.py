@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -25,10 +26,18 @@ SECTIONS = dict.fromkeys(("schedule", "oracle", "guidance", "view", "jitter", "g
                           "distill", "experiment"), (None, lambda v: v))
 
 
+class JSONObject(dict):
+    """A JSON object as read; repeated lists the keys it gives more than once."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeated = [key for key, n in Counter(k for k, _ in pairs).items() if n > 1]
+
+
 def load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=JSONObject)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
@@ -36,13 +45,15 @@ def load_json(path) -> dict:
 def read(section, table: dict, path: str) -> dict:
     """The values of the config object at a dotted path ("" for the top level),
     by its table key -> (default, converter); a missing or null object takes
-    every default. An unknown or missing REQUIRED key, or a value its converter
-    rejects with TypeError, ValueError or OverflowError, is a ConfigError
-    naming the dotted key."""
+    every default. A repeated, unknown or missing REQUIRED key, or a value its
+    converter rejects with TypeError, ValueError or OverflowError, is a
+    ConfigError naming the dotted key."""
     section = {} if section is None else section
     if not isinstance(section, dict):
         raise ConfigError(f"{path} must be an object")
     prefix = f"{path}." if path else ""
+    if getattr(section, "repeated", None):
+        raise ConfigError(f"repeated config key {prefix}{section.repeated[0]}")
     for key in section:
         if key not in table:
             raise ConfigError(f"unknown config key {prefix}{key}")
@@ -237,10 +248,10 @@ SPLAT = {"center": (REQUIRED, vector(FINITE)), "log_scale": (REQUIRED, vector(FI
 
 
 def _explicit_splats(splats: list, background: np.ndarray) -> SplatGenerator:
-    """Generator from a generator.splats list; each entry becomes one row."""
+    """Generator from a generator.splats list, one row per entry in stable depth order."""
     lengths = {"center": 2, "log_scale": 2, "rotation": 1,
                "color": background.shape[0], "logit_opacity": 1}
-    rows, depth = [], []
+    rows = []  # (depth, row) per entry
     for i, entry in enumerate(splats):
         path = f"generator.splats[{i}]"
         splat = read(entry, SPLAT, path)
@@ -248,9 +259,8 @@ def _explicit_splats(splats: list, background: np.ndarray) -> SplatGenerator:
             if len(splat[key]) != length:
                 raise ConfigError(f"{path}.{key} has length {len(splat[key])}, expected {length}"
                                   + (", the background's length" if key == "color" else ""))
-        rows.append(np.concatenate([splat[key] for key in lengths]))
-        depth.append(splat["depth"])
-    return SplatGenerator(rows, background, depth)
+        rows.append((splat["depth"], np.concatenate([splat[key] for key in lengths])))
+    return SplatGenerator([row for _, row in sorted(rows, key=lambda r: r[0])], background)
 
 
 def build_generator(cfg: dict):

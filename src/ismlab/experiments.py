@@ -503,9 +503,8 @@ def run_gradcheck(spec: ExperimentSpec) -> Report:
 
 def write_report(report: Report, out_dir) -> None:
     """report.json from the summary, then ``<name>.csv`` per table and
-    ``frames/<name>.ppm`` per frame."""
+    ``frames/<name>.ppm`` per frame, in the existing directory out_dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
         json.dump(report.summary, fh, indent=2)
     for name, (header, rows) in report.tables.items():

@@ -6,8 +6,8 @@ Two generators are provided:
     experiments that optimise a latent point directly.
   * SplatGenerator -- a scene of anisotropic 2D Gaussian splats rasterised
     with front-to-back alpha compositing and hand-derived analytic gradients
-    for every parameter. The whole scene is one flat parameter vector; depth
-    only orders the splats and is not a parameter.
+    for every parameter. The whole scene is one flat parameter vector whose
+    splat rows come front to back, in the order they are given.
 
 A View is an affine map from scene coordinates to image coordinates. Splat
 footprints are evaluated at its pixel centers, pulled back into scene space
@@ -190,15 +190,13 @@ class IdentityLatent:
 class SplatGenerator:
     """A scene of anisotropic 2D Gaussian splats held as one flat vector.
 
-    theta[:-C] reshaped to (N, 6 + C) holds one row per splat, front to back:
-    [center(2), log_scale(2), rotation, color(C), logit_opacity]; theta[-C:]
-    is the background. The constructor orders the rows by ascending depth
-    (stable, so ties keep their given order); depth is a sort key only and is
-    not stored. Colors and background are clamped to [0, 1] whenever
-    parameters are set.
+    theta[:-C] reshaped to (N, 6 + C) holds one row per splat, front to back as
+    given: [center(2), log_scale(2), rotation, color(C), logit_opacity];
+    theta[-C:] is the background. Colors and background are clamped to [0, 1]
+    whenever parameters are set.
     """
 
-    def __init__(self, splats, background, depth: Optional[Sequence[float]] = None):
+    def __init__(self, splats, background):
         background = np.asarray(background, dtype=float).ravel()
         rows = np.asarray(splats, dtype=float)
         c = background.shape[0]
@@ -206,11 +204,6 @@ class SplatGenerator:
             raise ConfigError(
                 f"splat generator needs a non-empty background of C channels and "
                 f"(N >= 1, 6 + C) splat rows, got {c} channels and rows of shape {rows.shape}")
-        if depth is not None:
-            depth = np.asarray(depth, dtype=float).ravel()
-            if depth.shape[0] != rows.shape[0]:
-                raise ConfigError(f"got {depth.shape[0]} depths for {rows.shape[0]} splats")
-            rows = rows[np.argsort(depth, kind="stable")]
         self.channels = c
         self.theta = np.concatenate([rows.ravel(), background])
         self.set_params(self.theta)  # clamps the colors and empties the render memo

@@ -381,15 +381,11 @@ def test_ppm_round_trip(tmp_path, height, width, channels):
     assert len(body) == width * height * channels
     back = np.frombuffer(body, dtype=np.uint8).reshape(height, width, channels) / maxval
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-9
-    if channels == 1:  # an (H, W) image is its one channel
-        flat = tmp_path / "flat.ppm"
-        write_ppm(flat, img[:, :, 0])
-        assert flat.read_bytes() == path.read_bytes()
 
 
 def test_ppm_rejects_bad_shapes(tmp_path):
     path = tmp_path / "img.ppm"
-    for shape in ((4, 4, 2), (4,), (2, 2, 2, 1)):
+    for shape in ((4, 4, 2), (4, 4), (4,), (2, 2, 2, 1)):
         with pytest.raises(ValueError, match="expected"):
             write_ppm(path, np.zeros(shape))
 
@@ -643,6 +639,23 @@ def test_top_level_value_other_than_an_object_is_a_config_error(tmp_path, capsys
     assert main(["race", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "config error: the top level of a config must be an object"]
+
+
+@pytest.mark.parametrize("after, pairs, key", [
+    ('"distill": {', '"iterations": 5, "iterations": 3, ', "distill.iterations"),
+    ("{", '"jitter": {}, "jitter": null, ', "jitter"),
+    ('{"weight": 0.5, ', '"weight": 0.5, ', "oracle.components[0].weight"),
+    ('"labels": {', '"left": [0], ', "oracle.labels.left")])
+def test_repeated_key_is_a_one_line_config_error(tmp_path, capsys, after, pairs, key):
+    """A key given twice in one JSON object is refused, naming its dotted path;
+    the last value was kept, so iterations 5 then 3 ran 3 iterations, exit 0."""
+    path = tmp_path / "cfg.json"
+    text = (CONFIGS / "distill_identity.json").read_text()
+    path.write_text(text.replace(after, after + pairs, 1))
+    out = tmp_path / "o"
+    assert main(["distill", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: repeated config key {key}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, name", [("consistency", "consistency.json"),

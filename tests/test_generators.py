@@ -14,7 +14,7 @@ from ismlab import (
     canonical_view,
     sample_view,
 )
-from ismlab.config import build_distill
+from ismlab.config import build_distill, build_generator
 from ismlab.distill import distill_step, init_state
 from ismlab.experiments import fd_gradient
 from ismlab.generators import random_scene
@@ -25,11 +25,14 @@ def splat(center, log_scale, rotation, color, logit_opacity, depth=0.0):
                 color=color, logit_opacity=logit_opacity, depth=depth)
 
 
+def row(s):
+    """The SplatGenerator row of a splat dict."""
+    return [*s["center"], *s["log_scale"], s["rotation"], *s["color"], s["logit_opacity"]]
+
+
 def build(splats, background):
-    """SplatGenerator from a plain list of splat dicts."""
-    rows = [[*s["center"], *s["log_scale"], s["rotation"], *s["color"], s["logit_opacity"]]
-            for s in splats]
-    return SplatGenerator(rows, background, [s["depth"] for s in splats])
+    """SplatGenerator from a plain list of splat dicts, put front to back by depth."""
+    return SplatGenerator([row(s) for s in sorted(splats, key=lambda s: s["depth"])], background)
 
 
 def brute_force_render(splats, background, view):
@@ -115,12 +118,23 @@ def test_render_rgb_channels():
 
 
 def test_permutation_invariance_bitwise():
+    """A config's generator.splats go front to back by depth: any list order of
+    distinct depths builds the same scene, and equal depths keep their list order."""
+    def scene(splats):
+        return build_generator({"generator": {"kind": "splats", "splats": splats,
+                                              "background": [0.1]}})
+
     base = three_splat_scene()
     view = canonical_view(12, 12)
     s = three_splats()
-    permuted = build([s[2], s[0], s[1]], [0.1])
+    permuted = scene([s[2], s[0], s[1]])
     assert np.array_equal(permuted.get_params(), base.get_params())
     assert np.array_equal(permuted.render(view), base.render(view))
+    tied = dict(s[2], depth=s[0]["depth"])
+    for given, front_to_back in (([tied, s[1], s[0]], [tied, s[0], s[1]]),
+                                 ([s[0], s[1], tied], [s[0], tied, s[1]])):
+        assert np.array_equal(scene(given).get_params(), SplatGenerator(
+            [row(t) for t in front_to_back], [0.1]).get_params())
 
 
 def test_render_deterministic_bitwise():
@@ -257,8 +271,6 @@ def test_splat_generator_param_round_trip():
     for bad in (rows[:, :6], rows[:0], rows.ravel()):  # wrong width, no splats, not 2-D
         with pytest.raises(ConfigError, match="splat rows"):
             SplatGenerator(bad, [0.5])
-    with pytest.raises(ConfigError, match="got 2 depths for 3 splats"):
-        SplatGenerator(rows, [0.5], depth=[0.0, 1.0])
 
 
 def fresh_copy(gen):

@@ -2,11 +2,11 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 22 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs the 23 runs of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
 reads a copy of its config with those keys set (dotted, ``[i]`` indexing a
-list); the first seven such runs succeed, and the other four fail with exit
+list); the first eight such runs succeed, and the other four fail with exit
 codes 3, 2, 2 and 1.
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
@@ -34,8 +34,10 @@ HERE = Path(__file__).resolve().parent.parent
 # splat scene under three more kinds that render a generator, a short jittered
 # splat run whose last snapshot is its final state, a race too short for any
 # run to cross its threshold, a splat run toward a point template (a blob width
-# whose square underflows, centred on a pixel), a consistency stride above its
-# first two timesteps and the gradchecks on a schedule shorter than the
+# whose square underflows, centred on a pixel), an explicit four-splat scene
+# listed out of depth order with two splats at one depth (the config puts the
+# rows front to back, the tied pair in list order), a consistency stride above
+# its first two timesteps and the gradchecks on a schedule shorter than the
 # decomposition check's longest interval (both strides past their walk are one
 # hop), an eta-sweep whose (120, 100) cell inverts to s = 20, below its stride,
 # in one hop, an eta-sweep on a one-component oracle with the view at its mean,
@@ -62,6 +64,17 @@ RUNS = (
     ("distill", "distill_splats.json",
      {"oracle.components[0].mean.sigma": 1e-300,
       "oracle.components[0].mean.center": [0.0625, 0.0625], "distill.iterations": 20}),
+    ("distill", "distill_splats.json",
+     {"generator.splats": [
+         {"center": [0.1, 0.0], "log_scale": [-1.2, -1.6], "rotation": 0.3, "color": [0.8],
+          "logit_opacity": 0.5, "depth": 2.0},
+         {"center": [-0.2, 0.1], "log_scale": [-1.4, -1.0], "rotation": -0.7, "color": [0.3],
+          "logit_opacity": 1.0, "depth": 0.5},
+         {"center": [0.0, -0.1], "log_scale": [-1.0, -1.3], "rotation": 1.1, "color": [0.6],
+          "logit_opacity": 0.0, "depth": 1.0},
+         {"center": [-0.1, -0.2], "log_scale": [-1.5, -1.1], "rotation": 0.0, "color": [0.9],
+          "logit_opacity": 0.8, "depth": 0.5}],
+      "distill.iterations": 20, "distill.snapshot_every": 10}),
     ("consistency", "consistency.json", {"experiment.delta_S_values": [400]}),
     ("gradcheck", "gradcheck.json", {"schedule.T": 50}),
     ("eta-sweep", "eta_sweep.json",
