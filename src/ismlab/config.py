@@ -36,9 +36,9 @@ class JSONObject(dict):
 
 def load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # the encoding JSON requires
             return json.load(fh, object_pairs_hook=JSONObject)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad bytes, text or int
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -265,6 +265,9 @@ def _explicit_splats(splats: list, background: np.ndarray) -> SplatGenerator:
 
 def build_generator(cfg: dict):
     g = read(cfg.get("generator"), GENERATOR, "generator")
+    for key in cfg.get("generator") or {}:  # identity reads kind and theta, splats all but theta
+        if key != "kind" and (key == "theta") != (g["kind"] == "identity"):
+            raise ConfigError(f"generator.kind {g['kind']!r} reads no config key generator.{key}")
     if g["kind"] == "identity":
         if g["theta"] is None:
             raise ConfigError("missing config key generator.theta")

@@ -1,16 +1,16 @@
 """Discrete diffusion time axis.
 
-A schedule owns the per-step variances beta_t, the cumulative signal levels
-alpha_bar_t = prod_{u<=t} (1 - beta_u), the noise-to-signal ratio
-sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t) that converts between epsilon-space
+A schedule owns the signal levels alpha_bar_t (make_schedule's are
+prod_{u<=t} (1 - beta_u) over per-step variances beta_u), the noise-to-signal
+ratio sqrt(1 - alpha_bar_t) / sqrt(alpha_bar_t) that converts between epsilon-
 and sample-space update directions, and the per-timestep loss weight.
 
 The signal levels, their square roots, the ratio and the loss weight are
 tabulated once per schedule, so the per-call transport, oracle and objective
 code only indexes them.
 
-Index 0 is the clean-data boundary: beta[0] = 0 and alpha_bar[0] = 1 by
-convention, so trajectories may start at t = 0.
+Index 0 is the clean-data boundary: alpha_bar[0] = 1 by convention, so
+trajectories may start at t = 0.
 """
 
 from __future__ import annotations
@@ -30,16 +30,13 @@ class NoiseSchedule:
 
     Attributes:
         num_steps: number of diffusion steps T; valid timesteps are 0..T.
-        beta: array of shape (T + 1,); beta[0] = 0, beta[t] is the step-t
-            variance increment.
-        alpha_bar: array of shape (T + 1,); alpha_bar[0] = 1 and
-            alpha_bar[t] = alpha_bar[t - 1] * (1 - beta[t]).
+        ab: the signal levels alpha_bar[t] for t = 0..T as Python floats,
+            which hash fast as memo keys; ab[0] = 1.
         omega_kind: which per-timestep loss weight to use, one of
             ``unit`` (constant 1) or ``one_minus_alpha_bar``.
 
-    Derived read-only tables, indexed by timestep (index only after a range
+    Tables derived from ab, indexed by timestep (index only after a range
     check such as ``_check_t``: a negative index would wrap silently):
-        ab: alpha_bar[t] as a Python float, which hashes fast as a memo key.
         sab: sqrt(alpha_bar[t]).
         s1mab: sqrt(1 - alpha_bar[t]).
         nsr: s1mab[t] / sab[t], the noise-to-signal ratio; zero at t = 0.
@@ -48,10 +45,8 @@ class NoiseSchedule:
     """
 
     num_steps: int
-    beta: np.ndarray
-    alpha_bar: np.ndarray
-    omega_kind: str = "unit"
-    ab: tuple[float, ...] = field(init=False, repr=False)
+    ab: tuple[float, ...]
+    omega_kind: str
     sab: tuple[float, ...] = field(init=False, repr=False)
     s1mab: tuple[float, ...] = field(init=False, repr=False)
     nsr: tuple[float, ...] = field(init=False, repr=False)
@@ -59,14 +54,14 @@ class NoiseSchedule:
 
     def __post_init__(self):
         # Python floats: they index and multiply faster than numpy scalars.
-        sab = np.sqrt(self.alpha_bar)
-        s1mab = np.sqrt(1.0 - self.alpha_bar)
-        object.__setattr__(self, "ab", tuple(self.alpha_bar.tolist()))
+        alpha_bar = np.array(self.ab)
+        sab = np.sqrt(alpha_bar)
+        s1mab = np.sqrt(1.0 - alpha_bar)
         object.__setattr__(self, "sab", tuple(sab.tolist()))
         object.__setattr__(self, "s1mab", tuple(s1mab.tolist()))
         object.__setattr__(self, "nsr", tuple((s1mab / sab).tolist()))
         object.__setattr__(self, "omega", (1.0,) * len(sab) if self.omega_kind == "unit"
-                           else tuple((1.0 - self.alpha_bar).tolist()))
+                           else tuple((1.0 - alpha_bar).tolist()))
 
     def _check_t(self, t: int, lo: int) -> int:
         t = int(t)
@@ -107,7 +102,4 @@ def make_schedule(
     if not alpha_bar[-1] > 0:
         raise ConfigError(f"need alpha_bar_T > 0, but {num_steps} steps of beta from "
                           f"{beta_start} to {beta_end} underflow it to 0")
-    beta.flags.writeable = False
-    alpha_bar.flags.writeable = False
-    return NoiseSchedule(num_steps=num_steps, beta=beta, alpha_bar=alpha_bar,
-                         omega_kind=omega_kind)
+    return NoiseSchedule(num_steps, tuple(alpha_bar.tolist()), omega_kind)

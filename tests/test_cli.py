@@ -424,6 +424,23 @@ def test_bad_generator_section_exits_one(tmp_path, capsys, generator, key):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("distill_identity.json", "splats", [{"centre": [0, 0]}]),
+    ("distill_identity.json", "n_splats", 5),
+    ("distill_splats.json", "theta", [0.0, 0.0])])
+def test_generator_key_its_kind_does_not_read_is_a_one_line_config_error(tmp_path, capsys,
+                                                                          name, key, value):
+    """An identity latent reads only generator.theta, a splat scene every key
+    but it; the key the kind ignored was accepted, and the run exited 0."""
+    cfg = tweak_config(tmp_path, name, **{f"generator.{key}": value})
+    kind = load_json(cfg)["generator"]["kind"]
+    out = tmp_path / "o"
+    assert main(["distill", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: generator.kind {kind!r} reads no config key generator.{key}"]
+    assert not out.exists()
+
+
 TWO_CHANNELS = {"generator.channels": 2, "distill.iterations": 3,
                 "oracle.components[0].mean.channels": 2, "oracle.components[1].mean.channels": 2}
 
@@ -639,6 +656,23 @@ def test_top_level_value_other_than_an_object_is_a_config_error(tmp_path, capsys
     assert main(["race", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "config error: the top level of a config must be an object"]
+
+
+@pytest.mark.parametrize("data, reason", [
+    (b'{"schedule": {"T": 1000}, "note": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100000, "maximum recursion depth exceeded"),
+    (b'{"schedule": {"T": ' + b"9" * 5000 + b"}}", "Exceeds the limit (4300 digits)")],
+    ids=["not_utf8", "deep_nesting", "long_int"])
+def test_unreadable_config_is_a_one_line_config_error(tmp_path, capsys, data, reason):
+    """Bytes that are not UTF-8, nesting deeper than the parser recurses and an
+    integer literal past Python's digit limit each gave a traceback."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    out = tmp_path / "o"
+    assert main(["race", "--config", str(path), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: cannot read config {path}: ") and reason in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("after, pairs, key", [

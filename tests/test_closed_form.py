@@ -11,7 +11,7 @@ y = x - sqrt(ab_a) * mu from the noised mean by
     k(a, b) = (sqrt(ab_a * ab_b) * sigma^2 + sqrt((1 - ab_a) * (1 - ab_b))) / v_a,
 
 and every walk and objective is a product of such factors. Here they are
-evaluated in long double from the schedule's alpha_bar, without the hop
+evaluated in long double from the schedule's signal levels ab, without the hop
 formula or the oracle's score, and the float64 results must lie within stated
 units of 2^-53 of them. Both guidance branches select the one component, so
 the guided prediction is the unconditional one exactly.
@@ -64,7 +64,7 @@ class Affine:
     """The closed form of one component's transport under a schedule."""
 
     def __init__(self, oracle: MixtureOracle, schedule):
-        ab = schedule.alpha_bar.astype(ld)
+        ab = np.array(schedule.ab, dtype=ld)
         self.sab, self.s1 = np.sqrt(ab), np.sqrt(1 - ab)
         self.sig2 = ld(oracle.sigmas[0]) ** 2
         self.v = ab * self.sig2 + (1 - ab)
@@ -264,7 +264,7 @@ def sds_gain(oracle: MixtureOracle, schedule, g: GuidanceSpec, t: int) -> ld:
     ((1 - scale) / v_neg + scale / v_pos), and pseudo_gt = (x_t - sqrt(1 -
     ab_t) e_t) / sqrt(ab_t) with x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps, so
     k = (1 - sqrt(1 - ab_t) A) sqrt(1 - ab_t) / sqrt(ab_t)."""
-    ab = ld(schedule.alpha_bar[t])
+    ab = ld(schedule.ab[t])
     sab, s1 = np.sqrt(ab), np.sqrt(1 - ab)
     v = {label: ab * ld(oracle.sigmas[oracle.labels[label][0]]) ** 2 + 1 - ab
          for label in (g.positive, g.negative)}

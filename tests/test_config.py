@@ -36,7 +36,7 @@ from ismlab.generators import random_scene
 def test_schedule_defaults():
     sch = build_schedule({})
     assert sch.num_steps == 1000
-    assert sch.alpha_bar[0] == 1.0
+    assert sch.ab[0] == 1.0
     assert sch.omega_kind == "unit"
 
 
@@ -403,7 +403,7 @@ def test_table_defaults_match_the_constructor_defaults():
     """A config that omits a key builds what the library constructors build
     when the same argument is omitted; DistillConfig and ExperimentSpec have
     no defaults of their own, since DISTILL and EXPERIMENT declare them."""
-    assert np.array_equal(build_schedule({}).beta, make_schedule(1000).beta)
+    assert build_schedule({}).ab == make_schedule(1000).ab
     assert build_jitter({}) == ViewJitterSpec()
     assert build_guidance({}) == GuidanceSpec(positive=None)
     assert build_distill({}) == DistillConfig(

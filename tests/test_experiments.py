@@ -80,7 +80,7 @@ def test_consistency_single_component_variance_matches_closed_form(schedule):
                         "generator.theta": [0.4, -0.2]})
     report = run_consistency(spec)
     t = 400
-    ab = spec.schedule.alpha_bar[t]
+    ab = spec.schedule.ab[t]
     v = ab * 0.25 + (1 - ab)
     gamma = spec.schedule.nsr[t]
     expected = 2 * (gamma * ab * 0.25 / v) ** 2

@@ -54,11 +54,11 @@ from ismlab.trajectory import denoise_path, hop, invert_along
 
 
 def _sa(sch, t):
-    return math.sqrt(sch.alpha_bar[t])
+    return math.sqrt(sch.ab[t])
 
 
 def _s1(sch, t):
-    return math.sqrt(1.0 - sch.alpha_bar[t])
+    return math.sqrt(1.0 - sch.ab[t])
 
 
 def ref_eps_predict(o, sch, x, t, label):
@@ -70,7 +70,7 @@ def ref_eps_predict(o, sch, x, t, label):
         idx = np.asarray(o.labels[label])
         w = o.weights[idx]
         logw = np.log(w / w.sum())
-    ab = sch.alpha_bar[t]
+    ab = sch.ab[t]
     mu = math.sqrt(ab) * o.means[idx]
     var = ab * o.sigmas[idx] ** 2 + (1.0 - ab)
     diff = x[None, :] - mu
@@ -244,7 +244,7 @@ def test_fast_path_matches_reference_bitwise(o, sch, data):
     assert sch.sab[t] == _sa(sch, t)
     assert sch.s1mab[t] == _s1(sch, t)
     assert sch.nsr[t] == _s1(sch, t) / _sa(sch, t)
-    assert sch.omega[t] == (1.0 if sch.omega_kind == "unit" else 1.0 - float(sch.alpha_bar[t]))
+    assert sch.omega[t] == (1.0 if sch.omega_kind == "unit" else 1.0 - sch.ab[t])
     t_to = data.draw(st.integers(0, sch.num_steps))
     assert_same_bits(hop(sch, x, t, t_to, eps), ref_hop(sch, x, t, t_to, eps))
     if t >= 1:
@@ -335,7 +335,7 @@ def test_single_component_score_stays_finite_where_softmax_overflowed(mixture3, 
         # several components still go through the softmax, as before
         assert np.isnan(mixture3.eps_predict(schedule, x, t, "ab")).all()
     got = mixture3.eps_predict(schedule, x, t, "a")
-    ab = schedule.alpha_bar[t]
+    ab = schedule.ab[t]
     var = ab * mixture3.sigmas[0] ** 2 + (1.0 - ab)
     want = math.sqrt(1.0 - ab) * (x - math.sqrt(ab) * mixture3.means[0]) / var
     assert np.isfinite(got).all()
@@ -525,7 +525,7 @@ def test_finite_point_whose_square_overflows_is_accepted(mixture3, schedule):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = mixture3.eps_predict(schedule, huge, 5, "a")
-    ab = schedule.alpha_bar[5]
+    ab = schedule.ab[5]
     var = ab * mixture3.sigmas[0] ** 2 + (1.0 - ab)
     want = math.sqrt(1.0 - ab) * (huge - math.sqrt(ab) * mixture3.means[0]) / var
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)

@@ -85,7 +85,7 @@ def test_log_density_against_direct_sum(mixture3, schedule):
     for _ in range(20):
         x = rng.uniform(-2, 2, size=2)
         t = int(rng.integers(1, 1001))
-        ab = np.longdouble(schedule.alpha_bar[t])
+        ab = np.longdouble(schedule.ab[t])
         total = np.longdouble(0.0)
         for mu, sig, w in zip(mixture3.means, mixture3.sigmas, mixture3.weights):
             var = ab * np.longdouble(sig) ** 2 + (1 - ab)
@@ -120,7 +120,7 @@ def test_bias_evaluations_match_long_double(mixture3, schedule, guide_a, steep):
         for delta_t in (t, t // 2, t // 5, t // 20):
             p = interval_pieces(mixture3, sch, x0, t, delta_t, guide_a)
             n = len(p.grid) - 1
-            gammas = [np.sqrt(1 - ld(sch.alpha_bar[tau])) / np.sqrt(ld(sch.alpha_bar[tau]))
+            gammas = [np.sqrt(1 - ld(sch.ab[tau])) / np.sqrt(ld(sch.ab[tau]))
                       for tau in p.grid]
             inv = [e.astype(ld) for e in p.inv.eps_cache]
             deno = [e.astype(ld) for e in p.deno.eps_cache]

@@ -2,12 +2,12 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 23 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs the 24 runs of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
 reads a copy of its config with those keys set (dotted, ``[i]`` indexing a
-list); the first eight such runs succeed, and the other four fail with exit
-codes 3, 2, 2 and 1.
+list); the first eight such runs succeed, and the other five fail with exit
+codes 3, 2, 2, 1 and 1.
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
 and the wall-time entry (the last) of each ``interval_sweep`` report row are
@@ -41,11 +41,12 @@ HERE = Path(__file__).resolve().parent.parent
 # decomposition check's longest interval (both strides past their walk are one
 # hop), an eta-sweep whose (120, 100) cell inverts to s = 20, below its stride,
 # in one hop, an eta-sweep on a one-component oracle with the view at its mean,
-# whose delta_T = 50 interval norms are rounding dust, then four failing runs:
+# whose delta_T = 50 interval norms are rounding dust, then five failing runs:
 # a numerical error that leaves a partial metrics.csv (exit 3), a failed
 # decomposition check on a steep schedule (exit 2), the decomposition gradcheck
 # on that schedule, whose reported error differs between the identity's two
-# summation orders (exit 2), and an unknown key (exit 1)
+# summation orders (exit 2), an unknown key (exit 1) and a random-scene key under
+# an identity latent, which that kind does not read (exit 1)
 RUNS = (
     ("consistency", "consistency.json", {}),
     ("quality", "quality.json", {}),
@@ -87,6 +88,7 @@ RUNS = (
     ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
     ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
     ("race", "race.json", {"distill.unknown_key": 1}),
+    ("distill", "distill_identity.json", {"generator.n_splats": 5}),
 )
 
 
