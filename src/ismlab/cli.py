@@ -19,7 +19,6 @@ the rows the failing distillation logged).
 from __future__ import annotations
 
 import argparse
-import copy
 import sys
 from pathlib import Path
 
@@ -27,7 +26,6 @@ import numpy as np
 
 from . import config as cfgmod
 from . import experiments
-from .distill import run_distillation
 from .errors import ConfigError, DecompositionError, NumericalError
 from .experiments import ExperimentSpec, Report, build_experiment, write_report
 
@@ -35,8 +33,7 @@ from .experiments import ExperimentSpec, Report, build_experiment, write_report
 def _run_distill(spec: ExperimentSpec) -> Report:
     """One distillation of the configured generator; its metrics.csv table and
     the run's frames (snapshots and final render, for image generators)."""
-    cfg = spec.distill
-    log = run_distillation(copy.deepcopy(spec.generator), spec.oracle, spec.schedule, cfg)
+    cfg, (log,) = spec.distill, experiments.run_distillations(spec, [{}])
     summary = {"kind": "distill", "objective": cfg.objective, "iterations": cfg.iterations,
                "initial_mode_distance": log.curve[0],
                "final_mode_distance": log.final_mode_distance,

@@ -20,7 +20,8 @@ Kinds:
   * gradcheck   -- finite-difference and algebraic self-checks, pass/fail.
 
 The CLI's plain ``distill`` kind has its runner (``cli._run_distill``) beside
-these in ``cli.RUNNERS``.
+these in ``cli.RUNNERS``; it, race and interval-sweep summarise the logs of
+``run_distillations``, one distillation per cell.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import MAX_SIZE, NON_NEGATIVE, SIZE, need, nonempty, one_of, positive, read
-from .distill import DistillConfig, nearest_mode_distance, run_distillation, write_csv
+from .distill import DistillConfig, RunLog, nearest_mode_distance, run_distillation, write_csv
 from .errors import ConfigError
 from .generators import ViewJitterSpec, canonical_view, random_scene
 from .objectives import interval_pieces, ism_gradient, sds_gradient
@@ -147,7 +147,10 @@ KIND_CHECKS = {
     "interval-sweep": (lambda s: need(
         max(s.delta_T_values) < s.distill.t_min,
         "every experiment.delta_T_values entry < distill.t_min for interval-sweep",
-        max(s.delta_T_values), s.distill.t_min), _frames_have_1_or_3_channels),
+        max(s.delta_T_values), s.distill.t_min), lambda s: need(
+        all(len(set(v)) == len(v) for v in (s.delta_T_values, s.delta_S_values)), "distinct "
+        "experiment.delta_T_values and experiment.delta_S_values entries for interval-sweep",
+        list(s.delta_T_values), list(s.delta_S_values)), _frames_have_1_or_3_channels),
     "distill": (_frames_have_1_or_3_channels,),
     "race": (lambda s: need(len(set(s.seeds)) == len(s.seeds) >= 2,
                             "two or more distinct experiment.seeds for a race median", s.seeds),),
@@ -213,6 +216,13 @@ def _montage(cells: np.ndarray, shape) -> np.ndarray:
     out = np.ones((rows, h + 1, cols, w + 1, c))
     out[:, :h, :, :w] = cells.reshape(rows, cols, h, w, c).transpose(0, 2, 1, 3, 4)
     return out.reshape(rows * (h + 1), cols * (w + 1), c)[:-1, :-1]
+
+
+def run_distillations(spec: ExperimentSpec, cells: Sequence[dict]) -> list[RunLog]:
+    """One distillation per cell, in order: a copy of spec.generator run on
+    spec.distill with the cell's DistillConfig fields replaced."""
+    return [run_distillation(copy.deepcopy(spec.generator), spec.oracle, spec.schedule,
+                             replace(spec.distill, **cell)) for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +353,16 @@ def _axis_spread(rows: list[tuple], held_col: int) -> dict[int, float]:
 
 
 def run_interval_sweep(spec: ExperimentSpec) -> Report:
-    """Full distillation per (interval, stride) grid cell with a shared seed."""
-    rows, frames = [], {}
-    for dt in spec.delta_T_values:
-        for ds in spec.delta_S_values:
-            cfg = replace(spec.distill, delta_T_start=dt, delta_T_end=dt,
-                          delta_S=ds, seed=spec.seeds[0], snapshot_every=0)
-            started = time.perf_counter()
-            log = run_distillation(copy.deepcopy(spec.generator), spec.oracle, spec.schedule, cfg)
-            wall = time.perf_counter() - started
-            rows.append((dt, ds, log.final_mode_distance, log.total_oracle_calls(), wall))
-            if "final" in log.frames:
-                frames[f"final_dT{dt}_dS{ds}"] = log.frames["final"]
+    """Full distillation per (interval, stride) grid cell with a shared seed; a
+    row's wall time is its run's last metrics.csv ``wall_time`` (0.0 for none)."""
+    grid = [(dt, ds) for dt in spec.delta_T_values for ds in spec.delta_S_values]
+    logs = dict(zip(grid, run_distillations(spec, [
+        dict(delta_T_start=dt, delta_T_end=dt, delta_S=ds, seed=spec.seeds[0], snapshot_every=0)
+        for dt, ds in grid])))
+    rows = [(dt, ds, log.final_mode_distance, log.total_oracle_calls(),
+             (log.columns["wall_time"] or [0.0])[-1]) for (dt, ds), log in logs.items()]
+    frames = {f"final_dT{dt}_dS{ds}": log.frames["final"]
+              for (dt, ds), log in logs.items() if "final" in log.frames}
     summary = {"kind": "interval_sweep", "rows": rows,
                "spread_over_delta_T": _axis_spread(rows, 1),
                "spread_over_delta_S": _axis_spread(rows, 0)}
@@ -380,22 +388,16 @@ def _median_crossing(crossings: dict[tuple[int, str], Optional[int]],
 def run_race(spec: ExperimentSpec) -> Report:
     """Matched-seed interval-vs-noise-matching runs with shared timestep and
     view streams; records distance curves and first threshold crossings."""
-    curves, crossings = {}, {}
-    for seed in spec.seeds:
-        for objective in ("ism", "sds"):
-            cfg = replace(spec.distill, objective=objective, seed=seed, snapshot_every=0)
-            log = run_distillation(copy.deepcopy(spec.generator), spec.oracle, spec.schedule, cfg)
-            curves[(seed, objective)] = log.curve
-            crossings[(seed, objective)] = log.first_crossing(spec.threshold)
-    summary = {
-        "kind": "race",
-        "threshold": spec.threshold,
-        "crossings": {f"{seed}:{obj}": c for (seed, obj), c in crossings.items()},
-        "median_ism_crossing": _median_crossing(crossings, "ism"),
-        "median_sds_crossing": _median_crossing(crossings, "sds"),
-    }
-    race_rows = [(seed, obj, i, d) for (seed, obj), curve in sorted(curves.items())
-                 for i, d in enumerate(curve)]
+    runs = [(seed, objective) for seed in spec.seeds for objective in ("ism", "sds")]
+    logs = dict(zip(runs, run_distillations(spec, [
+        dict(objective=objective, seed=seed, snapshot_every=0) for seed, objective in runs])))
+    crossings = {run: log.first_crossing(spec.threshold) for run, log in logs.items()}
+    summary = {"kind": "race", "threshold": spec.threshold,
+               "crossings": {f"{seed}:{obj}": c for (seed, obj), c in crossings.items()},
+               "median_ism_crossing": _median_crossing(crossings, "ism"),
+               "median_sds_crossing": _median_crossing(crossings, "sds")}
+    race_rows = [(seed, obj, i, d) for seed, obj in sorted(logs)
+                 for i, d in enumerate(logs[seed, obj].curve)]
     summary_rows = [(seed, crossings.get((seed, "ism")), crossings.get((seed, "sds")),
                      spec.threshold) for seed in sorted({s for s, _ in crossings})]
     return Report(summary, {"race": (RACE_CSV_HEADER, race_rows),

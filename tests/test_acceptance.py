@@ -26,10 +26,12 @@ from ismlab import (
 from ismlab.config import build_distill, gaussian_blob_template
 from ismlab.experiments import (
     ExperimentSpec,
+    build_experiment,
     decomposition_sweep_check,
     gradient_forms_check,
     renderer_fd_check,
     run_consistency,
+    run_distillations,
     run_quality,
     score_fd_check,
 )
@@ -65,22 +67,21 @@ def matched_runs():
     sampled timestep band (t > 200 is forced by the annealing start), so the
     guided objective has its fixed point at the mode.
     """
-    schedule = make_schedule(1000, 2e-5, 4.5e-4)
-    oracle = MixtureOracle(
-        means=[[1.0, 0.0], [-1.0, 0.0]], sigmas=[0.05, 0.05],
-        weights=[0.5, 0.5], labels={"right": [0], "left": [1]})
-    logs = {}
     started = time.perf_counter()
-    for seed in range(10):
-        for objective in ("ism", "sds"):
-            cfg = build_distill({
-                "distill": {"objective": objective, "iterations": 2000, "t_min": 220,
-                            "t_max": 980, "delta_T_start": 200, "delta_T_end": 50,
-                            "delta_S": 50, "seed": seed},
-                "guidance": {"positive": "right", "scale": 7.5}})
-            gen = IdentityLatent([0.0, 0.0])
-            logs[(seed, objective)] = run_distillation(gen, oracle, schedule, cfg)
-    return logs, time.perf_counter() - started
+    spec = build_experiment({
+        "schedule": {"T": 1000, "beta_start": 2e-5, "beta_end": 4.5e-4},
+        "oracle": {"components": [{"weight": 0.5, "mean": [1.0, 0.0], "sigma": 0.05},
+                                  {"weight": 0.5, "mean": [-1.0, 0.0], "sigma": 0.05}],
+                   "labels": {"right": [0], "left": [1]}},
+        "guidance": {"positive": "right", "scale": 7.5},
+        "generator": {"kind": "identity", "theta": [0.0, 0.0]},
+        "distill": {"iterations": 2000, "t_min": 220, "t_max": 980, "delta_T_start": 200,
+                    "delta_T_end": 50, "delta_S": 50},
+        "experiment": {"seeds": list(range(10))}}, "race")
+    runs = [(seed, objective) for seed in spec.seeds for objective in ("ism", "sds")]
+    logs = run_distillations(spec, [{"objective": objective, "seed": seed}
+                                    for seed, objective in runs])
+    return dict(zip(runs, logs)), time.perf_counter() - started
 
 
 def test_criterion_1_score_oracle(mixture3, default_schedule):

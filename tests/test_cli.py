@@ -559,6 +559,8 @@ BLOB_256, BLOB_64 = ({"mean": {"template": "gaussian_blob", "width": w, "height"
     ("quality.json", "quality", "experiment.start_points", 2 ** 22),
     ("distill_splats.json", "gradcheck", "oracle.components", [BLOB_64] * 2),
     ("distill_splats.json", "distill", "generator.n_splats", 2 ** 15),
+    ("distill_splats.json", "interval-sweep", "experiment.delta_T_values", [50, 50]),
+    ("interval_sweep.json", "interval-sweep", "experiment.delta_S_values", [50, 100, 50]),
 ])
 def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     """A wrong-typed or out-of-range value, an unknown guidance label or

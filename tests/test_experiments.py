@@ -1,11 +1,13 @@
+import copy
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ismlab import cli, experiments
@@ -23,6 +25,7 @@ from ismlab.experiments import (
     _median_crossing,
     build_experiment,
     run_consistency,
+    run_distillations,
     run_eta_sweep,
     run_gradcheck,
     run_interval_sweep,
@@ -247,6 +250,76 @@ def test_interval_sweep_takes_no_snapshots(monkeypatch):
     assert len(runs) == 2
     assert all(cfg.snapshot_every == 0 and set(log.frames) == {"final"} for cfg, log in runs)
     assert set(report.frames) == {"final_dT50_dS50", "final_dT50_dS100"}
+
+
+def test_interval_sweep_wall_time_is_each_logs_last(monkeypatch):
+    """A sweep row's wall_time is the last metrics.csv wall_time of its cell's
+    run, and 0.0 for a cell of 0 iterations, whose column is empty."""
+    logs, run = [], experiments.run_distillation
+
+    def recorded(gen, oracle, schedule, cfg):
+        logs.append(run(gen, oracle, schedule, cfg))
+        return logs[-1]
+
+    monkeypatch.setattr(experiments, "run_distillation", recorded)
+    for iterations in (3, 0):
+        logs.clear()
+        spec = load_spec("interval_sweep.json", "interval-sweep",
+                         **{"distill.iterations": iterations,
+                            "experiment.delta_S_values": [50, 200]})
+        rows = run_interval_sweep(spec).summary["rows"]
+        assert len(rows) == len(logs) == 6
+        assert [r[4] for r in rows] == [(log.columns["wall_time"] or [0.0])[-1] for log in logs]
+        assert all(type(r[4]) is float and (r[4] > 0.0) == (iterations > 0) for r in rows)
+
+
+def test_run_distillations_runs_each_cell_on_a_copy():
+    """Each cell's log is a direct run_distillation of spec.distill with the
+    cell's fields replaced, on a deep copy of spec.generator, wall_time aside."""
+    spec = load_spec("distill_splats.json", "distill",
+                     **{"distill.iterations": 4, "distill.snapshot_every": 2,
+                        "generator.n_splats": 4})
+    cells = [{}, {"objective": "sds", "seed": 3}, {"delta_S": 100, "snapshot_every": 0},
+             {"iterations": 0}]
+    before = spec.generator.get_params().tobytes()
+    logs = run_distillations(spec, cells)
+    assert len(logs) == len(cells)
+    for cell, log in zip(cells, logs):
+        direct = experiments.run_distillation(copy.deepcopy(spec.generator), spec.oracle,
+                                              spec.schedule, replace(spec.distill, **cell))
+        for name in set(log.columns) - {"wall_time"}:
+            assert log.columns[name] == direct.columns[name], (cell, name)
+        assert len(log.columns["wall_time"]) == len(direct.columns["wall_time"])
+        assert log.final_mode_distance == direct.final_mode_distance
+        assert {k: v.tobytes() for k, v in log.frames.items()} == \
+            {k: v.tobytes() for k, v in direct.frames.items()}
+    assert spec.generator.get_params().tobytes() == before
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 32), min_size=2, max_size=3, unique=True),
+       st.integers(0, 6), st.sampled_from(["race.json", "distill_splats.json"]),
+       st.floats(0.0, 2.0))
+def test_race_equals_one_cell_distill_runs(seeds, iterations, name, threshold):
+    """Each race run's curve and crossing equal, bit for bit, those of the
+    plain distill kind run on the same replaced config."""
+    spec = load_spec(name, "race", **{"distill.iterations": iterations,
+                                      "experiment.seeds": seeds,
+                                      "experiment.threshold": threshold})
+    report = run_race(spec)
+    assert list(report.summary["crossings"]) == [f"{seed}:{objective}" for seed in seeds
+                                                 for objective in ("ism", "sds")]
+    for seed in seeds:
+        for objective in ("ism", "sds"):
+            cfg = replace(spec.distill, objective=objective, seed=seed, snapshot_every=0)
+            one = cli._run_distill(replace(spec, distill=cfg))
+            header, rows = one.tables["metrics"]
+            curve = [r[header.index("nearest_mode_distance")] for r in rows]
+            curve.append(one.summary["final_mode_distance"])
+            raced = [r[3] for r in report.tables["race"][1] if r[:2] == (seed, objective)]
+            assert np.array(raced).tobytes() == np.array(curve).tobytes()
+            crossing = next((i for i, d in enumerate(curve) if d <= threshold), None)
+            assert report.summary["crossings"][f"{seed}:{objective}"] == crossing
 
 
 def test_race_self_consistency(tmp_path):

@@ -2,11 +2,11 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 24 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs the 26 runs of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
 reads a copy of its config with those keys set (dotted, ``[i]`` indexing a
-list); the first eight such runs succeed, and the other five fail with exit
+list); the first ten such runs succeed, and the other five fail with exit
 codes 3, 2, 2, 1 and 1.
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
@@ -41,7 +41,9 @@ HERE = Path(__file__).resolve().parent.parent
 # decomposition check's longest interval (both strides past their walk are one
 # hop), an eta-sweep whose (120, 100) cell inverts to s = 20, below its stride,
 # in one hop, an eta-sweep on a one-component oracle with the view at its mean,
-# whose delta_T = 50 interval norms are rounding dust, then five failing runs:
+# whose delta_T = 50 interval norms are rounding dust, a race of the splat
+# scene (an image generator copied per run), an interval-sweep of 0 iterations
+# (empty wall_time columns), then five failing runs:
 # a numerical error that leaves a partial metrics.csv (exit 3), a failed
 # decomposition check on a steep schedule (exit 2), the decomposition gradcheck
 # on that schedule, whose reported error differs between the identity's two
@@ -84,6 +86,8 @@ RUNS = (
      {"oracle.components": [{"mean": [0.3, -0.2], "sigma": 0.3}], "oracle.labels": {"m": [0]},
       "guidance.positive": "m", "guidance.scale": 1.0, "generator.theta": [0.3, -0.2],
       "experiment.t_values": [200, 400], "experiment.delta_T_values": [50, 100]}),
+    ("race", "distill_splats.json", {"distill.iterations": 3, "experiment.seeds": [0, 1]}),
+    ("interval-sweep", "interval_sweep.json", {"distill.iterations": 0}),
     ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}),
     ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
     ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
