@@ -44,10 +44,10 @@ def load_json(path) -> dict:
 
 def read(section, table: dict, path: str) -> dict:
     """The values of the config object at a dotted path ("" for the top level),
-    by its table key -> (default, converter); a missing or null object takes
-    every default. A repeated, unknown or missing REQUIRED key, or a value its
-    converter rejects with TypeError, ValueError or OverflowError, is a
-    ConfigError naming the dotted key."""
+    by its table key -> (default, converter): a missing key (every key of a missing
+    or null object) reads its default, a JSON value, as if written. A repeated,
+    unknown or missing REQUIRED key, or a value its converter rejects with TypeError,
+    ValueError or OverflowError, is a ConfigError naming the dotted key."""
     section = {} if section is None else section
     if not isinstance(section, dict):
         raise ConfigError(f"{path} must be an object")
@@ -59,15 +59,12 @@ def read(section, table: dict, path: str) -> dict:
             raise ConfigError(f"unknown config key {prefix}{key}")
     values = {}
     for key, (default, convert) in table.items():
-        if key not in section:
-            if default is REQUIRED:
-                raise ConfigError(f"missing config key {prefix}{key}")
-            values[key] = default
-        else:
-            try:
-                values[key] = convert(section[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad value for config key {prefix}{key}: {exc}") from exc
+        if key not in section and default is REQUIRED:
+            raise ConfigError(f"missing config key {prefix}{key}")
+        try:
+            values[key] = convert(section.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value for config key {prefix}{key}: {exc}") from exc
     return values
 
 
@@ -115,12 +112,15 @@ def one_of(*choices):
     return convert
 
 
-def nonempty(convert, at_least=1):
-    """Converter to a list of at least one (or at_least) entries, each by convert."""
+def nonempty(convert, at_least=1, distinct=False):
+    """Converter to a list of at_least or more entries, each by convert; distinct: none repeats."""
     def convert_list(value):
         if type(value) is not list or len(value) < at_least:
             raise ValueError(f"must be a list of {at_least} or more entries, got {value!r}")
-        return [convert(v) for v in value]
+        entries = [convert(v) for v in value]
+        if distinct and len(set(entries)) < len(entries):
+            raise ValueError(f"must not repeat an entry, got {value!r}")
+        return entries
     return convert_list
 
 
@@ -134,7 +134,8 @@ def need(holds: bool, rule: str, *values) -> None:
     """A constraint across config keys: unless it holds, a ConfigError stating
     the rule, which names the keys, and their values."""
     if not holds:
-        raise ConfigError(f"need {rule}, got {', '.join(map(str, values))}")
+        raise ConfigError(f"need {rule}, got " + ", ".join(
+            str(v.tolist() if isinstance(v, np.ndarray) else v) for v in values))
 
 
 SCHEDULE = {"T": (1000, positive(int, 2, True, MAX_SIZE)),
@@ -174,7 +175,7 @@ ORACLE = {"dim": (None, _optional(SIZE)), "components": (REQUIRED, nonempty(lamb
 COMPONENT = {"weight": (1.0, positive(float)), "sigma": (0.1, positive(float, 0, True, SQUARED)),
              "mean": (REQUIRED, lambda v: v if isinstance(v, dict) else vector(SQUARABLE)(v))}
 TEMPLATE = {"template": (REQUIRED, one_of("gaussian_blob")),
-            "center": ((0.0, 0.0), nonempty(SQUARABLE, 2)),
+            "center": ([0.0, 0.0], nonempty(SQUARABLE, 2)),
             "peak": (0.9, FINITE), "width": (16, SIZE), "height": (16, SIZE),
             "channels": (1, SIZE), "sigma": (0.35, positive(float))}
 
@@ -203,7 +204,7 @@ def build_oracle(cfg: dict) -> MixtureOracle:
         means.append(mean)
     # every key of oracle.labels names a label; its value lists component indices
     names = o["labels"] if isinstance(o["labels"], dict) else ()
-    index = nonempty(positive(int, 0, True, len(means)))
+    index = nonempty(positive(int, 0, True, len(means)), distinct=True)
     labels = read(o["labels"], dict.fromkeys(names, (None, index)), "oracle.labels")
     weights = [c["weight"] for c in comps]  # whose sum may overflow, or a share underflow
     need(min(weights) / sum(weights) > 0, "min(oracle.components[].weight) / their sum > 0",
@@ -239,8 +240,9 @@ def build_jitter(cfg: dict) -> ViewJitterSpec:
 
 
 GENERATOR = {"kind": ("identity", one_of("identity", "splats")),
-             "theta": (None, vector(FINITE)), "n_splats": (32, SIZE), "channels": (1, SIZE),
-             "init_seed": (0, NON_NEGATIVE), "splats": (None, _optional(nonempty(lambda v: v))),
+             "theta": (None, _optional(vector(FINITE))), "n_splats": (32, SIZE),
+             "channels": (1, SIZE), "init_seed": (0, NON_NEGATIVE),
+             "splats": (None, _optional(nonempty(lambda v: v))),
              "background": (None, _optional(vector(unit)))}
 SPLAT = {"center": (REQUIRED, vector(FINITE)), "log_scale": (REQUIRED, vector(FINITE)),
          "rotation": (REQUIRED, vector(FINITE)), "color": (REQUIRED, vector(unit)),
@@ -299,8 +301,7 @@ OPTIMIZER = {"step_size": (0.01, positive(float)), "beta1": (0.9, positive(float
 def build_distill(cfg: dict) -> DistillConfig:
     """The distill section, with the guidance and jitter built from cfg."""
     d = read(cfg.get("distill"), DISTILL, "distill")
-    if d["t_min"] is None:
-        d["t_min"] = 20 + d["delta_T_start"]
+    d["t_min"] = d["t_min"] or 20 + d["delta_T_start"]  # null, as a given t_min is >= 1
     T = read(cfg.get("schedule"), SCHEDULE, "schedule")["T"]
     need(d["t_min"] <= d["t_max"] <= T, "distill.t_min <= distill.t_max <= schedule.T",
          d["t_min"], d["t_max"], T)

@@ -89,27 +89,28 @@ class ExperimentSpec:
     schedule: NoiseSchedule
     oracle: MixtureOracle
     guidance: GuidanceSpec
-    t_values: Sequence[int]
-    delta_T_values: Sequence[int]
-    delta_S_values: Sequence[int]
+    t_values: list[int]
+    delta_T_values: list[int]
+    delta_S_values: list[int]
     jitter: ViewJitterSpec
     generator: object
     noise_draws: int
-    seeds: Sequence[int]
+    seeds: list[int]
     threshold: float
     start_points: int
     distill: Optional[DistillConfig]
-    checks: Sequence[str]
+    checks: list[str]
 
 
-EXPERIMENT = {"t_values": ((100, 300, 500, 700, 900), nonempty(positive(int, -math.inf))),
-              "delta_T_values": ((10, 25, 50, 100), nonempty(positive(int))),
-              "delta_S_values": ((50,), nonempty(positive(int))),
-              "seeds": ((0,), nonempty(NON_NEGATIVE)),
+EXPERIMENT = {"t_values": ([100, 300, 500, 700, 900],
+                           nonempty(positive(int, -math.inf), distinct=True)),
+              "delta_T_values": ([10, 25, 50, 100], nonempty(positive(int), distinct=True)),
+              "delta_S_values": ([50], nonempty(positive(int), distinct=True)),
+              "seeds": ([0], nonempty(NON_NEGATIVE, distinct=True)),
               "noise_draws": (8, positive(int, 2, True, MAX_SIZE)),
               "threshold": (0.2, positive(float, 0, True)), "start_points": (20, SIZE),
-              "checks": (tuple(GRADCHECKS), lambda v: tuple(GRADCHECKS) if v is None
-                         else nonempty(one_of(*GRADCHECKS), 0)(v))}
+              "checks": (None, lambda v: nonempty(one_of(*GRADCHECKS), 0, distinct=True)(
+                  list(GRADCHECKS) if v is None else v))}
 
 
 def _t_values_in_schedule(s) -> None:
@@ -147,13 +148,10 @@ KIND_CHECKS = {
     "interval-sweep": (lambda s: need(
         max(s.delta_T_values) < s.distill.t_min,
         "every experiment.delta_T_values entry < distill.t_min for interval-sweep",
-        max(s.delta_T_values), s.distill.t_min), lambda s: need(
-        all(len(set(v)) == len(v) for v in (s.delta_T_values, s.delta_S_values)), "distinct "
-        "experiment.delta_T_values and experiment.delta_S_values entries for interval-sweep",
-        list(s.delta_T_values), list(s.delta_S_values)), _frames_have_1_or_3_channels),
+        max(s.delta_T_values), s.distill.t_min), _frames_have_1_or_3_channels),
     "distill": (_frames_have_1_or_3_channels,),
-    "race": (lambda s: need(len(set(s.seeds)) == len(s.seeds) >= 2,
-                            "two or more distinct experiment.seeds for a race median", s.seeds),),
+    "race": (lambda s: need(len(s.seeds) >= 2, "two or more experiment.seeds for a race median",
+                            s.seeds),),
 }
 
 
@@ -250,7 +248,7 @@ def run_consistency(spec: ExperimentSpec) -> Report:
         ism.append(denoise_path(oracle, sch, xt, t, stride, g).latents[-1])
     sds, ism = np.stack(sds), np.stack(ism)
 
-    summary = {"kind": "consistency", "t_values": list(spec.t_values),
+    summary = {"kind": "consistency", "t_values": spec.t_values,
                "sds_noise_variance": _variance(sds).tolist(),
                "ism_noise_variance": _variance(ism).tolist(),
                "sds_across_t_variance": float(_variance(sds.mean(axis=1))),

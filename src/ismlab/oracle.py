@@ -117,8 +117,8 @@ class MixtureOracle:
             idx = np.asarray(tuple(int(i) for i in idx))
             if not idx.size:
                 raise ConfigError(f"label {name!r} selects no components")
-            if any(i < 0 or i >= n for i in idx.tolist()):
-                raise ConfigError(f"label {name!r} has out-of-range component index")
+            if any(i < 0 or i >= n for i in idx.tolist()) or len(set(idx.tolist())) < idx.size:
+                raise ConfigError(f"label {name!r} has an out-of-range or repeated component index")
             w, sig2 = self.weights[idx], self.sigmas[idx] ** 2
             terms = (idx, np.log(w if name is None else w / w.sum()), self.means[idx], sig2)
             for a in terms:

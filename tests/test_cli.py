@@ -160,6 +160,23 @@ def test_render_size_other_than_oracle_dim_is_a_one_line_config_error(
         f"config error: need {rendered} == the oracle's dimension, got {size}, {dim}"]
 
 
+@pytest.mark.parametrize("kind, name, tweaks, got", [
+    ("race", "distill_identity.json", {}, "need two or more experiment.seeds for a race median, "
+     "got [0]"),
+    ("quality", "gradcheck.json", {"schedule.T": 400}, "need every experiment.t_values entry in "
+     "[1, schedule.T], got [100, 300, 500, 700, 900], 400"),
+    ("distill", "distill_splats.json", {"generator": {
+        "kind": "splats", "n_splats": 4, "channels": 2, "background": [0.0, 0.5, 0.1]}},
+     "need generator.background as long as generator.channels, got [0.0, 0.5, 0.1], 2")],
+    ids=["default-seeds", "default-t_values", "array"])
+def test_need_prints_a_value_as_a_config_writes_it(tmp_path, capsys, kind, name, tweaks, got):
+    """A defaulted list prints as a written one, not as the tuple (0,), and an
+    array as a list, not as numpy's [0.  0.5 0.1]."""
+    cfg = tweak_config(tmp_path, name, **tweaks)
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {got}"]
+
+
 def test_eta_sweep_without_a_runnable_cell_is_a_one_line_config_error(tmp_path, capsys):
     cfg = tweak_config(tmp_path, "eta_sweep.json",
                        **{"experiment.t_values": [200], "experiment.delta_T_values": [900]})
@@ -561,6 +578,12 @@ BLOB_256, BLOB_64 = ({"mean": {"template": "gaussian_blob", "width": w, "height"
     ("distill_splats.json", "distill", "generator.n_splats", 2 ** 15),
     ("distill_splats.json", "interval-sweep", "experiment.delta_T_values", [50, 50]),
     ("interval_sweep.json", "interval-sweep", "experiment.delta_S_values", [50, 100, 50]),
+    ("eta_sweep.json", "eta-sweep", "experiment.t_values", [400, 400]),
+    ("consistency.json", "consistency", "experiment.t_values", [300, 100, 300]),
+    ("quality.json", "quality", "experiment.t_values", [200, 200]),
+    ("eta_sweep.json", "eta-sweep", "experiment.delta_T_values", [50, 100, 50]),
+    ("gradcheck.json", "gradcheck", "experiment.checks", ["score_fd", "score_fd"]),
+    ("distill_identity.json", "distill", "oracle.labels.right", [0, 1, 1]),
 ])
 def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     """A wrong-typed or out-of-range value, an unknown guidance label or
@@ -573,7 +596,9 @@ def test_bad_value_exits_one(tmp_path, capsys, name, kind, key, value):
     to solve a view for, a run size that would never end, a jitter range
     whose width 2 * r, drawn from by rng.uniform(-r, r), overflows, and runs
     whose (rows, K, D) oracle arrays, score_fd's (D, K, D) ones or splat
-    planes would hold 2^24 values or more."""
+    planes would hold 2^24 values or more. A grid, seed or check list that
+    repeats an entry, which ran one cell twice, is refused for every kind, and
+    so is a label that repeats a component, which weighed it twice."""
     cfg = tweak_config(tmp_path, name, **{key: value})
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:

@@ -415,6 +415,25 @@ def test_table_defaults_match_the_constructor_defaults():
                 if f.default is not MISSING or f.default_factory is not MISSING] == [], cls
 
 
+TABLES = {name: getattr(config, name) for name in (
+    "SCHEDULE", "ORACLE", "COMPONENT", "TEMPLATE", "GUIDANCE", "VIEW", "JITTER", "GENERATOR",
+    "SPLAT", "DISTILL", "OPTIMIZER")} | {"EXPERIMENT": EXPERIMENT}
+
+
+@pytest.mark.parametrize("table, key", [(name, key) for name, table in TABLES.items()
+                                        for key, (default, _) in table.items()
+                                        if default is not config.REQUIRED])
+def test_a_default_is_read_like_a_written_value(table, key):
+    """Every default is a JSON value its converter accepts, so reading it gives
+    the declared default, of the type a written value reads as; null checks
+    read as all four."""
+    default, convert = TABLES[table][key]
+    assert json.loads(json.dumps(default)) == default  # a tuple is not JSON
+    value = config.read({}, {key: (default, convert)}, table.lower())[key]
+    expected = list(experiments.GRADCHECKS) if key == "checks" else default
+    assert value == expected and type(value) is type(expected)
+
+
 def test_section_keys_are_the_field_names():
     """Every distill key but the optimizer, which becomes an OptimConfig, and
     every experiment key is the field of the same name and holds the value as

@@ -218,6 +218,10 @@ def test_constructor_validation():
         MixtureOracle(means=[[0, 0]], sigmas=[0.1], weights=[1.0], labels={"x": []})
     with pytest.raises(ConfigError):
         MixtureOracle(means=[[0, 0]], sigmas=[0.1], weights=[1.0], labels={"x": [4]})
+    # a repeated index would weigh its component twice in the label's mixture
+    with pytest.raises(ConfigError, match="out-of-range or repeated component index"):
+        MixtureOracle(means=[[0, 0], [1, 1]], sigmas=[0.1, 0.1], weights=[1.0, 1.0],
+                      labels={"x": [0, 1, 1]})
     with pytest.raises(ConfigError, match="agree in length"):
         MixtureOracle(means=[[0, 0], [1, 1]], sigmas=[0.1], weights=[1.0, 1.0])
     for means, sigmas in (([[0, math.nan]], [0.1]), ([[0, 0]], [math.inf])):

@@ -2,12 +2,12 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 26 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs the 29 runs of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
 reads a copy of its config with those keys set (dotted, ``[i]`` indexing a
-list); the first ten such runs succeed, and the other five fail with exit
-codes 3, 2, 2, 1 and 1.
+list); the first ten such runs succeed, and the other seven fail with exit
+codes 3, 2, 2, 1, 1, 1 and 1, as does the last run, a race of one seed (exit 1).
 Every output file is compared byte for byte, and so are stdout, stderr and
 the exit code, except for wall time: the ``wall_time`` column of each CSV file
 and the wall-time entry (the last) of each ``interval_sweep`` report row are
@@ -43,12 +43,14 @@ HERE = Path(__file__).resolve().parent.parent
 # in one hop, an eta-sweep on a one-component oracle with the view at its mean,
 # whose delta_T = 50 interval norms are rounding dust, a race of the splat
 # scene (an image generator copied per run), an interval-sweep of 0 iterations
-# (empty wall_time columns), then five failing runs:
+# (empty wall_time columns), then eight failing runs:
 # a numerical error that leaves a partial metrics.csv (exit 3), a failed
 # decomposition check on a steep schedule (exit 2), the decomposition gradcheck
 # on that schedule, whose reported error differs between the identity's two
-# summation orders (exit 2), an unknown key (exit 1) and a random-scene key under
-# an identity latent, which that kind does not read (exit 1)
+# summation orders (exit 2), an unknown key (exit 1), a random-scene key under
+# an identity latent, which that kind does not read (exit 1), a repeated grid
+# entry (exit 1), a label that repeats a component (exit 1) and a race on the
+# default seeds, one seed (exit 1)
 RUNS = (
     ("consistency", "consistency.json", {}),
     ("quality", "quality.json", {}),
@@ -93,12 +95,16 @@ RUNS = (
     ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
     ("race", "race.json", {"distill.unknown_key": 1}),
     ("distill", "distill_identity.json", {"generator.n_splats": 5}),
+    ("eta-sweep", "eta_sweep.json", {"experiment.t_values": [400, 400]}),
+    ("distill", "distill_identity.json",
+     {"oracle.labels.right": [0, 1, 1], "distill.iterations": 5}),
+    ("race", "distill_identity.json", {}),
 )
 
 
 def overridden(config: Path, overrides: dict) -> Path:
     """A copy of config beside it with each key of overrides set; its name
-    ends in the first key's last part."""
+    ends in the first key's last part, then a count if an earlier copy has that name."""
     cfg = json.loads(config.read_text())
     for key, value in overrides.items():
         *sections, last = key.replace("[", ".").replace("]", "").split(".")
@@ -106,7 +112,11 @@ def overridden(config: Path, overrides: dict) -> Path:
         for section in sections:
             node = node[int(section)] if section.isdigit() else node.setdefault(section, {})
         node[last] = value
-    path = config.with_stem(f"{config.stem}_{next(iter(overrides)).rsplit('.', 1)[-1]}")
+    stem = f"{config.stem}_{next(iter(overrides)).rsplit('.', 1)[-1]}"
+    path, n = config.with_stem(stem), 1
+    while path.exists():
+        n += 1
+        path = config.with_stem(f"{stem}_{n}")
     path.write_text(json.dumps(cfg, indent=2))
     return path
 
