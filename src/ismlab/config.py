@@ -43,14 +43,14 @@ def load_json(path) -> dict:
 
 
 def read(section, table: dict, path: str) -> dict:
-    """The values of the config object at a dotted path ("" for the top level),
-    by its table key -> (default, converter): a missing key (every key of a missing
-    or null object) reads its default, a JSON value, as if written. A repeated,
+    """The values of the config object at a dotted path ("" for the top level, never
+    null), by its table key -> (default, converter): a missing key (every key of a
+    missing or null section) reads its default, a JSON value, as if written. A repeated,
     unknown or missing REQUIRED key, or a value its converter rejects with TypeError,
     ValueError or OverflowError, is a ConfigError naming the dotted key."""
-    section = {} if section is None else section
+    section = {} if section is None and path else section
     if not isinstance(section, dict):
-        raise ConfigError(f"{path} must be an object")
+        raise ConfigError(f"{path or 'the top level of a config'} must be an object")
     prefix = f"{path}." if path else ""
     if getattr(section, "repeated", None):
         raise ConfigError(f"repeated config key {prefix}{section.repeated[0]}")

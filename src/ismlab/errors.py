@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Raised when a configuration value is out of its legal range."""
 
 
-class UnknownLabelError(KeyError):
-    """Raised when a conditioning label is not registered with the oracle."""
-
-
 class DecompositionError(ArithmeticError):
     """Raised when the multi-step bias residual and its telescoping series
     disagree by more than the check allows, or by NaN."""

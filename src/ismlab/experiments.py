@@ -38,7 +38,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import MAX_SIZE, NON_NEGATIVE, SIZE, need, nonempty, one_of, positive, read
 from .distill import DistillConfig, RunLog, nearest_mode_distance, run_distillation, write_csv
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .generators import ViewJitterSpec, canonical_view, random_scene
 from .objectives import interval_pieces, ism_gradient, sds_gradient
 from .oracle import GuidanceSpec, MixtureOracle
@@ -162,8 +162,6 @@ def build_experiment(cfg: dict, kind: str) -> ExperimentSpec:
     EXPERIMENT key is a spec field of the same name. Guidance labels must be oracle
     labels, a rendering kind's render must have the oracle's dimension and its
     splat planes fewer than MAX_SIZE values, and KIND_CHECKS must pass."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("the top level of a config must be an object")
     read(cfg, cfgmod.SECTIONS, "")
     e = read(cfg.get("experiment"), EXPERIMENT, "experiment")
     schedule, oracle = cfgmod.build_schedule(cfg), cfgmod.build_oracle(cfg)
@@ -244,8 +242,11 @@ def run_consistency(spec: ExperimentSpec) -> Report:
     sds, ism = [], []  # per timestep, (K, D) targets
     for t in spec.t_values:
         sds.append(sds_gradient(oracle, sch, x0, t, rng.standard_normal(views.shape), g).pseudo_gt)
-        xt = invert_along(oracle, sch, views, inversion_grid(t, stride)).latents[-1]
-        ism.append(denoise_path(oracle, sch, xt, t, stride, g).latents[-1])
+        try:  # only the walks meet a non-finite point: sds noises a finite x0
+            xt = invert_along(oracle, sch, views, inversion_grid(t, stride)).latents[-1]
+            ism.append(denoise_path(oracle, sch, xt, t, stride, g).latents[-1])
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} at t={t}") from None
     sds, ism = np.stack(sds), np.stack(ism)
 
     summary = {"kind": "consistency", "t_values": spec.t_values,
@@ -290,9 +291,12 @@ def run_quality(spec: ExperimentSpec) -> Report:
 
     rows = []
     for t in spec.t_values:
-        xt = invert_along(oracle, sch, starts, inversion_grid(t, inv_stride)).latents[-1]
-        before = oracle.eps_evals
-        deno = denoise_path(oracle, sch, xt, t, spec.delta_T_values[0], g)
+        try:
+            xt = invert_along(oracle, sch, starts, inversion_grid(t, inv_stride)).latents[-1]
+            before = oracle.eps_evals
+            deno = denoise_path(oracle, sch, xt, t, spec.delta_T_values[0], g)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} at t={t}") from None
         calls = (oracle.eps_evals - before) / len(starts)
         single, multi = hop(sch, xt, t, 0, deno.eps_cache[0]), deno.latents[-1]
         rows.append((t, float(np.mean(nearest_mode_distance(oracle, label, single))),
@@ -320,12 +324,15 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
         for dt in spec.delta_T_values:
             if dt > t:
                 continue
-            pieces = interval_pieces(oracle, sch, x0, t, dt, g)
-            bias, residual, naive = pieces.bias(), pieces.gap, pieces.naive()
-            interval_norm = float(np.linalg.norm(sch.nsr[t] * pieces.interval))
-            eta_norm = float(np.linalg.norm(bias))
-            ratio = eta_norm / interval_norm if interval_norm > 0 else None
-            ism = ism_gradient(oracle, sch, x0, t, dt, delta_s, g) if dt < t else None
+            try:
+                pieces = interval_pieces(oracle, sch, x0, t, dt, g)
+                bias, residual, naive = pieces.bias(), pieces.gap, pieces.naive()
+                interval_norm = float(np.linalg.norm(sch.nsr[t] * pieces.interval))
+                eta_norm = float(np.linalg.norm(bias))
+                ratio = eta_norm / interval_norm if interval_norm > 0 else None
+                ism = ism_gradient(oracle, sch, x0, t, dt, delta_s, g) if dt < t else None
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} at t={t}, delta_T={dt}") from None
             grad_rows += [(t, t - dt, float(np.linalg.norm(r.grad_x0)), r.oracle_calls, name)
                           for name, r in (("naive", naive), ("ism", ism)) if r is not None]
             rows.append((t, dt, eta_norm, interval_norm, ratio, residual,
@@ -396,8 +403,8 @@ def run_race(spec: ExperimentSpec) -> Report:
                "median_sds_crossing": _median_crossing(crossings, "sds")}
     race_rows = [(seed, obj, i, d) for seed, obj in sorted(logs)
                  for i, d in enumerate(logs[seed, obj].curve)]
-    summary_rows = [(seed, crossings.get((seed, "ism")), crossings.get((seed, "sds")),
-                     spec.threshold) for seed in sorted({s for s, _ in crossings})]
+    summary_rows = [(seed, crossings[seed, "ism"], crossings[seed, "sds"], spec.threshold)
+                    for seed in sorted(spec.seeds)]
     return Report(summary, {"race": (RACE_CSV_HEADER, race_rows),
                             "race_summary": (RACE_SUMMARY_CSV_HEADER, summary_rows)})
 
@@ -490,7 +497,10 @@ def run_gradcheck(spec: ExperimentSpec) -> Report:
     rows = []
     for name in spec.checks:
         check, tol = GRADCHECKS[name]
-        err = check(spec)
+        try:
+            err = check(spec)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} in the {name} check") from None
         rows.append((name, err, tol, err < tol))
     summary = {"kind": "gradcheck", "ok": all(r[3] for r in rows),
                "rows": [dict(zip(GRADCHECK_CSV_HEADER, r)) for r in rows]}

@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, UnknownLabelError
+from .errors import ConfigError, NumericalError
 from .schedule import NoiseSchedule
 
 SIGMA_MIN = 1e-4
@@ -110,7 +110,6 @@ class MixtureOracle:
         for a in (self.means, self.sigmas, self.weights):
             a.flags.writeable = False
         self.dim = means.shape[1]
-        self._shape = means.shape[1:]  # the last axis of input points
 
         self._terms: dict[Label, _LabelTerms] = {}
         for name, idx in {None: range(n), **(labels or {})}.items():
@@ -139,7 +138,7 @@ class MixtureOracle:
         try:
             return self._terms[label]
         except KeyError:
-            raise UnknownLabelError(label) from None
+            raise ConfigError(f"unknown label {label!r}") from None
 
     def _checked(self, schedule: NoiseSchedule, x, t: int, label: Label):
         """The point or rows as a float array, the timestep as an int and the
@@ -147,7 +146,7 @@ class MixtureOracle:
         (entry by entry only if vdot(x, x), which never warns, is not finite),
         timestep range, label."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != self._shape:
+        if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
         if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise NumericalError("non-finite input point")

@@ -29,14 +29,14 @@ class NoiseSchedule:
     """Immutable lookup tables for a discrete forward-noising process.
 
     Attributes:
-        num_steps: number of diffusion steps T; valid timesteps are 0..T.
         ab: the signal levels alpha_bar[t] for t = 0..T as Python floats,
             which hash fast as memo keys; ab[0] = 1.
         omega_kind: which per-timestep loss weight to use, one of
             ``unit`` (constant 1) or ``one_minus_alpha_bar``.
 
-    Tables derived from ab, indexed by timestep (index only after a range
-    check such as ``_check_t``: a negative index would wrap silently):
+    Derived from ab: num_steps, T = len(ab) - 1 (valid timesteps are 0..T), and
+    tables indexed by timestep (index only after a range check such as
+    ``_check_t``: a negative index would wrap silently):
         sab: sqrt(alpha_bar[t]).
         s1mab: sqrt(1 - alpha_bar[t]).
         nsr: s1mab[t] / sab[t], the noise-to-signal ratio; zero at t = 0.
@@ -44,15 +44,18 @@ class NoiseSchedule:
             otherwise (read at 1 <= t <= T).
     """
 
-    num_steps: int
     ab: tuple[float, ...]
     omega_kind: str
+    num_steps: int = field(init=False)
     sab: tuple[float, ...] = field(init=False, repr=False)
     s1mab: tuple[float, ...] = field(init=False, repr=False)
     nsr: tuple[float, ...] = field(init=False, repr=False)
     omega: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.omega_kind not in OMEGA_KINDS:
+            raise ConfigError(f"omega_kind must be one of {OMEGA_KINDS}, got {self.omega_kind!r}")
+        object.__setattr__(self, "num_steps", len(self.ab) - 1)
         # Python floats: they index and multiply faster than numpy scalars.
         alpha_bar = np.array(self.ab)
         sab = np.sqrt(alpha_bar)
@@ -92,8 +95,6 @@ def make_schedule(
         raise ConfigError(
             f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
         )
-    if omega_kind not in OMEGA_KINDS:
-        raise ConfigError(f"omega_kind must be one of {OMEGA_KINDS}, got {omega_kind!r}")
 
     beta = np.zeros(num_steps + 1)
     beta[1:] = np.linspace(beta_start, beta_end, num_steps)
@@ -102,4 +103,4 @@ def make_schedule(
     if not alpha_bar[-1] > 0:
         raise ConfigError(f"need alpha_bar_T > 0, but {num_steps} steps of beta from "
                           f"{beta_start} to {beta_end} underflow it to 0")
-    return NoiseSchedule(num_steps, tuple(alpha_bar.tolist()), omega_kind)
+    return NoiseSchedule(tuple(alpha_bar.tolist()), omega_kind)

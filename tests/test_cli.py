@@ -821,7 +821,7 @@ def test_shipped_configs_have_no_unknown_keys(name):
         build_generator(cfg)
 
 
-@pytest.mark.parametrize("kind, name, tweaks, run", [
+@pytest.mark.parametrize("kind, name, tweaks, where", [
     ("distill", "distill_identity.json", {"distill.objective": "ism"},
      "of the ism run with seed=0, delta_T=200, delta_S=50"),
     ("distill", "distill_identity.json", {"distill.objective": "sds"},
@@ -832,19 +832,22 @@ def test_shipped_configs_have_no_unknown_keys(name):
     ("interval-sweep", "interval_sweep.json", {"experiment.delta_T_values": [100],
                                                "experiment.delta_S_values": [200]},
      ", delta_T=100, delta_S=200"),
-    *[(kind, name, {"generator.theta": [0.3, -0.2], "guidance.scale": 1e300}, None)
-      for kind, name in (("consistency", "consistency.json"), ("eta-sweep", "eta_sweep.json"),
-                         ("gradcheck", "gradcheck.json"))],
+    *[(kind, name, {"generator.theta": [0.3, -0.2], "guidance.scale": 1e300}, where)
+      for kind, name, where in (("consistency", "consistency.json", " at t=300"),
+                                ("eta-sweep", "eta_sweep.json", " at t=200, delta_T=10"),
+                                ("gradcheck", "gradcheck.json", " in the decomposition check"))],
+    ("quality", "quality.json", {"guidance.positive": "a", "guidance.scale": 1e300}, " at t=200"),
 ], ids=["ism", "sds", "naive", "race", "interval-sweep", "consistency", "eta-sweep",
-        "gradcheck"])
+        "gradcheck", "quality"])
 def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, kind, name,
-                                                           tweaks, run):
+                                                           tweaks, where):
     """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
     unconditional branch, and a guidance scale of 1e300 the guided prediction:
     the run stops with exit code 3, one stderr line and no numpy warning,
-    whatever the kind. In a distillation the line names the iteration and the
-    failing run (the race's seed and objective, the interval-sweep's grid
-    cell), and a metrics.csv holds the rows logged before the failure."""
+    whatever the kind, and the line says where. In a distillation it names the
+    iteration and the failing run (the race's seed and objective, the
+    interval-sweep's grid cell), and a metrics.csv holds the rows logged before
+    the failure; otherwise it ends naming the timestep (and interval) or check."""
     cfg = tweak_config(tmp_path, name, **{"generator.theta": [1e200, 1e200],
                                           "distill.iterations": 5, **tweaks})
     out = tmp_path / "out"
@@ -855,9 +858,10 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
     assert not (out / "report.json").exists()
-    if run is None:  # no distillation: no run to name and no metrics
+    if kind not in experiments.DISTILL_KINDS:  # no distillation: no run and no metrics
+        assert err == f"numerical error: non-finite input point{where}\n"
         return
-    assert "at iteration 0, t=" in err and run in err
+    assert "at iteration 0, t=" in err and where in err
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER

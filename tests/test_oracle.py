@@ -11,7 +11,6 @@ from ismlab import (
     DecompositionError,
     GuidanceSpec,
     MixtureOracle,
-    UnknownLabelError,
     interval_pieces,
     make_schedule,
 )
@@ -180,21 +179,21 @@ def test_label_restriction_weights(schedule):
 
 
 def test_unknown_label_raises(mixture3, schedule):
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ConfigError, match="unknown label 'nope'"):
         mixture3.eps_predict(schedule, np.zeros(2), 10, "nope")
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ConfigError, match="unknown label 'nope'"):
         mixture3.log_density(schedule, np.zeros(2), 10, "nope")
     # guided predictions validate both branches even when the scale
     # short-circuits one of them
     g = GuidanceSpec(positive="a", negative="nope", scale=1.0)
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ConfigError, match="unknown label 'nope'"):
         mixture3.eps_guided(schedule, np.zeros(2), 10, g)
     # an unknown label raises before any branch is counted, at every scale
     for positive, negative, scale in [("nope", None, 0.0), ("nope", None, 7.5),
                                       ("a", "nope", 1.0), ("a", "nope", 7.5)]:
         g = GuidanceSpec(positive=positive, negative=negative, scale=scale)
         before = mixture3.eps_evals
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(ConfigError, match="unknown label 'nope'"):
             mixture3.eps_guided(schedule, np.zeros((3, 2)), 10, g)
         assert mixture3.eps_evals == before, (positive, negative, scale)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ismlab import ConfigError, canonical_view, hop, make_schedule
+from ismlab import ConfigError, NoiseSchedule, canonical_view, hop, make_schedule
 
 # independent extended-precision cumulative product for the default ramp
 ALPHA_BAR_1000 = 0.0015789629305514414581
@@ -73,6 +73,18 @@ def test_timestep_bounds_raise(tiny_schedule):
 def test_bad_parameters_raise(kwargs):
     with pytest.raises(ConfigError):
         make_schedule(**kwargs)
+
+
+def test_a_schedule_built_from_its_table_reads_T_from_it():
+    """T is the table's length less one, and the loss weight's kind is checked
+    by the schedule itself, not only by make_schedule."""
+    made = make_schedule(10)
+    built = NoiseSchedule(made.ab, "unit")
+    assert built.num_steps == 10
+    for table in ("ab", "sab", "s1mab", "nsr", "omega"):
+        assert getattr(built, table) == getattr(made, table), table
+    with pytest.raises(ConfigError, match="omega_kind"):
+        NoiseSchedule(made.ab, "bogus")
 
 
 @given(

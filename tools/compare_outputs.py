@@ -2,17 +2,17 @@
 
     python tools/compare_outputs.py <other-checkout>
 
-Each tree runs the 29 runs of RUNS with its own ``src`` and ``configs``, one
+Each tree runs every run of RUNS with its own ``src`` and ``configs``, one
 ``python -m ismlab.cli`` process per run, in a temporary directory where both
 trees see the same relative config and ``--out`` paths. A run with overrides
 reads a copy of its config with those keys set (dotted, ``[i]`` indexing a
-list); the first ten such runs succeed, and the other seven fail with exit
-codes 3, 2, 2, 1, 1, 1 and 1, as does the last run, a race of one seed (exit 1).
-Every output file is compared byte for byte, and so are stdout, stderr and
-the exit code, except for wall time: the ``wall_time`` column of each CSV file
-and the wall-time entry (the last) of each ``interval_sweep`` report row are
-blanked first. Prints each difference and exits 1 if there is any, else
-prints a one-line count and exits 0. Needs only the standard library.
+list). Every output file is compared byte for byte, and so are stdout, stderr
+and the exit code, except for wall time: the ``wall_time`` column of each CSV
+file and the wall-time entry (the last) of each ``interval_sweep`` report row
+are blanked first. Each run of this tree must also exit with the code RUNS
+gives it. Prints each difference and each unexpected exit code and exits 1 if
+there is any, else prints a one-line count and exits 0. Needs only the
+standard library.
 """
 
 from __future__ import annotations
@@ -30,45 +30,45 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# (kind, config, overrides): the 8 shipped configs under their kinds, the
-# splat scene under three more kinds that render a generator, a short jittered
-# splat run whose last snapshot is its final state, a race too short for any
-# run to cross its threshold, a splat run toward a point template (a blob width
-# whose square underflows, centred on a pixel), an explicit four-splat scene
-# listed out of depth order with two splats at one depth (the config puts the
-# rows front to back, the tied pair in list order), a consistency stride above
-# its first two timesteps and the gradchecks on a schedule shorter than the
-# decomposition check's longest interval (both strides past their walk are one
-# hop), an eta-sweep whose (120, 100) cell inverts to s = 20, below its stride,
-# in one hop, an eta-sweep on a one-component oracle with the view at its mean,
-# whose delta_T = 50 interval norms are rounding dust, a race of the splat
-# scene (an image generator copied per run), an interval-sweep of 0 iterations
-# (empty wall_time columns), then eight failing runs:
-# a numerical error that leaves a partial metrics.csv (exit 3), a failed
-# decomposition check on a steep schedule (exit 2), the decomposition gradcheck
-# on that schedule, whose reported error differs between the identity's two
-# summation orders (exit 2), an unknown key (exit 1), a random-scene key under
-# an identity latent, which that kind does not read (exit 1), a repeated grid
-# entry (exit 1), a label that repeats a component (exit 1) and a race on the
-# default seeds, one seed (exit 1)
+# (kind, config, overrides, exit code): the shipped configs under their kinds,
+# the splat scene under three more kinds that render a generator, a short
+# jittered splat run whose last snapshot is its final state, a race too short
+# for any run to cross its threshold, a splat run toward a point template (a
+# blob width whose square underflows, centred on a pixel), an explicit
+# four-splat scene listed out of depth order with two splats at one depth (the
+# config puts the rows front to back, the tied pair in list order), a
+# consistency stride above its first two timesteps and the gradchecks on a
+# schedule shorter than the decomposition check's longest interval (both
+# strides past their walk are one hop), an eta-sweep whose (120, 100) cell
+# inverts to s = 20, below its stride, in one hop, an eta-sweep on a
+# one-component oracle with the view at its mean, whose delta_T = 50 interval
+# norms are rounding dust, a race of the splat scene (an image generator copied
+# per run), an interval-sweep of 0 iterations (empty wall_time columns), then
+# the failing runs: a numerical error that leaves a partial metrics.csv, a
+# numerical error whose line names its eta-sweep cell, a failed decomposition
+# check on a steep schedule, the decomposition gradcheck on that schedule, whose
+# reported error differs between the identity's two summation orders, an
+# unknown key, a random-scene key under an identity latent, which that kind does
+# not read, a repeated grid entry, a label that repeats a component and a race
+# on the default seeds, one seed
 RUNS = (
-    ("consistency", "consistency.json", {}),
-    ("quality", "quality.json", {}),
-    ("eta-sweep", "eta_sweep.json", {}),
-    ("interval-sweep", "interval_sweep.json", {}),
-    ("race", "race.json", {}),
-    ("gradcheck", "gradcheck.json", {}),
-    ("distill", "distill_identity.json", {}),
-    ("distill", "distill_splats.json", {}),
-    ("consistency", "distill_splats.json", {}),
-    ("eta-sweep", "distill_splats.json", {}),
-    ("interval-sweep", "distill_splats.json", {}),
+    ("consistency", "consistency.json", {}, 0),
+    ("quality", "quality.json", {}, 0),
+    ("eta-sweep", "eta_sweep.json", {}, 0),
+    ("interval-sweep", "interval_sweep.json", {}, 0),
+    ("race", "race.json", {}, 0),
+    ("gradcheck", "gradcheck.json", {}, 0),
+    ("distill", "distill_identity.json", {}, 0),
+    ("distill", "distill_splats.json", {}, 0),
+    ("consistency", "distill_splats.json", {}, 0),
+    ("eta-sweep", "distill_splats.json", {}, 0),
+    ("interval-sweep", "distill_splats.json", {}, 0),
     ("distill", "distill_splats.json",
-     {"jitter.rotation_max": 0.3, "distill.iterations": 60, "distill.snapshot_every": 20}),
-    ("race", "race.json", {"distill.iterations": 20}),
+     {"jitter.rotation_max": 0.3, "distill.iterations": 60, "distill.snapshot_every": 20}, 0),
+    ("race", "race.json", {"distill.iterations": 20}, 0),
     ("distill", "distill_splats.json",
      {"oracle.components[0].mean.sigma": 1e-300,
-      "oracle.components[0].mean.center": [0.0625, 0.0625], "distill.iterations": 20}),
+      "oracle.components[0].mean.center": [0.0625, 0.0625], "distill.iterations": 20}, 0),
     ("distill", "distill_splats.json",
      {"generator.splats": [
          {"center": [0.1, 0.0], "log_scale": [-1.2, -1.6], "rotation": 0.3, "color": [0.8],
@@ -79,26 +79,27 @@ RUNS = (
           "logit_opacity": 0.0, "depth": 1.0},
          {"center": [-0.1, -0.2], "log_scale": [-1.5, -1.1], "rotation": 0.0, "color": [0.9],
           "logit_opacity": 0.8, "depth": 0.5}],
-      "distill.iterations": 20, "distill.snapshot_every": 10}),
-    ("consistency", "consistency.json", {"experiment.delta_S_values": [400]}),
-    ("gradcheck", "gradcheck.json", {"schedule.T": 50}),
+      "distill.iterations": 20, "distill.snapshot_every": 10}, 0),
+    ("consistency", "consistency.json", {"experiment.delta_S_values": [400]}, 0),
+    ("gradcheck", "gradcheck.json", {"schedule.T": 50}, 0),
     ("eta-sweep", "eta_sweep.json",
-     {"experiment.t_values": [120, 400], "experiment.delta_T_values": [100]}),
+     {"experiment.t_values": [120, 400], "experiment.delta_T_values": [100]}, 0),
     ("eta-sweep", "eta_sweep.json",
      {"oracle.components": [{"mean": [0.3, -0.2], "sigma": 0.3}], "oracle.labels": {"m": [0]},
       "guidance.positive": "m", "guidance.scale": 1.0, "generator.theta": [0.3, -0.2],
-      "experiment.t_values": [200, 400], "experiment.delta_T_values": [50, 100]}),
-    ("race", "distill_splats.json", {"distill.iterations": 3, "experiment.seeds": [0, 1]}),
-    ("interval-sweep", "interval_sweep.json", {"distill.iterations": 0}),
-    ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}),
-    ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
-    ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}),
-    ("race", "race.json", {"distill.unknown_key": 1}),
-    ("distill", "distill_identity.json", {"generator.n_splats": 5}),
-    ("eta-sweep", "eta_sweep.json", {"experiment.t_values": [400, 400]}),
+      "experiment.t_values": [200, 400], "experiment.delta_T_values": [50, 100]}, 0),
+    ("race", "distill_splats.json", {"distill.iterations": 3, "experiment.seeds": [0, 1]}, 0),
+    ("interval-sweep", "interval_sweep.json", {"distill.iterations": 0}, 0),
+    ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}, 3),
+    ("eta-sweep", "eta_sweep.json", {"guidance.scale": 1e300}, 3),
+    ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}, 2),
+    ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}, 2),
+    ("race", "race.json", {"distill.unknown_key": 1}, 1),
+    ("distill", "distill_identity.json", {"generator.n_splats": 5}, 1),
+    ("eta-sweep", "eta_sweep.json", {"experiment.t_values": [400, 400]}, 1),
     ("distill", "distill_identity.json",
-     {"oracle.labels.right": [0, 1, 1], "distill.iterations": 5}),
-    ("race", "distill_identity.json", {}),
+     {"oracle.labels.right": [0, 1, 1], "distill.iterations": 5}, 1),
+    ("race", "distill_identity.json", {}, 1),
 )
 
 
@@ -121,12 +122,14 @@ def overridden(config: Path, overrides: dict) -> Path:
     return path
 
 
-def run_tree(tree: Path, work: Path) -> None:
+def run_tree(tree: Path, work: Path) -> list[str]:
     """Run every entry of RUNS with tree's package and configs; each run's
-    files go to work/<name>, and its stdout, stderr and exit code beside them."""
+    files go to work/<name>, and its stdout, stderr and exit code beside them.
+    Returns a line per run that exits with another code than RUNS gives it."""
     shutil.copytree(tree / "configs", work / "configs")
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    for kind, config, overrides in RUNS:
+    unexpected = []
+    for kind, config, overrides, expected in RUNS:
         config = Path("configs", config)
         if overrides:
             config = overridden(work / config, overrides).relative_to(work)
@@ -139,6 +142,9 @@ def run_tree(tree: Path, work: Path) -> None:
         (streams / "stdout").write_bytes(proc.stdout)
         (streams / "stderr").write_bytes(proc.stderr)
         (streams / "exit_code").write_text(f"{proc.returncode}\n")
+        if proc.returncode != expected:
+            unexpected.append(f"{name}: exit code {proc.returncode}, expected {expected}")
+    return unexpected
 
 
 def normalized(path: Path) -> bytes:
@@ -184,14 +190,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         mine, theirs = Path(tmp) / "this", Path(tmp) / "other"
-        run_tree(HERE, mine)
+        unexpected = run_tree(HERE, mine)
         run_tree(args.other.resolve(), theirs)
         n, diffs = compare(mine, theirs)
-    for line in diffs:
+    for line in unexpected + diffs:
         print(line)
     print(f"{len(RUNS)} runs, {n} files compared (configs, outputs and streams): "
-          f"{len(diffs)} differences")
-    return 1 if diffs else 0
+          f"{len(diffs)} differences, {len(unexpected)} unexpected exit codes")
+    return 1 if unexpected or diffs else 0
 
 
 if __name__ == "__main__":
