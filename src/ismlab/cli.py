@@ -9,11 +9,11 @@ experiments.Report (a summary, CSV tables and frames), and write_report
 writes report.json, the tables as CSV files and the frames as
 frames/*.ppm under --out (docs/config.md lists the files per kind).
 
---out is created after the config is checked and before the run. Exit codes:
-0 success, 1 configuration error or an --out that cannot be created or
-written, 2 check failure (a gradcheck, or eta-sweep's decomposition check),
-3 numerical failure (a non-finite gradient or point; metrics.csv then holds
-the rows the failing distillation logged).
+--out is created, and an earlier report.json in it removed, after the config is
+checked and before the run. Exit codes: 0 success, 1 configuration error or an
+--out that cannot be created or written, 2 check failure (a gradcheck, or
+eta-sweep's decomposition check), 3 numerical failure (a non-finite gradient,
+point or mode distance; metrics.csv then holds the failing distillation's rows).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ def main(argv=None) -> int:
     try:
         spec = build_experiment(cfgmod.load_json(args.config), args.kind)
         out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").unlink(missing_ok=True)  # so a failed run leaves no earlier report
         # a non-finite value is reported once, as the NumericalError below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             report = RUNNERS[args.kind](spec)

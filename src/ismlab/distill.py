@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .generators import View, ViewJitterSpec, canonical_view, sample_view
+from .generators import ViewJitterSpec, canonical_view, sample_view
 from .objectives import ism_gradient, naive_gradient, sds_gradient
 from .oracle import GuidanceSpec, Label, MixtureOracle
 from .schedule import NoiseSchedule
@@ -166,48 +166,33 @@ def current_interval(cfg: DistillConfig, iter_index: int) -> int:
     return int(round(cfg.delta_T_start + frac * (cfg.delta_T_end - cfg.delta_T_start)))
 
 
-@dataclass
 class DistillState:
-    generator: object
-    adam: AdamOptimizer
-    rng_t: np.random.Generator
-    rng_view: np.random.Generator
-    rng_noise: np.random.Generator
-    log: RunLog
-    started: float
-    cview: View
+    """A run's mutable state: its generator and optimiser, the three seed
+    substreams (timesteps, views, noise), its record, start time and canonical view."""
 
-
-def init_state(generator, cfg: DistillConfig) -> DistillState:
-    ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    return DistillState(
-        generator=generator,
-        adam=AdamOptimizer(generator.n_params, cfg.optimizer),
-        rng_t=np.random.default_rng(ss[0]),
-        rng_view=np.random.default_rng(ss[1]),
-        rng_noise=np.random.default_rng(ss[2]),
-        log=RunLog(),
-        started=time.perf_counter(),
-        cview=canonical_view(cfg.jitter.width, cfg.jitter.height),
-    )
+    def __init__(self, generator, cfg: DistillConfig):
+        ss = np.random.SeedSequence(cfg.seed).spawn(3)
+        self.generator = generator
+        self.adam = AdamOptimizer(generator.n_params, cfg.optimizer)
+        self.rng_t, self.rng_view, self.rng_noise = (np.random.default_rng(s) for s in ss)
+        self.log = RunLog()
+        self.started = time.perf_counter()
+        self.cview = canonical_view(cfg.jitter.width, cfg.jitter.height)
 
 
 def distill_step(state: DistillState, oracle: MixtureOracle,
                  schedule: NoiseSchedule, cfg: DistillConfig,
-                 iter_index: int, entering: np.ndarray) -> None:
-    """One optimisation step from entering, the canonical render of its
-    parameters; appends one entry to each column of the run's log.
+                 iter_index: int, t: int, entering: np.ndarray, distance: float) -> None:
+    """One optimisation step at timestep t from entering, the canonical render
+    of its parameters, whose mode distance is distance; appends one entry to
+    each column of the run's log.
 
-    It logs entering's mode distance (row 0: the initial parameters'); with
-    zero jitter entering is every view's x0, which objectives only read. A
-    non-finite accumulated gradient appends a diagnostic row and aborts the
-    run; a non-finite point met by the oracle aborts it without a row. Both
-    raise a NumericalError naming the iteration and timestep.
-    """
+    With zero jitter entering is every view's x0, which objectives only read. A
+    non-finite accumulated gradient appends a row and raises a NumericalError;
+    a non-finite point met by the oracle raises one without a row.
+    run_distillation names where either happened."""
     gen = state.generator
-    t = int(state.rng_t.integers(cfg.t_min, cfg.t_max + 1))
     delta_t = current_interval(cfg, iter_index)
-    entering_distance = nearest_mode_distance(oracle, cfg.guidance.positive, entering)
     canonical = cfg.jitter.is_canonical
 
     grad_theta = np.zeros(gen.n_params)
@@ -218,22 +203,19 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
         view_seed = int(state.rng_view.integers(0, 2 ** 63 - 1))
         view = state.cview if canonical else sample_view(view_seed, cfg.jitter)
         x0 = entering if canonical else gen.render(view)
-        try:
-            report = OBJECTIVES[cfg.objective](state, oracle, schedule, cfg, x0, t, delta_t)
-        except NumericalError as exc:
-            raise NumericalError(f"{exc} at iteration {iter_index}, t={t}") from exc
+        report = OBJECTIVES[cfg.objective](state, oracle, schedule, cfg, x0, t, delta_t)
         grad_theta += gen.backward(view, report.grad_x0)
         calls += report.oracle_calls
         loss_proxy += float(squared_distances(x0, report.pseudo_gt))
     loss_proxy /= cfg.view_batch
 
     grad_norm = norm(grad_theta)
-    row = (iter_index, t, delta_t, grad_norm, calls, loss_proxy, entering_distance,
+    row = (iter_index, t, delta_t, grad_norm, calls, loss_proxy, distance,
            time.perf_counter() - state.started)  # in METRICS_CSV_HEADER's order
     for column, value in zip(state.log.columns.values(), row):
         column.append(value)
     if not math.isfinite(grad_norm) and not np.logical_and.reduce(np.isfinite(grad_theta)):
-        raise NumericalError(f"non-finite gradient at iteration {iter_index}, t={t}")
+        raise NumericalError("non-finite gradient")
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))
 
@@ -242,28 +224,35 @@ def run_distillation(generator, oracle: MixtureOracle, schedule: NoiseSchedule,
                      cfg: DistillConfig) -> RunLog:
     """Execute a full run; metrics are a pure function of (config, seed).
 
-    Each parameter state is rendered once on the canonical view; that render
-    enters the step from it and is the state's snapshot, if any, or final. A
-    NumericalError carries the columns logged up to the failure as ``log`` and
-    names the run (objective, seed, interval, stride). numpy's overflow and
-    invalid-value warnings are the caller's to silence, as the CLI does for
-    every kind.
-    """
-    state = init_state(generator, cfg)
+    The loop draws each step's timestep and renders each parameter state once
+    on the canonical view: that render gives the state's mode distance, enters
+    the step from it and is its snapshot, if any, or final. A non-finite mode
+    distance, checked after the state's step, is a NumericalError. This names
+    every NumericalError of the run: iteration, timestep (none for the final
+    state) and run (objective, seed, last step's interval, stride); ``log``
+    holds the columns logged up to it. numpy's overflow and invalid-value
+    warnings are the caller's to silence, as the CLI does for every kind."""
+    state = DistillState(generator, cfg)
     shape = generator.image_shape(cfg.jitter)
     try:
         for i in range(cfg.iterations + 1):
             render = generator.render(state.cview)
             if shape is not None and i and cfg.snapshot_every and not i % cfg.snapshot_every:
                 state.log.frames[f"iter_{i:06d}"] = render.reshape(shape)
+            distance = nearest_mode_distance(oracle, cfg.guidance.positive, render)
             if i < cfg.iterations:
-                distill_step(state, oracle, schedule, cfg, i, render)
+                t = int(state.rng_t.integers(cfg.t_min, cfg.t_max + 1))
+                distill_step(state, oracle, schedule, cfg, i, t, render, distance)
+            if not math.isfinite(distance):
+                raise NumericalError("non-finite mode distance")
     except NumericalError as exc:
-        exc.args = (f"{exc} of the {cfg.objective} run with seed={cfg.seed}, "
-                    f"delta_T={current_interval(cfg, i)}, delta_S={cfg.delta_S}",)
+        step = f", t={t}" if i < cfg.iterations else ""
+        last = current_interval(cfg, min(i, cfg.iterations - 1))  # delta_T_start before a step
+        exc.args = (f"{exc} at iteration {i}{step} of the {cfg.objective} run with "
+                    f"seed={cfg.seed}, delta_T={last}, delta_S={cfg.delta_S}",)
         exc.log = state.log
         raise
-    state.log.final_mode_distance = nearest_mode_distance(oracle, cfg.guidance.positive, render)
+    state.log.final_mode_distance = distance
     if shape is not None:
         state.log.frames["final"] = render.reshape(shape)
     return state.log

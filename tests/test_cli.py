@@ -837,8 +837,25 @@ def test_shipped_configs_have_no_unknown_keys(name):
                                 ("eta-sweep", "eta_sweep.json", " at t=200, delta_T=10"),
                                 ("gradcheck", "gradcheck.json", " in the decomposition check"))],
     ("quality", "quality.json", {"guidance.positive": "a", "guidance.scale": 1e300}, " at t=200"),
+    *[(kind, name, {"generator.theta": [1e200, 0.0], **tweaks}, f"numerical error: {line}")
+      for kind, name, tweaks, line in (
+          ("distill", "distill_identity.json", {"distill.iterations": 0},
+           "non-finite mode distance at iteration 0 of the ism run with seed=0, "
+           "delta_T=200, delta_S=50"),
+          ("distill", "distill_identity.json", {"distill.iterations": 3,
+                                                "distill.objective": "sds",
+                                                "guidance.scale": 1.0},
+           "non-finite mode distance at iteration 0, t=830 of the sds run with seed=0, "
+           "delta_T=200, delta_S=50"),
+          ("race", "race.json", {"distill.iterations": 0},
+           "non-finite mode distance at iteration 0 of the ism run with seed=0, "
+           "delta_T=200, delta_S=50"),
+          ("interval-sweep", "interval_sweep.json", {"distill.iterations": 0},
+           "non-finite mode distance at iteration 0 of the ism run with seed=0, "
+           "delta_T=50, delta_S=50"))],
 ], ids=["ism", "sds", "naive", "race", "interval-sweep", "consistency", "eta-sweep",
-        "gradcheck", "quality"])
+        "gradcheck", "quality", "distance-initial", "distance-sds", "distance-race",
+        "distance-interval-sweep"])
 def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, kind, name,
                                                            tweaks, where):
     """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
@@ -847,7 +864,10 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     whatever the kind, and the line says where. In a distillation it names the
     iteration and the failing run (the race's seed and objective, the
     interval-sweep's grid cell), and a metrics.csv holds the rows logged before
-    the failure; otherwise it ends naming the timestep (and interval) or check."""
+    the failure; otherwise it ends naming the timestep (and interval) or check.
+    A latent at (1e200, 0) whose squared mode distance overflows fails at its
+    first state, after its step if it takes one (the one-component ``right``
+    label at scale 1 keeps that step's oracle finite): the whole line is given."""
     cfg = tweak_config(tmp_path, name, **{"generator.theta": [1e200, 1e200],
                                           "distill.iterations": 5, **tweaks})
     out = tmp_path / "out"
@@ -861,12 +881,32 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     if kind not in experiments.DISTILL_KINDS:  # no distillation: no run and no metrics
         assert err == f"numerical error: non-finite input point{where}\n"
         return
-    assert "at iteration 0, t=" in err and where in err
+    if where.startswith("numerical error: "):
+        assert err == f"{where}\n"
+    else:
+        assert "at iteration 0, t=" in err and where in err
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER
     assert len(rows) - 1 < 5
 
+
+
+def test_a_failed_rerun_leaves_no_earlier_report(tmp_path, capsys):
+    """A run removes an earlier report.json from its --out before it starts, so
+    a failed rerun into the directory of a success leaves its metrics.csv and
+    no report; a config error touches nothing under --out."""
+    out = tmp_path / "out"
+    ok = tweak_config(tmp_path, "distill_identity.json", **{"distill.iterations": 20})
+    assert main(["distill", "--config", str(ok), "--out", str(out)]) == 0
+    report = (out / "report.json").read_bytes()
+    bad_key = tweak_config(tmp_path, "race.json", **{"distill.unknown_key": 1})
+    assert main(["distill", "--config", str(bad_key), "--out", str(out)]) == 1
+    assert (out / "report.json").read_bytes() == report
+    failing = tweak_config(tmp_path, "distill_identity.json",
+                           **{"generator.theta": [1e200, 1e200], "distill.iterations": 5})
+    assert main(["distill", "--config", str(failing), "--out", str(out)]) == 3
+    assert (out / "metrics.csv").exists() and not (out / "report.json").exists()
 
 def leaf_paths(node, prefix=()):
     """Every key path to a value inside a JSON value that is not an object or a list."""

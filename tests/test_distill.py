@@ -25,9 +25,9 @@ from ismlab import (
 from ismlab.config import build_distill
 from ismlab.distill import (
     METRICS_CSV_HEADER,
+    DistillState,
     current_interval,
     distill_step,
-    init_state,
 )
 from ismlab.generators import random_scene
 
@@ -89,10 +89,10 @@ def test_fixed_point_run_is_stationary(schedule):
 def test_view_batch_accumulates_linearly(bimodal, schedule):
     gen1 = IdentityLatent([0.2, 0.1])
     gen2 = IdentityLatent([0.2, 0.1])
-    state1 = init_state(gen1, base_config(view_batch=1))
-    state2 = init_state(gen2, base_config(view_batch=2))
-    distill_step(state1, bimodal, schedule, base_config(view_batch=1), 0, gen1.render())
-    distill_step(state2, bimodal, schedule, base_config(view_batch=2), 0, gen2.render())
+    state1 = DistillState(gen1, base_config(view_batch=1))
+    state2 = DistillState(gen2, base_config(view_batch=2))
+    distill_step(state1, bimodal, schedule, base_config(view_batch=1), 0, 400, gen1.render(), 0.0)
+    distill_step(state2, bimodal, schedule, base_config(view_batch=2), 0, 400, gen2.render(), 0.0)
     one, two = state1.log.columns, state2.log.columns
     assert two["t"] == one["t"]
     assert two["grad_norm"][0] == pytest.approx(2 * one["grad_norm"][0], rel=1e-12)
@@ -105,10 +105,10 @@ def test_view_stream_draws_one_seed_per_view(bimodal, schedule, view_batch, jitt
     """Every view draws one seed from the view substream, the canonical view
     of a zero jitter spec included, so matched runs keep sharing the stream."""
     cfg = base_config(view_batch=view_batch, jitter=jitter)
-    state = init_state(IdentityLatent([0.2, 0.1]), cfg)
+    state = DistillState(IdentityLatent([0.2, 0.1]), cfg)
     steps = 5
     for i in range(steps):
-        distill_step(state, bimodal, schedule, cfg, i, state.generator.render())
+        distill_step(state, bimodal, schedule, cfg, i, 400, state.generator.render(), 0.0)
     fresh = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
     expected = fresh.integers(0, 2 ** 63 - 1, size=steps * view_batch + 1)[-1]
     assert state.rng_view.integers(0, 2 ** 63 - 1) == expected
@@ -353,6 +353,30 @@ def test_a_failed_run_keeps_the_rows_of_the_run_stopped_before_it(bimodal, sched
                 for row in rows]
 
     assert bits(log.metrics_table()[1][:2]) == bits(short.metrics_table()[1])
+
+
+def test_a_final_state_at_no_finite_mode_distance_fails_without_a_timestep(bimodal, schedule):
+    """A render that overflows the squared mode distance only after the third
+    update passes three steps and fails at the final state: the line names the
+    iteration count, no timestep and the last step's interval, and the record
+    holds all three rows."""
+    class OverflowsAfterThirdUpdate(IdentityLatent):
+        updates = 0
+
+        def set_params(self, params):
+            self.updates += 1
+            super().set_params(params)
+
+        def render(self, view=None):
+            return super().render(view) * (1e300 if self.updates >= 3 else 1.0)
+
+    with np.errstate(over="ignore"), pytest.raises(NumericalError) as info:
+        run_distillation(OverflowsAfterThirdUpdate([0.2, 0.1]), bimodal, schedule,
+                         base_config(iterations=3))
+    assert str(info.value) == ("non-finite mode distance at iteration 3 of the ism run "
+                               "with seed=0, delta_T=50, delta_S=50")
+    assert info.value.log.columns["iter"] == [0, 1, 2]
+    assert all(math.isfinite(d) for d in info.value.log.columns["nearest_mode_distance"])
 
 
 def test_hand_built_config_with_an_unknown_objective_fails_loudly():

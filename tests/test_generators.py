@@ -15,7 +15,7 @@ from ismlab import (
     sample_view,
 )
 from ismlab.config import build_distill, build_generator
-from ismlab.distill import distill_step, init_state
+from ismlab.distill import DistillState, distill_step
 from ismlab.experiments import fd_gradient
 from ismlab.generators import random_scene
 
@@ -345,13 +345,13 @@ def test_jittered_view_batch_step_sums_fresh_backward_calls(schedule):
         "guidance": {"positive": "a", "scale": 7.5}, "view": {"width": 6, "height": 5},
         "jitter": WIDE_JITTER})
     gen = random_scene(4, 1, seed=2, background=[0.3])
-    state = init_state(gen, cfg)
+    state = DistillState(gen, cfg)
     before = fresh_copy(gen)
     calls, steps = [], []
     backward, adam_step = gen.backward, state.adam.step
     gen.backward = lambda view, g: (calls.append((view, g)), backward(view, g))[1]
     state.adam.step = lambda params, grad: (steps.append(grad), adam_step(params, grad))[1]
-    distill_step(state, oracle, schedule, cfg, 0, gen.render(state.cview))
+    distill_step(state, oracle, schedule, cfg, 0, 400, gen.render(state.cview), 0.0)
     assert len(calls) == 2 and calls[0][0] is not calls[1][0]
     assert not any(np.array_equal(view.affine, state.cview.affine) for view, _ in calls)
     want = np.zeros(gen.n_params)

@@ -45,7 +45,9 @@ HERE = Path(__file__).resolve().parent.parent
 # norms are rounding dust, a race of the splat scene (an image generator copied
 # per run), an interval-sweep of 0 iterations (empty wall_time columns), then
 # the failing runs: a numerical error that leaves a partial metrics.csv, a
-# numerical error whose line names its eta-sweep cell, a failed decomposition
+# numerical error whose line names its eta-sweep cell, a latent whose squared
+# mode distance overflows (at 0 iterations, after an SDS step on a
+# one-component label, and in a race), a failed decomposition
 # check on a steep schedule, the decomposition gradcheck on that schedule, whose
 # reported error differs between the identity's two summation orders, an
 # unknown key, a random-scene key under an identity latent, which that kind does
@@ -92,6 +94,12 @@ RUNS = (
     ("interval-sweep", "interval_sweep.json", {"distill.iterations": 0}, 0),
     ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}, 3),
     ("eta-sweep", "eta_sweep.json", {"guidance.scale": 1e300}, 3),
+    ("distill", "distill_identity.json",
+     {"generator.theta": [1e200, 0.0], "distill.iterations": 0}, 3),
+    ("distill", "distill_identity.json",
+     {"generator.theta": [1e200, 0.0], "distill.iterations": 3, "distill.objective": "sds",
+      "guidance.scale": 1.0}, 3),
+    ("race", "race.json", {"generator.theta": [1e200, 0.0], "distill.iterations": 0}, 3),
     ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}, 2),
     ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}, 2),
     ("race", "race.json", {"distill.unknown_key": 1}, 1),
