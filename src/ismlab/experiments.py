@@ -260,6 +260,10 @@ def run_consistency(spec: ExperimentSpec) -> Report:
             oracle, g.positive, flat.mean(axis=0))
         summary[f"{name}_mean_of_target_distances"] = float(np.mean(
             nearest_mode_distance(oracle, g.positive, flat)))
+    for key, value in list(summary.items())[2:]:  # each spread and distance, in order
+        for t, v in zip(spec.t_values, value) if isinstance(value, list) else [(None, value)]:
+            if not math.isfinite(v):
+                raise NumericalError(f"non-finite {key}" + ("" if t is None else f" at t={t}"))
     rows = zip(summary["t_values"], summary["sds_noise_variance"], summary["ism_noise_variance"])
     report = Report(summary, {"consistency": (CONSISTENCY_CSV_HEADER, list(rows))})
 
@@ -419,28 +423,29 @@ def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     return (f(x + d) - f(x - d)) / (2.0 * step)
 
 
+def _worst(rngs, error) -> float:
+    """The largest error(rng) over the generators rngs, one case each, in
+    order; NaN if any case's error is NaN."""
+    return float(np.max([error(rng) for rng in rngs]))
+
+
 def score_fd_check(oracle: MixtureOracle, schedule: NoiseSchedule, seed: int = 0) -> float:
     """Max relative error between the analytic epsilon-prediction and the
     finite-difference gradient of the log density over 100 random points."""
-    rng = np.random.default_rng(seed)
-    errs = []
-    for _ in range(100):
+    def error(rng):
         x = rng.uniform(-3.0, 3.0, size=oracle.dim)
         t = int(rng.integers(1, schedule.num_steps + 1))
         fd = fd_gradient(lambda p: oracle.log_density(schedule, p, t), x, 1e-5)
         expected = -schedule.s1mab[t] * fd
         got = oracle.eps_predict(schedule, x, t)
-        denom = max(float(np.linalg.norm(expected)), 1e-12)
-        errs.append(float(np.linalg.norm(got - expected)) / denom)
-    return float(np.max(errs))
+        return float(np.linalg.norm(got - expected)) / max(float(np.linalg.norm(expected)), 1e-12)
+    return _worst([np.random.default_rng(seed)] * 100, error)
 
 
 def renderer_fd_check(seed: int = 0) -> float:
     """Max relative error of analytic renderer gradients against central
     finite differences over 20 random single-channel 16x16 scenes."""
-    errs = []
-    for k in range(20):
-        rng = np.random.default_rng((seed, k))
+    def error(rng):
         # backgrounds strictly inside [0, 1]: finite differences must not
         # straddle the generator's clamp boundary
         gen = random_scene(3, 1, seed=int(rng.integers(2 ** 31)),
@@ -448,17 +453,16 @@ def renderer_fd_check(seed: int = 0) -> float:
         view = canonical_view(16, 16)
         grad_img = rng.standard_normal(16 * 16)
         analytic = gen.backward(view, grad_img)
-        params = gen.get_params()
 
-        def loss(p, gen=gen, view=view, grad_img=grad_img):
+        def loss(p):
             gen.set_params(p)
             return grad_img @ gen.render(view)
 
-        fd = fd_gradient(lambda rows: np.array([loss(p) for p in rows]), params, 1e-4)
+        fd = fd_gradient(lambda rows: np.array([loss(p) for p in rows]), gen.get_params(), 1e-4)
         floor = 1e-6 * max(1.0, float(np.abs(fd).max()))
         rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), floor)
-        errs.append(float(rel.max()))
-    return float(np.max(errs))
+        return float(rel.max())
+    return _worst([np.random.default_rng((seed, k)) for k in range(20)], error)
 
 
 def gradient_forms_check(oracle: MixtureOracle, schedule: NoiseSchedule,
@@ -466,29 +470,24 @@ def gradient_forms_check(oracle: MixtureOracle, schedule: NoiseSchedule,
     """Max absolute gap over 50 random draws between the noise-matching update
     and its equivalent sample-space form (loss weight over noise-to-signal
     times x0 minus the single-step clean target)."""
-    rng = np.random.default_rng(seed)
-    errs = []
-    for _ in range(50):
+    def error(rng):
         x0 = rng.uniform(-2.0, 2.0, size=oracle.dim)
         t = int(rng.integers(1, schedule.num_steps + 1))
-        eps = rng.standard_normal(oracle.dim)
-        report = sds_gradient(oracle, schedule, x0, t, eps, g)
+        report = sds_gradient(oracle, schedule, x0, t, rng.standard_normal(oracle.dim), g)
         alt = (schedule.omega[t] / schedule.nsr[t]) * (x0 - report.pseudo_gt)
-        errs.append(float(np.abs(report.grad_x0 - alt).max()))
-    return float(np.max(errs))
+        return float(np.abs(report.grad_x0 - alt).max())
+    return _worst([np.random.default_rng(seed)] * 50, error)
 
 
 def decomposition_sweep_check(oracle: MixtureOracle, schedule: NoiseSchedule,
                               g: GuidanceSpec, seed: int = 0) -> float:
     """Max interval_pieces gap over 50 random (x0, t, interval)."""
-    rng = np.random.default_rng(seed)
-    errs = []
-    for _ in range(50):
+    def error(rng):
         x0 = rng.uniform(-2.0, 2.0, size=oracle.dim)
         dt = int(rng.choice([10, 25, 50, 100]))
         t = int(rng.integers(min(dt, schedule.num_steps), min(950, schedule.num_steps) + 1))
-        errs.append(interval_pieces(oracle, schedule, x0, t, dt, g).gap)
-    return float(np.max(errs))
+        return interval_pieces(oracle, schedule, x0, t, dt, g).gap
+    return _worst([np.random.default_rng(seed)] * 50, error)
 
 
 def run_gradcheck(spec: ExperimentSpec) -> Report:

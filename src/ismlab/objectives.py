@@ -135,7 +135,7 @@ class _IntervalPieces:
     def gap(self) -> float:
         """Norm of (x0 - x0_tilde) - (gamma(t) * interval + series), the identity
         that the multi-step direction is the interval score plus the telescoping
-        bias; below 1e-9 in double precision for all valid inputs."""
+        bias; its double-precision rounding, which bias() requires to be <= 1e-9."""
         rhs = self.schedule.nsr[self.grid[-1]] * self.interval + self.series
         return float(np.linalg.norm((self.x0 - self.x0_tilde) - rhs))
 

@@ -853,9 +853,13 @@ def test_shipped_configs_have_no_unknown_keys(name):
           ("interval-sweep", "interval_sweep.json", {"distill.iterations": 0},
            "non-finite mode distance at iteration 0 of the ism run with seed=0, "
            "delta_T=50, delta_S=50"))],
+    *[("consistency", "consistency.json", {"generator.theta": [0.0, 0.0], **tweaks},
+       "numerical error: non-finite sds_noise_variance at t=100")
+      for tweaks in ({"guidance.scale": 1e154},  # the spreads overflow to inf
+                     {"guidance.scale": 1e160, "experiment.delta_S_values": [1000]})],  # NaN
 ], ids=["ism", "sds", "naive", "race", "interval-sweep", "consistency", "eta-sweep",
         "gradcheck", "quality", "distance-initial", "distance-sds", "distance-race",
-        "distance-interval-sweep"])
+        "distance-interval-sweep", "spread-inf", "spread-nan"])
 def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, kind, name,
                                                            tweaks, where):
     """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
@@ -867,7 +871,9 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     the failure; otherwise it ends naming the timestep (and interval) or check.
     A latent at (1e200, 0) whose squared mode distance overflows fails at its
     first state, after its step if it takes one (the one-component ``right``
-    label at scale 1 keeps that step's oracle finite): the whole line is given."""
+    label at scale 1 keeps that step's oracle finite): the whole line is given.
+    So it is for consistency at a guidance scale of 1e154, or 1e160 in one hop,
+    whose targets are finite but whose squared spreads are not."""
     cfg = tweak_config(tmp_path, name, **{"generator.theta": [1e200, 1e200],
                                           "distill.iterations": 5, **tweaks})
     out = tmp_path / "out"
@@ -878,13 +884,14 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
     assert not (out / "report.json").exists()
-    if kind not in experiments.DISTILL_KINDS:  # no distillation: no run and no metrics
-        assert err == f"numerical error: non-finite input point{where}\n"
-        return
     if where.startswith("numerical error: "):
         assert err == f"{where}\n"
+    elif kind not in experiments.DISTILL_KINDS:
+        assert err == f"numerical error: non-finite input point{where}\n"
     else:
         assert "at iteration 0, t=" in err and where in err
+    if kind not in experiments.DISTILL_KINDS:  # no distillation: no run and no metrics
+        return
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ismlab import cli, experiments
 from ismlab.config import load_json
-from ismlab.errors import ConfigError
+from ismlab.errors import ConfigError, NumericalError
 from ismlab.experiments import (
     CONSISTENCY_CSV_HEADER,
     ETA_CSV_HEADER,
@@ -94,6 +94,28 @@ def test_consistency_single_component_variance_matches_closed_form(schedule):
 def test_consistency_rejects_single_draw():
     with pytest.raises(ConfigError, match="experiment.noise_draws"):
         load_spec("consistency.json", "consistency", **{"experiment.noise_draws": 1})
+
+
+VARIANCE, DISTANCE = experiments._variance, experiments.nearest_mode_distance
+
+
+@pytest.mark.parametrize("name, fake, stat", [
+    ("_variance", lambda p: VARIANCE(p) if p.ndim == 3 else np.float64(math.inf),
+     "sds_across_t_variance"),  # the spread of the per-t means, not of each t's draws
+    ("nearest_mode_distance", lambda o, label, x: math.inf if np.ndim(x) == 1
+     else DISTANCE(o, label, x), "sds_mean_target_mode_distance"),  # a point's distance
+    ("nearest_mode_distance", lambda o, label, x: DISTANCE(o, label, x) if np.ndim(x) == 1
+     else [math.inf] * len(x), "sds_mean_of_target_distances"),  # the rows' distances
+], ids=["across-t", "point-distance", "row-distances"])
+def test_consistency_refuses_a_non_finite_statistic(monkeypatch, name, fake, stat):
+    """The first spread or distance that is not finite is a NumericalError
+    naming it; only a per-timestep spread (test_cli) also names its t. Here one
+    statistic is made infinite while the ones before it stay finite."""
+    spec = load_spec("consistency.json", "consistency", **{"experiment.noise_draws": 4})
+    monkeypatch.setattr(experiments, name, fake)
+    with pytest.raises(NumericalError) as exc:
+        run_consistency(spec)
+    assert str(exc.value) == f"non-finite {stat}"
 
 
 def test_quality_low_noise_estimates_agree(tmp_path):

@@ -43,16 +43,19 @@ HERE = Path(__file__).resolve().parent.parent
 # inverts to s = 20, below its stride, in one hop, an eta-sweep on a
 # one-component oracle with the view at its mean, whose delta_T = 50 interval
 # norms are rounding dust, a race of the splat scene (an image generator copied
-# per run), an interval-sweep of 0 iterations (empty wall_time columns), then
-# the failing runs: a numerical error that leaves a partial metrics.csv, a
-# numerical error whose line names its eta-sweep cell, a latent whose squared
-# mode distance overflows (at 0 iterations, after an SDS step on a
-# one-component label, and in a race), a failed decomposition
-# check on a steep schedule, the decomposition gradcheck on that schedule, whose
-# reported error differs between the identity's two summation orders, an
-# unknown key, a random-scene key under an identity latent, which that kind does
-# not read, a repeated grid entry, a label that repeats a component and a race
-# on the default seeds, one seed
+# per run), an interval-sweep of 0 iterations (empty wall_time columns), a
+# quality run at a guidance scale of 1e300 (finite: both its labels are null,
+# so the scaled difference of its branches is 0), then the failing runs: a
+# numerical error that leaves a partial metrics.csv, a numerical error whose
+# line names its eta-sweep cell, consistency targets whose spread overflows (to
+# inf at a guidance scale of 1e154, to NaN at 1e160 in one hop), a latent whose
+# squared mode distance overflows (at 0 iterations, after an SDS step on a
+# one-component label, and in a race), a failed decomposition check on a steep
+# schedule, the decomposition gradcheck on that schedule, whose reported error
+# differs between the identity's two summation orders, an unknown key, a
+# random-scene key under an identity latent, which that kind does not read, a
+# repeated grid entry, a label that repeats a component and a race on the
+# default seeds, one seed
 RUNS = (
     ("consistency", "consistency.json", {}, 0),
     ("quality", "quality.json", {}, 0),
@@ -92,8 +95,12 @@ RUNS = (
       "experiment.t_values": [200, 400], "experiment.delta_T_values": [50, 100]}, 0),
     ("race", "distill_splats.json", {"distill.iterations": 3, "experiment.seeds": [0, 1]}, 0),
     ("interval-sweep", "interval_sweep.json", {"distill.iterations": 0}, 0),
+    ("quality", "quality.json", {"guidance.scale": 1e300}, 0),
     ("distill", "distill_splats.json", {"distill.optimizer.step_size": 1e300}, 3),
     ("eta-sweep", "eta_sweep.json", {"guidance.scale": 1e300}, 3),
+    ("consistency", "consistency.json", {"guidance.scale": 1e154}, 3),
+    ("consistency", "consistency.json",
+     {"guidance.scale": 1e160, "experiment.delta_S_values": [1000]}, 3),
     ("distill", "distill_identity.json",
      {"generator.theta": [1e200, 0.0], "distill.iterations": 0}, 3),
     ("distill", "distill_identity.json",
