@@ -56,6 +56,7 @@ INTERVAL_CSV_HEADER = ("delta_T", "delta_S", "final_mode_distance",
 RACE_CSV_HEADER = ("seed", "objective", "iter", "mode_distance")
 RACE_SUMMARY_CSV_HEADER = ("seed", "ism_crossing", "sds_crossing", "threshold")
 GRADCHECK_CSV_HEADER = ("check", "max_error", "tolerance", "passed")
+MAY_BE_NAN = ("gradcheck", "max_error")  # the (table, column) Report lets be NaN: a failed check
 
 GRADCHECKS = {  # name -> (its max error for an ExperimentSpec, tolerance)
     "score_fd": (lambda s: score_fd_check(s.oracle, s.schedule, seed=s.seeds[0]), 1e-5),
@@ -74,11 +75,25 @@ DISTILL_KINDS = ("interval-sweep", "race", "distill")
 class Report:
     """What a runner produced: ``summary`` is report.json's object, its
     ``"kind"`` first; ``tables`` maps a CSV name to its header and rows (None
-    is written as an empty cell); ``frames`` maps a frame name to an image."""
+    is written as an empty cell); ``frames`` maps a frame name to an image.
+    Building one raises NumericalError at its first non-finite float, in a table's row (naming
+    its column and the row's cells before its first float), then in a top-level summary value."""
 
     summary: dict
     tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]] = field(default_factory=dict)
     frames: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, (header, rows) in self.tables.items():
+            for row in rows:
+                for col, v in zip(header, row):
+                    if isinstance(v, float) and not math.isfinite(v) and (name, col) != MAY_BE_NAN:
+                        lead = row[:[isinstance(c, float) for c in row].index(True)]
+                        where = ", ".join(map("{}={}".format, header, lead))
+                        raise NumericalError(f"non-finite {col}" + (where and f" at {where}"))
+        for key, v in self.summary.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NumericalError(f"non-finite {key}")
 
 
 @dataclass
@@ -260,10 +275,6 @@ def run_consistency(spec: ExperimentSpec) -> Report:
             oracle, g.positive, flat.mean(axis=0))
         summary[f"{name}_mean_of_target_distances"] = float(np.mean(
             nearest_mode_distance(oracle, g.positive, flat)))
-    for key, value in list(summary.items())[2:]:  # each spread and distance, in order
-        for t, v in zip(spec.t_values, value) if isinstance(value, list) else [(None, value)]:
-            if not math.isfinite(v):
-                raise NumericalError(f"non-finite {key}" + ("" if t is None else f" at t={t}"))
     rows = zip(summary["t_values"], summary["sds_noise_variance"], summary["ism_noise_variance"])
     report = Report(summary, {"consistency": (CONSISTENCY_CSV_HEADER, list(rows))})
 

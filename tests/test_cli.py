@@ -857,9 +857,19 @@ def test_shipped_configs_have_no_unknown_keys(name):
        "numerical error: non-finite sds_noise_variance at t=100")
       for tweaks in ({"guidance.scale": 1e154},  # the spreads overflow to inf
                      {"guidance.scale": 1e160, "experiment.delta_S_values": [1000]})],  # NaN
+    ("quality", "quality.json", {"guidance.positive": "a", "experiment.delta_T_values": [1000],
+                                 "experiment.delta_S_values": [1000], "guidance.scale": 1e300},
+     "numerical error: non-finite err_single at t=50"),
+    ("eta-sweep", "eta_sweep.json", {"generator.theta": [0.3, -0.2], "experiment.t_values": [200],
+                                     "experiment.delta_T_values": [200],
+                                     "experiment.delta_S_values": [1000], "guidance.scale": 1e300},
+     "numerical error: non-finite interval_norm at t=200, delta_T=200"),
+    ("distill", "distill_identity.json", {"generator.theta": [0.0, 0.0], "guidance.scale": 1e154},
+     "numerical error: non-finite grad_norm at iter=0, t=830, delta_T=200"),
 ], ids=["ism", "sds", "naive", "race", "interval-sweep", "consistency", "eta-sweep",
         "gradcheck", "quality", "distance-initial", "distance-sds", "distance-race",
-        "distance-interval-sweep", "spread-inf", "spread-nan"])
+        "distance-interval-sweep", "spread-inf", "spread-nan", "report-quality",
+        "report-eta-sweep", "report-distill"])
 def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, kind, name,
                                                            tweaks, where):
     """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
@@ -873,7 +883,12 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     first state, after its step if it takes one (the one-component ``right``
     label at scale 1 keeps that step's oracle finite): the whole line is given.
     So it is for consistency at a guidance scale of 1e154, or 1e160 in one hop,
-    whose targets are finite but whose squared spreads are not."""
+    whose targets are finite but whose squared spreads are not, and for the
+    last three runs, whose points stay finite but whose reports would not: a
+    one-hop quality estimate at 1e300, an eta-sweep interval spanning its
+    whole cell at 1e300, and a distillation at 1e154, whose gradient norms
+    overflow so that Adam never moves. Their Report refuses its first
+    non-finite column, and a run refused there writes no metrics.csv."""
     cfg = tweak_config(tmp_path, name, **{"generator.theta": [1e200, 1e200],
                                           "distill.iterations": 5, **tweaks})
     out = tmp_path / "out"
@@ -890,7 +905,8 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
         assert err == f"numerical error: non-finite input point{where}\n"
     else:
         assert "at iteration 0, t=" in err and where in err
-    if kind not in experiments.DISTILL_KINDS:  # no distillation: no run and no metrics
+    if kind not in experiments.DISTILL_KINDS or " at iteration " not in err:
+        assert not (out / "metrics.csv").exists()  # no distillation failed mid-run
         return
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))

@@ -35,6 +35,7 @@ from ismlab.experiments import (
 )
 from ismlab.generators import canonical_view
 from ismlab.objectives import interval_pieces, ism_gradient, naive_gradient
+from test_recorded_reports import CASES as RECORDED
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -116,6 +117,49 @@ def test_consistency_refuses_a_non_finite_statistic(monkeypatch, name, fake, sta
     with pytest.raises(NumericalError) as exc:
         run_consistency(spec)
     assert str(exc.value) == f"non-finite {stat}"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf),
+                                 np.float64(math.nan)], ids=["inf", "-inf", "nan", "np-inf",
+                                                             "np-nan"])
+def test_report_refuses_its_first_non_finite_float(bad):
+    """A table's first non-finite float names its column and the row's cells
+    before its first float; a summary's names its key. Tables come first."""
+    header = ("t", "objective", "err", "calls", "ratio")
+    rows = [(1, "ism", 0.5, 3, None), (7, "sds", 0.25, 4, bad), (9, "ism", bad, 5, 1.0)]
+    with pytest.raises(NumericalError) as exc:
+        experiments.Report({"kind": "k", "norm": bad}, {"other": (header[:1], [(2,)]),
+                                                        "table": (header, rows)})
+    assert str(exc.value) == "non-finite ratio at t=7, objective=sds"
+    with pytest.raises(NumericalError) as exc:
+        experiments.Report({"kind": "k", "rows": [bad], "ok": 1.0, "norm": bad, "last": bad})
+    assert str(exc.value) == "non-finite norm"
+    with pytest.raises(NumericalError) as exc:  # a row that starts with its float
+        experiments.Report({}, {"table": (("err", "t"), [(bad, 2)])})
+    assert str(exc.value) == "non-finite err"
+
+
+def test_report_accepts_other_cells_and_a_nan_gradcheck_error():
+    """Ints, bools, None and strings are not checked, and a gradcheck's NaN
+    max_error is a failed check, not a numerical failure."""
+    rows = [(0, True, None, "sds", np.int64(2 ** 62), 1e308)]
+    report = experiments.Report({"kind": "k", "n": 10 ** 400, "flag": False, "label": None},
+                                {"table": (("a", "b", "c", "d", "e", "f"), rows)})
+    assert report.tables["table"][1] == rows
+    experiments.Report({"kind": "gradcheck"}, {"gradcheck": (GRADCHECK_CSV_HEADER, [
+        ("score_fd", math.nan, 1e-5, False), ("renderer_fd", np.float64(math.inf), 1e-4, False)])})
+    with pytest.raises(NumericalError, match="^non-finite tolerance at check=score_fd$"):
+        experiments.Report({}, {"gradcheck": (GRADCHECK_CSV_HEADER, [
+            ("score_fd", 0.0, math.inf, True)])})
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED))
+def test_every_kinds_summary_is_strict_json(case):
+    """Every kind's Report, on the recorded reports' small configs, has a
+    summary that JSON without NaN or Infinity can hold."""
+    kind, name, overrides = RECORDED[case]
+    report = cli.RUNNERS[kind](load_spec(name, kind, **overrides))
+    json.dumps(report.summary, allow_nan=False)
 
 
 def test_quality_low_noise_estimates_agree(tmp_path):

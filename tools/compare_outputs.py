@@ -54,8 +54,11 @@ HERE = Path(__file__).resolve().parent.parent
 # schedule, the decomposition gradcheck on that schedule, whose reported error
 # differs between the identity's two summation orders, an unknown key, a
 # random-scene key under an identity latent, which that kind does not read, a
-# repeated grid entry, a label that repeats a component and a race on the
-# default seeds, one seed
+# repeated grid entry, a label that repeats a component, a race on the default
+# seeds, one seed, and three reports refused for their first non-finite number
+# (a one-hop quality estimate and an eta-sweep interval spanning its cell, both
+# at a guidance scale of 1e300, and a distillation at 1e154 whose gradient
+# norms overflow, so that it never moves)
 RUNS = (
     ("consistency", "consistency.json", {}, 0),
     ("quality", "quality.json", {}, 0),
@@ -115,6 +118,13 @@ RUNS = (
     ("distill", "distill_identity.json",
      {"oracle.labels.right": [0, 1, 1], "distill.iterations": 5}, 1),
     ("race", "distill_identity.json", {}, 1),
+    ("quality", "quality.json",
+     {"guidance.positive": "a", "experiment.delta_T_values": [1000],
+      "experiment.delta_S_values": [1000], "guidance.scale": 1e300}, 3),
+    ("eta-sweep", "eta_sweep.json",
+     {"experiment.t_values": [200], "experiment.delta_T_values": [200],
+      "experiment.delta_S_values": [1000], "guidance.scale": 1e300}, 3),
+    ("distill", "distill_identity.json", {"guidance.scale": 1e154}, 3),
 )
 
 
