@@ -12,9 +12,9 @@ frames/*.ppm under --out (docs/config.md lists the files per kind).
 --out is created, and an earlier report.json in it removed, after the config is
 checked and before the run. Exit codes: 0 success, 1 configuration error or an
 --out that cannot be created or written, 2 check failure (a gradcheck, or
-eta-sweep's decomposition check), 3 numerical failure: a non-finite gradient, point
-or mode distance in a run (metrics.csv then holds a failed distillation's rows), or
-a non-finite number in a report, which experiments.Report refuses when it is built.
+eta-sweep's decomposition check), 3 numerical failure: a non-finite point, step
+gradient norm or mode distance in a run (metrics.csv then holds a failed distillation's
+rows, whatever the kind), or a non-finite number in a report, refused when it is built.
 """
 
 from __future__ import annotations

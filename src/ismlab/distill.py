@@ -188,9 +188,9 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
     each column of the run's log.
 
     With zero jitter entering is every view's x0, which objectives only read. A
-    non-finite accumulated gradient appends a row and raises a NumericalError;
-    a non-finite point met by the oracle raises one without a row.
-    run_distillation names where either happened."""
+    gradient norm that is not finite (an entry, or squares past the doubles that
+    would freeze Adam) appends its row and raises a NumericalError; a non-finite
+    point met by the oracle raises one without a row. run_distillation names where."""
     gen = state.generator
     delta_t = current_interval(cfg, iter_index)
     canonical = cfg.jitter.is_canonical
@@ -214,7 +214,7 @@ def distill_step(state: DistillState, oracle: MixtureOracle,
            time.perf_counter() - state.started)  # in METRICS_CSV_HEADER's order
     for column, value in zip(state.log.columns.values(), row):
         column.append(value)
-    if not math.isfinite(grad_norm) and not np.logical_and.reduce(np.isfinite(grad_theta)):
+    if not math.isfinite(grad_norm):
         raise NumericalError("non-finite gradient")
 
     gen.set_params(state.adam.step(gen.get_params(), grad_theta))

@@ -845,7 +845,7 @@ def test_shipped_configs_have_no_unknown_keys(name):
           ("distill", "distill_identity.json", {"distill.iterations": 3,
                                                 "distill.objective": "sds",
                                                 "guidance.scale": 1.0},
-           "non-finite mode distance at iteration 0, t=830 of the sds run with seed=0, "
+           "non-finite gradient at iteration 0, t=830 of the sds run with seed=0, "
            "delta_T=200, delta_S=50"),
           ("race", "race.json", {"distill.iterations": 0},
            "non-finite mode distance at iteration 0 of the ism run with seed=0, "
@@ -864,12 +864,16 @@ def test_shipped_configs_have_no_unknown_keys(name):
                                      "experiment.delta_T_values": [200],
                                      "experiment.delta_S_values": [1000], "guidance.scale": 1e300},
      "numerical error: non-finite interval_norm at t=200, delta_T=200"),
-    ("distill", "distill_identity.json", {"generator.theta": [0.0, 0.0], "guidance.scale": 1e154},
-     "numerical error: non-finite grad_norm at iter=0, t=830, delta_T=200"),
+    *[(kind, name, {"generator.theta": [0.0, 0.0], "guidance.scale": 1e154},
+       "numerical error: non-finite gradient at iteration 0, t=830 of the ism run with seed=0, "
+       f"delta_T={delta_T}, delta_S=50")
+      for kind, name, delta_T in (("distill", "distill_identity.json", 200),
+                                  ("race", "race.json", 200),
+                                  ("interval-sweep", "interval_sweep.json", 50))],
 ], ids=["ism", "sds", "naive", "race", "interval-sweep", "consistency", "eta-sweep",
         "gradcheck", "quality", "distance-initial", "distance-sds", "distance-race",
         "distance-interval-sweep", "spread-inf", "spread-nan", "report-quality",
-        "report-eta-sweep", "report-distill"])
+        "report-eta-sweep", "report-distill", "frozen-race", "frozen-interval-sweep"])
 def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, kind, name,
                                                            tweaks, where):
     """An identity latent at 1e200 overflows |x - mu|^2 in the two-component
@@ -880,15 +884,17 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     interval-sweep's grid cell), and a metrics.csv holds the rows logged before
     the failure; otherwise it ends naming the timestep (and interval) or check.
     A latent at (1e200, 0) whose squared mode distance overflows fails at its
-    first state, after its step if it takes one (the one-component ``right``
-    label at scale 1 keeps that step's oracle finite): the whole line is given.
-    So it is for consistency at a guidance scale of 1e154, or 1e160 in one hop,
-    whose targets are finite but whose squared spreads are not, and for the
-    last three runs, whose points stay finite but whose reports would not: a
-    one-hop quality estimate at 1e300, an eta-sweep interval spanning its
-    whole cell at 1e300, and a distillation at 1e154, whose gradient norms
-    overflow so that Adam never moves. Their Report refuses its first
-    non-finite column, and a run refused there writes no metrics.csv."""
+    first state without a step; with an SDS step (the one-component ``right``
+    label at scale 1 keeps that step's oracle finite) the step's gradient,
+    whose entries are finite but whose norm is not, fails first: the whole
+    line is given. So it is for consistency at a guidance scale of 1e154, or
+    1e160 in one hop, whose targets are finite but whose squared spreads are
+    not, and for a one-hop quality estimate and an eta-sweep interval spanning
+    its whole cell, both at 1e300, whose points stay finite but whose reports
+    would not: their Report refuses its first non-finite column, and a run
+    refused there writes no metrics.csv. At 1e154 every distilling kind stops
+    its first run at its first step, whose gradient norm overflows (Adam would
+    never move again), and keeps that step's row."""
     cfg = tweak_config(tmp_path, name, **{"generator.theta": [1e200, 1e200],
                                           "distill.iterations": 5, **tweaks})
     out = tmp_path / "out"
@@ -913,6 +919,28 @@ def test_numerical_failure_exits_three_with_partial_metrics(tmp_path, capsys, ki
     assert tuple(rows[0]) == METRICS_CSV_HEADER
     assert len(rows) - 1 < 5
 
+
+@pytest.mark.parametrize("scale", [1e153, 1e154])
+@pytest.mark.parametrize("kind, name, delta_T", [("race", "race.json", 200),
+                                                 ("interval-sweep", "interval_sweep.json", 50)])
+def test_a_distilling_kind_fails_where_distill_of_its_first_run_fails(tmp_path, capsys, scale,
+                                                                     kind, name, delta_T):
+    """A guidance scale whose gradient norms overflow stops race and
+    interval-sweep at their first run, at the step where distill of that run
+    stops (the interval-sweep's first cell is delta_T = 50): the same line,
+    and the same metrics.csv apart from wall time."""
+    wall = METRICS_CSV_HEADER.index("wall_time")
+    seen = []
+    for runner, tweaks in ((kind, {}), ("distill", {"distill.delta_T_start": delta_T,
+                                                    "distill.delta_T_end": delta_T})):
+        cfg = tweak_config(tmp_path, name, **{"guidance.scale": scale, **tweaks})
+        out = tmp_path / runner
+        assert main([runner, "--config", str(cfg), "--out", str(out)]) == 3
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = [row[:wall] + row[wall + 1:] for row in csv.reader(fh)]
+        seen.append((capsys.readouterr().err, rows))
+    assert seen[0] == seen[1]
+    assert seen[0][0].startswith("numerical error: non-finite gradient at iteration ")
 
 
 def test_a_failed_rerun_leaves_no_earlier_report(tmp_path, capsys):

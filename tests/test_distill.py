@@ -1,6 +1,7 @@
 import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ismlab import (
     nearest_mode_distance,
     run_distillation,
 )
-from ismlab.config import build_distill
+from ismlab.config import build_distill, build_oracle, build_schedule, load_json
 from ismlab.distill import (
     METRICS_CSV_HEADER,
     DistillState,
@@ -30,6 +31,8 @@ from ismlab.distill import (
     distill_step,
 )
 from ismlab.generators import random_scene
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 BASE_CONFIG = build_distill({
@@ -243,10 +246,11 @@ def test_non_finite_gradient_aborts(bimodal, schedule):
         run_distillation(gen, bimodal, schedule, base_config(iterations=3))
 
 
-def test_finite_gradient_whose_norm_overflows_is_accepted(bimodal, schedule):
-    """The step reads finiteness from the gradient norm it logs and checks
-    entry by entry only when that is not finite: finite entries of 1e200
-    pass with an infinite norm, and one NaN among them still aborts."""
+def test_finite_gradient_whose_norm_overflows_is_refused(bimodal, schedule):
+    """The step's one failure test is the gradient norm it logs: finite
+    entries of 1e200, whose squared sum passes the doubles, abort the run
+    after their row (an infinite norm) is logged, and so does one NaN among
+    them."""
     class HugeGenerator(IdentityLatent):
         fill = 1e200
 
@@ -256,9 +260,10 @@ def test_finite_gradient_whose_norm_overflows_is_accepted(bimodal, schedule):
             return grad
 
     with np.errstate(over="ignore"):  # as the CLI runs it: the norm reports the overflow
-        log = run_distillation(HugeGenerator([0.1, 0.1]), bimodal, schedule,
-                               base_config(iterations=1))
-        assert log.columns["grad_norm"][0] == math.inf
+        with pytest.raises(NumericalError, match="non-finite gradient at iteration 0") as info:
+            run_distillation(HugeGenerator([0.1, 0.1]), bimodal, schedule,
+                             base_config(iterations=1))
+        assert info.value.log.columns["grad_norm"] == [math.inf]
         gen = HugeGenerator([0.1, 0.1])
         gen.fill = np.nan
         with pytest.raises(NumericalError, match="non-finite gradient at iteration 0"):
@@ -377,6 +382,26 @@ def test_a_final_state_at_no_finite_mode_distance_fails_without_a_timestep(bimod
                                "with seed=0, delta_T=50, delta_S=50")
     assert info.value.log.columns["iter"] == [0, 1, 2]
     assert all(math.isfinite(d) for d in info.value.log.columns["nearest_mode_distance"])
+
+
+def test_a_state_whose_mode_distance_overflows_fails_after_its_step():
+    """distill_identity.json's latent at (1e200, 0), sds on the one-component
+    right label at scale 1: the oracle stays finite, a backward of zeros logs
+    the step's row (grad_norm 0.0), and then the entering state's squared mode
+    distance, past the doubles, stops the run at iteration 0 naming its t."""
+    class ZeroBackward(IdentityLatent):
+        def backward(self, view, grad_output):
+            return np.zeros_like(self.theta)
+
+    cfg = load_json(CONFIGS / "distill_identity.json")
+    cfg["guidance"]["scale"] = 1.0
+    cfg["distill"].update(objective="sds", iterations=3)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError) as info:
+        run_distillation(ZeroBackward([1e200, 0.0]), build_oracle(cfg), build_schedule(cfg),
+                         build_distill(cfg))
+    assert str(info.value) == ("non-finite mode distance at iteration 0, t=830 of the sds run "
+                               "with seed=0, delta_T=200, delta_S=50")
+    assert info.value.log.columns["grad_norm"] == [0.0]
 
 
 def test_hand_built_config_with_an_unknown_objective_fails_loudly():

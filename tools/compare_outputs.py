@@ -49,16 +49,18 @@ HERE = Path(__file__).resolve().parent.parent
 # numerical error that leaves a partial metrics.csv, a numerical error whose
 # line names its eta-sweep cell, consistency targets whose spread overflows (to
 # inf at a guidance scale of 1e154, to NaN at 1e160 in one hop), a latent whose
-# squared mode distance overflows (at 0 iterations, after an SDS step on a
-# one-component label, and in a race), a failed decomposition check on a steep
-# schedule, the decomposition gradcheck on that schedule, whose reported error
-# differs between the identity's two summation orders, an unknown key, a
-# random-scene key under an identity latent, which that kind does not read, a
-# repeated grid entry, a label that repeats a component, a race on the default
-# seeds, one seed, and three reports refused for their first non-finite number
-# (a one-hop quality estimate and an eta-sweep interval spanning its cell, both
-# at a guidance scale of 1e300, and a distillation at 1e154 whose gradient
-# norms overflow, so that it never moves)
+# squared mode distance overflows (at 0 iterations, and in a race; with an SDS
+# step on a one-component label the step's gradient norm overflows first), a
+# failed decomposition check on a steep schedule, the decomposition gradcheck
+# on that schedule, whose reported error differs between the identity's two
+# summation orders, an unknown key, a random-scene key under an identity
+# latent, which that kind does not read, a repeated grid entry, a label that
+# repeats a component, a race on the default seeds, one seed, two reports
+# refused for their first non-finite number (a one-hop quality estimate and an
+# eta-sweep interval spanning its cell, both at a guidance scale of 1e300), and
+# runs stopped at the first step whose gradient norm overflows: a distill at a
+# guidance scale of 1e154, then a race and an interval-sweep at 1e154 (their
+# first step) and at 1e153 (their third)
 RUNS = (
     ("consistency", "consistency.json", {}, 0),
     ("quality", "quality.json", {}, 0),
@@ -125,6 +127,9 @@ RUNS = (
      {"experiment.t_values": [200], "experiment.delta_T_values": [200],
       "experiment.delta_S_values": [1000], "guidance.scale": 1e300}, 3),
     ("distill", "distill_identity.json", {"guidance.scale": 1e154}, 3),
+    *[(kind, config, {"guidance.scale": scale}, 3)
+      for scale in (1e154, 1e153)
+      for kind, config in (("race", "race.json"), ("interval-sweep", "interval_sweep.json"))],
 )
 
 
