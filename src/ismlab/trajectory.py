@@ -61,17 +61,15 @@ def _hop(schedule: NoiseSchedule, x: np.ndarray, a: int, b: int, eps: np.ndarray
 
 def invert_along(oracle: MixtureOracle, schedule: NoiseSchedule, x0,
                  timesteps: Sequence[int]) -> Trajectory:
-    """Invert a clean sample along an explicit increasing timestep grid that
-    starts at 0; the walk is unconditional (every prediction has label None)."""
-    steps = [int(t) for t in timesteps]
-    if steps[0] != 0 or steps != sorted(set(steps)):
-        raise ConfigError(f"timestep grid must be strictly increasing from 0, got {steps}")
-    schedule._check_t(steps[-1], 1)
-    return _walk(schedule, x0, steps, oracle.eps_predict, None)
+    """Invert a clean sample along a grid built by inversion_grid or descent_grid;
+    the walk is unconditional (label None). It checks the top node, at which
+    nothing is predicted, and each prediction checks the node it is made at."""
+    schedule._check_t(timesteps[-1], 1)
+    return _walk(schedule, x0, timesteps, oracle.eps_predict, None)
 
 
-def _walk(schedule: NoiseSchedule, x, nodes: list[int], predict, cond) -> Trajectory:
-    """Hop from nodes[0] through each later node (the caller checked them),
+def _walk(schedule: NoiseSchedule, x, nodes: Sequence[int], predict, cond) -> Trajectory:
+    """Hop from nodes[0] through each later node (the last is the caller's to check),
     predicting epsilon with predict(schedule, x, t, cond) at each node it leaves."""
     x = np.asarray(x, dtype=float).copy()
     latents = [x]

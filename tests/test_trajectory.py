@@ -218,13 +218,12 @@ def test_inversion_and_denoising_share_one_type(mixture3, schedule, guide_a):
 
 
 def test_bad_arguments_raise(mixture3, schedule):
-    """A grid that repeats a node (a zero stride), one not from 0 or not
-    increasing, and a denoising stride of 0 are config errors; a stride above
-    t makes either walk the one hop [0, t], the stride-t walk bit for bit."""
+    """A denoising stride of 0 is a config error; a stride above t makes
+    either walk the one hop [0, t], the stride-t walk bit for bit. An
+    inversion grid node out of range fails: the top node on entry, any other
+    at the prediction made there."""
     x0 = np.array([0.4, -0.3])
     g = GuidanceSpec(positive=None, scale=1.0)
-    with pytest.raises(ConfigError):
-        invert_along(mixture3, schedule, x0, [0, 0, 100])
     assert inversion_grid(100, 101) == inversion_grid(100, 100) == [0, 100]
     assert descent_grid(100, 101) == descent_grid(100, 100) == [0, 100]
     above, at = (denoise_path(mixture3, schedule, x0, 100, k, g) for k in (101, 100))
@@ -233,12 +232,33 @@ def test_bad_arguments_raise(mixture3, schedule):
         assert len(got) == len(want) and all(map(same_bits, got, want))
     with pytest.raises(ConfigError):
         denoise_path(mixture3, schedule, x0, 100, 0, g)
-    with pytest.raises(ConfigError):
-        invert_along(mixture3, schedule, x0, [10, 20])
-    with pytest.raises(ConfigError):
-        invert_along(mixture3, schedule, x0, [0, 30, 20])
     with pytest.raises(IndexError):
         invert_along(mixture3, schedule, x0, inversion_grid(2000, 100))
+    with pytest.raises(IndexError, match=r"^timestep -5 outside \[0, 1000\]$"):
+        invert_along(mixture3, schedule, x0, [0, -5, 500])
+    with pytest.raises(IndexError):
+        invert_along(mixture3, schedule, x0, [0, 1001, 1000])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_grid_builders_build_valid_grids(data):
+    """inversion_grid and descent_grid, and ISM's grid, the inversion grid to
+    s = t - delta_T with t appended, are lists of ints from 0 that strictly
+    increase to their top, for every t in [1, T], stride >= 1 and
+    1 <= delta_T < t: invert_along checks only the top node of the grids its
+    callers build."""
+    top = data.draw(st.integers(2, 1000), label="T")
+    t = data.draw(st.integers(1, top), label="t")
+    stride = data.draw(st.integers(min_value=1), label="stride")
+    grids = [(inversion_grid(t, stride), t), (descent_grid(t, stride), t)]
+    if t >= 2:
+        delta_t = data.draw(st.integers(1, t - 1), label="delta_T")
+        grids.append((inversion_grid(t - delta_t, stride) + [t], t))
+    for grid, end in grids:
+        assert type(grid) is list and all(type(node) is int for node in grid)
+        assert grid[0] == 0 and grid[-1] == end
+        assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def same_bits(got, want) -> bool:
