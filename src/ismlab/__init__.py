@@ -8,7 +8,7 @@ from .distill import (
     nearest_mode_distance,
     run_distillation,
 )
-from .errors import ConfigError, DecompositionError, NumericalError
+from .errors import ConfigError, NumericalError
 from .generators import (
     IdentityLatent,
     SplatGenerator,

@@ -11,10 +11,11 @@ frames/*.ppm under --out (docs/config.md lists the files per kind).
 
 --out is created, and an earlier report.json in it removed, after the config is
 checked and before the run. Exit codes: 0 success, 1 configuration error or an
---out that cannot be created or written, 2 check failure (a gradcheck, or
-eta-sweep's decomposition check), 3 numerical failure: a non-finite point, step
-gradient norm or mode distance in a run (metrics.csv then holds a failed distillation's
-rows, whatever the kind), or a non-finite number in a report, refused when it is built.
+--out that cannot be created or written, 2 failed checks (the report is written,
+then one "<kind> failed: <names>" line names them), 3 numerical failure: a
+non-finite point, step gradient norm or mode distance in a run (metrics.csv then
+holds a failed distillation's rows, whatever the kind), or a non-finite number in
+a report, refused when it is built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import experiments
-from .errors import ConfigError, DecompositionError, NumericalError
+from .errors import ConfigError, NumericalError
 from .experiments import ExperimentSpec, Report, build_experiment, write_report
 
 
@@ -73,12 +74,8 @@ def main(argv=None) -> int:
             exc.log.write_metrics_csv(out / "metrics.csv")
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except DecompositionError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 2
-    if not report.summary.get("ok", True):  # a gradcheck with a failed check
-        failing = [r["check"] for r in report.summary["rows"] if not r["passed"]]
-        print(f"gradcheck failed: {', '.join(failing)}", file=sys.stderr)
+    if report.failed:
+        print(f"{args.kind} failed: {', '.join(report.failed)}", file=sys.stderr)
         return 2
     return 0
 

@@ -138,7 +138,7 @@ def need(holds: bool, rule: str, *values) -> None:
             str(v.tolist() if isinstance(v, np.ndarray) else v) for v in values))
 
 
-SCHEDULE = {"T": (1000, positive(int, 2, True, MAX_SIZE)),
+SCHEDULE = {"T": (1000, positive(int, 2, True, 2 ** 17)),  # five (T + 1)-float tables, 28 MB at 2^17
             "beta_start": (0.00085, positive(float, below=1)),
             "beta_end": (0.012, positive(float, below=1)), "omega": ("unit", one_of(*OMEGA_KINDS))}
 

@@ -5,11 +5,6 @@ class ConfigError(ValueError):
     """Raised when a configuration value is out of its legal range."""
 
 
-class DecompositionError(ArithmeticError):
-    """Raised when the multi-step bias residual and its telescoping series
-    disagree by more than the check allows, or by NaN."""
-
-
 class NumericalError(ValueError, RuntimeError):
     """Raised when a computation meets or produces a non-finite value.
 

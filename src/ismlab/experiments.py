@@ -40,7 +40,7 @@ from .config import MAX_SIZE, NON_NEGATIVE, SIZE, need, nonempty, one_of, positi
 from .distill import DistillConfig, RunLog, nearest_mode_distance, run_distillation, write_csv
 from .errors import ConfigError, NumericalError
 from .generators import ViewJitterSpec, canonical_view, random_scene
-from .objectives import interval_pieces, ism_gradient, sds_gradient
+from .objectives import GAP_LIMIT, interval_pieces, ism_gradient, sds_gradient
 from .oracle import GuidanceSpec, MixtureOracle
 from .ppm import write_ppm
 from .schedule import NoiseSchedule
@@ -56,7 +56,6 @@ INTERVAL_CSV_HEADER = ("delta_T", "delta_S", "final_mode_distance",
 RACE_CSV_HEADER = ("seed", "objective", "iter", "mode_distance")
 RACE_SUMMARY_CSV_HEADER = ("seed", "ism_crossing", "sds_crossing", "threshold")
 GRADCHECK_CSV_HEADER = ("check", "max_error", "tolerance", "passed")
-MAY_BE_NAN = ("gradcheck", "max_error")  # the (table, column) Report lets be NaN: a failed check
 
 GRADCHECKS = {  # name -> (its max error for an ExperimentSpec, tolerance)
     "score_fd": (lambda s: score_fd_check(s.oracle, s.schedule, seed=s.seeds[0]), 1e-5),
@@ -64,7 +63,7 @@ GRADCHECKS = {  # name -> (its max error for an ExperimentSpec, tolerance)
     "gradient_forms": (lambda s: gradient_forms_check(
         s.oracle, s.schedule, s.guidance, seed=s.seeds[0]), 1e-10),
     "decomposition": (lambda s: decomposition_sweep_check(
-        s.oracle, s.schedule, s.guidance, seed=s.seeds[0]), 1e-9),
+        s.oracle, s.schedule, s.guidance, seed=s.seeds[0]), GAP_LIMIT),
 }
 # The kinds that render a generator, and those that run distillations.
 GENERATOR_KINDS = ("consistency", "eta-sweep", "interval-sweep", "race", "distill")
@@ -75,19 +74,21 @@ DISTILL_KINDS = ("interval-sweep", "race", "distill")
 class Report:
     """What a runner produced: ``summary`` is report.json's object, its
     ``"kind"`` first; ``tables`` maps a CSV name to its header and rows (None
-    is written as an empty cell); ``frames`` maps a frame name to an image.
-    Building one raises NumericalError at its first non-finite float, in a table's row (naming
-    its column and the row's cells before its first float), then in a top-level summary value."""
+    is written as an empty cell); ``frames`` maps a frame name to an image; ``failed``
+    names the failed checks, which are not written. Building one raises NumericalError
+    at its first non-finite float, in a table's row (naming its column and the row's
+    cells before its first float), then in a top-level summary value."""
 
     summary: dict
     tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]] = field(default_factory=dict)
     frames: dict[str, np.ndarray] = field(default_factory=dict)
+    failed: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        for name, (header, rows) in self.tables.items():
+        for header, rows in self.tables.values():
             for row in rows:
                 for col, v in zip(header, row):
-                    if isinstance(v, float) and not math.isfinite(v) and (name, col) != MAY_BE_NAN:
+                    if isinstance(v, float) and not math.isfinite(v):
                         lead = row[:[isinstance(c, float) for c in row].index(True)]
                         where = ", ".join(map("{}={}".format, header, lead))
                         raise NumericalError(f"non-finite {col}" + (where and f" at {where}"))
@@ -326,15 +327,15 @@ def run_quality(spec: ExperimentSpec) -> Report:
 def run_eta_sweep(spec: ExperimentSpec) -> Report:
     """Bias magnitude versus interval length, with cost accounting. The
     multi-step pieces of each (t, delta_T) cell are built once and give its
-    bias, decomposition residual and naive gradient. A cell's ratio is None
-    when its interval norm is 0, and its gradient rows (naive, then ism
-    unless delta_T = t) share s = t - delta_T; a stride at least t - delta_T
-    inverts to s in one hop."""
+    bias, decomposition residual (failed unless below GAP_LIMIT) and naive
+    gradient. A cell's ratio is None when its interval norm is 0, and its
+    gradient rows (naive, then ism unless delta_T = t) share s = t - delta_T;
+    a stride at least t - delta_T inverts to s in one hop."""
     sch, oracle, g, jit = spec.schedule, spec.oracle, spec.guidance, spec.jitter
     x0 = spec.generator.render(canonical_view(jit.width, jit.height))
     delta_s = spec.delta_S_values[0]
 
-    rows, grad_rows = [], []
+    rows, grad_rows, failed = [], [], []
     for t in spec.t_values:
         for dt in spec.delta_T_values:
             if dt > t:
@@ -352,9 +353,11 @@ def run_eta_sweep(spec: ExperimentSpec) -> Report:
                           for name, r in (("naive", naive), ("ism", ism)) if r is not None]
             rows.append((t, dt, eta_norm, interval_norm, ratio, residual,
                          naive.oracle_calls, None if ism is None else ism.oracle_calls))
+            if not residual < GAP_LIMIT:
+                failed.append(f"decomposition at t={t}, delta_T={dt} (gap {residual:.3e})")
     return Report({"kind": "eta_sweep", "rows": rows},
                   {"eta_sweep": (ETA_CSV_HEADER, rows),
-                   "gradients": (GRADIENTS_CSV_HEADER, grad_rows)})
+                   "gradients": (GRADIENTS_CSV_HEADER, grad_rows)}, failed=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +505,8 @@ def decomposition_sweep_check(oracle: MixtureOracle, schedule: NoiseSchedule,
 
 
 def run_gradcheck(spec: ExperimentSpec) -> Report:
-    """Aggregate the package's independent-oracle checks into one report;
-    its summary's ``ok`` is whether every check passed (a NaN error fails)."""
+    """Aggregate the package's independent-oracle checks into one report; ``ok``
+    is whether every check passed (a non-finite error fails and is written as None)."""
     rows = []
     for name in spec.checks:
         check, tol = GRADCHECKS[name]
@@ -511,10 +514,11 @@ def run_gradcheck(spec: ExperimentSpec) -> Report:
             err = check(spec)
         except NumericalError as exc:
             raise NumericalError(f"{exc} in the {name} check") from None
-        rows.append((name, err, tol, err < tol))
-    summary = {"kind": "gradcheck", "ok": all(r[3] for r in rows),
+        rows.append((name, err if math.isfinite(err) else None, tol, err < tol))
+    failed = [r[0] for r in rows if not r[3]]
+    summary = {"kind": "gradcheck", "ok": not failed,
                "rows": [dict(zip(GRADCHECK_CSV_HEADER, r)) for r in rows]}
-    return Report(summary, {"gradcheck": (GRADCHECK_CSV_HEADER, rows)})
+    return Report(summary, {"gradcheck": (GRADCHECK_CSV_HEADER, rows)}, failed=failed)
 
 
 # ---------------------------------------------------------------------------

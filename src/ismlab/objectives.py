@@ -13,8 +13,9 @@ Three objectives produce an update direction for a rendered view x0:
 
 The multi-step direction is the interval score plus a telescoping bias series
 over the shared inversion/denoising grid; the norm by which that identity
-fails, interval_pieces(...).gap, is its machine-checkable form, and bias()
-raises when it exceeds 1e-9.
+fails, interval_pieces(...).gap, is its machine-checkable form, and a gap
+not below GAP_LIMIT is a failed check of the kinds that report checks
+(eta-sweep and gradcheck).
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DecompositionError
+from .errors import ConfigError
 from .oracle import GuidanceSpec, MixtureOracle
 from .schedule import NoiseSchedule
 from .trajectory import Trajectory, _hop, denoise_path, descent_grid, inversion_grid, invert_along
+
+GAP_LIMIT = 1e-9  # an interval_pieces gap passes the decomposition checks when below it
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,20 +138,14 @@ class _IntervalPieces:
     def gap(self) -> float:
         """Norm of (x0 - x0_tilde) - (gamma(t) * interval + series), the identity
         that the multi-step direction is the interval score plus the telescoping
-        bias; its double-precision rounding, which bias() requires to be <= 1e-9."""
+        bias; its double-precision rounding, which the checks bound by GAP_LIMIT."""
         rhs = self.schedule.nsr[self.grid[-1]] * self.interval + self.series
         return float(np.linalg.norm((self.x0 - self.x0_tilde) - rhs))
 
     def bias(self) -> np.ndarray:
         """(x0 - x0_tilde) - gamma(t) * interval, the residual separating the
-        multi-step objective from the interval score; raises DecompositionError
-        if gap exceeds 1e-9 or is NaN (a broken trajectory invariant, or a
-        schedule too steep for doubles)."""
-        t, s = self.grid[-1], self.grid[-2]
-        if not self.gap <= 1e-9:
-            raise DecompositionError(f"bias residual and series evaluation disagree by "
-                                     f"{self.gap:.3e} at t={t}, delta_T={t - s}")
-        return (self.x0 - self.x0_tilde) - self.schedule.nsr[t] * self.interval
+        multi-step objective from the interval score."""
+        return (self.x0 - self.x0_tilde) - self.schedule.nsr[self.grid[-1]] * self.interval
 
 
 def interval_pieces(oracle: MixtureOracle, schedule: NoiseSchedule, x0, t: int,

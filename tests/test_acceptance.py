@@ -99,17 +99,19 @@ def test_criterion_2_algebraic_identities(mixture3, default_schedule):
     forms = gradient_forms_check(mixture3, default_schedule, g, seed=0)
     decomp = decomposition_sweep_check(mixture3, default_schedule, g, seed=1)
     rng = np.random.default_rng(2)
-    collapse = 0.0
+    collapse = gap = 0.0
     for _ in range(5):
         x0 = rng.uniform(-1.5, 1.5, 2)
         t = int(rng.integers(100, 900))
-        collapse = max(collapse, float(np.linalg.norm(
-            interval_pieces(mixture3, default_schedule, x0, t, t, g).bias())))
+        pieces = interval_pieces(mixture3, default_schedule, x0, t, t, g)
+        collapse = max(collapse, float(np.linalg.norm(pieces.bias())))
+        gap = max(gap, pieces.gap)
     elapsed = time.perf_counter() - t0
     report(2, "gradient-form and decomposition identities",
-           forms < 1e-10 and decomp < 1e-9 and collapse < 1e-12 and elapsed < 10.0,
+           forms < 1e-10 and decomp < 1e-9 and collapse < 1e-12 and gap < 1e-9 and elapsed < 10.0,
            f"forms {forms:.2e} (1e-10), decomposition {decomp:.2e} (1e-9), "
-           f"single-interval bias {collapse:.2e} (1e-12), {elapsed:.2f}s (budget 10s)")
+           f"single-interval bias {collapse:.2e} (1e-12) and gap {gap:.2e} (1e-9), "
+           f"{elapsed:.2f}s (budget 10s)")
 
 
 def test_criterion_3_invertibility(default_schedule):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ismlab import cli, experiments
+from ismlab import cli, experiments, objectives
 from ismlab.cli import main
 from ismlab.config import (
     build_generator,
@@ -27,7 +27,8 @@ from ismlab.config import (
     load_json,
 )
 from ismlab.distill import METRICS_CSV_HEADER
-from ismlab.experiments import build_experiment
+from ismlab.experiments import Report, build_experiment
+from ismlab.objectives import GAP_LIMIT
 from ismlab.oracle import MixtureOracle
 from ismlab.ppm import write_ppm
 
@@ -45,6 +46,13 @@ def tweak_config(tmp_path, name, **tweaks):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def strict_json(path):
+    """The JSON value in the file at path, refusing NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 def test_gradcheck_exits_zero(tmp_path):
@@ -65,16 +73,34 @@ def test_gradcheck_failure_exits_two(tmp_path, capsys, corrupt_backward):
 
 
 def test_gradcheck_with_a_nan_error_exits_two(tmp_path, capsys, monkeypatch):
-    """A check whose error is NaN fails: its max_error is NaN, not the 0.0 a
-    running max() started from."""
+    """A check whose error is NaN fails, not passes as the 0.0 a running max()
+    started from would: its max_error is null in a strict-JSON report.json and
+    an empty gradcheck.csv cell, and the stderr line names the check."""
     monkeypatch.setattr(MixtureOracle, "eps_predict",
                         lambda self, schedule, x, t, label=None: np.full(np.shape(x), np.nan))
     cfg = tweak_config(tmp_path, "gradcheck.json", **{"experiment.checks": ["score_fd"]})
     out = tmp_path / "out"
     assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "score_fd" in capsys.readouterr().err
-    report = json.loads((out / "report.json").read_text())
-    assert math.isnan(report["rows"][0]["max_error"]) and report["rows"][0]["passed"] is False
+    assert capsys.readouterr().err == "gradcheck failed: score_fd\n"
+    report = strict_json(out / "report.json")
+    assert report["ok"] is False
+    assert report["rows"] == [{"check": "score_fd", "max_error": None, "tolerance": 1e-5,
+                               "passed": False}]
+    with open(out / "gradcheck.csv") as fh:
+        assert [r["max_error"] for r in csv.DictReader(fh)] == [""]
+
+
+def test_a_report_with_failed_checks_is_written_then_exits_two(tmp_path, capsys, monkeypatch):
+    """Whatever the kind, a runner's Report that names failed checks is
+    written in full, then one `<kind> failed: <names>` line, exit 2."""
+    report = Report({"kind": "quality", "rows": []}, {"quality": (("t",), [(1,)])},
+                    failed=["x"])
+    monkeypatch.setitem(cli.RUNNERS, "quality", lambda spec: report)
+    out = tmp_path / "out"
+    assert main(["quality", "--config", str(CONFIGS / "quality.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "quality failed: x\n"
+    assert strict_json(out / "report.json") == {"kind": "quality", "rows": []}
+    assert (out / "quality.csv").read_text().splitlines() == ["t", "1"]
 
 
 @pytest.mark.parametrize("below", [False, True])
@@ -91,22 +117,55 @@ def test_unwritable_out_is_a_one_line_output_error(tmp_path, capsys, monkeypatch
     assert blocker.read_text() == ""
 
 
+def failed_cells(out) -> list[str]:
+    """The failed-check names an eta-sweep's eta_sweep.csv implies: each cell
+    whose decomposition_residual is not below GAP_LIMIT, in row order."""
+    with open(out / "eta_sweep.csv") as fh:
+        return [f"decomposition at t={r['t']}, delta_T={r['delta_T']} "
+                f"(gap {float(r['decomposition_residual']):.3e})"
+                for r in csv.DictReader(fh) if not float(r["decomposition_residual"]) < GAP_LIMIT]
+
+
 def test_steep_eta_sweep_is_a_one_line_check_failure(tmp_path, capsys, monkeypatch):
     """A valid schedule steep enough that double precision cannot hold the
-    multi-step estimate to 1e-9 (alpha_bar_T about 1e-46) fails eta-sweep's
-    decomposition check: exit 2, one stderr line naming the cell, no
-    report.json. Other arithmetic errors are not caught."""
-    cfg = tweak_config(tmp_path, "eta_sweep.json",
-                       **{"schedule.beta_start": 0.1, "schedule.beta_end": 0.1})
-    out = tmp_path / "o"
-    assert main(["eta-sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"check failed: bias residual and series evaluation disagree by "
-                        r"\S+ at t=\d+, delta_T=\d+\n", err), err
-    assert not (out / "report.json").exists()
+    multi-step estimate within GAP_LIMIT (alpha_bar_T about 1e-46) fails
+    eta-sweep's decomposition check in some cells: every cell runs, the three
+    files and a strict-JSON report of every cell are written, and one stderr
+    line names each failed cell with its gap, exit 2. Of the 16 cells, 11 fail;
+    at t 200 and 400, three of eight, all at t=400. Other arithmetic errors
+    are not caught."""
+    at_400 = [(400, dt) for dt in (10, 25, 50)]
+    above_400 = [(t, dt) for t in (600, 800) for dt in (10, 25, 50, 100)]
+    for tweaks, cells, n_rows in (({}, at_400 + above_400, 16),
+                                  ({"experiment.t_values": [200, 400]}, at_400, 8)):
+        cfg = tweak_config(tmp_path, "eta_sweep.json", **tweaks,
+                           **{"schedule.beta_start": 0.1, "schedule.beta_end": 0.1})
+        out = tmp_path / f"o{n_rows}"
+        assert main(["eta-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        names = failed_cells(out)
+        assert [n.split(" (")[0] for n in names] == [
+            f"decomposition at t={t}, delta_T={dt}" for t, dt in cells]
+        assert capsys.readouterr().err == f"eta-sweep failed: {', '.join(names)}\n"
+        rows = strict_json(out / "report.json")["rows"]
+        assert [tuple(r[:2]) for r in rows if not r[5] < GAP_LIMIT] == cells
+        assert len(rows) == n_rows
+        assert {p.name for p in out.iterdir()} == {"report.json", "eta_sweep.csv", "gradients.csv"}
     monkeypatch.setitem(cli.RUNNERS, "eta-sweep", lambda spec: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         main(["eta-sweep", "--config", str(cfg), "--out", str(out)])
+
+
+def test_a_nan_gap_is_a_numerical_failure_of_its_cell(tmp_path, capsys, monkeypatch):
+    """A NaN gap is no failed check but a non-finite decomposition_residual,
+    which the Report refuses: exit 3, one line naming the first cell, no
+    report.json."""
+    monkeypatch.setattr(objectives._IntervalPieces, "gap", math.nan)
+    cfg = tweak_config(tmp_path, "eta_sweep.json", **{"experiment.t_values": [200]})
+    out = tmp_path / "o"
+    assert main(["eta-sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical error: non-finite decomposition_residual "
+                                       "at t=200, delta_T=10\n")
+    assert not (out / "report.json").exists()
 
 
 def test_race_median_imports_no_numpy_ma(tmp_path):
@@ -269,11 +328,7 @@ def test_eta_sweep_ratio_of_a_zero_interval_is_null(tmp_path):
                           "experiment.delta_T_values": [50, 100]})
     out = tmp_path / "out"
     assert main(["eta-sweep", "--config", str(cfg), "--out", str(out)]) == 0
-
-    def refuse(name):
-        raise ValueError(f"not JSON: {name}")
-
-    rows = json.loads((out / "report.json").read_text(), parse_constant=refuse)["rows"]
+    rows = strict_json(out / "report.json")["rows"]
     assert len(rows) == 4 and all(r[3] == 0.0 and r[4] is None for r in rows)
     with open(out / "eta_sweep.csv") as fh:
         assert [r["ratio"] for r in csv.DictReader(fh)] == [""] * 4
@@ -369,12 +424,13 @@ SPLAT_IMAGE = {"schedule": _SPLATS["schedule"], "oracle": _SPLATS["oracle"],
 ], ids=["consistency", "consistency-image", "quality", "eta-sweep", "interval-sweep",
         "interval-sweep-image", "race", "gradcheck", "distill", "distill-image"])
 def test_each_kind_writes_its_file_set(tmp_path, kind, name, tweaks, files):
-    """The files of each kind, as listed in docs/config.md under Outputs."""
+    """The files of each kind, as listed in docs/config.md under Outputs; each
+    report.json is strict JSON, with no NaN or Infinity."""
     cfg = tweak_config(tmp_path, name, **tweaks)
     out = tmp_path / "out"
     assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
     assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == files
-    assert json.loads((out / "report.json").read_text())["kind"] == kind.replace("-", "_")
+    assert strict_json(out / "report.json")["kind"] == kind.replace("-", "_")
 
 
 @given(st.integers(1, 300), st.integers(1, 300), st.sampled_from([1, 3]))

@@ -310,6 +310,19 @@ def test_out_of_range_values_name_their_key(reads, key, value):
     assert exc is not None and str(exc).startswith(f"bad value for config key {key}: ")
 
 
+def test_schedule_T_is_below_2_to_the_17():
+    """A schedule holds five tables of T + 1 floats, about 28 MB at T = 2^17:
+    T = 131072 is refused, naming the key and the bound, and T = 131071
+    builds (at betas small enough that alpha_bar_T stays above 0)."""
+    with pytest.raises(ConfigError, match=re.escape(
+            "bad value for config key schedule.T: must be a finite int >= 2 and < 131072, "
+            "got 131072")):
+        build_schedule({"schedule": {"T": 2 ** 17}})
+    longest = build_schedule({"schedule": {"T": 2 ** 17 - 1, "beta_start": 1e-9,
+                                           "beta_end": 1e-9}})
+    assert longest.num_steps == 2 ** 17 - 1 and len(longest.ab) == 2 ** 17
+
+
 def test_an_oracle_past_its_size_bound_builds_no_second_template(monkeypatch):
     """1,000 templates of 400 x 400 would hold 1.6e8 mean values; the first
     template gives the oracle's dimension, so the bound refuses the oracle

@@ -139,15 +139,21 @@ def test_report_refuses_its_first_non_finite_float(bad):
     assert str(exc.value) == "non-finite err"
 
 
-def test_report_accepts_other_cells_and_a_nan_gradcheck_error():
-    """Ints, bools, None and strings are not checked, and a gradcheck's NaN
-    max_error is a failed check, not a numerical failure."""
+def test_report_accepts_other_cells_and_refuses_a_nan_gradcheck_error():
+    """Ints, bools, None and strings are not checked, and every table is held
+    to the one rule: a gradcheck's NaN or infinite max_error is refused like
+    any other column's (run_gradcheck writes a failed check's non-finite
+    error as None). A Report's failed list is not part of its summary."""
     rows = [(0, True, None, "sds", np.int64(2 ** 62), 1e308)]
     report = experiments.Report({"kind": "k", "n": 10 ** 400, "flag": False, "label": None},
                                 {"table": (("a", "b", "c", "d", "e", "f"), rows)})
-    assert report.tables["table"][1] == rows
-    experiments.Report({"kind": "gradcheck"}, {"gradcheck": (GRADCHECK_CSV_HEADER, [
-        ("score_fd", math.nan, 1e-5, False), ("renderer_fd", np.float64(math.inf), 1e-4, False)])})
+    assert report.tables["table"][1] == rows and report.failed == []
+    for bad in (math.nan, np.float64(math.inf)):
+        with pytest.raises(NumericalError, match="^non-finite max_error at check=score_fd$"):
+            experiments.Report({"kind": "gradcheck"}, {"gradcheck": (GRADCHECK_CSV_HEADER, [
+                ("score_fd", bad, 1e-5, False)])}, failed=["score_fd"])
+    assert experiments.Report({"kind": "gradcheck"}, {"gradcheck": (GRADCHECK_CSV_HEADER, [
+        ("score_fd", None, 1e-5, False)])}, failed=["score_fd"]).summary == {"kind": "gradcheck"}
     with pytest.raises(NumericalError, match="^non-finite tolerance at check=score_fd$"):
         experiments.Report({}, {"gradcheck": (GRADCHECK_CSV_HEADER, [
             ("score_fd", 0.0, math.inf, True)])})
@@ -201,6 +207,7 @@ def test_eta_sweep_identities_and_costs(tmp_path):
         assert row[5] < 1e-9                 # decomposition residual
         if row[7] is not None:
             assert row[7] < row[6]           # interval cheaper than multi-step
+    assert report.failed == []
     write_report(report, tmp_path)
     rows = read_csv(tmp_path / "eta_sweep.csv")
     assert tuple(rows[0]) == ETA_CSV_HEADER

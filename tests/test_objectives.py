@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from ismlab import objectives
 from ismlab import (
     ConfigError,
-    DecompositionError,
     GuidanceSpec,
     MixtureOracle,
     hop,
@@ -24,7 +22,7 @@ from ismlab.config import gaussian_blob_template
 
 # constant beta 0.1: gamma(t) passes 3e6 at t = 284 and 1e9 at t = 394, so the
 # gap of a double-precision multi-step estimate, which grows as gamma(t) * 2^-53,
-# often exceeds 1e-9
+# often exceeds GAP_LIMIT (1e-9)
 STEEP = make_schedule(1000, 0.1, 0.1)
 
 
@@ -192,7 +190,9 @@ def test_single_interval_collapse(mixture3, schedule, guide_a):
 def test_multistep_bias_zero_on_mode(point_oracle, schedule):
     g = GuidanceSpec(positive="m", scale=1.0)
     mu = np.array([0.6, -0.3])
-    assert np.linalg.norm(interval_pieces(point_oracle, schedule, mu, 400, 50, g).bias()) < 1e-5
+    pieces = interval_pieces(point_oracle, schedule, mu, 400, 50, g)
+    assert np.linalg.norm(pieces.bias()) < 1e-5
+    assert pieces.gap < objectives.GAP_LIMIT
 
 
 def test_multistep_gradient_zero_on_mode(point_oracle, schedule):
@@ -211,7 +211,7 @@ def test_bias_residual_matches_series(mixture3, schedule, guide_a):
         t = int(rng.integers(dt, 951))
         pieces = interval_pieces(mixture3, schedule, x0, t, dt, guide_a)
         assert np.isfinite(pieces.bias()).all()
-        assert pieces.gap < 1e-9
+        assert pieces.gap < objectives.GAP_LIMIT
 
 
 def test_decomposition_sweep(mixture3, schedule, guide_a):
@@ -253,8 +253,9 @@ def decomposition_cases(draw):
 def test_decomposition_identity_property(schedule, case):
     # the multi-step direction is the interval score plus the telescoping
     # bias series; gap is the norm of the identity's failure, evaluated once
-    # in that summation order, and bias() raises exactly when it is not
-    # within 1e-9. On a steep schedule both outcomes occur.
+    # in that summation order, and the check fails exactly when it is not
+    # below GAP_LIMIT. On the default schedule it holds; on a steep one both
+    # outcomes occur, and bias() is the residual either way.
     o, x0, t, dt, g = case
     for sch in (schedule, STEEP):
         pieces = interval_pieces(o, sch, x0, t, dt, g)
@@ -263,13 +264,8 @@ def test_decomposition_identity_property(schedule, case):
         lhs = x0 - pieces.x0_tilde
         assert gap == float(np.linalg.norm(lhs - (sch.nsr[t] * pieces.interval + pieces.series)))
         if sch is schedule:
-            assert gap <= 1e-9
-        if gap <= 1e-9:
-            assert np.array_equal(pieces.bias(), lhs - sch.nsr[t] * pieces.interval)
-        else:
-            message = re.escape(f"disagree by {gap:.3e} at t={t}, ")
-            with pytest.raises(DecompositionError, match=message):
-                pieces.bias()
+            assert gap < objectives.GAP_LIMIT
+        assert np.array_equal(pieces.bias(), lhs - sch.nsr[t] * pieces.interval)
         assert pieces.gap is gap
 
 
@@ -322,13 +318,14 @@ def test_a_stride_above_its_span_is_the_stride_of_the_span(schedule, t, over, da
         assert ([x.tobytes() for x in got.latents + got.eps_cache]
                 == [x.tobytes() for x in want.latents + want.eps_cache])
     assert above.bias().tobytes() == at.bias().tobytes()
+    assert above.gap < objectives.GAP_LIMIT and at.gap < objectives.GAP_LIMIT
 
 
 def test_a_denoising_walk_off_the_inversion_grid_fails_the_series_check(
         monkeypatch, mixture3, schedule, guide_a):
     """The series telescopes only over shared nodes: a denoising walk with as
     many nodes as the inversion grid but other timesteps (stride 51 from 300,
-    against 50) makes bias() raise."""
+    against 50) makes the gap exceed GAP_LIMIT."""
     real = objectives.denoise_path
 
     def skewed(oracle, schedule, xt, t, stride, g):
@@ -341,36 +338,38 @@ def test_a_denoising_walk_off_the_inversion_grid_fails_the_series_check(
     # its first hop, 300 -> 249, is not the grid's 300 -> 250
     assert not np.array_equal(hop(schedule, deno.latents[0], *nodes[:2], deno.eps_cache[0]),
                               deno.latents[1])
-    with pytest.raises(DecompositionError, match="disagree"):
-        pieces.bias()
+    assert pieces.gap > objectives.GAP_LIMIT
 
 
-def test_bias_raises_on_a_nan_gap(mixture3, schedule, guide_a):
+def test_a_nan_gap_fails_the_gap_limit(mixture3, schedule, guide_a):
     """A NaN in an inversion cache makes the residual and the series
-    disagree by NaN, which bias() refuses as it refuses a gap above 1e-9."""
+    disagree by NaN, which no comparison with GAP_LIMIT passes, as a gap
+    above it passes none; bias(), which does not read that cache entry,
+    stays finite."""
     pieces = interval_pieces(mixture3, schedule, [0.3, -0.2], 300, 50, guide_a)
     cache = list(pieces.inv.eps_cache)
     cache[1] = np.full(2, np.nan)
     broken = dataclasses.replace(pieces, inv=dataclasses.replace(pieces.inv, eps_cache=tuple(cache)))
-    with pytest.raises(ArithmeticError, match="disagree by nan"):
-        broken.bias()
+    assert math.isnan(broken.gap)
+    assert not broken.gap <= objectives.GAP_LIMIT and not broken.gap < objectives.GAP_LIMIT
+    assert np.array_equal(broken.bias(), pieces.bias())
 
 
 def test_interval_pieces_evaluate_the_series_once(mixture3, schedule, guide_a):
-    """The pieces hold their schedule; gap and bias read one telescoping
-    series and give what a second walk's pieces give, and bias reads the
-    cached gap."""
+    """The pieces hold their schedule; gap reads one telescoping series and
+    gives what a second walk's pieces give, and bias reads neither the series
+    nor the gap: a plain accessor, unchanged by the cached gap."""
     x0 = np.array([0.3, -0.2])
     pieces = interval_pieces(mixture3, schedule, x0, 300, 40, guide_a)
     again = interval_pieces(mixture3, schedule, x0, 300, 40, guide_a)
     bias = pieces.bias()
+    assert "series" not in vars(pieces)
     series = pieces.series
     assert pieces.gap == again.gap
     assert pieces.series is series
     assert np.array_equal(bias, again.bias())
     vars(again)["gap"] = math.nan
-    with pytest.raises(DecompositionError, match="disagree by nan"):
-        again.bias()
+    assert np.array_equal(bias, again.bias())
 
 
 # one-component, two-component and image-template oracles, each labelling "a"

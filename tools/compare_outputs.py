@@ -50,8 +50,10 @@ HERE = Path(__file__).resolve().parent.parent
 # line names its eta-sweep cell, consistency targets whose spread overflows (to
 # inf at a guidance scale of 1e154, to NaN at 1e160 in one hop), a latent whose
 # squared mode distance overflows (at 0 iterations, and in a race; with an SDS
-# step on a one-component label the step's gradient norm overflows first), a
-# failed decomposition check on a steep schedule, the decomposition gradcheck
+# step on a one-component label the step's gradient norm overflows first),
+# eta-sweeps on a steep schedule whose decomposition check fails (such a run
+# writes its report and names every failed cell: 11 of 16 cells, then 3 of 8
+# at t 200 and 400, where only t = 400 fails), the decomposition gradcheck
 # on that schedule, whose reported error differs between the identity's two
 # summation orders, an unknown key, a random-scene key under an identity
 # latent, which that kind does not read, a repeated grid entry, a label that
@@ -113,6 +115,8 @@ RUNS = (
       "guidance.scale": 1.0}, 3),
     ("race", "race.json", {"generator.theta": [1e200, 0.0], "distill.iterations": 0}, 3),
     ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}, 2),
+    ("eta-sweep", "eta_sweep.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1,
+                                     "experiment.t_values": [200, 400]}, 2),
     ("gradcheck", "gradcheck.json", {"schedule.beta_start": 0.1, "schedule.beta_end": 0.1}, 2),
     ("race", "race.json", {"distill.unknown_key": 1}, 1),
     ("distill", "distill_identity.json", {"generator.n_splats": 5}, 1),
